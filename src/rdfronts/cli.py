@@ -389,10 +389,22 @@ HANDLERS = {
 }
 
 
+def _reject_non_finite(text: str):
+    raise ValidationError(f"config contains the non-finite number {text}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):           # an overflowing literal such as 1e999
+        _reject_non_finite(text)
+    return value
+
+
 def _load_config(path: str, command: str) -> dict:
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_float=_finite_float,
+                               parse_constant=_reject_non_finite)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:

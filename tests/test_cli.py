@@ -69,6 +69,18 @@ def test_invalid_sigma_exits_2_without_files(tmp_path, capsys):
     assert not list(tmp_path.glob("bad*"))
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_number_exits_2_without_files(tmp_path, capsys, literal):
+    cfg = tmp_path / "speed.json"
+    text = json.dumps({"coefficients": HOMOG_COEFFS})
+    cfg.write_text(text.replace('"value": 1.0}', f'"value": {literal}}}', 1))
+    assert main(["speed", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert literal in err["message"]
+    assert not list(tmp_path.glob("bad*"))
+
+
 def test_unknown_key_rejected(tmp_path):
     payload = {"coefficients": HOMOG_COEFFS, "lambda_stepp": 0.1}
     assert run(tmp_path, "eigen", payload) == 2

@@ -1,7 +1,10 @@
 """Discrete operator assembly and principal eigenpair computation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from rdfronts.coefficients import CoefficientSpec, CoefficientSet, constant_set
 from rdfronts.eigen import (
@@ -127,11 +130,31 @@ def test_dense_eigendecomposition_oracle():
     assert res.value == pytest.approx(float(np.max(dense.real)), abs=1e-8)
 
 
-def test_power_and_resolvent_agree():
-    op = build_operator(HOMOG, 1.0, GridSpec(n_cells=64), refine=False)
-    a = principal_eigenpair(op, method="resolvent")
-    b = principal_eigenpair(op, method="power")
-    assert a.value == pytest.approx(b.value, abs=1e-10)
+@pytest.mark.parametrize("lam", [1.0, -2.5])
+def test_tilted_dense_eigendecomposition_oracle(lam):
+    cs = cosine_set(sigma=CoefficientSpec.cosine(1.0, 0.3, 0.4),
+                    r_u=CoefficientSpec.cosine(1.0, 0.4, 0.9))
+    op = build_operator(cs, lam, GridSpec(n_cells=64), refine=False)
+    res = principal_eigenpair(op)
+    dense = np.linalg.eigvals(op.matrix.toarray())
+    assert res.value == pytest.approx(float(np.max(dense.real)), abs=1e-10)
+
+
+def test_large_dirichlet_operator_converges_in_few_iterations():
+    # R = 32 on 16384 cells: the spectral gap is O(R^-2), which a fixed
+    # far shift pays for in hundreds of iterations
+    cs = cosine_set(r_u=CoefficientSpec.cosine(1.0, 0.4, 0.6))
+    op = build_operator(cs, 0.0, GridSpec(n_cells=16384, boundary="dirichlet"),
+                        half_width=32.0)
+    res = principal_eigenpair(op)
+    assert res.iterations <= 15
+    sigma = float(np.max(op.matrix.sum(axis=1))) + 1.0
+    ref = spla.eigs(op.matrix.tocsc(), k=1, sigma=sigma, which="LM",
+                    return_eigenvectors=False)
+    assert res.value == pytest.approx(float(ref[0].real), abs=1e-9)
+    w = res.eigenvector()
+    ratios = (op.matrix @ w) / w
+    assert np.min(ratios) <= res.value <= np.max(ratios)
 
 
 def test_eigenresult_invariants():
@@ -144,6 +167,20 @@ def test_eigenresult_invariants():
     assert res.residual <= 1e-9
     check = np.max(np.abs(op.matrix @ w - res.value * w)) / np.max(np.abs(w))
     assert check == pytest.approx(res.residual, rel=1e-6)
+
+
+def test_operator_without_stored_diagonal_entry():
+    # a hand-built operator may leave a zero diagonal entry unstored; the
+    # shift must still reach that row
+    op = build_operator(HOMOG, 0.5, GridSpec(n_cells=32), refine=False)
+    matrix = op.matrix.tolil()
+    matrix[5, 5] = 0.0
+    matrix = matrix.tocsr()
+    matrix.eliminate_zeros()
+    assert matrix[5, 5] == 0.0 and matrix.nnz == op.matrix.nnz - 1
+    res = principal_eigenpair(replace(op, matrix=matrix))
+    dense = np.linalg.eigvals(matrix.toarray())
+    assert res.value == pytest.approx(float(np.max(dense.real)), abs=1e-10)
 
 
 def test_non_cooperative_operator_rejected():
