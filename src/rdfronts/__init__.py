@@ -1,7 +1,8 @@
 """Numerical laboratory for two-species hybrid reaction-diffusion fronts.
 
 Subpackages by concern: periodic coefficient sets and homogenized means
-(coefficients), principal eigenvalues of the linearized system (eigen),
+(coefficients), the conservative-flux stencil shared by the solvers
+(stencil), principal eigenvalues of the linearized system (eigen),
 spreading speeds and persistence indicators (speeds), the spatially
 homogeneous kinetic analysis (ode), the nonlinear front simulator (pde),
 and the command-line interface (cli).

@@ -38,15 +38,30 @@ def _check_keys(obj: dict, context: str, required: set, optional: set) -> None:
         raise ValidationError(f"missing keys {sorted(missing)} in {context}")
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _number(obj: dict, key: str, context: str, default=None, positive=False):
     if key not in obj:
         return default
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if not _is_number(val):
         raise ValidationError(f"{context}.{key} must be a number")
     if positive and not (val > 0):
         raise ValidationError(f"{context}.{key} must be positive")
     return float(val)
+
+
+def _integer(obj: dict, key: str, context: Optional[str], default=None):
+    """obj[key] as an int (default when absent); context=None for top-level keys."""
+    if key not in obj:
+        return default
+    val = obj[key]
+    if not isinstance(val, int) or isinstance(val, bool):
+        name = key if context is None else f"{context}.{key}"
+        raise ValidationError(f"{name} must be an integer")
+    return val
 
 
 def _lambda_grid(config: dict, context: str) -> np.ndarray:
@@ -60,12 +75,8 @@ def _lambda_grid(config: dict, context: str) -> np.ndarray:
 
 
 def _grid_spec(config: dict) -> Optional[eigen.GridSpec]:
-    if "n_cells" not in config:
-        return None
-    n = config["n_cells"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValidationError("n_cells must be an integer")
-    return eigen.GridSpec(n_cells=n)
+    n = _integer(config, "n_cells", None)
+    return None if n is None else eigen.GridSpec(n_cells=n)
 
 
 def _coefficient_set(config: dict) -> coeffs.CoefficientSet:
@@ -96,9 +107,7 @@ def run_eigen(config: dict, out: str, jobs: int, verbose: bool) -> list:
     tol = _number(config, "tolerance", "eigen config", eigen.K_GRID_TOL, positive=True)
     lams = _lambda_grid(config, "eigen config")
     profile_lams = config.get("profile_lambdas", [0.0])
-    if (not isinstance(profile_lams, list)
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in profile_lams)):
+    if not isinstance(profile_lams, list) or not all(map(_is_number, profile_lams)):
         raise ValidationError("profile_lambdas must be a list of numbers")
     tag = config_hash(config)
 
@@ -123,8 +132,7 @@ def run_dirichlet(config: dict, out: str, jobs: int, verbose: bool) -> list:
     tol = _number(config, "tolerance", "dirichlet config", eigen.K_GRID_TOL, positive=True)
     radii = config["radii"]
     if (not isinstance(radii, list) or not radii
-            or any(isinstance(R, bool) or not isinstance(R, (int, float)) or R <= 0
-                   for R in radii)):
+            or any(not _is_number(R) or R <= 0 for R in radii)):
         raise ValidationError("radii must be a nonempty list of positive numbers")
     tag = config_hash(config)
     results = []
@@ -170,13 +178,7 @@ def _hom_params(config: dict) -> ode.HomParams:
     p = config["params"]
     names = ("sigma", "r_u", "r_v", "kappa_u", "kappa_v", "mu_u", "mu_v")
     _check_keys(p, "params", set(names), set())
-    vals = {}
-    for name in names:
-        v = p[name]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(f"params.{name} must be a number")
-        vals[name] = float(v)
-    return ode.HomParams(**vals)
+    return ode.HomParams(**{name: _number(p, name, "params") for name in names})
 
 
 def run_ode(config: dict, out: str, jobs: int, verbose: bool) -> list:
@@ -219,12 +221,10 @@ def _domain_spec(config: dict) -> pde.DomainSpec:
         raise ValidationError("config needs a 'domain' object")
     d = config["domain"]
     _check_keys(d, "domain", {"x_min", "x_max", "n_points"}, {"boundary"})
-    n = d["n_points"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValidationError("domain.n_points must be an integer")
-    return pde.DomainSpec(x_min=_number(d, "x_min", "domain"),
+    return pde.DomainSpec(n_points=_integer(d, "n_points", "domain"),
+                          x_min=_number(d, "x_min", "domain"),
                           x_max=_number(d, "x_max", "domain"),
-                          n_points=n, boundary=d.get("boundary", "neumann"))
+                          boundary=d.get("boundary", "neumann"))
 
 
 def _initial_data(config: dict) -> pde.InitialData:
@@ -297,9 +297,7 @@ def run_stationary(config: dict, out: str, jobs: int, verbose: bool) -> list:
     _check_keys(config, "stationary config", {"coefficients"},
                 {"command", "n_cells", "tolerance", "t_max"})
     cs = _coefficient_set(config)
-    n_cells = config.get("n_cells", 512)
-    if not isinstance(n_cells, int) or isinstance(n_cells, bool):
-        raise ValidationError("n_cells must be an integer")
+    n_cells = _integer(config, "n_cells", None, 512)
     tol = _number(config, "tolerance", "stationary config", 1e-9, positive=True)
     t_max = _number(config, "t_max", "stationary config", 4000.0, positive=True)
     tag = config_hash(config)
@@ -346,8 +344,7 @@ def run_sweep(config: dict, out: str, jobs: int, verbose: bool) -> list:
     k_tol = _number(config, "k_tolerance", "sweep config", 1e-7, positive=True)
     eps_list = config["epsilons"]
     if (not isinstance(eps_list, list) or not eps_list
-            or any(isinstance(e, bool) or not isinstance(e, (int, float))
-                   or not (0 < e <= 1) for e in eps_list)):
+            or any(not _is_number(e) or not (0 < e <= 1) for e in eps_list)):
         raise ValidationError("epsilons must be a nonempty list of values in (0, 1]")
     tag = config_hash(config)
 

@@ -128,11 +128,6 @@ class CoefficientSpec:
         return float(out) if out.ndim == 0 else out
 
 
-def evaluate(spec: CoefficientSpec, x):
-    """Periodic evaluation of a coefficient spec (see ``CoefficientSpec.__call__``)."""
-    return spec(x)
-
-
 # -- spec algebra -----------------------------------------------------------
 
 def scale_shift(spec: CoefficientSpec, scale: float, shift: float) -> CoefficientSpec:
@@ -246,15 +241,14 @@ class CoefficientSet:
             if spec.period != self.period:
                 raise ValidationError(f"{name} has period {spec.period}, set expects {self.period}")
         xs = np.arange(PROBE_POINTS) * (self.period / PROBE_POINTS)
-        sig = self.sigma(xs)
-        ru, rv = self.r_u(xs), self.r_v(xs)
-        ku, kv = self.kappa_u(xs), self.kappa_v(xs)
-        mu, mv = self.mu_u(xs), self.mu_v(xs)
-        for name, arr in (("sigma", sig), ("kappa_u", ku), ("kappa_v", kv),
-                          ("mu_u", mu), ("mu_v", mv)):
-            if np.min(arr) <= POSITIVITY_FLOOR:
+        probes = {name: getattr(self, name)(xs) for name in COEFFICIENT_NAMES}
+        for name, arr in probes.items():
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"coefficient {name} must be finite on its probe grid")
+            if name not in ("r_u", "r_v") and np.min(arr) <= POSITIVITY_FLOOR:
                 raise ValidationError(f"coefficient {name} must be strictly positive "
                                       f"(probe minimum {np.min(arr):.3e})")
+        sig, ru, rv, ku, kv = (probes[n] for n in ("sigma", "r_u", "r_v", "kappa_u", "kappa_v"))
         object.__setattr__(self, "sigma_min", float(np.min(sig)))
         object.__setattr__(self, "sigma_max", float(np.max(sig)))
         object.__setattr__(self, "r_min", float(min(np.min(ru), np.min(rv))))

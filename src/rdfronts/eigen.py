@@ -9,10 +9,10 @@ notions are computed on a conservative-flux finite-difference grid:
                         conjugated by exp(lambda x), periodic eigenvector,
   * Dirichlet        -- on (-R, R) with zero boundary values.
 
-The tilted operator is assembled by conjugating the flux stencil itself,
-exp(lambda x_i) * D[exp(-lambda x) w]_i, which multiplies the off-diagonal
-flux entries by exp(-lambda h) and exp(+lambda h).  Off-diagonals therefore
-stay positive for every lambda and h, and the matrix is Metzler and
+The diffusion part is ``stencil.flux_stencil``, shared with the pde module,
+conjugated as exp(lambda x_i) * D[exp(-lambda x) w]_i: the off-diagonal flux
+entries are multiplied by exp(-lambda h) and exp(+lambda h).  Off-diagonals
+therefore stay positive for every lambda and h, and the matrix is Metzler and
 irreducible, so the Perron root and a componentwise positive eigenvector
 exist on the discrete level exactly as in the continuous theory.
 """
@@ -28,6 +28,7 @@ import scipy.sparse.linalg as spla
 
 from .coefficients import CoefficientSet
 from .errors import NumericalError, PreconditionError, ValidationError
+from .stencil import flux_stencil
 from .util import write_csv
 
 REFINE_CAP = 2 ** 20          # hard cap on cells per period / interval
@@ -100,42 +101,29 @@ def peclet_cells(cs: CoefficientSet, lam: float, n_cells: int, length: float) ->
                          f"the advection admissibility bound at lambda={lam}")
 
 
-def _assemble(cs: CoefficientSet, lam: float, n: int, h: float, nodes: np.ndarray,
-              periodic: bool) -> sp.csr_matrix:
-    """Conjugated conservative-flux stencil plus reaction/mutation diagonals."""
-    sig_right = cs.sigma(nodes + 0.5 * h)        # sigma at i+1/2
-    sig_left = cs.sigma(nodes - 0.5 * h)         # sigma at i-1/2
-    ep, em = np.exp(lam * h), np.exp(-lam * h)
-    sup = sig_right * em / h ** 2                # couples node i to i+1
-    sub = sig_left * ep / h ** 2                 # couples node i to i-1
-    diag_flux = -(sig_right + sig_left) / h ** 2
-
-    ru, rv = cs.r_u(nodes), cs.r_v(nodes)
+def _operator(cs: CoefficientSet, lam: float, n: int,
+              half_width: Optional[float] = None) -> DiscreteOperator:
+    """Coupled operator on n cells of one period, or on n interior nodes of
+    (-R, R) given half_width=R.  Reaction goes onto copies of the stencil's
+    diagonal and the mutation couplings are appended: one COO -> CSR build."""
+    if half_width is None:
+        h = cs.period / n
+        nodes = h * np.arange(n)
+        boundary = "periodic"
+    else:
+        h = 2.0 * half_width / (n + 1)
+        nodes = -half_width + h * np.arange(1, n + 1)
+        boundary = "dirichlet"
+    rows, cols, data = flux_stencil(cs, nodes, h, boundary, lam)
+    diag, off = data[:n], data[n:]
     mu, mv = cs.mu_u(nodes), cs.mu_v(nodes)
-
-    rows, cols, data = [], [], []
-
-    def add_block(offset, diag_react):
-        i = np.arange(n)
-        rows.append(offset + i); cols.append(offset + i)
-        data.append(diag_flux + diag_react)
-        if periodic:
-            rows.append(offset + i); cols.append(offset + (i + 1) % n); data.append(sup)
-            rows.append(offset + i); cols.append(offset + (i - 1) % n); data.append(sub)
-        else:
-            rows.append(offset + i[:-1]); cols.append(offset + i[1:]); data.append(sup[:-1])
-            rows.append(offset + i[1:]); cols.append(offset + i[:-1]); data.append(sub[1:])
-
-    add_block(0, ru - mu)
-    add_block(n, rv - mv)
     i = np.arange(n)
-    rows.append(i); cols.append(n + i); data.append(mv)       # u-row coupling to v
-    rows.append(n + i); cols.append(i); data.append(mu)       # v-row coupling to u
-
-    m = sp.coo_matrix((np.concatenate(data),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(2 * n, 2 * n))
-    return m.tocsr()
+    data = np.concatenate([diag + (cs.r_u(nodes) - mu), off,
+                           diag + (cs.r_v(nodes) - mv), off, mv, mu])
+    rows = np.concatenate([rows, rows + n, i, n + i])     # u block, v block, u<-v, v<-u
+    cols = np.concatenate([cols, cols + n, n + i, i])
+    matrix = sp.coo_matrix((data, (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
+    return DiscreteOperator(matrix, n, h, lam, boundary, nodes)
 
 
 def build_operator(cs: CoefficientSet, lam: float, grid: GridSpec,
@@ -153,17 +141,9 @@ def build_operator(cs: CoefficientSet, lam: float, grid: GridSpec,
             raise ValidationError("dirichlet grids need a positive half_width R")
         if lam != 0.0:
             raise ValidationError("the Dirichlet eigenproblem is posed at lambda=0")
-        n = grid.n_cells
-        h = 2.0 * half_width / (n + 1)
-        nodes = -half_width + h * np.arange(1, n + 1)
-        matrix = _assemble(cs, 0.0, n, h, nodes, periodic=False)
-        return DiscreteOperator(matrix, n, h, 0.0, "dirichlet", nodes)
-
+        return _operator(cs, 0.0, grid.n_cells, half_width)
     n = peclet_cells(cs, lam, grid.n_cells, cs.period) if refine else grid.n_cells
-    h = cs.period / n
-    nodes = h * np.arange(n)
-    matrix = _assemble(cs, lam, n, h, nodes, periodic=True)
-    return DiscreteOperator(matrix, n, h, lam, "periodic", nodes)
+    return _operator(cs, lam, n)
 
 
 # -- Perron iteration --------------------------------------------------------
@@ -337,21 +317,8 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
     """
     grid = grid or GridSpec()
     n = peclet_cells(cs, lam, grid.n_cells, cs.period)
-    return _refine_to_tolerance(lambda m: _periodic_op(cs, lam, m), n, tol, warm,
+    return _refine_to_tolerance(lambda m: _operator(cs, lam, m), n, tol, warm,
                                 f"lambda={lam}")
-
-
-def _periodic_op(cs: CoefficientSet, lam: float, n: int) -> DiscreteOperator:
-    h = cs.period / n
-    nodes = h * np.arange(n)
-    return DiscreteOperator(_assemble(cs, lam, n, h, nodes, periodic=True),
-                            n, h, lam, "periodic", nodes)
-
-
-def periodic_eigenvalue(cs: CoefficientSet, grid: Optional[GridSpec] = None,
-                        tol: float = K_GRID_TOL) -> EigenResult:
-    """Periodic principal eigenvalue, i.e. k(0)."""
-    return k_of_lambda(cs, 0.0, grid, tol)
 
 
 def dirichlet_eigenvalue(cs: CoefficientSet, R: float,
@@ -367,15 +334,8 @@ def dirichlet_eigenvalue(cs: CoefficientSet, R: float,
     grid = grid or GridSpec()
     per_period = max(grid.n_cells, 16)
     n = max(per_period, int(np.ceil(per_period * 2.0 * R / cs.period)))
-    return _refine_to_tolerance(lambda m: _dirichlet_op(cs, R, m), n, tol, warm,
+    return _refine_to_tolerance(lambda m: _operator(cs, 0.0, m, R), n, tol, warm,
                                 f"R={R}")
-
-
-def _dirichlet_op(cs: CoefficientSet, R: float, n: int) -> DiscreteOperator:
-    h = 2.0 * R / (n + 1)
-    nodes = -R + h * np.arange(1, n + 1)
-    return DiscreteOperator(_assemble(cs, 0.0, n, h, nodes, periodic=False),
-                            n, h, 0.0, "dirichlet", nodes)
 
 
 def minimax_check(cs: CoefficientSet, lam: float, grid: GridSpec,

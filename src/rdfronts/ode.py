@@ -34,6 +34,9 @@ class HomParams:
     mu_v: float
 
     def __post_init__(self):
+        for name in ("sigma", "r_u", "r_v", "kappa_u", "kappa_v", "mu_u", "mu_v"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         for name in ("sigma", "kappa_u", "kappa_v", "mu_u", "mu_v"):
             if not (getattr(self, name) > 0):
                 raise ValidationError(f"{name} must be strictly positive")

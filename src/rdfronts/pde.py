@@ -1,6 +1,7 @@
 """Nonlinear front simulation on a truncated line.
 
-Time stepping is IMEX: the conservative-flux diffusion is advanced by
+Time stepping is IMEX: the conservative-flux diffusion, built by
+``stencil.flux_stencil`` exactly as in the eigen module, is advanced by
 backward Euler (one banded LU factorization, reused every step), the
 reaction and mutation terms explicitly.  The implicit diffusion matrix is an
 M-matrix whose rows sum to one under no-flux boundaries, so each step is a
@@ -24,6 +25,7 @@ import scipy.sparse.linalg as spla
 
 from .coefficients import CoefficientSet
 from .errors import InvariantBreachError, NumericalError, PreconditionError, ValidationError
+from .stencil import flux_stencil
 from .util import write_csv
 
 BOUND_SLACK = 1e-8
@@ -42,6 +44,8 @@ class DomainSpec:
     boundary: str = "neumann"
 
     def __post_init__(self):
+        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
+            raise ValidationError("x_min and x_max must be finite")
         if self.x_max <= self.x_min:
             raise ValidationError("x_max must exceed x_min")
         if self.n_points < 256:
@@ -85,6 +89,9 @@ class InitialData:
     def __post_init__(self):
         if self.kind not in INITIAL_KINDS:
             raise ValidationError(f"unknown initial-data kind {self.kind!r}")
+        for name in ("amplitude", "x_on", "x_off", "center", "width"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"initial {name} must be finite")
         if not (self.amplitude > 0):
             raise ValidationError("initial amplitude must be positive")
         if self.kind in ("right_front_like", "left_front_like") and self.x_off <= self.x_on:
@@ -144,34 +151,6 @@ def front_positions(u: np.ndarray, v: np.ndarray, nodes: np.ndarray,
     return float(nodes[idx[-1]]), float(nodes[idx[0]])
 
 
-def _flux_matrix(cs: CoefficientSet, nodes: np.ndarray, h: float,
-                 boundary: str) -> sp.csr_matrix:
-    """Conservative-flux discretization of w -> (sigma w_x)_x."""
-    n = len(nodes)
-    sig_r = cs.sigma(nodes + 0.5 * h)
-    sig_l = cs.sigma(nodes - 0.5 * h)
-    sup = sig_r / h ** 2
-    sub = sig_l / h ** 2
-    diag = -(sig_r + sig_l) / h ** 2
-    if boundary == "periodic":
-        i = np.arange(n)
-        rows = np.concatenate([i, i, i])
-        cols = np.concatenate([i, (i + 1) % n, (i - 1) % n])
-        data = np.concatenate([diag, sup, sub])
-    else:
-        if boundary == "neumann":
-            # zero flux through the boundary faces
-            diag = diag.copy()
-            diag[0] += sig_l[0] / h ** 2
-            diag[-1] += sig_r[-1] / h ** 2
-        # dirichlet_zero keeps the full diagonal: ghost values are 0
-        i = np.arange(n)
-        rows = np.concatenate([i, i[:-1], i[1:]])
-        cols = np.concatenate([i, i[1:] + 0, i[:-1]])
-        data = np.concatenate([diag, sup[:-1], sub[1:]])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-
 class Stepper:
     """IMEX integrator bound to one coefficient set, grid and step size.
 
@@ -184,9 +163,6 @@ class Stepper:
                  boundary: str, dt: float, amplitude_bound: float):
         if not (dt > 0):
             raise ValidationError("dt must be positive")
-        self.cs = cs
-        self.nodes = nodes
-        self.h = h
         self.boundary = boundary
         self.ru = cs.r_u(nodes)
         self.rv = cs.r_v(nodes)
@@ -203,7 +179,8 @@ class Stepper:
         self.dt = dt
         self.dt_sub = dt / self.substeps
         n = len(nodes)
-        flux = _flux_matrix(cs, nodes, h, boundary)
+        rows, cols, data = flux_stencil(cs, nodes, h, boundary)
+        flux = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
         system = (sp.identity(n, format="csc") - self.dt_sub * flux).tocsc()
         self.solver = spla.splu(system)
         self.max_clip = 0.0

@@ -96,28 +96,23 @@ def speed_bounds(cs: CoefficientSet) -> Tuple[Optional[float], float]:
     return low, high
 
 
-def _one_sided_speed(k: Callable[[float], float], lam_hi: float,
-                     tol: float) -> Tuple[float, float]:
-    """min of k(lam)/lam over (0, lam_hi], expanding the bracket if the edge wins."""
-    g = lambda lam: k(lam) / lam
+def _expanding_min(f: Callable[[float], float], lam_hi: float, tol: float,
+                   two_sided: bool) -> Tuple[float, float]:
+    """Golden-section minimum of f over (0, lam_hi], or over [-lam_hi, lam_hi]
+    when two_sided, doubling lam_hi while the minimizer sits at its edge."""
     for _ in range(MAX_BRACKET_EXPANSIONS):
-        lam_star, c = golden_min(g, 1e-4, lam_hi, tol)
-        if lam_star < lam_hi - 10.0 * tol:
-            return lam_star, c
+        lam_star, f_min = golden_min(f, -lam_hi if two_sided else 1e-4, lam_hi, tol)
+        if abs(lam_star) < lam_hi - 10.0 * tol:
+            return lam_star, f_min
         lam_hi *= 2.0
-    raise NumericalError("speed bracket expansion cap reached; "
-                         "k(lambda)/lambda keeps decreasing")
+    raise NumericalError("bracket expansion cap reached; the minimizer keeps "
+                         "moving outwards")
 
 
 def _k_minimum(k: _KCache, cs: CoefficientSet, tol: float) -> Tuple[float, float]:
     """Global minimum of the convex curve k over an interior-guaranteed bracket."""
     lam_hi = 2.0 * math.sqrt(max(cs.r_max - cs.r_min, 1.0) / cs.sigma_min) + 1.0
-    for _ in range(MAX_BRACKET_EXPANSIONS):
-        lam_star, k_min = golden_min(k, -lam_hi, lam_hi, tol)
-        if abs(lam_star) < lam_hi - 10.0 * tol:
-            return lam_star, k_min
-        lam_hi *= 2.0
-    raise NumericalError("k-minimum bracket expansion cap reached")
+    return _expanding_min(k, lam_hi, tol, two_sided=True)
 
 
 def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
@@ -135,9 +130,11 @@ def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
             f"eigenvalue; got k(0) = {k0:.6g}")
     lam_hi = 2.0 * math.sqrt(cs.r_max / cs.sigma_min) + 1.0
 
-    lam_right, c_right = _one_sided_speed(k, lam_hi, lam_tol)
+    lam_right, c_right = _expanding_min(lambda lam: k(lam) / lam, lam_hi, lam_tol,
+                                        two_sided=False)
     k_neg = _KCache(cs, grid, k_tol)
-    lam_left_pos, c_left = _one_sided_speed(lambda lam: k_neg(-lam), lam_hi, lam_tol)
+    lam_left_pos, c_left = _expanding_min(lambda lam: k_neg(-lam) / lam, lam_hi, lam_tol,
+                                          two_sided=False)
 
     _, k_min = _k_minimum(k, cs, lam_tol)
     low, high = speed_bounds(cs)

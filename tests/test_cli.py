@@ -50,13 +50,29 @@ def test_eigen_row_count_and_identity(tmp_path):
     assert profile[1] == "# lambda=0.0"
 
 
-def test_eigen_deterministic_outputs(tmp_path):
-    payload = {"coefficients": HOMOG_COEFFS, "lambda_min": -1.0,
-               "lambda_max": 1.0, "lambda_step": 0.5}
-    assert run(tmp_path, "eigen", payload, out="a") == 0
-    assert run(tmp_path, "eigen", payload, out="b") == 0
-    assert (tmp_path / "a_kcurve.csv").read_bytes() == (tmp_path / "b_kcurve.csv").read_bytes()
-    assert (tmp_path / "a_profile_0.csv").read_bytes() == (tmp_path / "b_profile_0.csv").read_bytes()
+DETERMINISM_PAYLOADS = {
+    "eigen": {"coefficients": HOMOG_COEFFS, "lambda_min": -1.0,
+              "lambda_max": 1.0, "lambda_step": 0.5},
+    "dirichlet": {"coefficients": HOMOG_COEFFS, "radii": [1.0, 2.0]},
+    "simulate": {"coefficients": HOMOG_COEFFS,
+                 "domain": {"x_min": -10.0, "x_max": 20.0, "n_points": 256},
+                 "initial": {"kind": "compact_bump", "amplitude": 0.5,
+                             "center": 5.0, "width": 2.0},
+                 "T": 1.0, "dt": 0.01, "record_every": 0.1, "snapshot_every": 0.5},
+}
+
+
+@pytest.mark.parametrize("command", sorted(DETERMINISM_PAYLOADS))
+def test_deterministic_outputs(tmp_path, command):
+    # eigen and dirichlet build on the shared flux stencil through the
+    # eigen module, simulate through the pde Stepper.
+    payload = DETERMINISM_PAYLOADS[command]
+    assert run(tmp_path, command, payload, out="a") == 0
+    assert run(tmp_path, command, payload, out="b") == 0
+    a_files = sorted(p.name[2:] for p in tmp_path.glob("a_*"))
+    assert a_files and a_files == sorted(p.name[2:] for p in tmp_path.glob("b_*"))
+    for suffix in a_files:
+        assert (tmp_path / f"a_{suffix}").read_bytes() == (tmp_path / f"b_{suffix}").read_bytes()
 
 
 def test_invalid_sigma_exits_2_without_files(tmp_path, capsys):

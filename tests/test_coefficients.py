@@ -111,6 +111,18 @@ def test_sign_changing_kappa_rejected():
         make_set(kappa_u=CoefficientSpec.cosine(0.2, 0.5))
 
 
+@pytest.mark.parametrize("name, spec", [
+    ("sigma", CoefficientSpec.constant(float("nan"))),
+    ("r_u", CoefficientSpec.constant(float("inf"))),
+    ("r_v", CoefficientSpec.cosine(1.0, 0.5, float("nan"))),
+    ("kappa_u", CoefficientSpec.piecewise([0.0, 0.5], [1.0, float("inf")])),
+    ("mu_v", CoefficientSpec.table([0.5, float("nan")])),
+])
+def test_non_finite_coefficient_rejected(name, spec):
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        make_set(**{name: spec})
+
+
 def test_negative_growth_allowed():
     cs = make_set(r_u=CoefficientSpec.constant(-2.0))
     assert cs.r_min == -2.0

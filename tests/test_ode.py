@@ -26,6 +26,15 @@ def random_params(rng):
                      mu_u=rng.uniform(0.05, 1.5), mu_v=rng.uniform(0.05, 1.5))
 
 
+@pytest.mark.parametrize("field", ["sigma", "r_u", "r_v", "kappa_u", "kappa_v",
+                                   "mu_u", "mu_v"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_hom_params_reject_non_finite_fields(field, value):
+    fields = dict(sigma=1, r_u=1, r_v=1, kappa_u=1, kappa_v=1, mu_u=0.25, mu_v=0.25)
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        HomParams(**dict(fields, **{field: value}))
+
+
 # -- lambda_A ---------------------------------------------------------------------
 
 def test_lambda_A_equal_growth():

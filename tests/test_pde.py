@@ -63,6 +63,13 @@ def test_domain_validation():
         DomainSpec(0.0, 10.0, 512, boundary="absorbing")
 
 
+@pytest.mark.parametrize("x_min, x_max", [(float("nan"), 10.0), (0.0, float("nan")),
+                                          (float("-inf"), 10.0), (0.0, float("inf"))])
+def test_domain_rejects_non_finite_bounds(x_min, x_max):
+    with pytest.raises(ValidationError, match="finite"):
+        DomainSpec(x_min, x_max, 512)
+
+
 def test_domain_must_cover_twenty_periods():
     dom = DomainSpec(0.0, 10.0, 512)     # only 10 periods
     init = InitialData(kind="constant_pair", amplitude=0.1)
@@ -96,6 +103,13 @@ def test_initial_data_validation():
         InitialData(kind="compact_bump", amplitude=-0.1)
     with pytest.raises(ValidationError):
         InitialData(kind="right_front_like", amplitude=0.1, x_on=1.0, x_off=0.0)
+
+
+@pytest.mark.parametrize("field", ["amplitude", "x_on", "x_off", "center", "width"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_initial_data_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        InitialData(**{"kind": "compact_bump", "amplitude": 0.1, field: value})
 
 
 # -- single step -------------------------------------------------------------------
