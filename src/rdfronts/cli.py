@@ -135,12 +135,7 @@ def run_dirichlet(config: dict, out: str, jobs: int, verbose: bool) -> list:
             or any(not _is_number(R) or R <= 0 for R in radii)):
         raise ValidationError("radii must be a nonempty list of positive numbers")
     tag = config_hash(config)
-    results = []
-    warm = None
-    for R in radii:
-        res = eigen.dirichlet_eigenvalue(cs, float(R), grid, tol, warm=warm)
-        warm = (res.phi, res.psi)
-        results.append(res)
+    results = eigen.dirichlet_sweep(cs, radii, grid, tol)
     path = f"{out}_dirichlet.csv"
     eigen.write_dirichlet_csv(path, radii, results, [f"config_hash={tag}"])
     return [path]

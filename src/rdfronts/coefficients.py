@@ -10,7 +10,7 @@ and averaged exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -21,6 +21,19 @@ KINDS = ("constant", "cosine", "piecewise_constant", "table")
 
 PROBE_POINTS = 8192          # uniform probe grid per period for extrema
 POSITIVITY_FLOOR = 1e-12
+
+
+def _check_harmonics(harmonics) -> None:
+    """Each harmonic must be an (amplitude, multiple, phase) triple whose
+    multiple is a positive integer, which keeps the series L-periodic."""
+    for trip in harmonics:
+        try:
+            ok = len(trip) == 3 and int(trip[1]) == trip[1] and trip[1] >= 1
+        except (TypeError, ValueError, OverflowError):     # non-numeric, NaN, inf
+            ok = False
+        if not ok:
+            raise ValidationError("each harmonic must be an (amplitude, positive "
+                                  "integer multiple, phase) triple")
 
 
 @dataclass(frozen=True)
@@ -54,12 +67,7 @@ class CoefficientSpec:
         if not (self.period > 0) or not np.isfinite(self.period):
             raise ValidationError("coefficient period must be positive and finite")
         if self.kind == "cosine":
-            for trip in self.harmonics:
-                if len(trip) != 3:
-                    raise ValidationError("each harmonic must be a (amplitude, multiple, phase) triple")
-                _, n, _ = trip
-                if int(n) != n or n < 1:
-                    raise ValidationError("harmonic multiples must be positive integers (periodicity)")
+            _check_harmonics(self.harmonics)
         elif self.kind == "piecewise_constant":
             b, v = self.breakpoints, self.values
             if len(b) == 0 or len(b) != len(v):
@@ -81,10 +89,7 @@ class CoefficientSpec:
     @staticmethod
     def cosine(mean: float, amplitude: float, phase: float = 0.0, period: float = 1.0,
                harmonics: Sequence[Tuple[float, int, float]] = ()) -> "CoefficientSpec":
-        for trip in harmonics:
-            if len(trip) != 3 or int(trip[1]) != trip[1] or trip[1] < 1:
-                raise ValidationError("each harmonic must be (amplitude, positive "
-                                      "integer multiple, phase)")
+        _check_harmonics(harmonics)
         return CoefficientSpec(kind="cosine", period=period, mean=float(mean),
                                amplitude=float(amplitude), phase=float(phase),
                                harmonics=tuple((float(a), int(n), float(p)) for a, n, p in harmonics))
@@ -143,13 +148,14 @@ def scale_shift(spec: CoefficientSpec, scale: float, shift: float) -> Coefficien
     return replace(spec, samples=tuple(scale * s + shift for s in spec.samples))
 
 
-def combine(a: float, spec_a: CoefficientSpec, b: float, spec_b: CoefficientSpec,
-            fallback_samples: int = PROBE_POINTS) -> CoefficientSpec:
+def combine(a: float, spec_a: CoefficientSpec, b: float,
+            spec_b: CoefficientSpec) -> CoefficientSpec:
     """a*spec_a + b*spec_b as a single spec.
 
     Exact whenever one side is constant, both are piecewise constant, or both
-    are cosine series; other mixes are tabulated on a fine grid (the table is
-    a continuous surrogate, adequate for the sampled-coefficient workflows).
+    are cosine series; other mixes are tabulated on PROBE_POINTS samples (the
+    table is a continuous surrogate, adequate for the sampled-coefficient
+    workflows).
     """
     if spec_a.period != spec_b.period:
         raise ValidationError("cannot combine specs with different periods")
@@ -168,7 +174,7 @@ def combine(a: float, spec_a: CoefficientSpec, b: float, spec_b: CoefficientSpec
         brk = sorted(set(spec_a.breakpoints) | set(spec_b.breakpoints))
         vals = [a * spec_a(x) + b * spec_b(x) for x in brk]
         return CoefficientSpec.piecewise(brk, vals, period=spec_a.period)
-    xs = np.arange(fallback_samples) * (spec_a.period / fallback_samples)
+    xs = np.arange(PROBE_POINTS) * (spec_a.period / PROBE_POINTS)
     return CoefficientSpec.table(a * spec_a(xs) + b * spec_b(xs), period=spec_a.period)
 
 
@@ -326,9 +332,7 @@ class HomogenizedSet:
     sigma_H: float
 
     def to_dict(self) -> dict:
-        return {k: float(getattr(self, k)) for k in
-                ("mean_r_u", "mean_r_v", "mean_kappa_u", "mean_kappa_v",
-                 "mean_mu_u", "mean_mu_v", "sigma_H")}
+        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
 
 QUAD_START = 4096
@@ -378,15 +382,8 @@ def periodic_mean(spec: CoefficientSpec, reciprocal: bool = False) -> float:
 
 def homogenize(cs: CoefficientSet) -> HomogenizedSet:
     """Arithmetic means of the reaction coefficients, harmonic mean of sigma."""
-    return HomogenizedSet(
-        mean_r_u=periodic_mean(cs.r_u),
-        mean_r_v=periodic_mean(cs.r_v),
-        mean_kappa_u=periodic_mean(cs.kappa_u),
-        mean_kappa_v=periodic_mean(cs.kappa_v),
-        mean_mu_u=periodic_mean(cs.mu_u),
-        mean_mu_v=periodic_mean(cs.mu_v),
-        sigma_H=1.0 / periodic_mean(cs.sigma, reciprocal=True),
-    )
+    means = {f"mean_{n}": periodic_mean(getattr(cs, n)) for n in COEFFICIENT_NAMES[1:]}
+    return HomogenizedSet(sigma_H=1.0 / periodic_mean(cs.sigma, reciprocal=True), **means)
 
 
 # -- JSON (de)serialization -------------------------------------------------

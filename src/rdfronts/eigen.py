@@ -20,7 +20,7 @@ exist on the discrete level exactly as in the continuous theory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -356,16 +356,43 @@ def minimax_check(cs: CoefficientSet, lam: float, grid: GridSpec,
     return float(np.max((op.matrix @ w) / w))
 
 
+# -- warm-started chains ------------------------------------------------------
+
+# The solvers are looked up by their module-global names at every call, so
+# wrappers installed on eigen.k_of_lambda / eigen.dirichlet_eigenvalue see
+# each solve.
+
+def _warm_chain(solve: Callable[..., EigenResult]) -> Callable[[float], EigenResult]:
+    """solve(param, warm) as a one-argument function that starts each solve
+    from the eigenvector of the previous one.  This is the only place that
+    carries an eigenvector from one k(lambda) or Dirichlet solve to the next."""
+    warm = None
+
+    def step(param: float) -> EigenResult:
+        nonlocal warm
+        res = solve(float(param), warm)
+        warm = (res.phi, res.psi)
+        return res
+    return step
+
+
+def k_chain(cs: CoefficientSet, grid: Optional[GridSpec],
+            tol: float) -> Callable[[float], EigenResult]:
+    """lambda -> k_of_lambda(cs, lambda, grid, tol), warm-started along the calls."""
+    return _warm_chain(lambda lam, warm: k_of_lambda(cs, lam, grid, tol, warm=warm))
+
+
 def k_curve(cs: CoefficientSet, lambdas: Sequence[float],
             grid: Optional[GridSpec] = None, tol: float = K_GRID_TOL) -> list:
-    """k(lambda) over a lambda grid, warm-starting each solve from its neighbor."""
-    results = []
-    warm = None
-    for lam in lambdas:
-        res = k_of_lambda(cs, float(lam), grid, tol, warm=warm)
-        warm = (res.phi, res.psi)
-        results.append(res)
-    return results
+    """k(lambda) over a lambda grid, one warm-started chain in grid order."""
+    return list(map(k_chain(cs, grid, tol), lambdas))
+
+
+def dirichlet_sweep(cs: CoefficientSet, radii: Sequence[float],
+                    grid: Optional[GridSpec], tol: float) -> list:
+    """Dirichlet principal eigenvalues over the radii, one warm-started chain."""
+    return list(map(_warm_chain(lambda R, warm: dirichlet_eigenvalue(cs, R, grid, tol,
+                                                                     warm=warm)), radii))
 
 
 def write_k_curve_csv(path, lambdas: Sequence[float], results: Sequence[EigenResult],

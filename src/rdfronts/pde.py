@@ -32,6 +32,7 @@ BOUND_SLACK = 1e-8
 CLIP_DIAGNOSTIC = 1e-10
 TRUST_MARGIN = 0.10          # outer fraction of the domain where fronts are unreliable
 REACTION_CFL = 0.25
+STATIONARY_DT = 0.05         # pseudo-time step of the stationary-profile iteration
 
 
 @dataclass(frozen=True)
@@ -248,13 +249,14 @@ def default_threshold(cs: CoefficientSet, u0: np.ndarray, v0: np.ndarray) -> flo
 def simulate(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
              T: float, dt: float, record_every: float,
              theta: Optional[float] = None,
-             snapshot_every: Optional[float] = None,
-             enforce_bound: bool = True) -> SimulationResult:
+             snapshot_every: Optional[float] = None) -> SimulationResult:
     """Advance the system to time T, tracking fronts along the way.
 
     Front positions are recorded every record_every time units; a warning is
     issued the first time either front enters the outer 10% of the domain
-    (positions after that time are contaminated by the truncation).
+    (positions after that time are contaminated by the truncation).  Raises
+    InvariantBreachError if sup(u+v) exceeds max(K_bar, initial sup) beyond
+    rounding slack.
     """
     if domain.width < 20.0 * cs.period:
         raise ValidationError(f"domain width {domain.width} is below 20 periods; "
@@ -306,7 +308,7 @@ def simulate(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
         t = i * dt
         mass = float(np.max(u + v))
         mass_max = max(mass_max, mass)
-        if enforce_bound and mass > bound + BOUND_SLACK:
+        if mass > bound + BOUND_SLACK:
             raise InvariantBreachError(f"u+v reached {mass} at t={t}, above the "
                                        f"comparison bound {bound}")
         if i % record_stride == 0:
@@ -388,16 +390,17 @@ def measure_speed(trace: FrontTrace, window: float = 0.5) -> SpeedMeasurement:
 
 # -- stationary profiles and convergence behind the front ---------------------
 
-def stationary_profile(cs: CoefficientSet, n_cells: int = 512,
-                       tol: float = 1e-9, dt: Optional[float] = None,
+def stationary_profile(cs: CoefficientSet, n_cells: int = 512, tol: float = 1e-9,
                        t_max: float = 4000.0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive stationary pair on one period cell with periodic boundary.
 
     Integrates from the constant pair (K_bar/2, K_bar/2) until the discrete
     time derivative drops below tol.  The IMEX fixed point solves the
-    discrete stationary system exactly, so the result does not depend on dt.
-    Returns (nodes, u_profile, v_profile).
+    discrete stationary system exactly, so the result does not depend on the
+    time step STATIONARY_DT.  Returns (nodes, u_profile, v_profile).
     """
+    if n_cells < 16:
+        raise ValidationError("n_cells must be at least 16")
     if cs.k_bar <= 0:
         raise PreconditionError("no positive stationary state expected: K_bar <= 0")
     L = cs.period
@@ -406,8 +409,7 @@ def stationary_profile(cs: CoefficientSet, n_cells: int = 512,
     amp = 0.5 * cs.k_bar
     u = np.full(n_cells, amp)
     v = np.full(n_cells, amp)
-    if dt is None:
-        dt = 0.05
+    dt = STATIONARY_DT
     stepper = Stepper(cs, nodes, h, "periodic", dt, cs.k_bar)
     t = 0.0
     while t < t_max:
@@ -440,17 +442,17 @@ class ConvergenceHistory:
 def convergence_behind_front(cs: CoefficientSet, domain: DomainSpec,
                              init: InitialData, c_probe: float,
                              T: float, dt: float, sample_every: float,
-                             target: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-                             n_cells: int = 512) -> ConvergenceHistory:
+                             target: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+                             ) -> ConvergenceHistory:
     """Track max over |x| <= c_probe*t of the distance to the stationary pair.
 
     target may be a precomputed (cell_nodes, u_prof, v_prof) triple; otherwise
-    the periodic stationary profile is computed first.
+    the periodic stationary profile is computed first, on 512 cells.
     """
     if not (c_probe > 0):
         raise PreconditionError("c_probe must be positive (and below the spreading speed)")
     if target is None:
-        target = stationary_profile(cs, n_cells=n_cells)
+        target = stationary_profile(cs)
     cell_nodes, u_prof, v_prof = target
     nodes = domain.nodes()
     tu = profile_on_domain(cell_nodes, u_prof, cs.period, nodes)

@@ -2,20 +2,23 @@
 
 The right spreading speed is the minimum over lambda > 0 of k(lambda)/lambda
 (mirrored for the left one); with k convex and k(0) > 0 that quotient is
-unimodal, so a golden-section search finds the minimizer.  The module also
-evaluates the analytic speed bounds, the three equivalent persistence
-indicators behind the hair-trigger effect, and the speed of the homogenized
+unimodal, so a golden-section search finds the minimizer.  Every k(lambda)
+comes from ``eigen.k_chain``, the warm-started chain that also produces the
+curve dumps: one chain for k(0), the right search and min k, and a second
+one for the left search.  The module also evaluates the analytic speed
+bounds, the three equivalent persistence indicators behind the hair-trigger
+effect, which reuse one speed search, and the speed of the homogenized
 medium.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Tuple
 
 from .coefficients import CoefficientSet, HomogenizedSet
-from .eigen import GridSpec, dirichlet_eigenvalue, k_of_lambda
+from .eigen import EigenResult, GridSpec, dirichlet_sweep, k_chain
 from .errors import NumericalError, PreconditionError
 from .ode import HomParams, lambda_A
 
@@ -58,35 +61,7 @@ class SpeedReport:
     hair_trigger: Optional[bool]
 
     def to_dict(self) -> dict:
-        return {
-            "c_right": self.c_right,
-            "c_left": self.c_left,
-            "argmin_lambda_right": self.argmin_lambda_right,
-            "argmin_lambda_left": self.argmin_lambda_left,
-            "k_min": self.k_min,
-            "bound_low": self.bound_low,
-            "bound_high": self.bound_high,
-            "hair_trigger": self.hair_trigger,
-        }
-
-
-class _KCache:
-    """Memoized k(lambda) evaluations with eigenvector warm starting."""
-
-    def __init__(self, cs: CoefficientSet, grid: Optional[GridSpec], tol: float):
-        self.cs = cs
-        self.grid = grid
-        self.tol = tol
-        self.warm = None
-        self.values = {}
-
-    def __call__(self, lam: float) -> float:
-        key = repr(lam)
-        if key not in self.values:
-            res = k_of_lambda(self.cs, lam, self.grid, self.tol, warm=self.warm)
-            self.warm = (res.phi, res.psi)
-            self.values[key] = res.value
-        return self.values[key]
+        return asdict(self)
 
 
 def speed_bounds(cs: CoefficientSet) -> Tuple[Optional[float], float]:
@@ -109,10 +84,11 @@ def _expanding_min(f: Callable[[float], float], lam_hi: float, tol: float,
                          "moving outwards")
 
 
-def _k_minimum(k: _KCache, cs: CoefficientSet, tol: float) -> Tuple[float, float]:
+def _k_minimum(k: Callable[[float], EigenResult], cs: CoefficientSet,
+               tol: float) -> Tuple[float, float]:
     """Global minimum of the convex curve k over an interior-guaranteed bracket."""
     lam_hi = 2.0 * math.sqrt(max(cs.r_max - cs.r_min, 1.0) / cs.sigma_min) + 1.0
-    return _expanding_min(k, lam_hi, tol, two_sided=True)
+    return _expanding_min(lambda lam: k(lam).value, lam_hi, tol, two_sided=True)
 
 
 def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
@@ -122,30 +98,34 @@ def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
     Requires the periodic principal eigenvalue k(0) to be positive (otherwise
     front-like data does not spread and the quotient formula degenerates).
     """
-    k = _KCache(cs, grid, k_tol)
-    k0 = k(0.0)
+    k = k_chain(cs, grid, k_tol)
+    k0 = k(0.0).value
     if k0 <= 0:
         raise PreconditionError(
             f"spreading-speed formula needs a positive periodic principal "
             f"eigenvalue; got k(0) = {k0:.6g}")
+    return _speed_search(k, cs, grid, lam_tol, k_tol)
+
+
+def _speed_search(k: Callable[[float], EigenResult], cs: CoefficientSet,
+                  grid: Optional[GridSpec], lam_tol: float, k_tol: float) -> SpeedReport:
+    """The speeds and min k once k(0) > 0 is known: the right search on the
+    chain k, the left search on a fresh chain, then min k on k again."""
     lam_hi = 2.0 * math.sqrt(cs.r_max / cs.sigma_min) + 1.0
 
-    lam_right, c_right = _expanding_min(lambda lam: k(lam) / lam, lam_hi, lam_tol,
+    lam_right, c_right = _expanding_min(lambda lam: k(lam).value / lam, lam_hi, lam_tol,
                                         two_sided=False)
-    k_neg = _KCache(cs, grid, k_tol)
-    lam_left_pos, c_left = _expanding_min(lambda lam: k_neg(-lam) / lam, lam_hi, lam_tol,
-                                          two_sided=False)
+    k_neg = k_chain(cs, grid, k_tol)
+    lam_left_pos, c_left = _expanding_min(lambda lam: k_neg(-lam).value / lam, lam_hi,
+                                          lam_tol, two_sided=False)
 
     _, k_min = _k_minimum(k, cs, lam_tol)
     low, high = speed_bounds(cs)
-    hair: Optional[bool] = None
-    if abs(k_min) > SIGN_BAND:
-        hair = k_min > 0
     return SpeedReport(c_right=float(c_right), c_left=float(c_left),
                        argmin_lambda_right=float(lam_right),
                        argmin_lambda_left=float(-lam_left_pos),
                        k_min=float(k_min), bound_low=low, bound_high=high,
-                       hair_trigger=hair)
+                       hair_trigger=_sign_or_none(k_min))
 
 
 @dataclass
@@ -176,37 +156,32 @@ def _sign_or_none(x: float) -> Optional[bool]:
 
 def hair_trigger_check(cs: CoefficientSet, grid: Optional[GridSpec] = None,
                        k_tol: float = 1e-7) -> HairTriggerReport:
-    """Evaluate the three equivalent hair-trigger conditions independently.
+    """Evaluate the three equivalent hair-trigger conditions.
 
     (a) some Dirichlet eigenvalue over the geometric sweep {L, 2L, ..., 64L}
     is positive, (b) min over lambda of k(lambda) is positive, (c) both
-    spreading speeds are positive.  Outside a +/-1e-4 band around zero the
-    three answers must agree; inside it they are reported as indeterminate.
+    spreading speeds are positive.  (b) and (c) come from one speed search,
+    as in spreading_speeds.  Outside a +/-1e-4 band around zero the three
+    answers must agree; inside it they are reported as indeterminate.
     """
     L = cs.period
     radii = [L * 2 ** j for j in range(7)]          # L .. 64 L
-    best = -math.inf
-    warm = None
-    for R in radii:
-        res = dirichlet_eigenvalue(cs, R, grid, tol=k_tol, warm=warm)
-        warm = (res.phi, res.psi)
-        best = max(best, res.value)
+    best = max(res.value for res in dirichlet_sweep(cs, radii, grid, k_tol))
     via_a = _sign_or_none(best)
 
-    k = _KCache(cs, grid, k_tol)
-    _, k_min = _k_minimum(k, cs, LAMBDA_TOL)
-    via_b = _sign_or_none(k_min)
-
+    k = k_chain(cs, grid, k_tol)
     c_right = c_left = None
     via_c: Optional[bool] = None
-    if k(0.0) > SIGN_BAND:
-        report = spreading_speeds(cs, grid, k_tol=k_tol)
-        c_right, c_left = report.c_right, report.c_left
+    if k(0.0).value > SIGN_BAND:
+        report = _speed_search(k, cs, grid, LAMBDA_TOL, k_tol)
+        c_right, c_left, k_min = report.c_right, report.c_left, report.k_min
         via_c = _sign_or_none(min(c_right, c_left))
-    # k(0) <= 0 fails the spreading-speed hypothesis: indicator not available
-    return HairTriggerReport(via_dirichlet=via_a, via_k_min=via_b, via_speeds=via_c,
-                             dirichlet_max=float(best), k_min=float(k_min),
-                             c_right=c_right, c_left=c_left)
+    else:
+        # k(0) > 0 fails or is indeterminate: the speed indicator is not available
+        _, k_min = _k_minimum(k, cs, LAMBDA_TOL)
+    return HairTriggerReport(via_dirichlet=via_a, via_k_min=_sign_or_none(k_min),
+                             via_speeds=via_c, dirichlet_max=float(best),
+                             k_min=float(k_min), c_right=c_right, c_left=c_left)
 
 
 def homogenized_speed(h: HomogenizedSet) -> float:

@@ -54,6 +54,8 @@ DETERMINISM_PAYLOADS = {
     "eigen": {"coefficients": HOMOG_COEFFS, "lambda_min": -1.0,
               "lambda_max": 1.0, "lambda_step": 0.5},
     "dirichlet": {"coefficients": HOMOG_COEFFS, "radii": [1.0, 2.0]},
+    "speed": {"coefficients": HOMOG_COEFFS, "lambda_min": -1.0,
+              "lambda_max": 1.0, "lambda_step": 0.5},
     "simulate": {"coefficients": HOMOG_COEFFS,
                  "domain": {"x_min": -10.0, "x_max": 20.0, "n_points": 256},
                  "initial": {"kind": "compact_bump", "amplitude": 0.5,
@@ -65,12 +67,15 @@ DETERMINISM_PAYLOADS = {
 @pytest.mark.parametrize("command", sorted(DETERMINISM_PAYLOADS))
 def test_deterministic_outputs(tmp_path, command):
     # eigen and dirichlet build on the shared flux stencil through the
-    # eigen module, simulate through the pde Stepper.
+    # eigen module, simulate through the pde Stepper; speed runs the speed
+    # search and the curve dump on eigen's warm-started chains.
     payload = DETERMINISM_PAYLOADS[command]
     assert run(tmp_path, command, payload, out="a") == 0
     assert run(tmp_path, command, payload, out="b") == 0
     a_files = sorted(p.name[2:] for p in tmp_path.glob("a_*"))
     assert a_files and a_files == sorted(p.name[2:] for p in tmp_path.glob("b_*"))
+    if command == "speed":
+        assert a_files == ["kcurve.csv", "speed.json"]
     for suffix in a_files:
         assert (tmp_path / f"a_{suffix}").read_bytes() == (tmp_path / f"b_{suffix}").read_bytes()
 
@@ -208,6 +213,16 @@ def test_stationary_profile_command(tmp_path):
     assert lines[1] == "x,u,v"
     u = np.array([float(line.split(",")[1]) for line in lines[2:]])
     assert np.max(np.abs(u - 0.5)) < 1e-6
+
+
+@pytest.mark.parametrize("n_cells", [0, -4])
+def test_stationary_too_few_cells_exits_2_without_files(tmp_path, capsys, n_cells):
+    payload = {"coefficients": HOMOG_COEFFS, "n_cells": n_cells}
+    assert run(tmp_path, "stationary", payload, out="bad") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert "n_cells" in err["message"]
+    assert not list(tmp_path.glob("bad*"))
 
 
 def test_stationary_numerical_error_exits_3(tmp_path, capsys):

@@ -96,9 +96,12 @@ def test_unknown_kind_rejected():
         CoefficientSpec(kind="spline")
 
 
-def test_fractional_harmonic_rejected():
-    with pytest.raises(ValidationError):
-        CoefficientSpec.cosine(1.0, 0.1, harmonics=[(0.1, 1.5, 0.0)])
+@pytest.mark.parametrize("multiple", [1.5, float("inf"), float("nan")])
+def test_fractional_harmonic_rejected(multiple):
+    with pytest.raises(ValidationError, match="positive integer multiple"):
+        CoefficientSpec.cosine(1.0, 0.1, harmonics=[(0.1, multiple, 0.0)])
+    with pytest.raises(ValidationError, match="positive integer multiple"):
+        CoefficientSpec(kind="cosine", mean=1.0, harmonics=((0.1, multiple, 0.0),))
 
 
 def test_negative_sigma_rejected():

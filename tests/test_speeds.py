@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rdfronts import eigen, speeds
 from rdfronts.coefficients import CoefficientSpec, CoefficientSet, constant_set, homogenize
 from rdfronts.eigen import GridSpec, build_operator, principal_eigenpair
 from rdfronts.errors import PreconditionError
@@ -144,6 +145,29 @@ def test_hair_trigger_negative_case():
     assert rep.via_speeds is None      # speeds hypothesis k(0) > 0 fails
     assert rep.consistent()
     assert rep.k_min == pytest.approx(-0.5, abs=1e-5)
+
+
+def test_hair_trigger_reuses_one_speed_search(monkeypatch):
+    # README example set.  Every k(lambda) solve is counted: at eigen's
+    # module-global name, and at speeds' own name should it import one.
+    cs = cosine_set(r_u=CoefficientSpec.cosine(1.0, 0.4, 0.3),
+                    r_v=CoefficientSpec.cosine(1.0, 0.4, 1.1))
+    solve, lambdas = eigen.k_of_lambda, []
+
+    def counted(*args, **kwargs):
+        lambdas.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "k_of_lambda", counted)
+    monkeypatch.setattr(speeds, "k_of_lambda", counted, raising=False)
+    report = spreading_speeds(cs)
+    n_speeds = len(lambdas)
+    lambdas.clear()
+    rep = hair_trigger_check(cs)
+    assert 0 < len(lambdas) <= n_speeds
+    assert (rep.via_dirichlet, rep.via_k_min, rep.via_speeds) == (True, True, True)
+    assert (rep.c_right, rep.c_left, rep.k_min) == (report.c_right, report.c_left,
+                                                    report.k_min)
 
 
 # -- homogenized speed ---------------------------------------------------------------
