@@ -155,6 +155,10 @@ def run_speed(config: dict, out: str, jobs: int, verbose: bool) -> list:
 
     report = speeds.spreading_speeds(cs, grid, lam_tol, k_tol)
     curve = eigen.k_curve(cs, lams, grid, k_tol)
+    if verbose:
+        json.dump({"command": "speed", "k_evals": dict(report.evaluations, curve=len(curve))},
+                  sys.stderr)
+        sys.stderr.write("\n")
     payload = report.to_dict()
     payload["config_hash"] = tag
     paths = [f"{out}_speed.json", f"{out}_kcurve.csv"]

@@ -14,12 +14,13 @@ conjugated as exp(lambda x_i) * D[exp(-lambda x) w]_i: the off-diagonal flux
 entries are multiplied by exp(-lambda h) and exp(+lambda h).  Off-diagonals
 therefore stay positive for every lambda and h, and the matrix is Metzler and
 irreducible, so the Perron root and a componentwise positive eigenvector
-exist on the discrete level exactly as in the continuous theory.
+exist on the discrete level exactly as in the continuous theory.  The slope
+k'(lambda) follows from the right and left Perron vectors (``tilt_slope``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +36,7 @@ REFINE_CAP = 2 ** 20          # hard cap on cells per period / interval
 RESIDUAL_TOL = 1e-9
 RAYLEIGH_TOL = 1e-12
 K_GRID_TOL = 1e-7             # |k_n - k_2n| refinement target
+LEFT_RIGHT_TOL = 1e-9         # relative floor on |left root - right root|
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,7 @@ class DiscreteOperator:
     lam: float
     boundary: str
     nodes: np.ndarray
+    cs: CoefficientSet
 
     @property
     def dimension(self) -> int:
@@ -84,6 +87,8 @@ class EigenResult:
     residual: float
     n_cells: int
     h: float
+    slope: Optional[float] = None            # d value / d lambda, from k_of_lambda(slope=True)
+    left: Optional[Tuple[np.ndarray, np.ndarray]] = None   # left Perron pair behind slope
 
     def eigenvector(self) -> np.ndarray:
         return np.concatenate([self.phi, self.psi])
@@ -123,7 +128,7 @@ def _operator(cs: CoefficientSet, lam: float, n: int,
     rows = np.concatenate([rows, rows + n, i, n + i])     # u block, v block, u<-v, v<-u
     cols = np.concatenate([cols, cols + n, n + i, i])
     matrix = sp.coo_matrix((data, (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
-    return DiscreteOperator(matrix, n, h, lam, boundary, nodes)
+    return DiscreteOperator(matrix, n, h, lam, boundary, nodes, cs)
 
 
 def build_operator(cs: CoefficientSet, lam: float, grid: GridSpec,
@@ -268,18 +273,50 @@ def principal_eigenpair(op: DiscreteOperator, warm=None,
                          f"iterations (last residual {residual:.3e})")
 
 
+def tilt_slope(op: DiscreteOperator, right: EigenResult,
+               left_warm=None) -> Tuple[float, EigenResult]:
+    """dk/dlambda of the Perron root of a tilted operator, and its left eigenpair.
+
+    Hellmann-Feynman: k' = y^T M'(lambda) x / y^T x, where x is the Perron
+    vector of `right` and y the left one, the Perron vector of the transposed
+    operator (solved warm from left_warm, else from x).  M' only rescales the
+    off-diagonals of stencil.flux_stencil, by -h towards node i+1 and +h
+    towards node i-1, in both species blocks; reaction and mutation do not
+    depend on lambda.  Each Perron root is accurate to about its residual,
+    which is floored at rounding level on fine grids, so the two roots must
+    agree to within the sum of the residuals plus LEFT_RIGHT_TOL (relative);
+    otherwise NumericalError.
+    """
+    left = principal_eigenpair(replace(op, matrix=op.matrix.T),
+                               warm=left_warm or (right.phi, right.psi))
+    gap = abs(left.value - right.value)
+    if gap > LEFT_RIGHT_TOL * max(1.0, abs(right.value)) + right.residual + left.residual:
+        raise NumericalError(f"left and right Perron roots differ by {gap:.2e} on the "
+                             f"{op.n}-cell grid at lambda={op.lam}")
+    x, y = right.eigenvector(), left.eigenvector()
+    rows, cols, data = flux_stencil(op.cs, op.nodes, op.h, op.boundary, op.lam)
+    n = op.n
+    rows, cols, rate = rows[n:], cols[n:], op.h * data[n:]   # off-diagonals only
+    rate[:len(rate) // 2] *= -1.0            # the i -> i+1 couplings come first
+    form = rate @ (y[rows] * x[cols]) + rate @ (y[rows + n] * x[cols + n])
+    return float(form / (y @ x)), left
+
+
 # -- eigenvalue curves with grid refinement ----------------------------------
 
 SOFT_CELL_CAP = 2 ** 18       # past this the rounding floor always dominates
 
 
-def _refine_to_tolerance(make_op, n: int, tol: float, warm, label: str) -> EigenResult:
+def _refine_to_tolerance(make_op, n: int, tol: float, warm,
+                         label: str) -> Tuple[EigenResult, DiscreteOperator, float]:
     """Double the grid until |k_n - k_2n| < tol, then Richardson-extrapolate.
 
     The inter-level gap of the second-order stencil shrinks 4x per doubling
     until rounding noise (machine epsilon times the 1/h^2 flux scale) takes
     over, after which refining cannot help; the loop therefore also stops
     when a small gap stops shrinking, returning the best achievable value.
+    Returns the finest level's eigenpair, its operator and the extrapolated
+    eigenvalue.
     """
     result = principal_eigenpair(make_op(n), warm=warm)
     total_iter = result.iterations
@@ -289,7 +326,8 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm, label: str) -> Eigen
         if n > REFINE_CAP:
             raise NumericalError(f"grid refinement cap {REFINE_CAP} exceeded before "
                                  f"the eigenvalue gap fell below {tol} at {label}")
-        finer = principal_eigenpair(make_op(n), warm=(result.phi, result.psi))
+        op = make_op(n)
+        finer = principal_eigenpair(op, warm=(result.phi, result.psi))
         total_iter += finer.iterations
         gap = abs(finer.value - result.value)
         scale = max(1.0, abs(finer.value))
@@ -299,26 +337,39 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm, label: str) -> Eigen
             raise NumericalError(f"eigenvalue gap {gap:.2e} still large at the "
                                  f"{SOFT_CELL_CAP}-cell level for {label}")
         if gap < tol or at_noise_floor or past_soft_cap:
-            finer.value = finer.value + (finer.value - result.value) / 3.0
             finer.iterations = total_iter
-            return finer
+            return finer, op, finer.value + (finer.value - result.value) / 3.0
         result = finer
         prev_gap = gap
 
 
 def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
-                tol: float = K_GRID_TOL, warm=None) -> EigenResult:
+                tol: float = K_GRID_TOL, warm=None, slope: bool = False,
+                left_warm=None) -> EigenResult:
     """Exponent-tilted principal eigenvalue k(lambda) with automatic refinement.
 
     The grid is doubled until successive eigenvalues differ by less than tol;
     the returned value is the Richardson extrapolation of the last two levels
     (the flux stencil is second order, so this cancels the leading h^2 term).
-    k(0) is the periodic principal eigenvalue.
+    k(0) is the periodic principal eigenvalue.  A warm start (phi, psi) from
+    a previous solve also starts the refinement at a quarter of its cell
+    count, which still lets the grid coarsen by one level.
+
+    With slope=True the result also carries k'(lambda) from tilt_slope on the
+    finest level, and the left Perron pair behind it (warm-started from
+    left_warm).
     """
     grid = grid or GridSpec()
     n = peclet_cells(cs, lam, grid.n_cells, cs.period)
-    return _refine_to_tolerance(lambda m: _operator(cs, lam, m), n, tol, warm,
-                                f"lambda={lam}")
+    if warm is not None:
+        n = max(n, len(warm[0]) // 4)
+    res, op, value = _refine_to_tolerance(lambda m: _operator(cs, lam, m), n, tol, warm,
+                                          f"lambda={lam}")
+    if slope:
+        res.slope, left = tilt_slope(op, res, left_warm)
+        res.left = (left.phi, left.psi)
+    res.value = value
+    return res
 
 
 def dirichlet_eigenvalue(cs: CoefficientSet, R: float,
@@ -334,8 +385,10 @@ def dirichlet_eigenvalue(cs: CoefficientSet, R: float,
     grid = grid or GridSpec()
     per_period = max(grid.n_cells, 16)
     n = max(per_period, int(np.ceil(per_period * 2.0 * R / cs.period)))
-    return _refine_to_tolerance(lambda m: _operator(cs, 0.0, m, R), n, tol, warm,
-                                f"R={R}")
+    res, _, value = _refine_to_tolerance(lambda m: _operator(cs, 0.0, m, R), n, tol, warm,
+                                         f"R={R}")
+    res.value = value
+    return res
 
 
 def minimax_check(cs: CoefficientSet, lam: float, grid: GridSpec,
@@ -363,23 +416,26 @@ def minimax_check(cs: CoefficientSet, lam: float, grid: GridSpec,
 # each solve.
 
 def _warm_chain(solve: Callable[..., EigenResult]) -> Callable[[float], EigenResult]:
-    """solve(param, warm) as a one-argument function that starts each solve
-    from the eigenvector of the previous one.  This is the only place that
-    carries an eigenvector from one k(lambda) or Dirichlet solve to the next."""
-    warm = None
+    """solve(param, warm, left_warm) as a one-argument function that starts
+    each solve from the eigenvector, and the left Perron pair if it has one,
+    of the previous solve.  This is the only place that carries an
+    eigenvector from one k(lambda) or Dirichlet solve to the next."""
+    warm = left = None
 
     def step(param: float) -> EigenResult:
-        nonlocal warm
-        res = solve(float(param), warm)
-        warm = (res.phi, res.psi)
+        nonlocal warm, left
+        res = solve(float(param), warm, left)
+        warm, left = (res.phi, res.psi), res.left
         return res
     return step
 
 
-def k_chain(cs: CoefficientSet, grid: Optional[GridSpec],
-            tol: float) -> Callable[[float], EigenResult]:
-    """lambda -> k_of_lambda(cs, lambda, grid, tol), warm-started along the calls."""
-    return _warm_chain(lambda lam, warm: k_of_lambda(cs, lam, grid, tol, warm=warm))
+def k_chain(cs: CoefficientSet, grid: Optional[GridSpec], tol: float,
+            slope: bool = False) -> Callable[[float], EigenResult]:
+    """lambda -> k_of_lambda(cs, lambda, grid, tol, slope=slope), warm-started
+    along the calls."""
+    return _warm_chain(lambda lam, warm, left: k_of_lambda(cs, lam, grid, tol, warm=warm,
+                                                           slope=slope, left_warm=left))
 
 
 def k_curve(cs: CoefficientSet, lambdas: Sequence[float],
@@ -391,8 +447,8 @@ def k_curve(cs: CoefficientSet, lambdas: Sequence[float],
 def dirichlet_sweep(cs: CoefficientSet, radii: Sequence[float],
                     grid: Optional[GridSpec], tol: float) -> list:
     """Dirichlet principal eigenvalues over the radii, one warm-started chain."""
-    return list(map(_warm_chain(lambda R, warm: dirichlet_eigenvalue(cs, R, grid, tol,
-                                                                     warm=warm)), radii))
+    return list(map(_warm_chain(lambda R, warm, _: dirichlet_eigenvalue(cs, R, grid, tol,
+                                                                        warm=warm)), radii))
 
 
 def write_k_curve_csv(path, lambdas: Sequence[float], results: Sequence[EigenResult],

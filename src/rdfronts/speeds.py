@@ -1,23 +1,25 @@
 """Spreading speeds from the tilted eigenvalue curve.
 
 The right spreading speed is the minimum over lambda > 0 of k(lambda)/lambda
-(mirrored for the left one); with k convex and k(0) > 0 that quotient is
-unimodal, so a golden-section search finds the minimizer.  Every k(lambda)
-comes from ``eigen.k_chain``, the warm-started chain that also produces the
-curve dumps: one chain for k(0), the right search and min k, and a second
-one for the left search.  The module also evaluates the analytic speed
-bounds, the three equivalent persistence indicators behind the hair-trigger
-effect, which reuse one speed search, and the speed of the homogenized
-medium.
+(mirrored for the left one).  k is convex, so the minimizer is the tangency
+point where g(lambda) = lambda k'(lambda) - k(lambda), an increasing
+function, changes sign, and min k is the root of the increasing k'.  Both
+roots are found by a safeguarded secant search on the exact slope k' that
+``eigen.k_of_lambda(slope=True)`` returns.  Every k(lambda) comes from
+``eigen.k_chain``, the warm-started chain that also produces the curve
+dumps: one chain for k(0), the right search and min k, and a second one for
+the left search.  The module also evaluates the analytic speed bounds, the
+three equivalent persistence indicators behind the hair-trigger effect,
+which reuse one speed search, and the speed of the homogenized medium.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, Optional, Tuple
 
-from .coefficients import CoefficientSet, HomogenizedSet
+from .coefficients import CoefficientSet, HomogenizedSet, periodic_mean
 from .eigen import EigenResult, GridSpec, dirichlet_sweep, k_chain
 from .errors import NumericalError, PreconditionError
 from .ode import HomParams, lambda_A
@@ -25,12 +27,15 @@ from .ode import HomParams, lambda_A
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 LAMBDA_TOL = 1e-6
 SIGN_BAND = 1e-4            # indeterminacy band for sign decisions near zero
-MAX_BRACKET_EXPANSIONS = 40
+MAX_ROOT_STEPS = 60         # cap on the secant or bisection steps of one root search
 
 
 def golden_min(f: Callable[[float], float], a: float, b: float,
                tol: float = LAMBDA_TOL) -> Tuple[float, float]:
-    """Minimize a unimodal function on [a, b]; returns (argmin, min)."""
+    """Minimize a unimodal function on [a, b]; returns (argmin, min).
+
+    The speed search does not use it; it is the reference minimizer for
+    checks that compare against an independent method."""
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
@@ -59,9 +64,13 @@ class SpeedReport:
     bound_low: Optional[float]
     bound_high: float
     hair_trigger: Optional[bool]
+    # k(lambda) solves of each search ("right", "left", "k_min"); not an artifact field
+    evaluations: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        payload = asdict(self)
+        del payload["evaluations"]
+        return payload
 
 
 def speed_bounds(cs: CoefficientSet) -> Tuple[Optional[float], float]:
@@ -71,24 +80,75 @@ def speed_bounds(cs: CoefficientSet) -> Tuple[Optional[float], float]:
     return low, high
 
 
-def _expanding_min(f: Callable[[float], float], lam_hi: float, tol: float,
-                   two_sided: bool) -> Tuple[float, float]:
-    """Golden-section minimum of f over (0, lam_hi], or over [-lam_hi, lam_hi]
-    when two_sided, doubling lam_hi while the minimizer sits at its edge."""
-    for _ in range(MAX_BRACKET_EXPANSIONS):
-        lam_star, f_min = golden_min(f, -lam_hi if two_sided else 1e-4, lam_hi, tol)
-        if abs(lam_star) < lam_hi - 10.0 * tol:
-            return lam_star, f_min
-        lam_hi *= 2.0
-    raise NumericalError("bracket expansion cap reached; the minimizer keeps "
-                         "moving outwards")
+def _increasing_root(f: Callable[[float], Tuple[float, EigenResult]], x0: float,
+                     x1: float, tol: float, lo: float = -math.inf,
+                     at_x0: Optional[Tuple[float, EigenResult]] = None
+                     ) -> Tuple[float, EigenResult, int]:
+    """Root of an increasing function by secant steps kept inside a sign bracket.
+
+    f(x) returns (value, result).  The bracket [lo, hi] has f(lo) < 0 < f(hi);
+    an end no evaluation has reached is open (infinite), and lo may be given
+    without evaluating f there.  A secant step that leaves the bracket becomes
+    a bisection, or, towards an open end, a step twice the last one past the
+    bracket.  at_x0 is f(x0) when the caller already has it.  Stops when a
+    step is shorter than tol; returns the last evaluated x, its result and
+    the number of calls to f.
+    """
+    hi = math.inf
+    calls = 1 if at_x0 is not None else 2
+    f0, _ = at_x0 if at_x0 is not None else f(x0)
+    f1, result = f(x1)
+    for _ in range(MAX_ROOT_STEPS):
+        for x, fx in ((x0, f0), (x1, f1)):
+            if fx < 0:
+                lo = max(lo, x)
+            elif fx > 0:
+                hi = min(hi, x)
+        if f1 == 0:
+            return x1, result, calls
+        x2 = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
+        if not lo < x2 < hi:                     # also catches nan
+            width = abs(x1 - x0)
+            if math.isinf(hi):
+                x2 = lo + 2.0 * width
+            elif math.isinf(lo):
+                x2 = hi - 2.0 * width
+            else:
+                x2 = 0.5 * (lo + hi)
+        if abs(x2 - x1) < tol:
+            return x1, result, calls
+        x0, f0 = x1, f1
+        x1 = x2
+        f1, result = f(x1)
+        calls += 1
+    raise NumericalError(f"root search hit its cap of {MAX_ROOT_STEPS} steps; "
+                         f"bracket [{lo:.6g}, {hi:.6g}]")
 
 
-def _k_minimum(k: Callable[[float], EigenResult], cs: CoefficientSet,
-               tol: float) -> Tuple[float, float]:
-    """Global minimum of the convex curve k over an interior-guaranteed bracket."""
-    lam_hi = 2.0 * math.sqrt(max(cs.r_max - cs.r_min, 1.0) / cs.sigma_min) + 1.0
-    return _expanding_min(lambda lam: k(lam).value, lam_hi, tol, two_sided=True)
+def tangency_search(k: Callable[[float], EigenResult], lam0: float, tol: float,
+                    side: float = 1.0) -> Tuple[float, EigenResult, int]:
+    """Minimizer of k(side lambda)/lambda over lambda > 0 for a k that returns slopes.
+
+    It is the root of g(lambda) = lambda k'(side lambda) side - k(side lambda),
+    which is increasing for convex k and equals -k(0) < 0 at 0, searched from
+    lam0 and 1.02 lam0.  Returns (lambda, k(side lambda), k evaluations).
+    """
+    def g(lam: float) -> Tuple[float, EigenResult]:
+        res = k(side * lam)
+        return lam * side * res.slope - res.value, res
+    return _increasing_root(g, lam0, 1.02 * lam0, tol, lo=0.0)
+
+
+def _k_min_search(k: Callable[[float], EigenResult], k0: EigenResult,
+                  tol: float) -> Tuple[EigenResult, int]:
+    """min k as the root of the increasing slope k', searched from lambda = 0
+    (k0, already on the chain k) and 0.1; returns k there and the number of
+    k(lambda) solves made."""
+    def slope(lam: float) -> Tuple[float, EigenResult]:
+        res = k(lam)
+        return res.slope, res
+    _, res, calls = _increasing_root(slope, 0.0, 0.1, tol, at_x0=(k0.slope, k0))
+    return res, calls
 
 
 def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
@@ -97,35 +157,37 @@ def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
 
     Requires the periodic principal eigenvalue k(0) to be positive (otherwise
     front-like data does not spread and the quotient formula degenerates).
+    Each search stops when a step moves lambda by less than lam_tol.
     """
-    k = k_chain(cs, grid, k_tol)
-    k0 = k(0.0).value
-    if k0 <= 0:
+    k = k_chain(cs, grid, k_tol, slope=True)
+    k0 = k(0.0)
+    if k0.value <= 0:
         raise PreconditionError(
             f"spreading-speed formula needs a positive periodic principal "
-            f"eigenvalue; got k(0) = {k0:.6g}")
-    return _speed_search(k, cs, grid, lam_tol, k_tol)
+            f"eigenvalue; got k(0) = {k0.value:.6g}")
+    return _speed_search(k, k0, cs, grid, lam_tol, k_tol)
 
 
-def _speed_search(k: Callable[[float], EigenResult], cs: CoefficientSet,
+def _speed_search(k: Callable[[float], EigenResult], k0: EigenResult, cs: CoefficientSet,
                   grid: Optional[GridSpec], lam_tol: float, k_tol: float) -> SpeedReport:
-    """The speeds and min k once k(0) > 0 is known: the right search on the
-    chain k, the left search on a fresh chain, then min k on k again."""
-    lam_hi = 2.0 * math.sqrt(cs.r_max / cs.sigma_min) + 1.0
+    """The speeds and min k once k0 = k(0) > 0 is known: the right search on
+    the chain k, the left search on a fresh chain, then min k on k again.
 
-    lam_right, c_right = _expanding_min(lambda lam: k(lam).value / lam, lam_hi, lam_tol,
-                                        two_sided=False)
-    k_neg = k_chain(cs, grid, k_tol)
-    lam_left_pos, c_left = _expanding_min(lambda lam: k_neg(-lam).value / lam, lam_hi,
-                                          lam_tol, two_sided=False)
-
-    _, k_min = _k_minimum(k, cs, lam_tol)
+    The tangency searches start at sqrt(k(0) / mean sigma), the exact
+    tangency point of a constant medium, where k = k(0) + sigma lambda^2.
+    """
+    lam0 = math.sqrt(k0.value / periodic_mean(cs.sigma))
+    lam_right, res_right, n_right = tangency_search(k, lam0, lam_tol)
+    lam_left, res_left, n_left = tangency_search(k_chain(cs, grid, k_tol, slope=True),
+                                                 lam0, lam_tol, side=-1.0)
+    res_min, n_min = _k_min_search(k, k0, lam_tol)
     low, high = speed_bounds(cs)
-    return SpeedReport(c_right=float(c_right), c_left=float(c_left),
+    return SpeedReport(c_right=res_right.value / lam_right, c_left=res_left.value / lam_left,
                        argmin_lambda_right=float(lam_right),
-                       argmin_lambda_left=float(-lam_left_pos),
-                       k_min=float(k_min), bound_low=low, bound_high=high,
-                       hair_trigger=_sign_or_none(k_min))
+                       argmin_lambda_left=float(-lam_left),
+                       k_min=res_min.value, bound_low=low, bound_high=high,
+                       hair_trigger=_sign_or_none(res_min.value),
+                       evaluations={"right": n_right, "left": n_left, "k_min": n_min})
 
 
 @dataclass
@@ -169,16 +231,17 @@ def hair_trigger_check(cs: CoefficientSet, grid: Optional[GridSpec] = None,
     best = max(res.value for res in dirichlet_sweep(cs, radii, grid, k_tol))
     via_a = _sign_or_none(best)
 
-    k = k_chain(cs, grid, k_tol)
+    k = k_chain(cs, grid, k_tol, slope=True)
+    k0 = k(0.0)
     c_right = c_left = None
     via_c: Optional[bool] = None
-    if k(0.0).value > SIGN_BAND:
-        report = _speed_search(k, cs, grid, LAMBDA_TOL, k_tol)
+    if k0.value > SIGN_BAND:
+        report = _speed_search(k, k0, cs, grid, LAMBDA_TOL, k_tol)
         c_right, c_left, k_min = report.c_right, report.c_left, report.k_min
         via_c = _sign_or_none(min(c_right, c_left))
     else:
         # k(0) > 0 fails or is indeterminate: the speed indicator is not available
-        _, k_min = _k_minimum(k, cs, LAMBDA_TOL)
+        k_min = _k_min_search(k, k0, LAMBDA_TOL)[0].value
     return HairTriggerReport(via_dirichlet=via_a, via_k_min=_sign_or_none(k_min),
                              via_speeds=via_c, dirichlet_max=float(best),
                              k_min=float(k_min), c_right=c_right, c_left=c_left)

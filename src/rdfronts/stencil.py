@@ -16,7 +16,8 @@ def flux_stencil(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str,
 
     sigma is sampled at the faces x_i +- h/2; the tilt scales the coupling to
     node i+1 by exp(-lam h) and to node i-1 by exp(lam h), so off-diagonals
-    stay positive.  The n diagonal entries come first, in node order.
+    stay positive.  The n diagonal entries come first, in node order, then
+    the couplings to node i+1, then those to node i-1.
     boundary is "periodic", "neumann" (zero flux through the end faces) or
     "dirichlet"/"dirichlet_zero" (zero ghost values beyond the end nodes).
     """

@@ -1,10 +1,15 @@
 """End-to-end CLI: configs, exit codes, determinism, file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rdfronts
 from rdfronts.cli import main
 
 HOMOG_COEFFS = {
@@ -145,6 +150,34 @@ def test_speed_report_and_curve(tmp_path):
     assert lines[1] == "lambda,k,k_over_lambda"
     lam, k, q = (float(x) for x in lines[2].split(","))
     assert q == pytest.approx(k / lam)
+
+
+def test_speed_verbose_reports_k_evals_on_stderr(tmp_path, capsys):
+    payload = {"coefficients": HOMOG_COEFFS,
+               "lambda_min": 0.5, "lambda_max": 1.5, "lambda_step": 0.5}
+    cfg = write_config(tmp_path, payload)
+    assert main(["speed", "--config", cfg, "--out", str(tmp_path / "quiet")]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["speed", "--config", cfg, "--out", str(tmp_path / "loud"), "--verbose"]) == 0
+    line, = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["command"] == "speed"
+    assert sorted(record["k_evals"]) == ["curve", "k_min", "left", "right"]
+    assert record["k_evals"]["curve"] == 3
+    assert all(n > 0 for n in record["k_evals"].values())
+    for suffix in ("speed.json", "kcurve.csv"):
+        assert ((tmp_path / f"loud_{suffix}").read_bytes()
+                == (tmp_path / f"quiet_{suffix}").read_bytes())
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # importing scipy.optimize adds about a quarter second to every CLI start
+    src = str(Path(rdfronts.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, rdfronts.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_speed_on_decaying_medium_is_validation_error(tmp_path):

@@ -15,10 +15,11 @@ from rdfronts.eigen import (
     k_of_lambda,
     minimax_check,
     principal_eigenpair,
+    tilt_slope,
     write_dirichlet_csv,
     write_k_curve_csv,
 )
-from rdfronts.errors import ValidationError
+from rdfronts.errors import NumericalError, ValidationError
 
 
 def cosine_set(**overrides):
@@ -191,6 +192,50 @@ def test_non_cooperative_operator_rejected():
 
 
 # -- k(lambda) curve ----------------------------------------------------------------
+
+# Unequal, out-of-phase mutation rates make the left and right Perron
+# vectors differ.
+SLOPE_SETS = {
+    "cosine": cosine_set(sigma=CoefficientSpec.cosine(1.0, 0.3, 0.4),
+                         r_u=CoefficientSpec.cosine(1.0, 0.4, 0.3),
+                         mu_u=CoefficientSpec.cosine(0.6, 0.4, 2.0),
+                         mu_v=CoefficientSpec.constant(0.3)),
+    "piecewise_sigma": cosine_set(sigma=CoefficientSpec.piecewise([0.0, 0.3, 0.65],
+                                                                  [1.0, 0.6, 1.4]),
+                                  r_v=CoefficientSpec.cosine(0.8, 0.3, 1.1),
+                                  mu_u=CoefficientSpec.constant(0.7),
+                                  mu_v=CoefficientSpec.constant(0.2)),
+}
+
+
+@pytest.mark.parametrize("lam", [-1.5, 1.5])
+@pytest.mark.parametrize("name", sorted(SLOPE_SETS))
+def test_tilt_slope_matches_centred_difference(name, lam):
+    cs, grid, d = SLOPE_SETS[name], GridSpec(n_cells=128), 1e-3
+    k = lambda l: principal_eigenpair(build_operator(cs, l, grid, refine=False)).value
+    op = build_operator(cs, lam, grid, refine=False)
+    right = principal_eigenpair(op)
+    slope, left = tilt_slope(op, right)
+    assert left.value == pytest.approx(right.value, abs=1e-9)
+    assert np.max(np.abs(left.eigenvector() - right.eigenvector())) > 1e-3
+    assert slope == pytest.approx((k(lam + d) - k(lam - d)) / (2 * d), abs=1e-6)
+
+
+def test_tilt_slope_rejects_disagreeing_roots():
+    op = build_operator(SLOPE_SETS["cosine"], 1.5, GridSpec(n_cells=128), refine=False)
+    right = principal_eigenpair(op)
+    with pytest.raises(NumericalError, match="left and right Perron roots"):
+        tilt_slope(op, replace(right, value=right.value + 1e-6))
+
+
+def test_k_of_lambda_slope_matches_centred_difference():
+    cs, d = SLOPE_SETS["cosine"], 1e-3
+    res = k_of_lambda(cs, 1.0, slope=True)
+    assert k_of_lambda(cs, 1.0).slope is None
+    centred = (k_of_lambda(cs, 1.0 + d).value - k_of_lambda(cs, 1.0 - d).value) / (2 * d)
+    assert res.slope == pytest.approx(centred, abs=1e-5)
+    assert np.all(res.left[0] > 0) and np.all(res.left[1] > 0)
+
 
 def test_k_zero_is_periodic_eigenvalue():
     cs = cosine_set(r_u=CoefficientSpec.cosine(1.0, 0.3))

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from rdfronts import eigen, speeds
-from rdfronts.coefficients import CoefficientSpec, CoefficientSet, constant_set, homogenize
-from rdfronts.eigen import GridSpec, build_operator, principal_eigenpair
+from rdfronts.coefficients import (
+    CoefficientSpec,
+    CoefficientSet,
+    constant_set,
+    homogenize,
+    mirror_set,
+    periodic_mean,
+)
+from rdfronts.eigen import GridSpec, build_operator, principal_eigenpair, tilt_slope
 from rdfronts.errors import PreconditionError
 from rdfronts.speeds import (
     HomogenizedSet,
@@ -14,6 +21,7 @@ from rdfronts.speeds import (
     homogenized_speed,
     speed_bounds,
     spreading_speeds,
+    tangency_search,
 )
 
 
@@ -72,12 +80,11 @@ def test_speeds_within_analytic_bounds():
     assert rep.bound_low - 1e-6 <= rep.c_left <= rep.bound_high + 1e-6
 
 
-def test_golden_section_matches_dense_scan():
+def test_tangency_search_matches_dense_scan():
     # independent optimizer oracle: exhaustive lambda scan at step 1e-3 on a
-    # fixed discretization, compared with the golden-section result on the
-    # same fixed-grid eigenvalue function
+    # fixed discretization, compared with the tangency search on the same
+    # fixed-grid eigenvalue function and its exact fixed-grid slope
     rng = np.random.default_rng(123)
-    base = cosine_set()
     for trial in range(5):
         specs = {}
         for name, mean_rng in (("sigma", (0.6, 1.6)), ("r_u", (0.6, 1.4)),
@@ -88,21 +95,45 @@ def test_golden_section_matches_dense_scan():
         cs = cosine_set(**specs)
         grid = GridSpec(n_cells=96)
 
-        warm = {"vec": None}
+        warm = {"vec": None, "left": None}
 
-        def k_fixed(lam):
+        def k_fixed(lam, slope=False):
             op = build_operator(cs, lam, grid, refine=False)
             res = principal_eigenpair(op, warm=warm["vec"])
             warm["vec"] = (res.phi, res.psi)
-            return res.value
+            if slope:
+                res.slope, left = tilt_slope(op, res, warm["left"])
+                warm["left"] = (left.phi, left.psi)
+            return res
 
         lam_hi = 2.0 * np.sqrt(cs.r_max / cs.sigma_min) + 1.0
         lams = np.arange(1e-3, lam_hi, 1e-3)
-        scan = np.array([k_fixed(lam) / lam for lam in lams])
+        scan = np.array([k_fixed(lam).value / lam for lam in lams])
         c_scan = float(np.min(scan))
         warm["vec"] = None
-        _, c_golden = golden_min(lambda lam: k_fixed(lam) / lam, 1e-4, lam_hi, 1e-6)
-        assert c_golden == pytest.approx(c_scan, abs=1e-4), f"trial {trial}"
+        lam0 = np.sqrt(k_fixed(0.0).value / periodic_mean(cs.sigma))
+        lam_star, res, _ = tangency_search(lambda lam: k_fixed(lam, slope=True), lam0, 1e-6)
+        assert res.value / lam_star == pytest.approx(c_scan, abs=1e-4), f"trial {trial}"
+
+
+# Sigma, growth and mutation rates out of phase, with unequal mutation means,
+# so that k(lambda) is not even and c_R != c_L.
+ASYMMETRIC = cosine_set(sigma=CoefficientSpec.cosine(1.0, 0.3, 0.4, harmonics=[(0.1, 2, 1.0)]),
+                        r_u=CoefficientSpec.cosine(1.2, 0.6, 0.3),
+                        r_v=CoefficientSpec.cosine(0.6, 0.3, 2.1),
+                        mu_u=CoefficientSpec.cosine(0.6, 0.4, 2.0),
+                        mu_v=CoefficientSpec.cosine(0.3, 0.2, 0.5))
+
+
+def test_mirror_set_swaps_speeds():
+    rep = spreading_speeds(ASYMMETRIC)
+    mirrored = spreading_speeds(mirror_set(ASYMMETRIC))
+    assert abs(rep.c_right - rep.c_left) > 1e-5       # the swap is visible
+    assert mirrored.c_right == pytest.approx(rep.c_left, abs=1e-8)
+    assert mirrored.c_left == pytest.approx(rep.c_right, abs=1e-8)
+    assert mirrored.argmin_lambda_right == pytest.approx(-rep.argmin_lambda_left, abs=1e-6)
+    assert mirrored.argmin_lambda_left == pytest.approx(-rep.argmin_lambda_right, abs=1e-6)
+    assert mirrored.k_min == pytest.approx(rep.k_min, abs=1e-8)
 
 
 # -- analytic bounds -------------------------------------------------------------
@@ -168,6 +199,23 @@ def test_hair_trigger_reuses_one_speed_search(monkeypatch):
     assert (rep.via_dirichlet, rep.via_k_min, rep.via_speeds) == (True, True, True)
     assert (rep.c_right, rep.c_left, rep.k_min) == (report.c_right, report.c_left,
                                                     report.k_min)
+
+
+def test_speed_search_makes_few_k_solves(monkeypatch):
+    # README example set: k(0), then the right, left and k_min root searches
+    cs = cosine_set(r_u=CoefficientSpec.cosine(1.0, 0.4, 0.3),
+                    r_v=CoefficientSpec.cosine(1.0, 0.4, 1.1))
+    solve, calls = eigen.k_of_lambda, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "k_of_lambda", counted)
+    report = spreading_speeds(cs)
+    assert len(calls) <= 25
+    assert 1 + sum(report.evaluations.values()) == len(calls)
+    assert "evaluations" not in report.to_dict()
 
 
 # -- homogenized speed ---------------------------------------------------------------
