@@ -149,7 +149,8 @@ def run_speed(config: dict, out: str, jobs: int, verbose: bool) -> list:
     grid = _grid_spec(config)
     lam_tol = _number(config, "lambda_tolerance", "speed config",
                       speeds.LAMBDA_TOL, positive=True)
-    k_tol = _number(config, "k_tolerance", "speed config", 1e-7, positive=True)
+    k_tol = _number(config, "k_tolerance", "speed config", eigen.K_GRID_TOL,
+                    positive=True)
     lams = _lambda_grid(config, "speed config")
     tag = config_hash(config)
 
@@ -196,10 +197,7 @@ def run_ode(config: dict, out: str, jobs: int, verbose: bool) -> list:
     traj = ode.integrate(p, u0, v0, T, dt)
     lyap = None
     if analysis.lyapunov_K is not None and np.all(traj.u > 0) and np.all(traj.v > 0):
-        us, vs = analysis.equilibrium
-        fu = traj.u - us - us * np.log(traj.u / us)
-        fv = traj.v - vs - vs * np.log(traj.v / vs)
-        lyap = fu + analysis.lyapunov_K * fv
+        lyap = ode.lyapunov_value(traj.u, traj.v, *analysis.equilibrium, analysis.lyapunov_K)
     payload = {
         "config_hash": tag,
         "lambda_A": analysis.lambda_A,
@@ -340,7 +338,8 @@ def run_sweep(config: dict, out: str, jobs: int, verbose: bool) -> list:
     _check_keys(config, "sweep config", {"coefficients", "epsilons"},
                 {"command", "k_tolerance"})
     cs = _coefficient_set(config)
-    k_tol = _number(config, "k_tolerance", "sweep config", 1e-7, positive=True)
+    k_tol = _number(config, "k_tolerance", "sweep config", eigen.K_GRID_TOL,
+                    positive=True)
     eps_list = config["epsilons"]
     if (not isinstance(eps_list, list) or not eps_list
             or any(not _is_number(e) or not (0 < e <= 1) for e in eps_list)):

@@ -266,9 +266,6 @@ class CoefficientSet:
         """Carrying-capacity scale r_max / kappa_min bounding u+v in long time."""
         return self.r_max / self.kappa_min
 
-    def is_homogeneous(self) -> bool:
-        return all(getattr(self, n).kind == "constant" for n in COEFFICIENT_NAMES)
-
 
 def constant_set(sigma=1.0, r_u=1.0, r_v=1.0, kappa_u=1.0, kappa_v=1.0,
                  mu_u=0.5, mu_v=0.5, period=1.0) -> CoefficientSet:

@@ -41,16 +41,13 @@ LEFT_RIGHT_TOL = 1e-9         # relative floor on |left root - right root|
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Cell count and boundary kind for the eigenvalue discretization."""
+    """Cell count of the eigenvalue discretization."""
 
     n_cells: int = 64
-    boundary: str = "periodic"
 
     def __post_init__(self):
         if self.n_cells < 16:
             raise ValidationError("n_cells must be at least 16")
-        if self.boundary not in ("periodic", "dirichlet"):
-            raise ValidationError(f"unknown boundary kind {self.boundary!r}")
 
 
 @dataclass(frozen=True)
@@ -68,11 +65,6 @@ class DiscreteOperator:
     @property
     def dimension(self) -> int:
         return 2 * self.n
-
-    def min_offdiagonal(self) -> float:
-        coo = self.matrix.tocoo()
-        off = coo.data[coo.row != coo.col]
-        return float(off.min()) if off.size else 0.0
 
 
 @dataclass
@@ -136,14 +128,15 @@ def build_operator(cs: CoefficientSet, lam: float, grid: GridSpec,
                    refine: bool = True) -> DiscreteOperator:
     """Assemble the coupled discrete operator on the requested grid.
 
-    Periodic grids discretize one period with n_cells nodes; Dirichlet grids
-    need half_width=R and place n_cells interior nodes on (-R, R), the
-    eigenvector being extended by zero at the endpoints.  At lambda=0 the
-    periodic operator reduces to the plain linearized one.
+    Without half_width the grid discretizes one period with n_cells nodes.
+    half_width=R selects the Dirichlet operator instead: n_cells interior
+    nodes on (-R, R), the eigenvector being extended by zero at the
+    endpoints.  At lambda=0 the periodic operator reduces to the plain
+    linearized one.
     """
-    if grid.boundary == "dirichlet":
-        if half_width is None or not (half_width > 0):
-            raise ValidationError("dirichlet grids need a positive half_width R")
+    if half_width is not None:
+        if not (half_width > 0):
+            raise ValidationError("the Dirichlet half-width R must be positive")
         if lam != 0.0:
             raise ValidationError("the Dirichlet eigenproblem is posed at lambda=0")
         return _operator(cs, 0.0, grid.n_cells, half_width)

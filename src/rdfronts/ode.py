@@ -131,13 +131,15 @@ def lyapunov_K(p: HomParams) -> float:
     return float(K)
 
 
-def lyapunov_value(u: float, v: float, u_star: float, v_star: float, K: float) -> float:
-    """F_u(u) + K F_v(v) with F_w(w) = w - w* - w* log(w/w*); zero only at the equilibrium."""
-    if u <= 0 or v <= 0:
+def lyapunov_value(u, v, u_star: float, v_star: float, K: float):
+    """F_u(u) + K F_v(v) with F_w(w) = w - w* - w* log(w/w*); zero only at the
+    equilibrium.  u and v may be scalars (a float comes back) or arrays."""
+    if np.min(u) <= 0 or np.min(v) <= 0:
         raise ValidationError("the Lyapunov function is defined for positive (u, v) only")
     f_u = u - u_star - u_star * np.log(u / u_star)
     f_v = v - v_star - v_star * np.log(v / v_star)
-    return float(f_u + K * f_v)
+    value = f_u + K * f_v
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ backward Euler (one banded LU factorization, reused every step), the
 reaction and mutation terms explicitly.  The implicit diffusion matrix is an
 M-matrix whose rows sum to one under no-flux boundaries, so each step is a
 sup-norm contraction and the discrete solution inherits the comparison bound
-u+v <= max(r_max/kappa_min, initial sup) up to rounding.
+u+v <= max(r_max/kappa_min, initial sup) up to rounding.  Every driver steps
+through ``Stepper.run``, which checks that bound after each step.
 
 Front positions are the outermost grid nodes where both species exceed a
 threshold; their least-squares drift over a late time window gives the
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +30,6 @@ from .stencil import flux_stencil
 from .util import write_csv
 
 BOUND_SLACK = 1e-8
-CLIP_DIAGNOSTIC = 1e-10
 TRUST_MARGIN = 0.10          # outer fraction of the domain where fronts are unreliable
 REACTION_CFL = 0.25
 STATIONARY_DT = 0.05         # pseudo-time step of the stationary-profile iteration
@@ -157,7 +157,8 @@ class Stepper:
 
     The requested dt is split into equal substeps until the explicit reaction
     satisfies dt * Lipschitz <= 0.25; the backward-Euler diffusion factor is
-    built once.
+    built once.  amplitude_bound is the comparison bound max(K_bar, sup(u0+v0))
+    of the run: it enters the Lipschitz estimate, and ``run`` checks it.
     """
 
     def __init__(self, cs: CoefficientSet, nodes: np.ndarray, h: float,
@@ -165,6 +166,7 @@ class Stepper:
         if not (dt > 0):
             raise ValidationError("dt must be positive")
         self.boundary = boundary
+        self.bound = amplitude_bound
         self.ru = cs.r_u(nodes)
         self.rv = cs.r_v(nodes)
         self.ku = cs.kappa_u(nodes)
@@ -187,7 +189,9 @@ class Stepper:
         self.max_clip = 0.0
 
     def advance(self, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """One full dt step (reaction explicit, diffusion implicit, clip at 0)."""
+        """One full dt step (reaction explicit, diffusion implicit, clip at 0).
+
+        Returns new arrays and never writes to u or v."""
         for _ in range(self.substeps):
             s = u + v
             ru = u + self.dt_sub * ((self.ru - self.ku * s) * u + self.mv * v - self.mu * u)
@@ -204,26 +208,20 @@ class Stepper:
                 v[0] = v[-1] = 0.0
         return u, v
 
+    def run(self, u: np.ndarray, v: np.ndarray,
+            n_steps: int) -> Iterator[Tuple[int, np.ndarray, np.ndarray, float]]:
+        """Advance n_steps full steps, yielding (i, u, v, sup(u+v)) after step i.
 
-def step(cs: CoefficientSet, state: FieldState, dt: float, domain: DomainSpec,
-         bound: Optional[float] = None) -> FieldState:
-    """Single IMEX step of the full nonlinear system.
-
-    Convenience wrapper building a one-shot Stepper; long runs should use
-    ``simulate`` which reuses the factorization.  Raises InvariantBreachError
-    if sup(u+v) exceeds max(K_bar, initial sup) beyond rounding slack.
-    """
-    nodes = domain.nodes()
-    if bound is None:
-        bound = max(cs.k_bar, float(np.max(state.u + state.v)))
-    stepper = Stepper(cs, nodes, domain.h, domain.boundary, dt, bound)
-    u, v = stepper.advance(state.u.copy(), state.v.copy())
-    mass = float(np.max(u + v))
-    if mass > bound + BOUND_SLACK:
-        raise InvariantBreachError(f"u+v reached {mass}, above the comparison "
-                                   f"bound {bound}")
-    return FieldState(t=state.t + dt, u=u, v=v,
-                      mass_max=max(state.mass_max, mass))
+        This is the only caller of ``advance``.  Raises InvariantBreachError
+        when sup(u+v) passes the comparison bound by more than BOUND_SLACK.
+        """
+        for i in range(1, n_steps + 1):
+            u, v = self.advance(u, v)
+            mass = float(np.max(u + v))
+            if mass > self.bound + BOUND_SLACK:
+                raise InvariantBreachError(f"u+v reached {mass} at t={i * self.dt}, above "
+                                           f"the comparison bound {self.bound}")
+            yield i, u, v, mass
 
 
 @dataclass
@@ -246,40 +244,49 @@ def default_threshold(cs: CoefficientSet, u0: np.ndarray, v0: np.ndarray) -> flo
     return 0.01 * scale
 
 
+def _line_run(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
+              dt: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Stepper]:
+    """Nodes, initial pair and stepper of a run on the truncated line; the
+    stepper's bound is max(K_bar, sup(u0+v0))."""
+    nodes = domain.nodes()
+    u, v = build_initial(init, nodes, cs.period)
+    bound = max(cs.k_bar, float(np.max(u + v)))
+    return nodes, u, v, Stepper(cs, nodes, domain.h, domain.boundary, dt, bound)
+
+
 def simulate(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
              T: float, dt: float, record_every: float,
              theta: Optional[float] = None,
              snapshot_every: Optional[float] = None) -> SimulationResult:
     """Advance the system to time T, tracking fronts along the way.
 
-    Front positions are recorded every record_every time units; a warning is
-    issued the first time either front enters the outer 10% of the domain
-    (positions after that time are contaminated by the truncation).  Raises
-    InvariantBreachError if sup(u+v) exceeds max(K_bar, initial sup) beyond
-    rounding slack.
+    Front positions are recorded every record_every time units.  A warning is
+    issued the first time a front that was recorded inside the trusted region
+    enters the outer 10% of the domain (its positions after that time are
+    contaminated by the truncation); a front that starts in the margin, such
+    as the left edge of a plateau touching x_min, is never trusted and never
+    warned about.  Raises InvariantBreachError if sup(u+v) exceeds
+    max(K_bar, initial sup) beyond rounding slack.
     """
     if domain.width < 20.0 * cs.period:
         raise ValidationError(f"domain width {domain.width} is below 20 periods; "
                               "fronts would immediately feel the truncation")
     if not (T > 0 and record_every > 0):
         raise ValidationError("T and record_every must be positive")
-    nodes = domain.nodes()
-    u, v = build_initial(init, nodes, cs.period)
+    nodes, u, v, stepper = _line_run(cs, domain, init, dt)
     if theta is None:
         theta = default_threshold(cs, u, v)
-    initial_sup = float(np.max(u + v))
-    bound = max(cs.k_bar, initial_sup)
-    stepper = Stepper(cs, nodes, domain.h, domain.boundary, dt, bound)
 
+    # Right and left fronts: outward sign, trusted-region edge in outward
+    # coordinates, whether the front was seen inside it, and the time it
+    # then entered the margin.
     margin = TRUST_MARGIN * domain.width
-    right_limit = domain.x_max - margin
-    left_limit = domain.x_min + margin
-    trusted_right = np.inf
-    trusted_left = np.inf
+    outward, edges = (1.0, -1.0), (domain.x_max - margin, -(domain.x_min + margin))
+    seen_inside, trusted = [False, False], [np.inf, np.inf]
 
-    times, rights, lefts = [], [], []
+    times, fronts = [], ([], [])
     snapshots: List[FieldState] = []
-    mass_max = initial_sup
+    mass_max = float(np.max(u + v))
 
     n_steps = int(round(T / dt))
     record_stride = max(1, int(round(record_every / dt)))
@@ -287,44 +294,38 @@ def simulate(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
     if snapshot_every is not None:
         snap_stride = max(1, int(round(snapshot_every / dt)))
 
-    def record(t: float) -> None:
-        nonlocal trusted_right, trusted_left
-        xr, xl = front_positions(u, v, nodes, theta)
+    def record(t: float, u: np.ndarray, v: np.ndarray) -> None:
         times.append(t)
-        rights.append(xr)
-        lefts.append(xl)
-        if np.isfinite(xr) and xr > right_limit and trusted_right == np.inf:
-            trusted_right = t
-            warnings.warn(f"right front entered the outer {TRUST_MARGIN:.0%} of the "
-                          f"domain at t={t:g}; later positions are untrusted")
-        if np.isfinite(xl) and xl < left_limit and trusted_left == np.inf:
-            trusted_left = t
-            warnings.warn(f"left front entered the outer {TRUST_MARGIN:.0%} of the "
-                          f"domain at t={t:g}; later positions are untrusted")
+        for k, x in enumerate(front_positions(u, v, nodes, theta)):
+            fronts[k].append(x)
+            if not np.isfinite(x) or trusted[k] != np.inf:
+                continue
+            if outward[k] * x <= edges[k]:
+                seen_inside[k] = True
+            elif seen_inside[k]:
+                trusted[k] = t
+                warnings.warn(f"{('right', 'left')[k]} front entered the outer "
+                              f"{TRUST_MARGIN:.0%} of the domain at t={t:g}; "
+                              "later positions are untrusted")
 
-    record(0.0)
-    for i in range(1, n_steps + 1):
-        u, v = stepper.advance(u, v)
+    record(0.0, u, v)
+    for i, u, v, mass in stepper.run(u, v, n_steps):
         t = i * dt
-        mass = float(np.max(u + v))
         mass_max = max(mass_max, mass)
-        if mass > bound + BOUND_SLACK:
-            raise InvariantBreachError(f"u+v reached {mass} at t={t}, above the "
-                                       f"comparison bound {bound}")
         if i % record_stride == 0:
-            record(t)
+            record(t, u, v)
         if snap_stride is not None and i % snap_stride == 0:
             snapshots.append(FieldState(t=t, u=u.copy(), v=v.copy(), mass_max=mass_max))
 
     state = FieldState(t=n_steps * dt, u=u, v=v, mass_max=mass_max)
     if not snapshots or snapshots[-1].t != state.t:
         snapshots.append(FieldState(t=state.t, u=u.copy(), v=v.copy(), mass_max=mass_max))
-    trace = FrontTrace(t=np.asarray(times), x_right=np.asarray(rights),
-                       x_left=np.asarray(lefts), theta=theta)
+    trace = FrontTrace(t=np.asarray(times), x_right=np.asarray(fronts[0]),
+                       x_left=np.asarray(fronts[1]), theta=theta)
     return SimulationResult(state=state, trace=trace, snapshots=snapshots,
                             nodes=nodes, theta=theta,
-                            trusted_until_right=trusted_right,
-                            trusted_until_left=trusted_left,
+                            trusted_until_right=trusted[0],
+                            trusted_until_left=trusted[1],
                             max_clip=stepper.max_clip)
 
 
@@ -411,12 +412,9 @@ def stationary_profile(cs: CoefficientSet, n_cells: int = 512, tol: float = 1e-9
     v = np.full(n_cells, amp)
     dt = STATIONARY_DT
     stepper = Stepper(cs, nodes, h, "periodic", dt, cs.k_bar)
-    t = 0.0
-    while t < t_max:
-        un, vn = stepper.advance(u.copy(), v.copy())
+    for _, un, vn, _ in stepper.run(u, v, int(np.ceil(t_max / dt))):
         rate = max(float(np.max(np.abs(un - u))), float(np.max(np.abs(vn - v)))) / dt
         u, v = un, vn
-        t += dt
         if rate < tol:
             return nodes, u, v
     raise NumericalError(f"stationary profile did not settle below {tol} by t={t_max}")
@@ -454,18 +452,14 @@ def convergence_behind_front(cs: CoefficientSet, domain: DomainSpec,
     if target is None:
         target = stationary_profile(cs)
     cell_nodes, u_prof, v_prof = target
-    nodes = domain.nodes()
+    nodes, u, v, stepper = _line_run(cs, domain, init, dt)
     tu = profile_on_domain(cell_nodes, u_prof, cs.period, nodes)
     tv = profile_on_domain(cell_nodes, v_prof, cs.period, nodes)
 
-    u, v = build_initial(init, nodes, cs.period)
-    bound = max(cs.k_bar, float(np.max(u + v)))
-    stepper = Stepper(cs, nodes, domain.h, domain.boundary, dt, bound)
     n_steps = int(round(T / dt))
     stride = max(1, int(round(sample_every / dt)))
     times, sups = [], []
-    for i in range(1, n_steps + 1):
-        u, v = stepper.advance(u, v)
+    for i, u, v, _ in stepper.run(u, v, n_steps):
         if i % stride == 0:
             t = i * dt
             cone = np.abs(nodes) <= c_probe * t

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from .coefficients import CoefficientSet, HomogenizedSet, periodic_mean
-from .eigen import EigenResult, GridSpec, dirichlet_sweep, k_chain
+from .eigen import K_GRID_TOL, EigenResult, GridSpec, dirichlet_sweep, k_chain
 from .errors import NumericalError, PreconditionError
 from .ode import HomParams, lambda_A
 
@@ -152,7 +152,7 @@ def _k_min_search(k: Callable[[float], EigenResult], k0: EigenResult,
 
 
 def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
-                     lam_tol: float = LAMBDA_TOL, k_tol: float = 1e-7) -> SpeedReport:
+                     lam_tol: float = LAMBDA_TOL, k_tol: float = K_GRID_TOL) -> SpeedReport:
     """Right and left spreading speeds of the propagation problem.
 
     Requires the periodic principal eigenvalue k(0) to be positive (otherwise
@@ -217,7 +217,7 @@ def _sign_or_none(x: float) -> Optional[bool]:
 
 
 def hair_trigger_check(cs: CoefficientSet, grid: Optional[GridSpec] = None,
-                       k_tol: float = 1e-7) -> HairTriggerReport:
+                       k_tol: float = K_GRID_TOL) -> HairTriggerReport:
     """Evaluate the three equivalent hair-trigger conditions.
 
     (a) some Dirichlet eigenvalue over the geometric sweep {L, 2L, ..., 64L}

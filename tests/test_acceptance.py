@@ -5,9 +5,8 @@ Tolerances are pinned here exactly as stated; nothing is recalibrated at run
 time.
 """
 
-import warnings
-
 import numpy as np
+import pytest
 
 from rdfronts.coefficients import (
     CoefficientSpec,
@@ -31,7 +30,8 @@ from rdfronts.pde import (
 )
 from rdfronts.speeds import homogenized_speed, spreading_speeds
 
-warnings.filterwarnings("ignore", message=".*front entered the outer.*")
+# Criterion 9's fronts do reach the outer margin; that warning is expected there.
+pytestmark = pytest.mark.filterwarnings("ignore:.*front entered the outer")
 
 HOMOG = constant_set(sigma=1.0, r_u=1.0, r_v=1.0, kappa_u=1.0, kappa_v=1.0,
                      mu_u=0.5, mu_v=0.5)          # lambda_A = 1, c* = 2

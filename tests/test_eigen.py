@@ -82,7 +82,8 @@ def test_operator_action_second_order_consistent():
 def test_offdiagonals_nonnegative_for_large_lambda():
     cs = cosine_set(sigma=CoefficientSpec.cosine(1.0, 0.5))
     op = build_operator(cs, 8.0, GridSpec(n_cells=32))
-    assert op.min_offdiagonal() >= 0.0
+    coo = op.matrix.tocoo()
+    assert np.min(coo.data[coo.row != coo.col]) >= 0.0
 
 
 def test_peclet_refinement_kicks_in():
@@ -93,15 +94,23 @@ def test_peclet_refinement_kicks_in():
 
 
 def test_dirichlet_requires_half_width():
-    with pytest.raises(ValidationError):
-        build_operator(HOMOG, 0.0, GridSpec(n_cells=64, boundary="dirichlet"))
+    # the Dirichlet operator needs a positive half-width R and is posed at lambda = 0
+    for lam, half_width in [(0.0, 0.0), (0.0, -1.0), (0.5, 2.0)]:
+        with pytest.raises(ValidationError):
+            build_operator(HOMOG, lam, GridSpec(n_cells=64), half_width=half_width)
+
+
+def test_half_width_alone_selects_dirichlet():
+    op = build_operator(HOMOG, 0.0, GridSpec(n_cells=64), half_width=2.0)
+    assert op.boundary == "dirichlet" and op.n == 64
+    assert op.h == pytest.approx(4.0 / 65) and op.nodes[0] == pytest.approx(-2.0 + 4.0 / 65)
 
 
 def test_grid_spec_validation():
     with pytest.raises(ValidationError):
         GridSpec(n_cells=8)
-    with pytest.raises(ValidationError):
-        GridSpec(boundary="robin")
+    with pytest.raises(TypeError):
+        GridSpec(n_cells=64, boundary="dirichlet")
 
 
 # -- principal eigenpair ----------------------------------------------------------
@@ -145,8 +154,7 @@ def test_large_dirichlet_operator_converges_in_few_iterations():
     # R = 32 on 16384 cells: the spectral gap is O(R^-2), which a fixed
     # far shift pays for in hundreds of iterations
     cs = cosine_set(r_u=CoefficientSpec.cosine(1.0, 0.4, 0.6))
-    op = build_operator(cs, 0.0, GridSpec(n_cells=16384, boundary="dirichlet"),
-                        half_width=32.0)
+    op = build_operator(cs, 0.0, GridSpec(n_cells=16384), half_width=32.0)
     res = principal_eigenpair(op)
     assert res.iterations <= 15
     sigma = float(np.max(op.matrix.sum(axis=1))) + 1.0

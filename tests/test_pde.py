@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from rdfronts import pde
 from rdfronts.coefficients import (
     CoefficientSpec,
     CoefficientSet,
@@ -17,9 +18,9 @@ from rdfronts.errors import InvariantBreachError, ValidationError
 from rdfronts.ode import HomParams, equilibrium
 from rdfronts.pde import (
     DomainSpec,
-    FieldState,
     FrontTrace,
     InitialData,
+    Stepper,
     build_initial,
     convergence_behind_front,
     detect_hump,
@@ -29,19 +30,11 @@ from rdfronts.pde import (
     profile_on_domain,
     simulate,
     stationary_profile,
-    step,
     write_front_trace_csv,
     write_snapshot_csv,
 )
 
 HOMOG = constant_set(sigma=1.0, r_u=1.0, r_v=1.0, mu_u=0.5, mu_v=0.5)
-
-
-@pytest.fixture(autouse=True)
-def _quiet_boundary_warnings():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        yield
 
 
 def cosine_set(**overrides):
@@ -114,20 +107,26 @@ def test_initial_data_rejects_non_finite_fields(field, value):
 
 # -- single step -------------------------------------------------------------------
 
+def one_step(cs, u, v, dt, dom, bound):
+    """(u, v, sup(u+v)) after one Stepper.run step on the domain's grid."""
+    stepper = Stepper(cs, dom.nodes(), dom.h, dom.boundary, dt, bound)
+    (_, u, v, mass), = stepper.run(u, v, 1)
+    return u, v, mass
+
+
 def test_zero_state_is_invariant():
     dom = DomainSpec(-20, 20, 256)
-    st = FieldState(0.0, np.zeros(256), np.zeros(256), 0.0)
-    out = step(HOMOG, st, 0.01, dom)
-    assert np.all(out.u == 0.0) and np.all(out.v == 0.0)
+    u, v, mass = one_step(HOMOG, np.zeros(256), np.zeros(256), 0.01, dom, HOMOG.k_bar)
+    assert np.all(u == 0.0) and np.all(v == 0.0) and mass == 0.0
 
 
 def test_constant_equilibrium_is_stationary():
     us, vs = equilibrium(HomParams(1, 1, 1, 1, 1, 0.5, 0.5))
     dom = DomainSpec(-20, 20, 256)
-    st = FieldState(0.0, np.full(256, us), np.full(256, vs), us + vs)
-    out = step(HOMOG, st, 0.01, dom)
-    assert np.max(np.abs(out.u - us)) < 1e-10
-    assert np.max(np.abs(out.v - vs)) < 1e-10
+    u, v, _ = one_step(HOMOG, np.full(256, us), np.full(256, vs), 0.01, dom,
+                       max(HOMOG.k_bar, us + vs))
+    assert np.max(np.abs(u - us)) < 1e-10
+    assert np.max(np.abs(v - vs)) < 1e-10
 
 
 def test_symmetric_reduction_matches_scalar_reference():
@@ -161,11 +160,27 @@ def test_symmetric_reduction_matches_scalar_reference():
 
 
 def test_bound_breach_raises():
-    # disable the internal clamp by feeding an inconsistent bound
+    # a stepper built with an inconsistent bound sees the data breach it
     dom = DomainSpec(-20, 20, 256)
-    st = FieldState(0.0, np.full(256, 3.0), np.full(256, 3.0), 6.0)
     with pytest.raises(InvariantBreachError):
-        step(HOMOG, st, 0.01, dom, bound=0.1)
+        one_step(HOMOG, np.full(256, 3.0), np.full(256, 3.0), 0.01, dom, 0.1)
+
+
+def test_every_driver_checks_the_comparison_bound(monkeypatch):
+    # with the slack pushed far below zero every step breaches the bound, so
+    # each IMEX driver must raise on its first step
+    monkeypatch.setattr(pde, "BOUND_SLACK", -1e6)
+    dom = DomainSpec(-20, 20, 256)
+    init = InitialData(kind="compact_bump", amplitude=0.3, center=0, width=3)
+    with pytest.raises(InvariantBreachError):
+        simulate(HOMOG, dom, init, T=1.0, dt=0.01, record_every=0.5)
+    with pytest.raises(InvariantBreachError):
+        stationary_profile(HOMOG, n_cells=64)
+    nodes = np.linspace(0.0, 1.0, 64, endpoint=False)
+    target = (nodes, np.full(64, 0.5), np.full(64, 0.5))
+    with pytest.raises(InvariantBreachError):
+        convergence_behind_front(HOMOG, dom, init, c_probe=1.0, T=1.0, dt=0.01,
+                                 sample_every=0.5, target=target)
 
 
 # -- front measurement ----------------------------------------------------------------
@@ -266,6 +281,19 @@ def test_decay_ahead_of_front():
     assert values[-1] < values[0]
 
 
+def test_no_trust_warning_for_plateau_touching_the_boundary():
+    # the left edge of right_front_like data sits at x_min from t = 0: that
+    # front never was trusted, so it raises no warning
+    dom = DomainSpec(-30, 30, 512)
+    init = InitialData(kind="right_front_like", amplitude=0.5, x_on=-10, x_off=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = simulate(HOMOG, dom, init, T=1.0, dt=0.01, record_every=0.25)
+    assert res.trace.x_left[0] == dom.x_min
+    assert res.trusted_until_left == np.inf and res.trusted_until_right == np.inf
+    assert not caught
+
+
 def test_trust_warning_when_front_hits_margin():
     dom = DomainSpec(-30, 30, 512)
     init = InitialData(kind="compact_bump", amplitude=0.5, center=0, width=2)
@@ -276,6 +304,7 @@ def test_trust_warning_when_front_hits_margin():
     assert any("untrusted" in str(w.message) for w in caught)
 
 
+@pytest.mark.filterwarnings("ignore:.*front entered the outer")   # the bump reaches the margin
 def test_boundedness_under_oversized_data():
     init = InitialData(kind="compact_bump", amplitude=10.0 * HOMOG.k_bar,
                        center=0, width=5)
