@@ -157,7 +157,11 @@ def run_speed(config: dict, out: str, jobs: int, verbose: bool) -> list:
     report = speeds.spreading_speeds(cs, grid, lam_tol, k_tol)
     curve = eigen.k_curve(cs, lams, grid, k_tol)
     if verbose:
-        json.dump({"command": "speed", "k_evals": dict(report.evaluations, curve=len(curve))},
+        json.dump({"command": "speed",
+                   "k_evals": dict(report.evaluations, curve=len(curve)),
+                   "levels": dict(report.levels, curve=sum(r.levels for r in curve)),
+                   "finest_cells": dict(report.finest_cells,
+                                        curve=max((r.n_cells for r in curve), default=0))},
                   sys.stderr)
         sys.stderr.write("\n")
     payload = report.to_dict()

@@ -35,7 +35,7 @@ from .util import write_csv
 REFINE_CAP = 2 ** 20          # hard cap on cells per period / interval
 RESIDUAL_TOL = 1e-9
 RAYLEIGH_TOL = 1e-12
-K_GRID_TOL = 1e-7             # |k_n - k_2n| refinement target
+K_GRID_TOL = 1e-7             # target of |R_2n - R_n| or |k_2n - k_n| in refinement
 LEFT_RIGHT_TOL = 1e-9         # relative floor on |left root - right root|
 
 
@@ -79,6 +79,8 @@ class EigenResult:
     residual: float
     n_cells: int
     h: float
+    rounding: float                          # 8 eps ||M||, the floor under the residual
+    levels: int = 1                          # grid levels solved (1 for a single operator)
     slope: Optional[float] = None            # d value / d lambda, from k_of_lambda(slope=True)
     left: Optional[Tuple[np.ndarray, np.ndarray]] = None   # left Perron pair behind slope
 
@@ -161,7 +163,7 @@ def _start_vector(op: DiscreteOperator, warm) -> np.ndarray:
 
 
 def _finalize(op: DiscreteOperator, w: np.ndarray, value: float, residual: float,
-              iterations: int) -> EigenResult:
+              iterations: int, rounding: float) -> EigenResult:
     w = w / np.max(np.abs(w))
     if w[np.argmax(np.abs(w))] < 0:
         w = -w
@@ -170,7 +172,7 @@ def _finalize(op: DiscreteOperator, w: np.ndarray, value: float, residual: float
                              f"(min component {np.min(w):.3e})")
     return EigenResult(value=float(value), phi=w[:op.n].copy(), psi=w[op.n:].copy(),
                        lam=op.lam, iterations=iterations, residual=float(residual),
-                       n_cells=op.n, h=op.h)
+                       n_cells=op.n, h=op.h, rounding=rounding)
 
 
 def _rayleigh_and_residual(matrix, w) -> Tuple[float, float, np.ndarray]:
@@ -230,7 +232,8 @@ def principal_eigenpair(op: DiscreteOperator, warm=None,
     off_sums = np.bincount(neg.indices, weights=neg.data, minlength=op.dimension)
     far_shift = max(float(np.max(-off_sums - neg_diag)), 0.0) + 1.0   # max row sum + 1
     op_norm = float(np.max(np.abs(neg_diag) - off_sums))
-    residual_tol = max(residual_tol, 8.0 * np.finfo(float).eps * op_norm)
+    rounding = 8.0 * np.finfo(float).eps * op_norm
+    residual_tol = max(residual_tol, rounding)
 
     w = _start_vector(op, warm)
     value, residual, mw = _rayleigh_and_residual(matrix, w)
@@ -255,7 +258,7 @@ def principal_eigenpair(op: DiscreteOperator, warm=None,
         new_value, new_residual, mw = _rayleigh_and_residual(matrix, w)
         ray_tol = max(RAYLEIGH_TOL * max(1.0, abs(new_value)), 0.01 * residual_tol)
         if abs(new_value - value) < ray_tol and new_residual < residual_tol:
-            return _finalize(op, w, new_value, new_residual, it)
+            return _finalize(op, w, new_value, new_residual, it, rounding)
         if new_residual > 0.25 * residual:
             if new_residual < 100.0 * residual_tol:
                 next_shift = far_shift
@@ -298,42 +301,51 @@ def tilt_slope(op: DiscreteOperator, right: EigenResult,
 # -- eigenvalue curves with grid refinement ----------------------------------
 
 SOFT_CELL_CAP = 2 ** 18       # past this the rounding floor always dominates
+NOISE_MULTIPLE = 100.0        # a gap this close to the rounding level is noise
 
 
 def _refine_to_tolerance(make_op, n: int, tol: float, warm,
                          label: str) -> Tuple[EigenResult, DiscreteOperator, float]:
-    """Double the grid until |k_n - k_2n| < tol, then Richardson-extrapolate.
+    """Double the grid until the Richardson value is settled; return it.
 
-    The inter-level gap of the second-order stencil shrinks 4x per doubling
-    until rounding noise (machine epsilon times the 1/h^2 flux scale) takes
-    over, after which refining cannot help; the loop therefore also stops
-    when a small gap stops shrinking, returning the best achievable value.
-    Returns the finest level's eigenpair, its operator and the extrapolated
-    eigenvalue.
+    Level 2n gives the Richardson value R_2n = k_2n + (k_2n - k_n)/3, which
+    cancels the h^2 term of the second-order stencil.  Refinement stops at
+    the first level where either
+      * two successive Richardson values agree, |R_2n - R_n| < tol
+        (Romberg's test; it needs three levels), or
+      * the raw gap already does, |k_2n - k_n| < tol (two levels suffice).
+    It also stops at the noise floor: a gap within NOISE_MULTIPLE of the
+    finer level's rounding level 8 eps ||M||, where the 1/h^2 flux scale
+    leaves nothing for further refinement to resolve.  A gap that stops
+    shrinking is not taken for noise: on a discontinuous sigma the gaps can
+    swing between levels far above the rounding level.  Returns the finest level's eigenpair (with the
+    Perron iterations and levels of the whole loop), its operator and
+    R_2n.
     """
-    result = principal_eigenpair(make_op(n), warm=warm)
-    total_iter = result.iterations
-    prev_gap = np.inf
+    coarse = principal_eigenpair(make_op(n), warm=warm)
+    total_iter, levels = coarse.iterations, 1
+    prev_extrapolated = None
     while True:
         n *= 2
         if n > REFINE_CAP:
             raise NumericalError(f"grid refinement cap {REFINE_CAP} exceeded before "
                                  f"the eigenvalue gap fell below {tol} at {label}")
         op = make_op(n)
-        finer = principal_eigenpair(op, warm=(result.phi, result.psi))
+        finer = principal_eigenpair(op, warm=(coarse.phi, coarse.psi))
         total_iter += finer.iterations
-        gap = abs(finer.value - result.value)
-        scale = max(1.0, abs(finer.value))
-        at_noise_floor = gap > 0.6 * prev_gap and prev_gap < 1e-2 * scale
+        levels += 1
+        gap = abs(finer.value - coarse.value)
+        extrapolated = finer.value + (finer.value - coarse.value) / 3.0
+        settled = prev_extrapolated is not None and abs(extrapolated - prev_extrapolated) < tol
+        at_noise_floor = gap < NOISE_MULTIPLE * finer.rounding
         past_soft_cap = n >= SOFT_CELL_CAP
-        if past_soft_cap and gap > 1e-4 * scale:
+        if past_soft_cap and gap > 1e-4 * max(1.0, abs(finer.value)):
             raise NumericalError(f"eigenvalue gap {gap:.2e} still large at the "
                                  f"{SOFT_CELL_CAP}-cell level for {label}")
-        if gap < tol or at_noise_floor or past_soft_cap:
-            finer.iterations = total_iter
-            return finer, op, finer.value + (finer.value - result.value) / 3.0
-        result = finer
-        prev_gap = gap
+        if gap < tol or settled or at_noise_floor or past_soft_cap:
+            finer.iterations, finer.levels = total_iter, levels
+            return finer, op, extrapolated
+        coarse, prev_extrapolated = finer, extrapolated
 
 
 def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
@@ -341,12 +353,15 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
                 left_warm=None) -> EigenResult:
     """Exponent-tilted principal eigenvalue k(lambda) with automatic refinement.
 
-    The grid is doubled until successive eigenvalues differ by less than tol;
-    the returned value is the Richardson extrapolation of the last two levels
-    (the flux stencil is second order, so this cancels the leading h^2 term).
-    k(0) is the periodic principal eigenvalue.  A warm start (phi, psi) from
-    a previous solve also starts the refinement at a quarter of its cell
-    count, which still lets the grid coarsen by one level.
+    The returned value is the Richardson extrapolation of the two finest
+    levels (the flux stencil is second order, so this cancels the leading h^2
+    term).  The grid is doubled until two successive Richardson values, or
+    two successive eigenvalues, differ by less than tol, or until the gap
+    reaches the rounding floor; see _refine_to_tolerance.  k(0) is the
+    periodic principal eigenvalue.  A warm start (phi, psi) from a previous
+    solve also starts the refinement at a quarter of its cell count n, so
+    n/4, n/2 and n are the three levels the Richardson test needs to stop
+    where the previous solve did, and the grid can still coarsen by one.
 
     With slope=True the result also carries k'(lambda) from tilt_slope on the
     finest level, and the left Perron pair behind it (warm-started from

@@ -64,12 +64,16 @@ class SpeedReport:
     bound_low: Optional[float]
     bound_high: float
     hair_trigger: Optional[bool]
-    # k(lambda) solves of each search ("right", "left", "k_min"); not an artifact field
+    # Per search ("right", "left", "k_min"), not artifact fields: the k(lambda)
+    # solves, the grid levels they solved and their finest cell count.
     evaluations: Dict[str, int] = field(default_factory=dict)
+    levels: Dict[str, int] = field(default_factory=dict)
+    finest_cells: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         payload = asdict(self)
-        del payload["evaluations"]
+        for name in ("evaluations", "levels", "finest_cells"):
+            del payload[name]
         return payload
 
 
@@ -177,17 +181,29 @@ def _speed_search(k: Callable[[float], EigenResult], k0: EigenResult, cs: Coeffi
     tangency point of a constant medium, where k = k(0) + sigma lambda^2.
     """
     lam0 = math.sqrt(k0.value / periodic_mean(cs.sigma))
-    lam_right, res_right, n_right = tangency_search(k, lam0, lam_tol)
-    lam_left, res_left, n_left = tangency_search(k_chain(cs, grid, k_tol, slope=True),
-                                                 lam0, lam_tol, side=-1.0)
-    res_min, n_min = _k_min_search(k, k0, lam_tol)
+    levels = {"right": 0, "left": 0, "k_min": 0}
+    finest = dict(levels)
+
+    def tallied(k: Callable[[float], EigenResult], search: str):
+        def solve(lam: float) -> EigenResult:
+            res = k(lam)
+            levels[search] += res.levels
+            finest[search] = max(finest[search], res.n_cells)
+            return res
+        return solve
+
+    lam_right, res_right, n_right = tangency_search(tallied(k, "right"), lam0, lam_tol)
+    lam_left, res_left, n_left = tangency_search(
+        tallied(k_chain(cs, grid, k_tol, slope=True), "left"), lam0, lam_tol, side=-1.0)
+    res_min, n_min = _k_min_search(tallied(k, "k_min"), k0, lam_tol)
     low, high = speed_bounds(cs)
     return SpeedReport(c_right=res_right.value / lam_right, c_left=res_left.value / lam_left,
                        argmin_lambda_right=float(lam_right),
                        argmin_lambda_left=float(-lam_left),
                        k_min=res_min.value, bound_low=low, bound_high=high,
                        hair_trigger=_sign_or_none(res_min.value),
-                       evaluations={"right": n_right, "left": n_left, "k_min": n_min})
+                       evaluations={"right": n_right, "left": n_left, "k_min": n_min},
+                       levels=levels, finest_cells=finest)
 
 
 @dataclass

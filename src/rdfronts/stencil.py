@@ -6,24 +6,70 @@ from typing import Tuple
 
 import numpy as np
 
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, CoefficientSpec
 from .errors import ValidationError
+
+
+def _harmonic_cell_means(spec: CoefficientSpec, left: np.ndarray, h: float) -> np.ndarray:
+    """((1/h) int_a^{a+h} 1/spec)^-1 for each a in left, in closed form for a
+    piecewise-constant spec.  A cell inside one piece gets its value exactly."""
+    L = spec.period
+    b = np.asarray(spec.breakpoints)
+    v = np.asarray(spec.values, dtype=float)
+    widths = np.diff(np.append(b, L))
+    cum = np.concatenate([[0.0], np.cumsum(widths / v)])     # int_0^{b_j} 1/spec
+
+    def piece_and_integral(x):
+        """The piece holding x, and int_0^x 1/spec (periodically extended)."""
+        turns = np.floor(x / L)
+        y = x - turns * L
+        j = np.searchsorted(b, y, side="right") - 1
+        return j, turns, turns * cum[-1] + cum[j] + (y - b[j]) / v[j]
+
+    j0, t0, f0 = piece_and_integral(left)
+    j1, t1, f1 = piece_and_integral(left + h)
+    inside = (j0 == j1) & (t0 == t1)
+    return np.where(inside, v[j0], h / np.where(inside, 1.0, f1 - f0))
+
+
+def face_sigma(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str) -> np.ndarray:
+    """sigma once per face: on face i between nodes i and i+1 (n faces, the
+    last one wrapping) when periodic, else on the n+1 faces from x_0 - h/2 to
+    x_{n-1} + h/2.
+
+    Smooth kinds are sampled at the face midpoint.  A piecewise-constant sigma
+    gets the harmonic mean ((1/h) int_{x_i}^{x_{i+1}} 1/sigma)^-1 over the cell
+    between the face's two nodes, the second-order conservative value for a
+    jump that falls between nodes (Tikhonov-Samarskii).
+    """
+    left = nodes if boundary == "periodic" else np.append(nodes[0] - h, nodes)
+    if cs.sigma.kind == "piecewise_constant":
+        return _harmonic_cell_means(cs.sigma, left, h)
+    return cs.sigma(left + 0.5 * h)
 
 
 def flux_stencil(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str,
                  lam: float = 0.0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """COO triplets (rows, cols, data) of w -> exp(lam x) (sigma (exp(-lam x) w)_x)_x.
 
-    sigma is sampled at the faces x_i +- h/2; the tilt scales the coupling to
-    node i+1 by exp(-lam h) and to node i-1 by exp(lam h), so off-diagonals
-    stay positive.  The n diagonal entries come first, in node order, then
-    the couplings to node i+1, then those to node i-1.
+    sigma comes from face_sigma, one value per face shared by the two nodes
+    beside it, so the untilted matrix is exactly symmetric.  The tilt scales
+    the coupling to node i+1 by exp(-lam h) and to node i-1 by exp(lam h), so
+    off-diagonals stay positive.  The n diagonal entries come first, in node
+    order, then the couplings to node i+1, then those to node i-1.
     boundary is "periodic", "neumann" (zero flux through the end faces) or
     "dirichlet"/"dirichlet_zero" (zero ghost values beyond the end nodes).
     """
+    if boundary not in ("periodic", "neumann", "dirichlet", "dirichlet_zero"):
+        raise ValidationError(f"unknown boundary kind {boundary!r}")
     n = len(nodes)
-    sig_right = cs.sigma(nodes + 0.5 * h)        # sigma at i+1/2
-    sig_left = cs.sigma(nodes - 0.5 * h)         # sigma at i-1/2
+    faces = face_sigma(cs, nodes, h, boundary)
+    if boundary == "periodic":
+        sig_right, sig_left = faces, np.roll(faces, 1)
+    else:
+        if boundary == "neumann":
+            faces[[0, -1]] = 0.0
+        sig_right, sig_left = faces[1:], faces[:-1]
     sup = sig_right * np.exp(-lam * h) / h ** 2  # couples node i to i+1
     sub = sig_left * np.exp(lam * h) / h ** 2    # couples node i to i-1
     diag = -(sig_right + sig_left) / h ** 2
@@ -32,11 +78,6 @@ def flux_stencil(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str,
         return (np.concatenate([i, i, i]),
                 np.concatenate([i, (i + 1) % n, (i - 1) % n]),
                 np.concatenate([diag, sup, sub]))
-    if boundary == "neumann":
-        diag[0] += sig_left[0] / h ** 2
-        diag[-1] += sig_right[-1] / h ** 2
-    elif boundary not in ("dirichlet", "dirichlet_zero"):
-        raise ValidationError(f"unknown boundary kind {boundary!r}")
     return (np.concatenate([i, i[:-1], i[1:]]),
             np.concatenate([i, i[1:], i[:-1]]),
             np.concatenate([diag, sup[:-1], sub[1:]]))

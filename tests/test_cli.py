@@ -165,6 +165,12 @@ def test_speed_verbose_reports_k_evals_on_stderr(tmp_path, capsys):
     assert sorted(record["k_evals"]) == ["curve", "k_min", "left", "right"]
     assert record["k_evals"]["curve"] == 3
     assert all(n > 0 for n in record["k_evals"].values())
+    searches = sorted(record["k_evals"])
+    assert sorted(record["levels"]) == sorted(record["finest_cells"]) == searches
+    for search in searches:
+        # every k(lambda) solve takes at least two grid levels
+        assert record["levels"][search] >= 2 * record["k_evals"][search]
+        assert record["finest_cells"][search] >= 128
     for suffix in ("speed.json", "kcurve.csv"):
         assert ((tmp_path / f"loud_{suffix}").read_bytes()
                 == (tmp_path / f"quiet_{suffix}").read_bytes())

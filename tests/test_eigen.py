@@ -310,6 +310,48 @@ def test_grid_convergence_second_order():
     assert gap1 / gap2 >= 3.0
 
 
+def fixed_grid_richardson(cs, lam, n=2048):
+    """k_2n + (k_2n - k_n)/3 on fixed n- and 2n-cell grids, no refinement."""
+    coarse = principal_eigenpair(build_operator(cs, lam, GridSpec(n_cells=n), refine=False))
+    fine = principal_eigenpair(build_operator(cs, lam, GridSpec(n_cells=2 * n), refine=False),
+                               warm=(coarse.phi, coarse.psi))
+    return fine.value + (fine.value - coarse.value) / 3.0
+
+
+README_SET = cosine_set(r_u=CoefficientSpec.cosine(1.0, 0.4, 0.3),
+                        r_v=CoefficientSpec.cosine(1.0, 0.4, 1.1))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.5, -1.5])
+def test_refined_k_on_piecewise_sigma_matches_fine_grids(lam):
+    # sigma jumps from 1 to 0.9 at x = 0.3, between the nodes of every dyadic
+    # grid; with midpoint faces the inter-level gaps swing with the jump's
+    # position in its cell, and refinement stopped 1.7e-3 from this value
+    cs = cosine_set(sigma=CoefficientSpec.piecewise([0.0, 0.3], [1.0, 0.9]),
+                    r_u=CoefficientSpec.cosine(1.0, 0.35, 0.7),
+                    r_v=CoefficientSpec.cosine(1.0, 0.35, 2.1))
+    assert k_of_lambda(cs, lam).value == pytest.approx(fixed_grid_richardson(cs, lam),
+                                                       abs=1e-6)
+
+
+@pytest.mark.parametrize("lam", [3.0, -3.0])
+def test_refinement_stops_once_the_richardson_value_settles(lam):
+    # The raw gap |k_n - k_2n| < 1e-7 alone needs 8192-16384 cells here,
+    # where rounding noise makes the extrapolated value worse.
+    res = k_of_lambda(README_SET, lam)
+    assert res.n_cells <= 512
+    assert 3 <= res.levels <= 4
+    assert res.value == pytest.approx(fixed_grid_richardson(README_SET, lam), abs=1e-8)
+
+
+def test_single_solve_reports_its_rounding_level():
+    op = build_operator(README_SET, 1.0, GridSpec(n_cells=256), refine=False)
+    res = principal_eigenpair(op)
+    norm = np.max(np.abs(op.matrix).sum(axis=1))
+    assert res.levels == 1
+    assert res.rounding == pytest.approx(8.0 * np.finfo(float).eps * norm, rel=1e-12)
+
+
 # -- Dirichlet eigenvalue -------------------------------------------------------------
 
 def test_dirichlet_sine_mode():

@@ -51,6 +51,16 @@ def test_homogeneous_speed_is_two():
     assert rep.hair_trigger is True
 
 
+def test_homogeneous_speed_to_rounding_level():
+    # k(lambda) = 1 + lambda^2 is resolved by the Richardson value of the
+    # first levels; refining on towards the raw-gap target only adds noise
+    rep = spreading_speeds(constant_set())
+    assert abs(rep.c_right - 2.0) <= 1e-10
+    assert abs(rep.c_left - 2.0) <= 1e-10
+    assert max(rep.finest_cells.values()) <= 512
+    assert all(rep.levels[s] >= 2 * rep.evaluations[s] for s in rep.evaluations)
+
+
 def test_speed_from_two_by_two_oracle():
     # lambda_A from the 2x2 eigenproblem, then c = 2 sqrt(sigma lambda_A)
     cs = constant_set(sigma=2.0, r_u=2.0, r_v=0.0, mu_u=1.0, mu_v=1.0)
@@ -215,7 +225,8 @@ def test_speed_search_makes_few_k_solves(monkeypatch):
     report = spreading_speeds(cs)
     assert len(calls) <= 25
     assert 1 + sum(report.evaluations.values()) == len(calls)
-    assert "evaluations" not in report.to_dict()
+    for name in ("evaluations", "levels", "finest_cells"):
+        assert name not in report.to_dict()
 
 
 # -- homogenized speed ---------------------------------------------------------------

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.integrate import quad
 
 from rdfronts.coefficients import CoefficientSet, CoefficientSpec
 from rdfronts.errors import ValidationError
-from rdfronts.stencil import flux_stencil
+from rdfronts.stencil import face_sigma, flux_stencil
 
 
 def make_set(sigma):
@@ -76,3 +77,53 @@ def test_unknown_boundary_rejected():
     nodes, h = dirichlet_nodes()
     with pytest.raises(ValidationError):
         flux_stencil(SETS["cosine"], nodes, h, "absorbing")
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+@pytest.mark.parametrize("boundary", ["neumann", "dirichlet_zero"])
+def test_untilted_matrix_is_exactly_symmetric(name, boundary):
+    # one sigma per face, shared by the two nodes beside it
+    nodes, h = dirichlet_nodes()
+    d0 = dense(flux_stencil(SETS[name], nodes, h, boundary), len(nodes))
+    assert np.array_equal(d0, d0.T)
+
+
+def test_smooth_sigma_is_sampled_at_face_midpoints():
+    nodes, h = dirichlet_nodes()
+    sigma = SETS["cosine"].sigma
+    faces = np.append(nodes - 0.5 * h, nodes[-1] + 0.5 * h)
+    np.testing.assert_allclose(face_sigma(SETS["cosine"], nodes, h, "dirichlet"),
+                               sigma(faces), rtol=1e-14)
+    np.testing.assert_allclose(face_sigma(SETS["cosine"], nodes, h, "periodic"),
+                               sigma(nodes + 0.5 * h), rtol=0.0, atol=0.0)
+
+
+def harmonic_by_quadrature(spec, a, h):
+    """((1/h) int_a^{a+h} 1/spec)^-1 by adaptive quadrature split at the jumps."""
+    L = spec.period
+    jumps = [b + j * L for j in range(int(np.floor(a / L)), int(np.ceil((a + h) / L)) + 1)
+             for b in spec.breakpoints]
+    cuts = [a] + sorted(x for x in jumps if a < x < a + h) + [a + h]
+    total = sum(quad(lambda x: 1.0 / spec(x), lo, hi, epsabs=1e-14, epsrel=1e-13)[0]
+                for lo, hi in zip(cuts[:-1], cuts[1:]))
+    return h / total
+
+
+@pytest.mark.parametrize("left, h", [
+    (0.28, 0.05),          # straddles the jump at 0.3
+    (0.4, 0.05),           # inside one piece
+    (0.98, 0.05),          # wraps around the period, across the jump at 0 = 1
+    (-1.72, 0.05),         # straddles 0.3 two periods to the left
+    (0.25, 0.45),          # spans a whole piece
+    (0.1, 2.5),            # longer than the period
+])
+def test_piecewise_face_is_the_harmonic_cell_mean(left, h):
+    cs = SETS["piecewise"]
+    face, = face_sigma(cs, np.array([left]), h, "periodic")
+    assert face == pytest.approx(harmonic_by_quadrature(cs.sigma, left, h), abs=1e-12)
+
+
+def test_piecewise_face_inside_one_piece_is_its_value():
+    cs = SETS["piecewise"]
+    nodes = np.array([0.05, 0.35, 0.7, 3.4])
+    assert np.array_equal(face_sigma(cs, nodes, 0.1, "periodic"), [1.0, 0.6, 1.4, 0.6])
