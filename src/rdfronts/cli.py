@@ -96,6 +96,13 @@ def _report(paths, verbose: bool) -> None:
         print(p)
 
 
+def _print_counts(command: str, counts: dict) -> None:
+    """One JSON line of solver counts on stderr (--verbose); no timings, and
+    never part of an artifact."""
+    json.dump(dict(command=command, **counts), sys.stderr)
+    sys.stderr.write("\n")
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 def run_eigen(config: dict, out: str, jobs: int, verbose: bool) -> list:
@@ -118,7 +125,7 @@ def run_eigen(config: dict, out: str, jobs: int, verbose: bool) -> list:
         res = eigen.k_of_lambda(cs, float(lam), grid, tol)
         path = f"{out}_profile_{i}.csv"
         write_csv(path, ("x", "phi", "psi"),
-                  zip(res.h * np.arange(res.n_cells), res.phi, res.psi),
+                  (res.h * np.arange(res.n_cells), res.phi, res.psi),
                   [f"config_hash={tag}", f"lambda={lam!r}", f"k={res.value!r}"])
         paths.append(path)
     return paths
@@ -157,22 +164,19 @@ def run_speed(config: dict, out: str, jobs: int, verbose: bool) -> list:
     report = speeds.spreading_speeds(cs, grid, lam_tol, k_tol)
     curve = eigen.k_curve(cs, lams, grid, k_tol)
     if verbose:
-        json.dump({"command": "speed",
-                   "k_evals": dict(report.evaluations, curve=len(curve)),
-                   "levels": dict(report.levels, curve=sum(r.levels for r in curve)),
-                   "finest_cells": dict(report.finest_cells,
-                                        curve=max((r.n_cells for r in curve), default=0))},
-                  sys.stderr)
-        sys.stderr.write("\n")
+        _print_counts("speed", {
+            "k_evals": dict(report.evaluations, curve=len(curve)),
+            "levels": dict(report.levels, curve=sum(r.levels for r in curve)),
+            "finest_cells": dict(report.finest_cells,
+                                 curve=max((r.n_cells for r in curve), default=0))})
     payload = report.to_dict()
     payload["config_hash"] = tag
     paths = [f"{out}_speed.json", f"{out}_kcurve.csv"]
     _write_json(paths[0], payload)
-    rows = []
-    for lam, res in zip(lams, curve):
-        over = res.value / lam if lam != 0 else float("nan")
-        rows.append((lam, res.value, over))
-    write_csv(paths[1], ("lambda", "k", "k_over_lambda"), rows, [f"config_hash={tag}"])
+    k = [res.value for res in curve]
+    over = [kv / lam if lam != 0 else float("nan") for lam, kv in zip(lams, k)]
+    write_csv(paths[1], ("lambda", "k", "k_over_lambda"), (lams, k, over),
+              [f"config_hash={tag}"])
     return paths
 
 
@@ -199,6 +203,8 @@ def run_ode(config: dict, out: str, jobs: int, verbose: bool) -> list:
 
     analysis = ode.analyze(p)
     traj = ode.integrate(p, u0, v0, T, dt)
+    if verbose:
+        _print_counts("ode", {"steps": len(traj.t) - 1})
     lyap = None
     if analysis.lyapunov_K is not None and np.all(traj.u > 0) and np.all(traj.v > 0):
         lyap = ode.lyapunov_value(traj.u, traj.v, *analysis.equilibrium, analysis.lyapunov_K)
@@ -259,6 +265,8 @@ def run_simulate(config: dict, out: str, jobs: int, verbose: bool) -> list:
 
     result = pde.simulate(cs, domain, init, T, dt, record_every,
                           theta=theta, snapshot_every=snapshot_every)
+    if verbose:
+        _print_counts("simulate", result.counts)
     measurement = pde.measure_speed(result.trace, window)
     paths = []
     for i, snap in enumerate(result.snapshots):
@@ -282,7 +290,7 @@ def run_simulate(config: dict, out: str, jobs: int, verbose: bool) -> list:
         "boundary_trust_warning": (result.trusted_until_right != np.inf
                                    or result.trusted_until_left != np.inf),
         "mass_max": result.state.mass_max,
-        "max_clip": result.max_clip,
+        "max_clip": result.counts["max_clip"],
     }
     report_path = f"{out}_speeds.json"
     _write_json(report_path, payload)
@@ -302,9 +310,13 @@ def run_stationary(config: dict, out: str, jobs: int, verbose: bool) -> list:
     tol = _number(config, "tolerance", "stationary config", 1e-9, positive=True)
     t_max = _number(config, "t_max", "stationary config", 4000.0, positive=True)
     tag = config_hash(config)
-    nodes, u, v = pde.stationary_profile(cs, n_cells=n_cells, tol=tol, t_max=t_max)
+    counts = {}
+    nodes, u, v = pde.stationary_profile(cs, n_cells=n_cells, tol=tol, t_max=t_max,
+                                         counts=counts)
+    if verbose:
+        _print_counts("stationary", counts)
     path = f"{out}_stationary.csv"
-    write_csv(path, ("x", "u", "v"), zip(nodes, u, v), [f"config_hash={tag}"])
+    write_csv(path, ("x", "u", "v"), (nodes, u, v), [f"config_hash={tag}"])
     return [path]
 
 
@@ -372,7 +384,7 @@ def run_sweep(config: dict, out: str, jobs: int, verbose: bool) -> list:
     path = f"{out}_sweep.csv"
     write_csv(path, ("epsilon", "c_right", "c_left", "target",
                      "gap_right", "gap_left", "error"),
-              rows, [f"config_hash={tag}"])
+              list(zip(*rows)), [f"config_hash={tag}"])
     return [path]
 
 

@@ -461,12 +461,11 @@ def dirichlet_sweep(cs: CoefficientSet, radii: Sequence[float],
 
 def write_k_curve_csv(path, lambdas: Sequence[float], results: Sequence[EigenResult],
                       comments: Sequence[str] = ()) -> None:
-    rows = [(lam, r.value, r.residual, str(r.n_cells))
-            for lam, r in zip(lambdas, results)]
-    write_csv(path, ("lambda", "k", "residual", "n_cells"), rows, comments)
+    write_csv(path, ("lambda", "k", "residual", "n_cells"),
+              (lambdas, [r.value for r in results], [r.residual for r in results],
+               [str(r.n_cells) for r in results]), comments)
 
 
 def write_dirichlet_csv(path, radii: Sequence[float], results: Sequence[EigenResult],
                         comments: Sequence[str] = ()) -> None:
-    rows = [(R, r.value) for R, r in zip(radii, results)]
-    write_csv(path, ("R", "lambda1R"), rows, comments)
+    write_csv(path, ("R", "lambda1R"), (radii, [r.value for r in results]), comments)

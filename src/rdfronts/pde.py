@@ -2,10 +2,14 @@
 
 Time stepping is IMEX: the conservative-flux diffusion, built by
 ``stencil.flux_stencil`` exactly as in the eigen module, is advanced by
-backward Euler (one banded LU factorization, reused every step), the
-reaction and mutation terms explicitly.  The implicit diffusion matrix is an
-M-matrix whose rows sum to one under no-flux boundaries, so each step is a
-sup-norm contraction and the discrete solution inherits the comparison bound
+backward Euler, the reaction and mutation terms explicitly.  The pair (u, v)
+is held as one (n, 2) array, so one solve serves both species.  The implicit
+matrix I - dt D is factored once per run: on the line (neumann and
+dirichlet_zero ends) it is symmetric positive definite and tridiagonal, and
+is factored as L D L^T by LAPACK ``dpttrf``/``dpttrs``; on the periodic
+stationary cell it keeps a sparse LU.  It is an M-matrix whose rows sum to
+one under no-flux boundaries, so each step is a sup-norm contraction and the
+discrete solution inherits the comparison bound
 u+v <= max(r_max/kappa_min, initial sup) up to rounding.  Every driver steps
 through ``Stepper.run``, which checks that bound after each step.
 
@@ -16,6 +20,7 @@ empirical spreading speed.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -23,6 +28,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .coefficients import CoefficientSet
 from .errors import InvariantBreachError, NumericalError, PreconditionError, ValidationError
@@ -152,13 +158,33 @@ def front_positions(u: np.ndarray, v: np.ndarray, nodes: np.ndarray,
     return float(nodes[idx[-1]]), float(nodes[idx[0]])
 
 
+def _ldlt_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Every column of rhs solved against the L D L^T factor (diag, upper) that
+    ``dpttrf`` returned, into a new array."""
+    x, info = dpttrs(diag, upper, rhs)
+    if info != 0:
+        raise NumericalError(f"tridiagonal solve failed (dpttrs info={info})")
+    return x
+
+
 class Stepper:
     """IMEX integrator bound to one coefficient set, grid and step size.
 
     The requested dt is split into equal substeps until the explicit reaction
-    satisfies dt * Lipschitz <= 0.25; the backward-Euler diffusion factor is
-    built once.  amplitude_bound is the comparison bound max(K_bar, sup(u0+v0))
-    of the run: it enters the Lipschitz estimate, and ``run`` checks it.
+    satisfies dt * Lipschitz <= 0.25.  The state is one Fortran-ordered (n, 2)
+    array w = [u, v]; the reaction is formed from per-stepper coefficient
+    columns into preallocated buffers, and both species are then solved
+    together against the backward-Euler matrix I - dt_sub * D, factored once
+    here.  For the neumann and dirichlet_zero ends that matrix is symmetric
+    positive definite and tridiagonal (``stencil.face_sigma`` shares one
+    sigma per face), so it is factored as L D L^T by LAPACK ``dpttrf`` and
+    solved by ``dpttrs``; the periodic cell, whose matrix has corner entries,
+    keeps a sparse LU (``splu``).  The choice is made here, once:
+    ``solve(rhs)`` returns the solution for an (n, 2) rhs as a new array.
+    amplitude_bound is the comparison bound max(K_bar, sup(u0+v0)) of the
+    run: it enters the Lipschitz estimate, and ``run`` checks it.  steps
+    counts the full steps ``run`` took, max_clip the largest negative part
+    clipped.
     """
 
     def __init__(self, cs: CoefficientSet, nodes: np.ndarray, h: float,
@@ -167,61 +193,95 @@ class Stepper:
             raise ValidationError("dt must be positive")
         self.boundary = boundary
         self.bound = amplitude_bound
-        self.ru = cs.r_u(nodes)
-        self.rv = cs.r_v(nodes)
-        self.ku = cs.kappa_u(nodes)
-        self.kv = cs.kappa_v(nodes)
-        self.mu = cs.mu_u(nodes)
-        self.mv = cs.mu_v(nodes)
-        r_abs = max(abs(float(np.max(self.ru))), abs(float(np.min(self.ru))),
-                    abs(float(np.max(self.rv))), abs(float(np.min(self.rv))))
-        kappa_max = max(float(np.max(self.ku)), float(np.max(self.kv)))
-        mu_max = max(float(np.max(self.mu)), float(np.max(self.mv)))
+        ru, rv = cs.r_u(nodes), cs.r_v(nodes)
+        ku, kv = cs.kappa_u(nodes), cs.kappa_v(nodes)
+        mu, mv = cs.mu_u(nodes), cs.mu_v(nodes)
+        r_abs = max(abs(float(np.max(ru))), abs(float(np.min(ru))),
+                    abs(float(np.max(rv))), abs(float(np.min(rv))))
+        kappa_max = max(float(np.max(ku)), float(np.max(kv)))
+        mu_max = max(float(np.max(mu)), float(np.max(mv)))
         lipschitz = r_abs + 2.0 * mu_max + 3.0 * kappa_max * max(amplitude_bound, 0.0)
         self.substeps = max(1, int(np.ceil(dt * lipschitz / REACTION_CFL)))
         self.dt = dt
         self.dt_sub = dt / self.substeps
         n = len(nodes)
+
+        # Reaction of w = [u, v], with dt_sub folded into the coefficients:
+        # w + (dt_sub (r - m_out) - dt_sub kappa s) w + dt_sub m_in w_swapped,
+        # where s = u + v, m_out = [mu_u, mu_v] and m_in = [mu_v, mu_u].
+        def columns(a, b):
+            return np.asfortranarray(np.column_stack([a, b]))
+
+        self._growth = self.dt_sub * columns(ru - mu, rv - mv)
+        self._kappa = self.dt_sub * columns(ku, kv)
+        self._inflow = self.dt_sub * columns(mv, mu)
+        self._sum = np.empty(n)
+        self._buf = np.empty((n, 2), order="F")
+        self._swap_buf = np.empty((n, 2), order="F")
+
         rows, cols, data = flux_stencil(cs, nodes, h, boundary)
-        flux = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-        system = (sp.identity(n, format="csc") - self.dt_sub * flux).tocsc()
-        self.solver = spla.splu(system)
+        if boundary == "periodic":
+            flux = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+            system = (sp.identity(n, format="csc") - self.dt_sub * flux).tocsc()
+            self.solve = spla.splu(system).solve
+        else:
+            # flux_stencil lists the n diagonal entries, then the n-1
+            # couplings to node i+1: the diagonal and super-diagonal.
+            diag, upper, info = dpttrf(1.0 - self.dt_sub * data[:n],
+                                       -self.dt_sub * data[n:2 * n - 1])
+            if info != 0:
+                raise NumericalError(f"I - dt*D is not positive definite (dpttrf info={info})")
+            self.solve = functools.partial(_ldlt_solve, diag, upper)
+        self.steps = 0
         self.max_clip = 0.0
 
-    def advance(self, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """One full dt step (reaction explicit, diffusion implicit, clip at 0).
+    def advance(self, w: np.ndarray) -> np.ndarray:
+        """One full dt step of the (n, 2) state w = [u, v] (reaction explicit,
+        diffusion implicit, clip at 0).
 
-        Returns new arrays and never writes to u or v."""
+        Returns a new array and never writes to w."""
+        s, buf, swap = self._sum, self._buf, self._swap_buf
         for _ in range(self.substeps):
-            s = u + v
-            ru = u + self.dt_sub * ((self.ru - self.ku * s) * u + self.mv * v - self.mu * u)
-            rv = v + self.dt_sub * ((self.rv - self.kv * s) * v + self.mu * u - self.mv * v)
-            out = self.solver.solve(np.column_stack([ru, rv]))
-            u, v = out[:, 0], out[:, 1]
-            low = min(float(u.min()), float(v.min()))
+            np.add(w[:, 0], w[:, 1], out=s)
+            np.multiply(self._kappa, s[:, None], out=buf)
+            np.subtract(self._growth, buf, out=buf)
+            np.multiply(buf, w, out=buf)
+            np.multiply(self._inflow, w[:, ::-1], out=swap)
+            np.add(buf, swap, out=buf)
+            np.add(buf, w, out=buf)
+            w = self.solve(buf)
+            low = float(w.min())
             if low < 0.0:
                 self.max_clip = max(self.max_clip, -low)
-                np.clip(u, 0.0, None, out=u)
-                np.clip(v, 0.0, None, out=v)
+                np.maximum(w, 0.0, out=w)
             if self.boundary == "dirichlet_zero":
-                u[0] = u[-1] = 0.0
-                v[0] = v[-1] = 0.0
-        return u, v
+                w[[0, -1]] = 0.0
+        return w
 
     def run(self, u: np.ndarray, v: np.ndarray,
             n_steps: int) -> Iterator[Tuple[int, np.ndarray, np.ndarray, float]]:
         """Advance n_steps full steps, yielding (i, u, v, sup(u+v)) after step i.
 
-        This is the only caller of ``advance``.  Raises InvariantBreachError
-        when sup(u+v) passes the comparison bound by more than BOUND_SLACK.
+        This is the only caller of ``advance``.  Each yielded u, v are the
+        columns of a new state array, so a caller may keep them across steps.
+        Raises InvariantBreachError when sup(u+v) passes the comparison bound
+        by more than BOUND_SLACK, or is NaN.
         """
+        w = np.asfortranarray(np.column_stack([u, v]))
         for i in range(1, n_steps + 1):
-            u, v = self.advance(u, v)
-            mass = float(np.max(u + v))
-            if mass > self.bound + BOUND_SLACK:
+            w = self.advance(w)
+            self.steps += 1
+            u, v = w[:, 0], w[:, 1]
+            mass = float(np.add(u, v, out=self._sum).max())
+            if not mass <= self.bound + BOUND_SLACK:      # NaN fails too
                 raise InvariantBreachError(f"u+v reached {mass} at t={i * self.dt}, above "
                                            f"the comparison bound {self.bound}")
             yield i, u, v, mass
+
+    def counts(self) -> dict:
+        """Full steps and substeps taken by ``run`` so far, and the largest clip."""
+        return {"steps": self.steps, "substeps": self.steps * self.substeps,
+                "max_clip": self.max_clip}
 
 
 @dataclass
@@ -235,7 +295,7 @@ class SimulationResult:
     theta: float
     trusted_until_right: float
     trusted_until_left: float
-    max_clip: float
+    counts: dict                 # Stepper.counts(): steps, substeps, max_clip
 
 
 def default_threshold(cs: CoefficientSet, u0: np.ndarray, v0: np.ndarray) -> float:
@@ -326,7 +386,7 @@ def simulate(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
                             nodes=nodes, theta=theta,
                             trusted_until_right=trusted[0],
                             trusted_until_left=trusted[1],
-                            max_clip=stepper.max_clip)
+                            counts=stepper.counts())
 
 
 # -- speed measurement --------------------------------------------------------
@@ -392,13 +452,15 @@ def measure_speed(trace: FrontTrace, window: float = 0.5) -> SpeedMeasurement:
 # -- stationary profiles and convergence behind the front ---------------------
 
 def stationary_profile(cs: CoefficientSet, n_cells: int = 512, tol: float = 1e-9,
-                       t_max: float = 4000.0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       t_max: float = 4000.0, counts: Optional[dict] = None
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive stationary pair on one period cell with periodic boundary.
 
     Integrates from the constant pair (K_bar/2, K_bar/2) until the discrete
     time derivative drops below tol.  The IMEX fixed point solves the
     discrete stationary system exactly, so the result does not depend on the
-    time step STATIONARY_DT.  Returns (nodes, u_profile, v_profile).
+    time step STATIONARY_DT.  Returns (nodes, u_profile, v_profile); a dict
+    passed as counts receives ``Stepper.counts()`` of the iteration.
     """
     if n_cells < 16:
         raise ValidationError("n_cells must be at least 16")
@@ -416,6 +478,8 @@ def stationary_profile(cs: CoefficientSet, n_cells: int = 512, tol: float = 1e-9
         rate = max(float(np.max(np.abs(un - u))), float(np.max(np.abs(vn - v)))) / dt
         u, v = un, vn
         if rate < tol:
+            if counts is not None:
+                counts.update(stepper.counts())
             return nodes, u, v
     raise NumericalError(f"stationary profile did not settle below {tol} by t={t_max}")
 
@@ -515,9 +579,9 @@ def write_snapshot_csv(path, nodes: np.ndarray, state: FieldState,
                        comments: Sequence[str] = ()) -> None:
     """Snapshot CSV x,u,v preceded by a t=<value> header comment."""
     all_comments = list(comments) + [f"t={state.t!r}"]
-    write_csv(path, ("x", "u", "v"), zip(nodes, state.u, state.v), all_comments)
+    write_csv(path, ("x", "u", "v"), (nodes, state.u, state.v), all_comments)
 
 
 def write_front_trace_csv(path, trace: FrontTrace, comments: Sequence[str] = ()) -> None:
     write_csv(path, ("t", "x_right", "x_left"),
-              zip(trace.t, trace.x_right, trace.x_left), comments)
+              (trace.t, trace.x_right, trace.x_left), comments)

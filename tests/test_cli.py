@@ -34,7 +34,7 @@ def run(tmp_path, command, payload, out="out", **flags):
     cfg = write_config(tmp_path, payload, f"{command}.json")
     argv = [command, "--config", cfg, "--out", str(tmp_path / out)]
     for key, val in flags.items():
-        argv += [f"--{key}", str(val)]
+        argv += [f"--{key}"] if val is True else [f"--{key}", str(val)]
     return main(argv)
 
 
@@ -66,6 +66,10 @@ DETERMINISM_PAYLOADS = {
                  "initial": {"kind": "compact_bump", "amplitude": 0.5,
                              "center": 5.0, "width": 2.0},
                  "T": 1.0, "dt": 0.01, "record_every": 0.1, "snapshot_every": 0.5},
+    "stationary": {"coefficients": HOMOG_COEFFS, "n_cells": 64},
+    "ode": {"params": {"sigma": 1.0, "r_u": 1.0, "r_v": 1.0, "kappa_u": 1.0,
+                       "kappa_v": 1.0, "mu_u": 0.25, "mu_v": 0.25},
+            "u0": 0.9, "v0": 0.1, "T": 1.0, "dt": 0.001},
 }
 
 
@@ -73,10 +77,11 @@ DETERMINISM_PAYLOADS = {
 def test_deterministic_outputs(tmp_path, command):
     # eigen and dirichlet build on the shared flux stencil through the
     # eigen module, simulate through the pde Stepper; speed runs the speed
-    # search and the curve dump on eigen's warm-started chains.
+    # search and the curve dump on eigen's warm-started chains.  The second
+    # run is verbose: the counts it prints never reach the files.
     payload = DETERMINISM_PAYLOADS[command]
     assert run(tmp_path, command, payload, out="a") == 0
-    assert run(tmp_path, command, payload, out="b") == 0
+    assert run(tmp_path, command, payload, out="b", verbose=True) == 0
     a_files = sorted(p.name[2:] for p in tmp_path.glob("a_*"))
     assert a_files and a_files == sorted(p.name[2:] for p in tmp_path.glob("b_*"))
     if command == "speed":
@@ -174,6 +179,23 @@ def test_speed_verbose_reports_k_evals_on_stderr(tmp_path, capsys):
     for suffix in ("speed.json", "kcurve.csv"):
         assert ((tmp_path / f"loud_{suffix}").read_bytes()
                 == (tmp_path / f"quiet_{suffix}").read_bytes())
+
+
+@pytest.mark.parametrize("command, steps", [("simulate", 100), ("stationary", 1),
+                                            ("ode", 1000)])
+def test_verbose_reports_step_counts_on_stderr(tmp_path, capsys, command, steps):
+    payload = DETERMINISM_PAYLOADS[command]
+    assert run(tmp_path, command, payload, out="quiet") == 0
+    assert capsys.readouterr().err == ""
+    assert run(tmp_path, command, payload, out="loud", verbose=True) == 0
+    line, = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record.pop("command") == command
+    if command == "ode":
+        assert record == {"steps": steps}
+    else:
+        # the homogeneous set needs one substep per step at these dt
+        assert record == {"steps": steps, "substeps": steps, "max_clip": 0.0}
 
 
 def test_cli_import_leaves_scipy_optimize_out():

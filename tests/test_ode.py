@@ -310,6 +310,43 @@ def test_neutral_case_norm_decreases():
     assert np.all(np.diff(norms) <= 1e-12)
 
 
+def rk4_reference(p, u0, v0, n_steps, dt):
+    """integrate's loop as first written: rhs called at each stage."""
+    t, u, v = [0.0], [u0], [v0]
+    clipped = False
+    cu, cv = float(u0), float(v0)
+    for i in range(1, n_steps + 1):
+        k1u, k1v = rhs(p, cu, cv)
+        k2u, k2v = rhs(p, cu + 0.5 * dt * k1u, cv + 0.5 * dt * k1v)
+        k3u, k3v = rhs(p, cu + 0.5 * dt * k2u, cv + 0.5 * dt * k2v)
+        k4u, k4v = rhs(p, cu + dt * k3u, cv + dt * k3v)
+        cu += dt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
+        cv += dt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        if cu < 0:
+            clipped = clipped or cu < -1e-14
+            cu = 0.0
+        if cv < 0:
+            clipped = clipped or cv < -1e-14
+            cv = 0.0
+        t.append(i * dt)
+        u.append(cu)
+        v.append(cv)
+    return np.array(t), np.array(u), np.array(v), clipped
+
+
+@pytest.mark.parametrize("p, u0, v0, dt, clips", [
+    (HomParams(1.0, 1.1, 0.9, 1.05, 0.95, 0.4, 0.6), 0.2, 0.3, 1e-3, False),
+    # stiff competition from a large v0 at a coarse step undershoots u below 0
+    (HomParams(1, 1, 1, 5, 1, 0.01, 0.01), 0.5, 10.0, 0.2, True),
+])
+def test_integrate_is_bitwise_the_rhs_loop(p, u0, v0, dt, clips):
+    traj = integrate(p, u0, v0, 2000 * dt, dt)
+    t, u, v, clipped = rk4_reference(p, u0, v0, 2000, dt)
+    assert traj.clipped == clipped == clips
+    for got, want in ((traj.t, t), (traj.u, u), (traj.v, v)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_integrator_validation():
     with pytest.raises(ValidationError):
         integrate(SYMMETRIC, -0.1, 0.1, 1.0)

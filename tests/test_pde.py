@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from rdfronts import pde
 from rdfronts.coefficients import (
@@ -33,6 +35,7 @@ from rdfronts.pde import (
     write_front_trace_csv,
     write_snapshot_csv,
 )
+from rdfronts.stencil import flux_stencil
 
 HOMOG = constant_set(sigma=1.0, r_u=1.0, r_v=1.0, mu_u=0.5, mu_v=0.5)
 
@@ -181,6 +184,110 @@ def test_every_driver_checks_the_comparison_bound(monkeypatch):
     with pytest.raises(InvariantBreachError):
         convergence_behind_front(HOMOG, dom, init, c_probe=1.0, T=1.0, dt=0.01,
                                  sample_every=0.5, target=target)
+
+
+def test_nan_state_breaches_the_bound():
+    dom = DomainSpec(-20, 20, 256)
+    u = np.full(256, 0.1)
+    u[100] = np.nan
+    with pytest.raises(InvariantBreachError):
+        one_step(HOMOG, u, np.full(256, 0.1), 0.01, dom, HOMOG.k_bar)
+
+
+# -- the factored diffusion solve ---------------------------------------------------
+
+SIGMAS = {
+    "cosine": CoefficientSpec.cosine(1.0, 0.3, 0.7),
+    "piecewise_constant": CoefficientSpec.piecewise([0.0, 0.3], [1.0, 0.4]),
+}
+
+
+def grid(boundary):
+    """(nodes, h) of a 256-node line, or of a 200-cell periodic cell."""
+    if boundary == "periodic":
+        return np.arange(200) / 200.0, 1.0 / 200.0
+    dom = DomainSpec(-10.0, 10.0, 256, boundary)
+    return dom.nodes(), dom.h
+
+
+def stepper_set(sigma):
+    return cosine_set(sigma=SIGMAS[sigma], r_u=CoefficientSpec.cosine(1.0, 0.4, 0.3),
+                      mu_v=CoefficientSpec.cosine(0.5, 0.2, 1.1))
+
+
+class SpluStepper:
+    """Reference IMEX loop: the reaction one species at a time, then both
+    species solved against a SuperLU factor of I - dt_sub * D."""
+
+    def __init__(self, cs, nodes, h, boundary, dt_sub, substeps):
+        n = len(nodes)
+        rows, cols, data = flux_stencil(cs, nodes, h, boundary)
+        flux = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+        self.lu = spla.splu((sp.identity(n, format="csc") - dt_sub * flux).tocsc())
+        self.coef = [f(nodes) for f in (cs.r_u, cs.r_v, cs.kappa_u, cs.kappa_v,
+                                        cs.mu_u, cs.mu_v)]
+        self.boundary, self.dt, self.substeps = boundary, dt_sub, substeps
+
+    def step(self, u, v):
+        ru, rv, ku, kv, mu, mv = self.coef
+        for _ in range(self.substeps):
+            s = u + v
+            a = u + self.dt * ((ru - ku * s) * u + mv * v - mu * u)
+            b = v + self.dt * ((rv - kv * s) * v + mu * u - mv * v)
+            out = np.clip(self.lu.solve(np.column_stack([a, b])), 0.0, None)
+            if self.boundary == "dirichlet_zero":
+                out[[0, -1]] = 0.0
+            u, v = out[:, 0], out[:, 1]
+        return u, v
+
+
+@pytest.mark.parametrize("sigma", sorted(SIGMAS))
+@pytest.mark.parametrize("boundary", ["neumann", "dirichlet_zero", "periodic"])
+def test_factored_solve_matches_dense_solve(boundary, sigma):
+    cs = stepper_set(sigma)
+    nodes, h = grid(boundary)
+    n = len(nodes)
+    stepper = Stepper(cs, nodes, h, boundary, 0.05, 1.0)
+    rows, cols, data = flux_stencil(cs, nodes, h, boundary)
+    dense = np.zeros((n, n))
+    np.add.at(dense, (rows, cols), data)
+    rhs = np.asfortranarray(np.random.default_rng(7).uniform(-1.0, 1.0, (n, 2)))
+    expected = np.linalg.solve(np.eye(n) - stepper.dt_sub * dense, rhs)
+    got = stepper.solve(rhs)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.2])
+@pytest.mark.parametrize("boundary", ["neumann", "dirichlet_zero", "periodic"])
+def test_stepper_matches_splu_reference(boundary, dt):
+    cs = stepper_set("cosine")
+    nodes, h = grid(boundary)
+    u, v = build_initial(InitialData("compact_bump", 1.2, center=nodes[len(nodes) // 2],
+                                     width=0.3 * (nodes[-1] - nodes[0])), nodes)
+    stepper = Stepper(cs, nodes, h, boundary, dt, max(cs.k_bar, float(np.max(u + v))))
+    assert dt < 0.2 or stepper.substeps > 1
+    reference = SpluStepper(cs, nodes, h, boundary, stepper.dt_sub, stepper.substeps)
+    ru, rv = u, v
+    for _, u, v, _ in stepper.run(u, v, 200):
+        ru, rv = reference.step(ru, rv)
+    assert max(np.max(np.abs(u - ru)), np.max(np.abs(v - rv))) <= 1e-12
+
+
+@pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+def test_stepper_hands_out_fresh_arrays(boundary):
+    cs = stepper_set("cosine")
+    nodes, h = grid(boundary)
+    u, v = build_initial(InitialData("periodic_pair", 0.4), nodes)
+    stepper = Stepper(cs, nodes, h, boundary, 0.05, cs.k_bar)
+    steps = list(stepper.run(u, v, 3))
+    for (_, u0, v0, _), (_, u1, v1, _) in zip(steps, steps[1:]):
+        assert not any(np.shares_memory(a, b) for a in (u0, v0) for b in (u1, v1))
+    w = np.asfortranarray(np.column_stack([u, v]))
+    before = w.copy()
+    out = stepper.advance(w)
+    assert np.array_equal(w, before) and not np.shares_memory(out, w)
+    assert stepper.counts() == {"steps": 3, "substeps": 3 * stepper.substeps,
+                                "max_clip": 0.0}
 
 
 # -- front measurement ----------------------------------------------------------------
