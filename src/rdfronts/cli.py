@@ -103,6 +103,15 @@ def _print_counts(command: str, counts: dict) -> None:
     sys.stderr.write("\n")
 
 
+def _eigen_counts(results) -> dict:
+    """Perron iterations, LU factorizations and grid levels summed over the
+    eigenvalue solves, and the finest cell count among them."""
+    return {"iterations": sum(r.iterations for r in results),
+            "factorizations": sum(r.factorizations for r in results),
+            "levels": sum(r.levels for r in results),
+            "finest_cells": max(r.n_cells for r in results)}
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 def run_eigen(config: dict, out: str, jobs: int, verbose: bool) -> list:
@@ -119,10 +128,12 @@ def run_eigen(config: dict, out: str, jobs: int, verbose: bool) -> list:
     tag = config_hash(config)
 
     results = eigen.k_curve(cs, lams, grid, tol)
+    profiles = [eigen.k_of_lambda(cs, float(lam), grid, tol) for lam in profile_lams]
+    if verbose:
+        _print_counts("eigen", _eigen_counts(results + profiles))
     paths = [f"{out}_kcurve.csv"]
     eigen.write_k_curve_csv(paths[0], lams, results, [f"config_hash={tag}"])
-    for i, lam in enumerate(profile_lams):
-        res = eigen.k_of_lambda(cs, float(lam), grid, tol)
+    for i, (lam, res) in enumerate(zip(profile_lams, profiles)):
         path = f"{out}_profile_{i}.csv"
         write_csv(path, ("x", "phi", "psi"),
                   (res.h * np.arange(res.n_cells), res.phi, res.psi),
@@ -143,6 +154,8 @@ def run_dirichlet(config: dict, out: str, jobs: int, verbose: bool) -> list:
         raise ValidationError("radii must be a nonempty list of positive numbers")
     tag = config_hash(config)
     results = eigen.dirichlet_sweep(cs, radii, grid, tol)
+    if verbose:
+        _print_counts("dirichlet", _eigen_counts(results))
     path = f"{out}_dirichlet.csv"
     eigen.write_dirichlet_csv(path, radii, results, [f"config_hash={tag}"])
     return [path]
@@ -167,6 +180,8 @@ def run_speed(config: dict, out: str, jobs: int, verbose: bool) -> list:
         _print_counts("speed", {
             "k_evals": dict(report.evaluations, curve=len(curve)),
             "levels": dict(report.levels, curve=sum(r.levels for r in curve)),
+            "factorizations": dict(report.factorizations,
+                                   curve=sum(r.factorizations for r in curve)),
             "finest_cells": dict(report.finest_cells,
                                  curve=max((r.n_cells for r in curve), default=0))})
     payload = report.to_dict()

@@ -16,20 +16,30 @@ therefore stay positive for every lambda and h, and the matrix is Metzler and
 irreducible, so the Perron root and a componentwise positive eigenvector
 exist on the discrete level exactly as in the continuous theory.  The slope
 k'(lambda) follows from the right and left Perron vectors (``tilt_slope``).
+
+Only those flux couplings depend on lambda.  An ``OperatorSkeleton`` holds
+the rest of the operator on one grid, and ``_operator`` tilts it into an
+operator that shares the grid's ``OperatorPattern``; a warm chain keeps the
+skeletons of its latest solve's grid levels.  The Perron
+iteration solves shifted systems with a banded LU (LAPACK dgbtrf/dgbtrs) in
+an order that interleaves the species and visits the periodic ring
+zig-zag, which keeps the band at 4 sub- and superdiagonals (2 on Dirichlet
+operators).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .coefficients import CoefficientSet
 from .errors import NumericalError, PreconditionError, ValidationError
-from .stencil import flux_stencil
+from .stencil import flux_parts, tilted_couplings
 from .util import write_csv
 
 REFINE_CAP = 2 ** 20          # hard cap on cells per period / interval
@@ -50,17 +60,133 @@ class GridSpec:
             raise ValidationError("n_cells must be at least 16")
 
 
+class _BandPattern:
+    """Where the stored entries of a 2n x 2n matrix go in LAPACK band storage.
+
+    The unknowns are put in band order: the two species interleaved, node by
+    node, and a periodic ring visited zig-zag (0, n-1, 1, n-2, ...), so that
+    ring neighbours, the wrap-around included, are at most two nodes apart.
+    perm[j] is the band position of unknown j and order its inverse.  An
+    entry (r, c) of a matrix with kl sub- and ku superdiagonals in this order
+    goes to row kl + ku + perm[r] - perm[c], column perm[c] of the
+    (2 kl + ku + 1) x 2n array dgbtrf factors; slots holds that position for
+    each entry, as a flat index into the transposed (C-ordered) array, and
+    diag_slots the entries on the diagonal.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int, boundary: str):
+        visit = np.arange(n, dtype=np.int32)
+        if boundary == "periodic":
+            visit[0::2], visit[1::2] = np.arange((n + 1) // 2), n - 1 - np.arange(n // 2)
+        node_pos = np.empty(n, dtype=np.int32)
+        node_pos[visit] = np.arange(n)
+        self.perm = np.concatenate([2 * node_pos, 2 * node_pos + 1])
+        self.order = np.argsort(self.perm).astype(np.int32)
+        self.rows = rows
+        self.diag_slots = np.flatnonzero(rows == cols).astype(np.int32)
+        below = self.perm[rows] - self.perm[cols]
+        self.kl, self.ku = int(below.max(initial=0)), int(-below.min(initial=0))
+        self.depth = 2 * self.kl + self.ku + 1
+        self.slots = self.perm[cols] * self.depth + (self.kl + self.ku) + below
+
+
+@dataclass(frozen=True)
+class OperatorPattern:
+    """The grid and CSR pattern that every coupled operator on one grid shares.
+
+    up_slots and down_slots are the positions of the flux couplings to node
+    i+1 and to node i-1 in the CSR data, for u and for v.  The band pattern
+    of the Perron solves and the weights of M'(lambda) = dM/dlambda relative
+    to M are built on first use and kept for every operator on the grid.
+    """
+
+    n: int
+    h: float
+    boundary: str
+    nodes: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    up_slots: np.ndarray          # (2, m)
+    down_slots: np.ndarray
+
+    @cached_property
+    def band(self) -> _BandPattern:
+        rows = np.repeat(np.arange(2 * self.n, dtype=np.int32), np.diff(self.indptr))
+        return _BandPattern(rows, self.indices, self.n, self.boundary)
+
+    @cached_property
+    def slope_weights(self) -> np.ndarray:
+        """M'.data / M.data: -h on the couplings to node i+1, +h on those to
+        node i-1, 0 elsewhere."""
+        weights = np.zeros(len(self.indices))
+        weights[self.up_slots], weights[self.down_slots] = -self.h, self.h
+        return weights
+
+
+@dataclass(frozen=True)
+class OperatorSkeleton:
+    """The lambda-independent part of the coupled operator on one grid.
+
+    Holds the grid's pattern, the CSR data with the coefficient samples
+    (diffusion diagonal plus reaction, mutation; zero on the couplings) and
+    the face sigma of the flux couplings.  Only the couplings depend on
+    lambda, through exp(-+lambda h), so _operator tilts a skeleton into any
+    operator on its grid.
+    """
+
+    pattern: OperatorPattern
+    data: np.ndarray
+    up_sigma: np.ndarray          # face sigma of the i -> i+1 couplings
+    down_sigma: np.ndarray        # face sigma of the i -> i-1 couplings
+
+
+def _skeleton(cs: CoefficientSet, n: int,
+              half_width: Optional[float] = None) -> OperatorSkeleton:
+    """Skeleton on n cells of one period, or on n interior nodes of (-R, R)
+    given half_width=R.  The CSR layout is that of the COO -> CSR build of
+    [u block, v block, u<-v, v<-u], each stencil block being flux_stencil's
+    diagonal (plus reaction minus mutation), up and down couplings."""
+    if half_width is None:
+        h = cs.period / n
+        nodes = h * np.arange(n)
+        boundary = "periodic"
+    else:
+        h = 2.0 * half_width / (n + 1)
+        nodes = -half_width + h * np.arange(1, n + 1)
+        boundary = "dirichlet"
+    rows, cols, diag, up, down = flux_parts(cs, nodes, h, boundary)
+    m, i = len(up), np.arange(n)
+    nnz = 2 * len(rows) + 2 * n
+    tags = sp.coo_matrix((np.arange(nnz, dtype=np.int32),
+                          (np.concatenate([rows, rows + n, i, n + i], dtype=np.int32),
+                           np.concatenate([cols, cols + n, n + i, i], dtype=np.int32))),
+                         shape=(2 * n, 2 * n)).tocsr()
+    source = tags.data                            # the COO entry behind each CSR slot
+    slot = np.empty_like(source)
+    slot[source] = np.arange(nnz, dtype=np.int32)
+    block = n + 2 * m                             # COO entries of one species block
+    pattern = OperatorPattern(n, h, boundary, nodes, tags.indices, tags.indptr,
+                              np.stack([slot[n:n + m], slot[block + n:block + n + m]]),
+                              np.stack([slot[n + m:block], slot[block + n + m:2 * block]]))
+    mu, mv = cs.mu_u(nodes), cs.mu_v(nodes)
+    couplings = np.zeros(2 * m)
+    values = np.concatenate([diag + (cs.r_u(nodes) - mu), couplings,
+                             diag + (cs.r_v(nodes) - mv), couplings, mv, mu])
+    return OperatorSkeleton(pattern, values[source], up, down)
+
+
 @dataclass(frozen=True)
 class DiscreteOperator:
     """Assembled 2n x 2n coupled operator (u unknowns first, then v)."""
 
     matrix: sp.csr_matrix
-    n: int
-    h: float
     lam: float
-    boundary: str
-    nodes: np.ndarray
-    cs: CoefficientSet
+    pattern: OperatorPattern
+
+    n = property(lambda self: self.pattern.n)
+    h = property(lambda self: self.pattern.h)
+    boundary = property(lambda self: self.pattern.boundary)
+    nodes = property(lambda self: self.pattern.nodes)
 
     @property
     def dimension(self) -> int:
@@ -81,6 +207,7 @@ class EigenResult:
     h: float
     rounding: float                          # 8 eps ||M||, the floor under the residual
     levels: int = 1                          # grid levels solved (1 for a single operator)
+    factorizations: int = 0                  # banded LU factorizations, summed like iterations
     slope: Optional[float] = None            # d value / d lambda, from k_of_lambda(slope=True)
     left: Optional[Tuple[np.ndarray, np.ndarray]] = None   # left Perron pair behind slope
 
@@ -100,29 +227,16 @@ def peclet_cells(cs: CoefficientSet, lam: float, n_cells: int, length: float) ->
                          f"the advection admissibility bound at lambda={lam}")
 
 
-def _operator(cs: CoefficientSet, lam: float, n: int,
-              half_width: Optional[float] = None) -> DiscreteOperator:
-    """Coupled operator on n cells of one period, or on n interior nodes of
-    (-R, R) given half_width=R.  Reaction goes onto copies of the stencil's
-    diagonal and the mutation couplings are appended: one COO -> CSR build."""
-    if half_width is None:
-        h = cs.period / n
-        nodes = h * np.arange(n)
-        boundary = "periodic"
-    else:
-        h = 2.0 * half_width / (n + 1)
-        nodes = -half_width + h * np.arange(1, n + 1)
-        boundary = "dirichlet"
-    rows, cols, data = flux_stencil(cs, nodes, h, boundary, lam)
-    diag, off = data[:n], data[n:]
-    mu, mv = cs.mu_u(nodes), cs.mu_v(nodes)
-    i = np.arange(n)
-    data = np.concatenate([diag + (cs.r_u(nodes) - mu), off,
-                           diag + (cs.r_v(nodes) - mv), off, mv, mu])
-    rows = np.concatenate([rows, rows + n, i, n + i])     # u block, v block, u<-v, v<-u
-    cols = np.concatenate([cols, cols + n, n + i, i])
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
-    return DiscreteOperator(matrix, n, h, lam, boundary, nodes, cs)
+def _operator(skeleton: OperatorSkeleton, lam: float) -> DiscreteOperator:
+    """The skeleton's operator at lambda: its couplings tilted by exp(-+lambda h)
+    and written into a copy of its data, on its CSR pattern.  The entries are
+    bitwise those of a COO -> CSR build from flux_stencil."""
+    grid = skeleton.pattern
+    data = skeleton.data.copy()
+    data[grid.up_slots], data[grid.down_slots] = tilted_couplings(
+        skeleton.up_sigma, skeleton.down_sigma, grid.h, lam)
+    matrix = sp.csr_matrix((data, grid.indices, grid.indptr), shape=(2 * grid.n, 2 * grid.n))
+    return DiscreteOperator(matrix, lam, grid)
 
 
 def build_operator(cs: CoefficientSet, lam: float, grid: GridSpec,
@@ -141,9 +255,9 @@ def build_operator(cs: CoefficientSet, lam: float, grid: GridSpec,
             raise ValidationError("the Dirichlet half-width R must be positive")
         if lam != 0.0:
             raise ValidationError("the Dirichlet eigenproblem is posed at lambda=0")
-        return _operator(cs, 0.0, grid.n_cells, half_width)
+        return _operator(_skeleton(cs, grid.n_cells, half_width), 0.0)
     n = peclet_cells(cs, lam, grid.n_cells, cs.period) if refine else grid.n_cells
-    return _operator(cs, lam, n)
+    return _operator(_skeleton(cs, n), lam)
 
 
 # -- Perron iteration --------------------------------------------------------
@@ -163,7 +277,7 @@ def _start_vector(op: DiscreteOperator, warm) -> np.ndarray:
 
 
 def _finalize(op: DiscreteOperator, w: np.ndarray, value: float, residual: float,
-              iterations: int, rounding: float) -> EigenResult:
+              iterations: int, factorizations: int, rounding: float) -> EigenResult:
     w = w / np.max(np.abs(w))
     if w[np.argmax(np.abs(w))] < 0:
         w = -w
@@ -172,31 +286,71 @@ def _finalize(op: DiscreteOperator, w: np.ndarray, value: float, residual: float
                              f"(min component {np.min(w):.3e})")
     return EigenResult(value=float(value), phi=w[:op.n].copy(), psi=w[op.n:].copy(),
                        lam=op.lam, iterations=iterations, residual=float(residual),
-                       n_cells=op.n, h=op.h, rounding=rounding)
+                       n_cells=op.n, h=op.h, rounding=rounding,
+                       factorizations=factorizations)
 
 
 def _rayleigh_and_residual(matrix, w) -> Tuple[float, float, np.ndarray]:
     mw = matrix @ w
     value = float(w @ mw) / float(w @ w)
-    residual = float(np.max(np.abs(mw - value * w))) / float(np.max(np.abs(w)))
+    residual = float(np.abs(mw - value * w).max()) / float(np.abs(w).max())
     return value, residual, mw
 
 
-def _negated_csc(matrix) -> Tuple[sp.csc_matrix, np.ndarray]:
-    """-M in canonical CSC form with every diagonal entry stored, and the
-    positions of the diagonal entries (column by column) in its data array."""
-    neg = (-matrix).tocsc()
-    neg.sum_duplicates()
+class _ShiftedBand:
+    """sI - M of a cooperative operator in LAPACK band storage, one shift at a time.
 
-    def diagonal_positions():
-        cols = np.repeat(np.arange(neg.shape[1], dtype=neg.indices.dtype), np.diff(neg.indptr))
-        return np.flatnonzero(neg.indices == cols)
+    An operator on its grid's CSR pattern takes the grid's band pattern.
+    Any other matrix, such as a transposed operator or one missing a stored
+    diagonal entry, gets a band pattern from its own sparsity pattern, in
+    the same unknown order.  The constructor checks that the off-diagonals
+    are nonnegative (ValidationError otherwise) and finds the far shift
+    max row sum + 1 and the norm max_i sum_j |M_ij|.  factor(s) factors
+    sI - M by dgbtrf (NumericalError on a zero pivot), and solve applies
+    its inverse by dgbtrs.
+    """
 
-    diag_pos = diagonal_positions()
-    if diag_pos.size < neg.shape[0]:
-        neg.setdiag(neg.diagonal())              # store missing diagonal entries as zeros
-        diag_pos = diagonal_positions()
-    return neg, diag_pos
+    def __init__(self, op: DiscreteOperator):
+        matrix, grid = op.matrix, op.pattern
+        if (matrix.format == "csr" and np.array_equal(matrix.indptr, grid.indptr)
+                and np.array_equal(matrix.indices, grid.indices)):
+            band, data = grid.band, matrix.data
+        else:
+            coo = matrix.tocoo()
+            coo.sum_duplicates()
+            band, data = _BandPattern(coo.row, coo.col, op.n, op.boundary), coo.data
+        off = np.array(data, dtype=float)
+        off[band.diag_slots] = 0.0
+        if np.any(off < 0):
+            raise ValidationError("operator is not cooperative: negative off-diagonal entry")
+        diag = np.zeros(op.dimension)
+        diag[band.rows[band.diag_slots]] = data[band.diag_slots]
+        off_sums = np.bincount(band.rows, weights=off, minlength=op.dimension)
+        self.far_shift = max(float(np.max(off_sums + diag)), 0.0) + 1.0
+        self.norm = float(np.max(np.abs(diag) + off_sums))
+        del off                                   # before the band is allocated
+        self.band, self._negated = band, -data
+        # The (depth, 2n) column-major array dgbtrf factors in place, and
+        # the flat view that the slots index.
+        self._flat = np.empty(op.dimension * band.depth)
+        self._work = self._flat.reshape(op.dimension, band.depth).T
+        self._pivots = None
+
+    def factor(self, shift: float) -> None:
+        band = self.band
+        self._flat.fill(0.0)
+        self._flat[band.slots] = self._negated
+        self._work[band.kl + band.ku] += shift
+        _, self._pivots, info = dgbtrf(self._work, band.kl, band.ku, overwrite_ab=1)
+        if info != 0:
+            raise NumericalError(f"shifted operator is singular at s={shift:.17g}: "
+                                 f"dgbtrf info {info}")
+
+    def solve(self, w: np.ndarray) -> np.ndarray:
+        band = self.band
+        x, _ = dgbtrs(self._work, band.kl, band.ku, w[band.order], self._pivots,
+                      overwrite_b=1)
+        return x[band.perm]
 
 
 def principal_eigenpair(op: DiscreteOperator, warm=None,
@@ -206,8 +360,13 @@ def principal_eigenpair(op: DiscreteOperator, warm=None,
 
     Each step solves (sI - M) y = w and normalizes y.  For every shift s above
     the Perron root k, sI - M is an irreducible nonsingular M-matrix, so its
-    inverse is entrywise positive and keeps the iterate positive; one sparse
-    LU is reused until the shift changes.  Two shifts are used:
+    inverse is entrywise positive and keeps the iterate positive.  The
+    solves use a banded LU (LAPACK dgbtrf/dgbtrs) with the species
+    interleaved and a periodic ring visited zig-zag, which keeps 4 sub- and
+    superdiagonals on periodic operators and 2 on Dirichlet ones; see
+    _ShiftedBand.  A new shift only rewrites the diagonal row of the band
+    and refactors it; one factorization is held at a time.  Two shifts are
+    used:
 
       * the far shift s_far = max row sum + 1, whose rate (s_far-k)/(s_far-k2)
         is enough for warm-started solves and damps rounding noise in the
@@ -224,49 +383,49 @@ def principal_eigenpair(op: DiscreteOperator, warm=None,
     entries scale like 1/h^2), so the tolerance is floored there on fine grids.
     """
     matrix = op.matrix
-    neg, diag_pos = _negated_csc(matrix)
-    neg_diag = neg.data[diag_pos].copy()         # -M_jj, indexed by row as well
-    neg.data[diag_pos] = 0.0                     # refilled with s - M_jj per shift
-    if np.any(neg.data > 0):
-        raise ValidationError("operator is not cooperative: negative off-diagonal entry")
-    off_sums = np.bincount(neg.indices, weights=neg.data, minlength=op.dimension)
-    far_shift = max(float(np.max(-off_sums - neg_diag)), 0.0) + 1.0   # max row sum + 1
-    op_norm = float(np.max(np.abs(neg_diag) - off_sums))
-    rounding = 8.0 * np.finfo(float).eps * op_norm
+    band = _ShiftedBand(op)
+    rounding = 8.0 * np.finfo(float).eps * band.norm
     residual_tol = max(residual_tol, rounding)
 
     w = _start_vector(op, warm)
     value, residual, mw = _rayleigh_and_residual(matrix, w)
-    shift = solver = None
-    next_shift = far_shift
+    shift = None
+    next_shift = band.far_shift
+    factorizations = 0
     for it in range(1, max_iterations + 1):
         if next_shift != shift:
-            shift, solver = next_shift, None     # hold one factorization at a time
-            neg.data[diag_pos] = neg_diag + shift
-            try:
-                # One-column panels: the stencil has no dense column blocks to
-                # exploit, and the default ten-column panel workspace more than
-                # doubles the resident memory of a factorization.
-                solver = spla.splu(neg, panel_size=1)
-            except RuntimeError as exc:
-                raise NumericalError(f"shifted operator is singular at s={shift:.17g}: {exc}")
-        w = solver.solve(w)
-        if not np.all(w > 0):
+            shift = next_shift
+            band.factor(shift)
+            factorizations += 1
+        w = band.solve(w)
+        if not (w > 0).all():
             raise NumericalError(f"shift-invert step at s={shift:.17g} produced a "
                                  f"non-positive iterate (min {np.min(w):.3e})")
-        w /= np.max(w)
+        w /= w.max()
         new_value, new_residual, mw = _rayleigh_and_residual(matrix, w)
         ray_tol = max(RAYLEIGH_TOL * max(1.0, abs(new_value)), 0.01 * residual_tol)
         if abs(new_value - value) < ray_tol and new_residual < residual_tol:
-            return _finalize(op, w, new_value, new_residual, it, rounding)
+            return _finalize(op, w, new_value, new_residual, it, factorizations, rounding)
         if new_residual > 0.25 * residual:
             if new_residual < 100.0 * residual_tol:
-                next_shift = far_shift
+                next_shift = band.far_shift
             else:
-                next_shift = min(float(np.max(mw / w)), far_shift)
+                next_shift = min(float((mw / w).max()), band.far_shift)
         value, residual = new_value, new_residual
     raise NumericalError(f"shift-invert iteration did not converge in {max_iterations} "
                          f"iterations (last residual {residual:.3e})")
+
+
+def tilt_derivative(op: DiscreteOperator) -> sp.csr_matrix:
+    """M'(lambda) = dM/dlambda of an operator on its grid's CSR pattern.
+
+    Only the flux couplings depend on lambda, so M' is M rescaled by the
+    pattern's weights: -h on the couplings towards node i+1, +h on those
+    towards node i-1, in both species blocks, and 0 elsewhere.
+    """
+    grid = op.pattern
+    return sp.csr_matrix((grid.slope_weights * op.matrix.data, grid.indices, grid.indptr),
+                         shape=op.matrix.shape)
 
 
 def tilt_slope(op: DiscreteOperator, right: EigenResult,
@@ -275,10 +434,8 @@ def tilt_slope(op: DiscreteOperator, right: EigenResult,
 
     Hellmann-Feynman: k' = y^T M'(lambda) x / y^T x, where x is the Perron
     vector of `right` and y the left one, the Perron vector of the transposed
-    operator (solved warm from left_warm, else from x).  M' only rescales the
-    off-diagonals of stencil.flux_stencil, by -h towards node i+1 and +h
-    towards node i-1, in both species blocks; reaction and mutation do not
-    depend on lambda.  Each Perron root is accurate to about its residual,
+    operator (solved warm from left_warm, else from x), and M' comes from
+    tilt_derivative.  Each Perron root is accurate to about its residual,
     which is floored at rounding level on fine grids, so the two roots must
     agree to within the sum of the residuals plus LEFT_RIGHT_TOL (relative);
     otherwise NumericalError.
@@ -290,12 +447,7 @@ def tilt_slope(op: DiscreteOperator, right: EigenResult,
         raise NumericalError(f"left and right Perron roots differ by {gap:.2e} on the "
                              f"{op.n}-cell grid at lambda={op.lam}")
     x, y = right.eigenvector(), left.eigenvector()
-    rows, cols, data = flux_stencil(op.cs, op.nodes, op.h, op.boundary, op.lam)
-    n = op.n
-    rows, cols, rate = rows[n:], cols[n:], op.h * data[n:]   # off-diagonals only
-    rate[:len(rate) // 2] *= -1.0            # the i -> i+1 couplings come first
-    form = rate @ (y[rows] * x[cols]) + rate @ (y[rows + n] * x[cols + n])
-    return float(form / (y @ x)), left
+    return float(y @ (tilt_derivative(op) @ x) / (y @ x)), left
 
 
 # -- eigenvalue curves with grid refinement ----------------------------------
@@ -318,12 +470,12 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm,
     finer level's rounding level 8 eps ||M||, where the 1/h^2 flux scale
     leaves nothing for further refinement to resolve.  A gap that stops
     shrinking is not taken for noise: on a discontinuous sigma the gaps can
-    swing between levels far above the rounding level.  Returns the finest level's eigenpair (with the
-    Perron iterations and levels of the whole loop), its operator and
-    R_2n.
+    swing between levels far above the rounding level.  Returns the finest
+    level's eigenpair (with the Perron iterations, factorizations and levels
+    of the whole loop), its operator and R_2n.
     """
     coarse = principal_eigenpair(make_op(n), warm=warm)
-    total_iter, levels = coarse.iterations, 1
+    total_iter, total_lu, levels = coarse.iterations, coarse.factorizations, 1
     prev_extrapolated = None
     while True:
         n *= 2
@@ -333,6 +485,7 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm,
         op = make_op(n)
         finer = principal_eigenpair(op, warm=(coarse.phi, coarse.psi))
         total_iter += finer.iterations
+        total_lu += finer.factorizations
         levels += 1
         gap = abs(finer.value - coarse.value)
         extrapolated = finer.value + (finer.value - coarse.value) / 3.0
@@ -343,14 +496,14 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm,
             raise NumericalError(f"eigenvalue gap {gap:.2e} still large at the "
                                  f"{SOFT_CELL_CAP}-cell level for {label}")
         if gap < tol or settled or at_noise_floor or past_soft_cap:
-            finer.iterations, finer.levels = total_iter, levels
+            finer.iterations, finer.factorizations, finer.levels = total_iter, total_lu, levels
             return finer, op, extrapolated
         coarse, prev_extrapolated = finer, extrapolated
 
 
 def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
                 tol: float = K_GRID_TOL, warm=None, slope: bool = False,
-                left_warm=None) -> EigenResult:
+                left_warm=None, skeletons: Optional[dict] = None) -> EigenResult:
     """Exponent-tilted principal eigenvalue k(lambda) with automatic refinement.
 
     The returned value is the Richardson extrapolation of the two finest
@@ -366,13 +519,25 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
     With slope=True the result also carries k'(lambda) from tilt_slope on the
     finest level, and the left Perron pair behind it (warm-started from
     left_warm).
+
+    skeletons maps cell counts to operator skeletons of cs.  A chain passes
+    one dict to all its solves: each solve takes the skeletons of its levels
+    from it and builds the missing ones, and afterwards the dict holds only
+    the skeletons of this solve's levels.
     """
     grid = grid or GridSpec()
     n = peclet_cells(cs, lam, grid.n_cells, cs.period)
     if warm is not None:
         n = max(n, len(warm[0]) // 4)
-    res, op, value = _refine_to_tolerance(lambda m: _operator(cs, lam, m), n, tol, warm,
-                                          f"lambda={lam}")
+    held = {} if skeletons is None else skeletons
+    used = {}
+
+    def make_op(m: int) -> DiscreteOperator:
+        used[m] = held[m] if m in held else _skeleton(cs, m)
+        return _operator(used[m], lam)
+    res, op, value = _refine_to_tolerance(make_op, n, tol, warm, f"lambda={lam}")
+    held.clear()
+    held.update(used)
     if slope:
         res.slope, left = tilt_slope(op, res, left_warm)
         res.left = (left.phi, left.psi)
@@ -393,8 +558,8 @@ def dirichlet_eigenvalue(cs: CoefficientSet, R: float,
     grid = grid or GridSpec()
     per_period = max(grid.n_cells, 16)
     n = max(per_period, int(np.ceil(per_period * 2.0 * R / cs.period)))
-    res, _, value = _refine_to_tolerance(lambda m: _operator(cs, 0.0, m, R), n, tol, warm,
-                                         f"R={R}")
+    res, _, value = _refine_to_tolerance(lambda m: _operator(_skeleton(cs, m, R), 0.0),
+                                         n, tol, warm, f"R={R}")
     res.value = value
     return res
 
@@ -441,9 +606,13 @@ def _warm_chain(solve: Callable[..., EigenResult]) -> Callable[[float], EigenRes
 def k_chain(cs: CoefficientSet, grid: Optional[GridSpec], tol: float,
             slope: bool = False) -> Callable[[float], EigenResult]:
     """lambda -> k_of_lambda(cs, lambda, grid, tol, slope=slope), warm-started
-    along the calls."""
+    along the calls.  The chain owns the operator skeletons of the latest
+    solve's grid levels, which the next solve, near it in lambda, mostly
+    reuses."""
+    skeletons = {}
     return _warm_chain(lambda lam, warm, left: k_of_lambda(cs, lam, grid, tol, warm=warm,
-                                                           slope=slope, left_warm=left))
+                                                           slope=slope, left_warm=left,
+                                                           skeletons=skeletons))
 
 
 def k_curve(cs: CoefficientSet, lambdas: Sequence[float],

@@ -65,14 +65,16 @@ class SpeedReport:
     bound_high: float
     hair_trigger: Optional[bool]
     # Per search ("right", "left", "k_min"), not artifact fields: the k(lambda)
-    # solves, the grid levels they solved and their finest cell count.
+    # solves, the grid levels they solved, the banded LU factorizations of
+    # those levels and their finest cell count.
     evaluations: Dict[str, int] = field(default_factory=dict)
     levels: Dict[str, int] = field(default_factory=dict)
+    factorizations: Dict[str, int] = field(default_factory=dict)
     finest_cells: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         payload = asdict(self)
-        for name in ("evaluations", "levels", "finest_cells"):
+        for name in ("evaluations", "levels", "factorizations", "finest_cells"):
             del payload[name]
         return payload
 
@@ -110,7 +112,10 @@ def _increasing_root(f: Callable[[float], Tuple[float, EigenResult]], x0: float,
                 hi = min(hi, x)
         if f1 == 0:
             return x1, result, calls
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
+        # The secant step from the point with the smaller |f| has the least
+        # cancellation: a root within rounding of x0 stays inside the bracket.
+        xa, fa = (x0, f0) if abs(f0) < abs(f1) else (x1, f1)
+        x2 = xa - fa * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
         if not lo < x2 < hi:                     # also catches nan
             width = abs(x1 - x0)
             if math.isinf(hi):
@@ -182,12 +187,13 @@ def _speed_search(k: Callable[[float], EigenResult], k0: EigenResult, cs: Coeffi
     """
     lam0 = math.sqrt(k0.value / periodic_mean(cs.sigma))
     levels = {"right": 0, "left": 0, "k_min": 0}
-    finest = dict(levels)
+    factorizations, finest = dict(levels), dict(levels)
 
     def tallied(k: Callable[[float], EigenResult], search: str):
         def solve(lam: float) -> EigenResult:
             res = k(lam)
             levels[search] += res.levels
+            factorizations[search] += res.factorizations
             finest[search] = max(finest[search], res.n_cells)
             return res
         return solve
@@ -203,7 +209,7 @@ def _speed_search(k: Callable[[float], EigenResult], k0: EigenResult, cs: Coeffi
                        k_min=res_min.value, bound_low=low, bound_high=high,
                        hair_trigger=_sign_or_none(res_min.value),
                        evaluations={"right": n_right, "left": n_left, "k_min": n_min},
-                       levels=levels, finest_cells=finest)
+                       levels=levels, factorizations=factorizations, finest_cells=finest)
 
 
 @dataclass

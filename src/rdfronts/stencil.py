@@ -48,6 +48,41 @@ def face_sigma(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str) -
     return cs.sigma(left + 0.5 * h)
 
 
+def flux_parts(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lambda-independent parts of flux_stencil: (rows, cols, diag, up, down).
+
+    rows and cols are its triplet pattern, diag its n diagonal entries, and
+    up and down the face sigma of its stored couplings to node i+1 and to
+    node i-1, which tilted_couplings turns into entries.
+    """
+    if boundary not in ("periodic", "neumann", "dirichlet", "dirichlet_zero"):
+        raise ValidationError(f"unknown boundary kind {boundary!r}")
+    n = len(nodes)
+    faces = face_sigma(cs, nodes, h, boundary)
+    if boundary == "periodic":
+        sig_right, sig_left = faces, np.roll(faces, 1)
+    else:
+        if boundary == "neumann":
+            faces[[0, -1]] = 0.0
+        sig_right, sig_left = faces[1:], faces[:-1]
+    diag = -(sig_right + sig_left) / h ** 2
+    i = np.arange(n)
+    if boundary == "periodic":
+        return (np.concatenate([i, i, i]), np.concatenate([i, (i + 1) % n, (i - 1) % n]),
+                diag, sig_right, sig_left)
+    return (np.concatenate([i, i[:-1], i[1:]]), np.concatenate([i, i[1:], i[:-1]]),
+            diag, sig_right[:-1], sig_left[1:])
+
+
+def tilted_couplings(up: np.ndarray, down: np.ndarray, h: float,
+                     lam: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The off-diagonal entries of flux_stencil from the face sigma of its
+    couplings: up towards node i+1 scaled by exp(-lam h), down towards node
+    i-1 by exp(lam h)."""
+    return up * np.exp(-lam * h) / h ** 2, down * np.exp(lam * h) / h ** 2
+
+
 def flux_stencil(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str,
                  lam: float = 0.0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """COO triplets (rows, cols, data) of w -> exp(lam x) (sigma (exp(-lam x) w)_x)_x.
@@ -60,24 +95,5 @@ def flux_stencil(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str,
     boundary is "periodic", "neumann" (zero flux through the end faces) or
     "dirichlet"/"dirichlet_zero" (zero ghost values beyond the end nodes).
     """
-    if boundary not in ("periodic", "neumann", "dirichlet", "dirichlet_zero"):
-        raise ValidationError(f"unknown boundary kind {boundary!r}")
-    n = len(nodes)
-    faces = face_sigma(cs, nodes, h, boundary)
-    if boundary == "periodic":
-        sig_right, sig_left = faces, np.roll(faces, 1)
-    else:
-        if boundary == "neumann":
-            faces[[0, -1]] = 0.0
-        sig_right, sig_left = faces[1:], faces[:-1]
-    sup = sig_right * np.exp(-lam * h) / h ** 2  # couples node i to i+1
-    sub = sig_left * np.exp(lam * h) / h ** 2    # couples node i to i-1
-    diag = -(sig_right + sig_left) / h ** 2
-    i = np.arange(n)
-    if boundary == "periodic":
-        return (np.concatenate([i, i, i]),
-                np.concatenate([i, (i + 1) % n, (i - 1) % n]),
-                np.concatenate([diag, sup, sub]))
-    return (np.concatenate([i, i[:-1], i[1:]]),
-            np.concatenate([i, i[1:], i[:-1]]),
-            np.concatenate([diag, sup[:-1], sub[1:]]))
+    rows, cols, diag, up, down = flux_parts(cs, nodes, h, boundary)
+    return rows, cols, np.concatenate([diag, *tilted_couplings(up, down, h, lam)])

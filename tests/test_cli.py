@@ -70,6 +70,8 @@ DETERMINISM_PAYLOADS = {
     "ode": {"params": {"sigma": 1.0, "r_u": 1.0, "r_v": 1.0, "kappa_u": 1.0,
                        "kappa_v": 1.0, "mu_u": 0.25, "mu_v": 0.25},
             "u0": 0.9, "v0": 0.1, "T": 1.0, "dt": 0.001},
+    "homogenize": {"coefficients": HOMOG_COEFFS},
+    "sweep": {"coefficients": HOMOG_COEFFS, "epsilons": [1.0, 0.5]},
 }
 
 
@@ -77,8 +79,9 @@ DETERMINISM_PAYLOADS = {
 def test_deterministic_outputs(tmp_path, command):
     # eigen and dirichlet build on the shared flux stencil through the
     # eigen module, simulate through the pde Stepper; speed runs the speed
-    # search and the curve dump on eigen's warm-started chains.  The second
-    # run is verbose: the counts it prints never reach the files.
+    # search and the curve dump on eigen's warm-started chains, sweep one
+    # speed search per epsilon.  The second run is verbose: the counts it
+    # prints never reach the files.
     payload = DETERMINISM_PAYLOADS[command]
     assert run(tmp_path, command, payload, out="a") == 0
     assert run(tmp_path, command, payload, out="b", verbose=True) == 0
@@ -86,6 +89,8 @@ def test_deterministic_outputs(tmp_path, command):
     assert a_files and a_files == sorted(p.name[2:] for p in tmp_path.glob("b_*"))
     if command == "speed":
         assert a_files == ["kcurve.csv", "speed.json"]
+    if command == "eigen":
+        assert a_files == ["kcurve.csv", "profile_0.csv"]
     for suffix in a_files:
         assert (tmp_path / f"a_{suffix}").read_bytes() == (tmp_path / f"b_{suffix}").read_bytes()
 
@@ -171,14 +176,36 @@ def test_speed_verbose_reports_k_evals_on_stderr(tmp_path, capsys):
     assert record["k_evals"]["curve"] == 3
     assert all(n > 0 for n in record["k_evals"].values())
     searches = sorted(record["k_evals"])
-    assert sorted(record["levels"]) == sorted(record["finest_cells"]) == searches
+    assert (sorted(record["levels"]) == sorted(record["factorizations"])
+            == sorted(record["finest_cells"]) == searches)
     for search in searches:
         # every k(lambda) solve takes at least two grid levels
         assert record["levels"][search] >= 2 * record["k_evals"][search]
+        assert record["factorizations"][search] >= record["levels"][search]
         assert record["finest_cells"][search] >= 128
     for suffix in ("speed.json", "kcurve.csv"):
         assert ((tmp_path / f"loud_{suffix}").read_bytes()
                 == (tmp_path / f"quiet_{suffix}").read_bytes())
+
+
+@pytest.mark.parametrize("command", ["eigen", "dirichlet"])
+def test_verbose_reports_eigen_solver_counts_on_stderr(tmp_path, capsys, command):
+    payload = DETERMINISM_PAYLOADS[command]
+    assert run(tmp_path, command, payload, out="quiet") == 0
+    assert capsys.readouterr().err == ""
+    assert run(tmp_path, command, payload, out="loud", verbose=True) == 0
+    line, = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record.pop("command") == command
+    assert sorted(record) == ["factorizations", "finest_cells", "iterations", "levels"]
+    solves = 5 + 1 if command == "eigen" else 2       # curve and profile, or radii
+    # every solve takes at least two grid levels, each at least one factorization
+    assert record["levels"] >= 2 * solves
+    assert record["iterations"] >= record["factorizations"] >= record["levels"]
+    assert record["finest_cells"] >= 128
+    for quiet in tmp_path.glob("quiet_*"):
+        loud = tmp_path / quiet.name.replace("quiet_", "loud_")
+        assert loud.read_bytes() == quiet.read_bytes()
 
 
 @pytest.mark.parametrize("command, steps", [("simulate", 100), ("stationary", 1),

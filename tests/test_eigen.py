@@ -4,22 +4,29 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from rdfronts import eigen
 from rdfronts.coefficients import CoefficientSpec, CoefficientSet, constant_set
 from rdfronts.eigen import (
     GridSpec,
+    _operator,
+    _ShiftedBand,
+    _skeleton,
     build_operator,
     dirichlet_eigenvalue,
     k_curve,
     k_of_lambda,
     minimax_check,
     principal_eigenpair,
+    tilt_derivative,
     tilt_slope,
     write_dirichlet_csv,
     write_k_curve_csv,
 )
 from rdfronts.errors import NumericalError, ValidationError
+from rdfronts.stencil import flux_stencil
 
 
 def cosine_set(**overrides):
@@ -111,6 +118,129 @@ def test_grid_spec_validation():
         GridSpec(n_cells=8)
     with pytest.raises(TypeError):
         GridSpec(n_cells=64, boundary="dirichlet")
+
+
+# -- operator skeletons ------------------------------------------------------------
+
+README_SET = cosine_set(r_u=CoefficientSpec.cosine(1.0, 0.4, 0.3),
+                        r_v=CoefficientSpec.cosine(1.0, 0.4, 1.1))
+
+SKELETON_SETS = {
+    "readme": README_SET,
+    "piecewise_sigma": cosine_set(sigma=CoefficientSpec.piecewise([0.0, 0.3, 0.65],
+                                                                  [1.0, 0.6, 1.4]),
+                                  r_u=CoefficientSpec.cosine(1.0, 0.35, 0.7),
+                                  mu_u=CoefficientSpec.cosine(0.6, 0.4, 2.0)),
+}
+
+
+def fresh_assembly(cs, lam, n, half_width=None):
+    """The coupled operator built straight from flux_stencil's triplets: reaction
+    on copies of the diagonal, mutation couplings appended, one COO -> CSR."""
+    if half_width is None:
+        h, boundary = cs.period / n, "periodic"
+        nodes = h * np.arange(n)
+    else:
+        h, boundary = 2.0 * half_width / (n + 1), "dirichlet"
+        nodes = -half_width + h * np.arange(1, n + 1)
+    rows, cols, data = flux_stencil(cs, nodes, h, boundary, lam)
+    diag, off = data[:n], data[n:]
+    mu, mv = cs.mu_u(nodes), cs.mu_v(nodes)
+    i = np.arange(n)
+    data = np.concatenate([diag + (cs.r_u(nodes) - mu), off,
+                           diag + (cs.r_v(nodes) - mv), off, mv, mu])
+    rows = np.concatenate([rows, rows + n, i, n + i])
+    cols = np.concatenate([cols, cols + n, n + i, i])
+    return sp.coo_matrix((data, (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
+
+
+def assert_same_csr(a, b):
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)       # bitwise: exact float equality
+
+
+@pytest.mark.parametrize("n", [16, 64, 512])
+@pytest.mark.parametrize("name", sorted(SKELETON_SETS))
+def test_skeleton_operators_are_bitwise_fresh_builds(name, n):
+    cs = SKELETON_SETS[name]
+    skeleton = _skeleton(cs, n)                  # one skeleton for every lambda
+    for lam in (0.0, 1.5, -1.5, 3.0, -3.0):
+        assert_same_csr(_operator(skeleton, lam).matrix, fresh_assembly(cs, lam, n))
+    dirichlet = build_operator(cs, 0.0, GridSpec(n_cells=n), half_width=2.0)
+    assert_same_csr(dirichlet.matrix, fresh_assembly(cs, 0.0, n, half_width=2.0))
+
+
+@pytest.mark.parametrize("lam", [-1.5, 1.5])
+@pytest.mark.parametrize("name", sorted(SKELETON_SETS))
+def test_tilt_derivative_matches_flux_stencil(name, lam):
+    # M' scales the couplings to node i+1 by -h and those to node i-1 by +h
+    cs, n = SKELETON_SETS[name], 64
+    op = build_operator(cs, lam, GridSpec(n_cells=n), refine=False)
+    rows, cols, data = flux_stencil(cs, op.nodes, op.h, "periodic", lam)
+    rows, cols, rate = rows[n:], cols[n:], op.h * data[n:]
+    rate[:n] *= -1.0
+    expected = sp.coo_matrix((np.concatenate([rate, rate]),
+                              (np.concatenate([rows, rows + n]),
+                               np.concatenate([cols, cols + n]))), shape=(2 * n, 2 * n))
+    assert np.array_equal(tilt_derivative(op).toarray(), expected.toarray())
+
+
+def test_chain_reuses_skeletons_of_its_latest_solve(monkeypatch):
+    built = []
+
+    def counted(cs, n, *args):
+        built.append(n)
+        return _skeleton(cs, n, *args)
+    monkeypatch.setattr(eigen, "_skeleton", counted)
+    k = eigen.k_chain(README_SET, None, eigen.K_GRID_TOL)
+    first = k(0.5)
+    count = len(built)
+    second = k(0.6)
+    assert first.n_cells == second.n_cells and len(built) == count
+
+
+# -- banded shift-invert solves ----------------------------------------------------
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("half_width", [None, 2.0])
+@pytest.mark.parametrize("n", [33, 64])
+def test_banded_solve_matches_dense(n, half_width, transpose):
+    cs = SKELETON_SETS["piecewise_sigma"]
+    op = build_operator(cs, 0.0 if half_width else 1.5, GridSpec(n_cells=n),
+                        half_width=half_width, refine=False)
+    if transpose:
+        op = replace(op, matrix=op.matrix.T)
+    dense = op.matrix.toarray()
+    band = _ShiftedBand(op)
+    assert (band.band.kl, band.band.ku) == ((2, 2) if half_width else (4, 4))
+    k = float(np.max(np.linalg.eigvals(dense).real))
+    rhs = np.random.default_rng(n).random(2 * n)
+    # 0.1 above k, partial pivoting swaps rows of the Dirichlet operators; the
+    # periodic ones are too ill-conditioned there for a 1e-12 comparison
+    near = (k + 0.1,) if half_width else ()
+    for shift in (band.far_shift, k + 1.0) + near:
+        band.factor(shift)
+        exact = np.linalg.solve(shift * np.eye(2 * n) - dense, rhs)
+        assert np.max(np.abs(band.solve(rhs) - exact)) <= 1e-12 * np.max(np.abs(exact))
+    if near:
+        assert np.any(band._pivots != np.arange(2 * n))
+
+
+def test_singular_band_factor_raises():
+    op = build_operator(HOMOG, 0.0, GridSpec(n_cells=16))
+    diagonal = replace(op, matrix=sp.diags(np.arange(32.0)).tocsr())
+    band = _ShiftedBand(diagonal)
+    with pytest.raises(NumericalError, match="singular"):
+        band.factor(5.0)
+
+
+def test_factorizations_are_counted():
+    op = build_operator(README_SET, 1.0, GridSpec(n_cells=256), refine=False)
+    res = principal_eigenpair(op)
+    assert 1 <= res.factorizations <= res.iterations
+    refined = k_of_lambda(README_SET, 1.0)
+    assert refined.levels <= refined.factorizations <= refined.iterations
 
 
 # -- principal eigenpair ----------------------------------------------------------
@@ -316,10 +446,6 @@ def fixed_grid_richardson(cs, lam, n=2048):
     fine = principal_eigenpair(build_operator(cs, lam, GridSpec(n_cells=2 * n), refine=False),
                                warm=(coarse.phi, coarse.psi))
     return fine.value + (fine.value - coarse.value) / 3.0
-
-
-README_SET = cosine_set(r_u=CoefficientSpec.cosine(1.0, 0.4, 0.3),
-                        r_v=CoefficientSpec.cosine(1.0, 0.4, 1.1))
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.5, -1.5])

@@ -1,5 +1,6 @@
 """Property tests on seeded random inputs: the comparison bound of the IMEX
-stepper and the exact JSON round trip of coefficient specs.
+stepper, the exact JSON round trip of coefficient specs, and the positive
+Perron vector inside its Collatz-Wielandt bracket.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdfronts.coefficients import CoefficientSet, CoefficientSpec, spec_from_dict, spec_to_dict
+from rdfronts.eigen import GridSpec, build_operator, principal_eigenpair
 from rdfronts.pde import BOUND_SLACK, DomainSpec, InitialData, Stepper, build_initial
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -85,3 +87,35 @@ def test_spec_round_trips_exactly(spec):
     d = spec_to_dict(spec)
     assert spec_from_dict(d) == spec
     assert spec_from_dict(json.loads(json.dumps(d))) == spec
+
+
+# -- Perron eigenpairs --------------------------------------------------------
+
+def assert_perron_pair(op):
+    """A positive eigenvector w, whose ratios Mw/w bracket k within twice the
+    residual over min(w) (their Collatz-Wielandt bracket), and a k that the
+    row sums, the ratios of the constant vector, bracket as well."""
+    res = principal_eigenpair(op)
+    w = res.eigenvector()
+    assert np.min(w) > 0
+    slack = (res.residual + res.rounding) / np.min(w)
+    ratios = (op.matrix @ w) / w
+    assert np.min(ratios) - slack <= res.value <= np.max(ratios) + slack
+    assert np.max(ratios) - np.min(ratios) <= 2.0 * slack
+    row_sums = op.matrix @ np.ones(op.dimension)
+    assert np.min(row_sums) - slack <= res.value <= np.max(row_sums) + slack
+
+
+cells = st.integers(16, 128)
+
+
+@SETTINGS
+@given(cs=coefficient_sets(), lam=st.floats(-3.0, 3.0), n=cells)
+def test_tilted_perron_vector_is_positive_and_bracketed(cs, lam, n):
+    assert_perron_pair(build_operator(cs, lam, GridSpec(n_cells=n), refine=False))
+
+
+@SETTINGS
+@given(cs=coefficient_sets(), half_width=st.floats(0.25, 8.0), n=cells)
+def test_dirichlet_perron_vector_is_positive_and_bracketed(cs, half_width, n):
+    assert_perron_pair(build_operator(cs, 0.0, GridSpec(n_cells=n), half_width=half_width))

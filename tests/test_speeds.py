@@ -12,7 +12,7 @@ from rdfronts.coefficients import (
     mirror_set,
     periodic_mean,
 )
-from rdfronts.eigen import GridSpec, build_operator, principal_eigenpair, tilt_slope
+from rdfronts.eigen import principal_eigenpair, tilt_slope
 from rdfronts.errors import PreconditionError
 from rdfronts.speeds import (
     HomogenizedSet,
@@ -90,10 +90,23 @@ def test_speeds_within_analytic_bounds():
     assert rep.bound_low - 1e-6 <= rep.c_left <= rep.bound_high + 1e-6
 
 
+def test_secant_step_next_to_an_evaluated_root_stays_in_the_bracket():
+    # k'(0) of an even k is zero up to rounding.  The secant step taken from
+    # the far point cancels to exactly 0.0, the open bracket's end, which
+    # cost a bisection and a third k(lambda) solve; from the near point it
+    # lands inside and the search stops after one more solve.
+    f0, f1 = -1.3724940500583663e-18, 0.19995947908799433
+    slope = (f1 - f0) / 0.1
+    x, _, calls = speeds._increasing_root(lambda x: (slope * x + f0, x), 0.0, 0.1, 1e-6,
+                                          at_x0=(f0, 0.0))
+    assert calls == 2 and 0.0 < x < 1e-15
+
+
 def test_tangency_search_matches_dense_scan():
     # independent optimizer oracle: exhaustive lambda scan at step 1e-3 on a
     # fixed discretization, compared with the tangency search on the same
-    # fixed-grid eigenvalue function and its exact fixed-grid slope
+    # fixed-grid eigenvalue function and its exact fixed-grid slope; the
+    # operators are tilts of one skeleton, bitwise build_operator's
     rng = np.random.default_rng(123)
     for trial in range(5):
         specs = {}
@@ -103,12 +116,11 @@ def test_tangency_search_matches_dense_scan():
             amp = rng.uniform(0.0, 0.5) * mean
             specs[name] = CoefficientSpec.cosine(mean, amp, rng.uniform(0, 2 * np.pi))
         cs = cosine_set(**specs)
-        grid = GridSpec(n_cells=96)
-
+        skeleton = eigen._skeleton(cs, 96)
         warm = {"vec": None, "left": None}
 
         def k_fixed(lam, slope=False):
-            op = build_operator(cs, lam, grid, refine=False)
+            op = eigen._operator(skeleton, lam)
             res = principal_eigenpair(op, warm=warm["vec"])
             warm["vec"] = (res.phi, res.psi)
             if slope:
