@@ -5,6 +5,10 @@ a typo cannot silently fall back to a default), validates it completely
 before touching the filesystem, and writes deterministic files whose headers
 embed a hash of the config.  Exit codes: 0 success, 2 config/validation
 error, 3 numerical error; errors are reported as one JSON object on stderr.
+
+`main` is the one job path: it loads the config, checks its keys against the
+COMMANDS table, hashes it and calls the handler, which returns the paths it
+wrote and its solver counts; `--verbose` prints the counts as one JSON line.
 """
 
 from __future__ import annotations
@@ -22,9 +26,6 @@ from . import coefficients as coeffs
 from . import eigen, ode, pde, speeds
 from .errors import NumericalError, ValidationError
 from .util import config_hash, write_csv
-
-COMMANDS = ("eigen", "dirichlet", "speed", "ode", "simulate",
-            "stationary", "homogenize", "sweep")
 
 
 def _check_keys(obj: dict, context: str, required: set, optional: set) -> None:
@@ -91,11 +92,6 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _report(paths, verbose: bool) -> None:
-    for p in paths:
-        print(p)
-
-
 def _print_counts(command: str, counts: dict) -> None:
     """One JSON line of solver counts on stderr (--verbose); no timings, and
     never part of an artifact."""
@@ -112,12 +108,17 @@ def _eigen_counts(results) -> dict:
             "finest_cells": max(r.n_cells for r in results)}
 
 
-# -- subcommand handlers -------------------------------------------------------
+def _search_counts(searches: dict) -> dict:
+    """{"k_evals": {search: solves}, "levels": {search: ...}, ...} over searches."""
+    per = {name: dict(_eigen_counts(results), k_evals=len(results))
+           for name, results in searches.items()}
+    return {key: {name: c[key] for name, c in per.items()}
+            for key in ("k_evals", "levels", "factorizations", "finest_cells")}
 
-def run_eigen(config: dict, out: str, jobs: int, verbose: bool) -> list:
-    _check_keys(config, "eigen config", {"coefficients"},
-                {"command", "lambda_min", "lambda_max", "lambda_step",
-                 "n_cells", "tolerance", "profile_lambdas"})
+
+# -- subcommand handlers: (config, out, tag) -> (paths written, solver counts) ---
+
+def run_eigen(config: dict, out: str, tag: str):
     cs = _coefficient_set(config)
     grid = _grid_spec(config)
     tol = _number(config, "tolerance", "eigen config", eigen.K_GRID_TOL, positive=True)
@@ -125,12 +126,9 @@ def run_eigen(config: dict, out: str, jobs: int, verbose: bool) -> list:
     profile_lams = config.get("profile_lambdas", [0.0])
     if not isinstance(profile_lams, list) or not all(map(_is_number, profile_lams)):
         raise ValidationError("profile_lambdas must be a list of numbers")
-    tag = config_hash(config)
 
     results = eigen.k_curve(cs, lams, grid, tol)
     profiles = [eigen.k_of_lambda(cs, float(lam), grid, tol) for lam in profile_lams]
-    if verbose:
-        _print_counts("eigen", _eigen_counts(results + profiles))
     paths = [f"{out}_kcurve.csv"]
     eigen.write_k_curve_csv(paths[0], lams, results, [f"config_hash={tag}"])
     for i, (lam, res) in enumerate(zip(profile_lams, profiles)):
@@ -139,12 +137,10 @@ def run_eigen(config: dict, out: str, jobs: int, verbose: bool) -> list:
                   (res.h * np.arange(res.n_cells), res.phi, res.psi),
                   [f"config_hash={tag}", f"lambda={lam!r}", f"k={res.value!r}"])
         paths.append(path)
-    return paths
+    return paths, _eigen_counts(results + profiles)
 
 
-def run_dirichlet(config: dict, out: str, jobs: int, verbose: bool) -> list:
-    _check_keys(config, "dirichlet config", {"coefficients", "radii"},
-                {"command", "n_cells", "tolerance"})
+def run_dirichlet(config: dict, out: str, tag: str):
     cs = _coefficient_set(config)
     grid = _grid_spec(config)
     tol = _number(config, "tolerance", "dirichlet config", eigen.K_GRID_TOL, positive=True)
@@ -152,19 +148,13 @@ def run_dirichlet(config: dict, out: str, jobs: int, verbose: bool) -> list:
     if (not isinstance(radii, list) or not radii
             or any(not _is_number(R) or R <= 0 for R in radii)):
         raise ValidationError("radii must be a nonempty list of positive numbers")
-    tag = config_hash(config)
     results = eigen.dirichlet_sweep(cs, radii, grid, tol)
-    if verbose:
-        _print_counts("dirichlet", _eigen_counts(results))
     path = f"{out}_dirichlet.csv"
     eigen.write_dirichlet_csv(path, radii, results, [f"config_hash={tag}"])
-    return [path]
+    return [path], _eigen_counts(results)
 
 
-def run_speed(config: dict, out: str, jobs: int, verbose: bool) -> list:
-    _check_keys(config, "speed config", {"coefficients"},
-                {"command", "n_cells", "lambda_tolerance", "k_tolerance",
-                 "lambda_min", "lambda_max", "lambda_step"})
+def run_speed(config: dict, out: str, tag: str):
     cs = _coefficient_set(config)
     grid = _grid_spec(config)
     lam_tol = _number(config, "lambda_tolerance", "speed config",
@@ -172,18 +162,9 @@ def run_speed(config: dict, out: str, jobs: int, verbose: bool) -> list:
     k_tol = _number(config, "k_tolerance", "speed config", eigen.K_GRID_TOL,
                     positive=True)
     lams = _lambda_grid(config, "speed config")
-    tag = config_hash(config)
 
     report = speeds.spreading_speeds(cs, grid, lam_tol, k_tol)
     curve = eigen.k_curve(cs, lams, grid, k_tol)
-    if verbose:
-        _print_counts("speed", {
-            "k_evals": dict(report.evaluations, curve=len(curve)),
-            "levels": dict(report.levels, curve=sum(r.levels for r in curve)),
-            "factorizations": dict(report.factorizations,
-                                   curve=sum(r.factorizations for r in curve)),
-            "finest_cells": dict(report.finest_cells,
-                                 curve=max((r.n_cells for r in curve), default=0))})
     payload = report.to_dict()
     payload["config_hash"] = tag
     paths = [f"{out}_speed.json", f"{out}_kcurve.csv"]
@@ -192,7 +173,7 @@ def run_speed(config: dict, out: str, jobs: int, verbose: bool) -> list:
     over = [kv / lam if lam != 0 else float("nan") for lam, kv in zip(lams, k)]
     write_csv(paths[1], ("lambda", "k", "k_over_lambda"), (lams, k, over),
               [f"config_hash={tag}"])
-    return paths
+    return paths, _search_counts(dict(report.solves, curve=curve))
 
 
 def _hom_params(config: dict) -> ode.HomParams:
@@ -204,9 +185,7 @@ def _hom_params(config: dict) -> ode.HomParams:
     return ode.HomParams(**{name: _number(p, name, "params") for name in names})
 
 
-def run_ode(config: dict, out: str, jobs: int, verbose: bool) -> list:
-    _check_keys(config, "ode config", {"params", "u0", "v0", "T"},
-                {"command", "dt"})
+def run_ode(config: dict, out: str, tag: str):
     p = _hom_params(config)
     u0 = _number(config, "u0", "ode config")
     v0 = _number(config, "v0", "ode config")
@@ -214,12 +193,9 @@ def run_ode(config: dict, out: str, jobs: int, verbose: bool) -> list:
     dt = _number(config, "dt", "ode config", 1e-3, positive=True)
     if u0 < 0 or v0 < 0:
         raise ValidationError("u0 and v0 must be nonnegative")
-    tag = config_hash(config)
 
     analysis = ode.analyze(p)
     traj = ode.integrate(p, u0, v0, T, dt)
-    if verbose:
-        _print_counts("ode", {"steps": len(traj.t) - 1})
     lyap = None
     if analysis.lyapunov_K is not None and np.all(traj.u > 0) and np.all(traj.v > 0):
         lyap = ode.lyapunov_value(traj.u, traj.v, *analysis.equilibrium, analysis.lyapunov_K)
@@ -235,7 +211,7 @@ def run_ode(config: dict, out: str, jobs: int, verbose: bool) -> list:
     paths = [f"{out}_ode.json", f"{out}_trajectory.csv"]
     _write_json(paths[0], payload)
     ode.write_trajectory_csv(paths[1], traj, lyap, [f"config_hash={tag}"])
-    return paths
+    return paths, {"steps": len(traj.t) - 1}
 
 
 def _domain_spec(config: dict) -> pde.DomainSpec:
@@ -263,10 +239,7 @@ def _initial_data(config: dict) -> pde.InitialData:
     return pde.InitialData(**kwargs)
 
 
-def run_simulate(config: dict, out: str, jobs: int, verbose: bool) -> list:
-    _check_keys(config, "simulate config",
-                {"coefficients", "domain", "initial", "T", "dt", "record_every"},
-                {"command", "theta", "snapshot_every", "window"})
+def run_simulate(config: dict, out: str, tag: str):
     cs = _coefficient_set(config)
     domain = _domain_spec(config)
     init = _initial_data(config)
@@ -276,12 +249,9 @@ def run_simulate(config: dict, out: str, jobs: int, verbose: bool) -> list:
     theta = _number(config, "theta", "simulate config")
     snapshot_every = _number(config, "snapshot_every", "simulate config")
     window = _number(config, "window", "simulate config", 0.5, positive=True)
-    tag = config_hash(config)
 
     result = pde.simulate(cs, domain, init, T, dt, record_every,
                           theta=theta, snapshot_every=snapshot_every)
-    if verbose:
-        _print_counts("simulate", result.counts)
     measurement = pde.measure_speed(result.trace, window)
     paths = []
     for i, snap in enumerate(result.snapshots):
@@ -310,35 +280,28 @@ def run_simulate(config: dict, out: str, jobs: int, verbose: bool) -> list:
     report_path = f"{out}_speeds.json"
     _write_json(report_path, payload)
     paths.append(report_path)
-    return paths
+    return paths, result.counts
 
 
 def _json_float(x: float):
     return None if not np.isfinite(x) else float(x)
 
 
-def run_stationary(config: dict, out: str, jobs: int, verbose: bool) -> list:
-    _check_keys(config, "stationary config", {"coefficients"},
-                {"command", "n_cells", "tolerance", "t_max"})
+def run_stationary(config: dict, out: str, tag: str):
     cs = _coefficient_set(config)
     n_cells = _integer(config, "n_cells", None, 512)
     tol = _number(config, "tolerance", "stationary config", 1e-9, positive=True)
     t_max = _number(config, "t_max", "stationary config", 4000.0, positive=True)
-    tag = config_hash(config)
     counts = {}
     nodes, u, v = pde.stationary_profile(cs, n_cells=n_cells, tol=tol, t_max=t_max,
                                          counts=counts)
-    if verbose:
-        _print_counts("stationary", counts)
     path = f"{out}_stationary.csv"
     write_csv(path, ("x", "u", "v"), (nodes, u, v), [f"config_hash={tag}"])
-    return [path]
+    return [path], counts
 
 
-def run_homogenize(config: dict, out: str, jobs: int, verbose: bool) -> list:
-    _check_keys(config, "homogenize config", {"coefficients"}, {"command"})
+def run_homogenize(config: dict, out: str, tag: str):
     cs = _coefficient_set(config)
-    tag = config_hash(config)
     h = coeffs.homogenize(cs)
     payload = h.to_dict()
     payload["config_hash"] = tag
@@ -348,26 +311,29 @@ def run_homogenize(config: dict, out: str, jobs: int, verbose: bool) -> list:
         payload["homogenized_speed"] = None
     path = f"{out}_homogenized.json"
     _write_json(path, payload)
-    return [path]
+    return [path], {}
 
 
 def _sweep_row(args) -> dict:
+    """One epsilon row; k_evals counts the k(lambda) solves of its speed
+    searches, so the count travels back from a worker process with the row."""
     set_dict, eps, k_tol = args
-    row = {"epsilon": eps, "c_right": "", "c_left": "", "error": ""}
+    row = {"epsilon": eps, "c_right": "", "c_left": "", "error": "", "k_evals": 0}
     try:
         base = coeffs.set_from_dict(set_dict)
         cse = coeffs.rescale_epsilon(base, eps)
         report = speeds.spreading_speeds(cse, k_tol=k_tol)
         row["c_right"] = report.c_right
         row["c_left"] = report.c_left
+        row["k_evals"] = sum(map(len, report.solves.values()))
     except (ValidationError, NumericalError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 
-def run_sweep(config: dict, out: str, jobs: int, verbose: bool) -> list:
-    _check_keys(config, "sweep config", {"coefficients", "epsilons"},
-                {"command", "k_tolerance"})
+def run_sweep(config: dict, out: str, tag: str, jobs: int):
+    if jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {jobs}")
     cs = _coefficient_set(config)
     k_tol = _number(config, "k_tolerance", "sweep config", eigen.K_GRID_TOL,
                     positive=True)
@@ -375,14 +341,14 @@ def run_sweep(config: dict, out: str, jobs: int, verbose: bool) -> list:
     if (not isinstance(eps_list, list) or not eps_list
             or any(not _is_number(e) or not (0 < e <= 1) for e in eps_list)):
         raise ValidationError("epsilons must be a nonempty list of values in (0, 1]")
-    tag = config_hash(config)
 
     h = coeffs.homogenize(cs)
     target = speeds.homogenized_speed(h)
     set_dict = coeffs.set_to_dict(cs)
     tasks = [(set_dict, float(e), k_tol) for e in eps_list]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))    # the pool starts all its workers up front
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows_raw = list(pool.map(_sweep_row, tasks))
     else:
         rows_raw = [_sweep_row(t) for t in tasks]
@@ -400,18 +366,25 @@ def run_sweep(config: dict, out: str, jobs: int, verbose: bool) -> list:
     write_csv(path, ("epsilon", "c_right", "c_left", "target",
                      "gap_right", "gap_left", "error"),
               list(zip(*rows)), [f"config_hash={tag}"])
-    return [path]
+    return [path], {"k_evals": sum(raw["k_evals"] for raw in rows_raw)}
 
 
-HANDLERS = {
-    "eigen": run_eigen,
-    "dirichlet": run_dirichlet,
-    "speed": run_speed,
-    "ode": run_ode,
-    "simulate": run_simulate,
-    "stationary": run_stationary,
-    "homogenize": run_homogenize,
-    "sweep": run_sweep,
+# command -> (handler, required config keys, optional config keys besides "command")
+COMMANDS = {
+    "eigen": (run_eigen, {"coefficients"},
+              {"lambda_min", "lambda_max", "lambda_step", "n_cells", "tolerance",
+               "profile_lambdas"}),
+    "dirichlet": (run_dirichlet, {"coefficients", "radii"}, {"n_cells", "tolerance"}),
+    "speed": (run_speed, {"coefficients"},
+              {"n_cells", "lambda_tolerance", "k_tolerance", "lambda_min", "lambda_max",
+               "lambda_step"}),
+    "ode": (run_ode, {"params", "u0", "v0", "T"}, {"dt"}),
+    "simulate": (run_simulate,
+                 {"coefficients", "domain", "initial", "T", "dt", "record_every"},
+                 {"theta", "snapshot_every", "window"}),
+    "stationary": (run_stationary, {"coefficients"}, {"n_cells", "tolerance", "t_max"}),
+    "homogenize": (run_homogenize, {"coefficients"}, set()),
+    "sweep": (run_sweep, {"coefficients", "epsilons"}, {"k_tolerance"}),
 }
 
 
@@ -454,13 +427,19 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default="out", help="output path prefix")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
-        p.add_argument("--verbose", action="store_true")
+        p.add_argument("--verbose", action="store_true",
+                       help="print solver counts as one JSON line on stderr")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes for the epsilon rows")
     args = parser.parse_args(argv)
+    handler, required, optional = COMMANDS[args.command]
+    extra = {"jobs": args.jobs} if args.command == "sweep" else {}
 
     try:
         config = _load_config(args.config, args.command)
-        paths = HANDLERS[args.command](config, args.out, args.jobs, args.verbose)
+        _check_keys(config, f"{args.command} config", required, optional | {"command"})
+        paths, counts = handler(config, args.out, config_hash(config), **extra)
     except ValidationError as exc:
         json.dump({"error": "validation", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
@@ -469,9 +448,8 @@ def main(argv=None) -> int:
         json.dump({"error": "numerical", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 3
-    _report(paths, args.verbose)
+    if args.verbose:
+        _print_counts(args.command, counts)
+    for path in paths:
+        print(path)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -474,6 +474,9 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm,
     level's eigenpair (with the Perron iterations, factorizations and levels
     of the whole loop), its operator and R_2n.
     """
+    if n > REFINE_CAP:              # a starting level past the cap, before it is built
+        raise NumericalError(f"grid refinement cap {REFINE_CAP} exceeded by the "
+                             f"starting level of {n} cells at {label}")
     coarse = principal_eigenpair(make_op(n), warm=warm)
     total_iter, total_lu, levels = coarse.iterations, coarse.factorizations, 1
     prev_extrapolated = None

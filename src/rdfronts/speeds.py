@@ -16,8 +16,8 @@ which reuse one speed search, and the speed of the homogenized medium.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .coefficients import CoefficientSet, HomogenizedSet, periodic_mean
 from .eigen import K_GRID_TOL, EigenResult, GridSpec, dirichlet_sweep, k_chain
@@ -64,19 +64,13 @@ class SpeedReport:
     bound_low: Optional[float]
     bound_high: float
     hair_trigger: Optional[bool]
-    # Per search ("right", "left", "k_min"), not artifact fields: the k(lambda)
-    # solves, the grid levels they solved, the banded LU factorizations of
-    # those levels and their finest cell count.
-    evaluations: Dict[str, int] = field(default_factory=dict)
-    levels: Dict[str, int] = field(default_factory=dict)
-    factorizations: Dict[str, int] = field(default_factory=dict)
-    finest_cells: Dict[str, int] = field(default_factory=dict)
+    # Not an artifact field: the k(lambda) solves of each search ("right",
+    # "left", "k_min") in the order they were made.
+    solves: Dict[str, List[EigenResult]] = field(default_factory=dict, repr=False,
+                                                 compare=False)
 
     def to_dict(self) -> dict:
-        payload = asdict(self)
-        for name in ("evaluations", "levels", "factorizations", "finest_cells"):
-            del payload[name]
-        return payload
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "solves"}
 
 
 def speed_bounds(cs: CoefficientSet) -> Tuple[Optional[float], float]:
@@ -89,7 +83,7 @@ def speed_bounds(cs: CoefficientSet) -> Tuple[Optional[float], float]:
 def _increasing_root(f: Callable[[float], Tuple[float, EigenResult]], x0: float,
                      x1: float, tol: float, lo: float = -math.inf,
                      at_x0: Optional[Tuple[float, EigenResult]] = None
-                     ) -> Tuple[float, EigenResult, int]:
+                     ) -> Tuple[float, EigenResult]:
     """Root of an increasing function by secant steps kept inside a sign bracket.
 
     f(x) returns (value, result).  The bracket [lo, hi] has f(lo) < 0 < f(hi);
@@ -97,11 +91,9 @@ def _increasing_root(f: Callable[[float], Tuple[float, EigenResult]], x0: float,
     without evaluating f there.  A secant step that leaves the bracket becomes
     a bisection, or, towards an open end, a step twice the last one past the
     bracket.  at_x0 is f(x0) when the caller already has it.  Stops when a
-    step is shorter than tol; returns the last evaluated x, its result and
-    the number of calls to f.
+    step is shorter than tol; returns the last evaluated x and its result.
     """
     hi = math.inf
-    calls = 1 if at_x0 is not None else 2
     f0, _ = at_x0 if at_x0 is not None else f(x0)
     f1, result = f(x1)
     for _ in range(MAX_ROOT_STEPS):
@@ -111,7 +103,7 @@ def _increasing_root(f: Callable[[float], Tuple[float, EigenResult]], x0: float,
             elif fx > 0:
                 hi = min(hi, x)
         if f1 == 0:
-            return x1, result, calls
+            return x1, result
         # The secant step from the point with the smaller |f| has the least
         # cancellation: a root within rounding of x0 stays inside the bracket.
         xa, fa = (x0, f0) if abs(f0) < abs(f1) else (x1, f1)
@@ -125,22 +117,21 @@ def _increasing_root(f: Callable[[float], Tuple[float, EigenResult]], x0: float,
             else:
                 x2 = 0.5 * (lo + hi)
         if abs(x2 - x1) < tol:
-            return x1, result, calls
+            return x1, result
         x0, f0 = x1, f1
         x1 = x2
         f1, result = f(x1)
-        calls += 1
     raise NumericalError(f"root search hit its cap of {MAX_ROOT_STEPS} steps; "
                          f"bracket [{lo:.6g}, {hi:.6g}]")
 
 
 def tangency_search(k: Callable[[float], EigenResult], lam0: float, tol: float,
-                    side: float = 1.0) -> Tuple[float, EigenResult, int]:
+                    side: float = 1.0) -> Tuple[float, EigenResult]:
     """Minimizer of k(side lambda)/lambda over lambda > 0 for a k that returns slopes.
 
     It is the root of g(lambda) = lambda k'(side lambda) side - k(side lambda),
     which is increasing for convex k and equals -k(0) < 0 at 0, searched from
-    lam0 and 1.02 lam0.  Returns (lambda, k(side lambda), k evaluations).
+    lam0 and 1.02 lam0.  Returns (lambda, k(side lambda)).
     """
     def g(lam: float) -> Tuple[float, EigenResult]:
         res = k(side * lam)
@@ -149,15 +140,13 @@ def tangency_search(k: Callable[[float], EigenResult], lam0: float, tol: float,
 
 
 def _k_min_search(k: Callable[[float], EigenResult], k0: EigenResult,
-                  tol: float) -> Tuple[EigenResult, int]:
+                  tol: float) -> EigenResult:
     """min k as the root of the increasing slope k', searched from lambda = 0
-    (k0, already on the chain k) and 0.1; returns k there and the number of
-    k(lambda) solves made."""
+    (k0, already on the chain k) and 0.1; returns k there."""
     def slope(lam: float) -> Tuple[float, EigenResult]:
         res = k(lam)
         return res.slope, res
-    _, res, calls = _increasing_root(slope, 0.0, 0.1, tol, at_x0=(k0.slope, k0))
-    return res, calls
+    return _increasing_root(slope, 0.0, 0.1, tol, at_x0=(k0.slope, k0))[1]
 
 
 def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
@@ -186,30 +175,25 @@ def _speed_search(k: Callable[[float], EigenResult], k0: EigenResult, cs: Coeffi
     tangency point of a constant medium, where k = k(0) + sigma lambda^2.
     """
     lam0 = math.sqrt(k0.value / periodic_mean(cs.sigma))
-    levels = {"right": 0, "left": 0, "k_min": 0}
-    factorizations, finest = dict(levels), dict(levels)
+    solves = {"right": [], "left": [], "k_min": []}
 
-    def tallied(k: Callable[[float], EigenResult], search: str):
+    def logged(k: Callable[[float], EigenResult], search: str):
         def solve(lam: float) -> EigenResult:
             res = k(lam)
-            levels[search] += res.levels
-            factorizations[search] += res.factorizations
-            finest[search] = max(finest[search], res.n_cells)
+            solves[search].append(res)
             return res
         return solve
 
-    lam_right, res_right, n_right = tangency_search(tallied(k, "right"), lam0, lam_tol)
-    lam_left, res_left, n_left = tangency_search(
-        tallied(k_chain(cs, grid, k_tol, slope=True), "left"), lam0, lam_tol, side=-1.0)
-    res_min, n_min = _k_min_search(tallied(k, "k_min"), k0, lam_tol)
+    lam_right, res_right = tangency_search(logged(k, "right"), lam0, lam_tol)
+    lam_left, res_left = tangency_search(
+        logged(k_chain(cs, grid, k_tol, slope=True), "left"), lam0, lam_tol, side=-1.0)
+    res_min = _k_min_search(logged(k, "k_min"), k0, lam_tol)
     low, high = speed_bounds(cs)
     return SpeedReport(c_right=res_right.value / lam_right, c_left=res_left.value / lam_left,
                        argmin_lambda_right=float(lam_right),
                        argmin_lambda_left=float(-lam_left),
                        k_min=res_min.value, bound_low=low, bound_high=high,
-                       hair_trigger=_sign_or_none(res_min.value),
-                       evaluations={"right": n_right, "left": n_left, "k_min": n_min},
-                       levels=levels, factorizations=factorizations, finest_cells=finest)
+                       hair_trigger=_sign_or_none(res_min.value), solves=solves)
 
 
 @dataclass
@@ -263,7 +247,7 @@ def hair_trigger_check(cs: CoefficientSet, grid: Optional[GridSpec] = None,
         via_c = _sign_or_none(min(c_right, c_left))
     else:
         # k(0) > 0 fails or is indeterminate: the speed indicator is not available
-        k_min = _k_min_search(k, k0, LAMBDA_TOL)[0].value
+        k_min = _k_min_search(k, k0, LAMBDA_TOL).value
     return HairTriggerReport(via_dirichlet=via_a, via_k_min=_sign_or_none(k_min),
                              via_speeds=via_c, dirichlet_max=float(best),
                              k_min=float(k_min), c_right=c_right, c_left=c_left)

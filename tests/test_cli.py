@@ -1,5 +1,6 @@
 """End-to-end CLI: configs, exit codes, determinism, file formats."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -76,15 +77,18 @@ DETERMINISM_PAYLOADS = {
 
 
 @pytest.mark.parametrize("command", sorted(DETERMINISM_PAYLOADS))
-def test_deterministic_outputs(tmp_path, command):
+def test_deterministic_outputs(tmp_path, capsys, command):
     # eigen and dirichlet build on the shared flux stencil through the
     # eigen module, simulate through the pde Stepper; speed runs the speed
     # search and the curve dump on eigen's warm-started chains, sweep one
-    # speed search per epsilon.  The second run is verbose: the counts it
-    # prints never reach the files.
+    # speed search per epsilon.  The second run is verbose: it prints one
+    # JSON line of counts on stderr, and the counts never reach the files.
     payload = DETERMINISM_PAYLOADS[command]
     assert run(tmp_path, command, payload, out="a") == 0
+    assert capsys.readouterr().err == ""
     assert run(tmp_path, command, payload, out="b", verbose=True) == 0
+    line, = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["command"] == command
     a_files = sorted(p.name[2:] for p in tmp_path.glob("a_*"))
     assert a_files and a_files == sorted(p.name[2:] for p in tmp_path.glob("b_*"))
     if command == "speed":
@@ -117,9 +121,30 @@ def test_non_finite_number_exits_2_without_files(tmp_path, capsys, literal):
     assert not list(tmp_path.glob("bad*"))
 
 
-def test_unknown_key_rejected(tmp_path):
-    payload = {"coefficients": HOMOG_COEFFS, "lambda_stepp": 0.1}
-    assert run(tmp_path, "eigen", payload) == 2
+@pytest.mark.parametrize("command", sorted(DETERMINISM_PAYLOADS))
+def test_unknown_key_rejected(tmp_path, capsys, command):
+    payload = dict(DETERMINISM_PAYLOADS[command], lambda_stepp=0.1)
+    assert run(tmp_path, command, payload, out="bad") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "validation",
+                   "message": f"unknown keys ['lambda_stepp'] in {command} config"}
+    assert not list(tmp_path.glob("bad*"))
+
+
+REQUIRED_KEY = {"eigen": "coefficients", "dirichlet": "radii", "speed": "coefficients",
+                "ode": "u0", "simulate": "record_every", "stationary": "coefficients",
+                "homogenize": "coefficients", "sweep": "epsilons"}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_KEY))
+def test_missing_required_key_rejected(tmp_path, capsys, command):
+    key = REQUIRED_KEY[command]
+    payload = {k: v for k, v in DETERMINISM_PAYLOADS[command].items() if k != key}
+    assert run(tmp_path, command, payload, out="bad") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "validation",
+                   "message": f"missing keys ['{key}'] in {command} config"}
+    assert not list(tmp_path.glob("bad*"))
 
 
 def test_command_mismatch_rejected(tmp_path):
@@ -143,6 +168,16 @@ def test_dirichlet_sweep(tmp_path):
     vals = [float(line.split(",")[1]) for line in lines[2:]]
     assert vals == sorted(vals)
     assert len(vals) == 3
+
+
+def test_dirichlet_radius_past_the_refinement_cap_exits_3_without_files(tmp_path, capsys):
+    # R = 1e4 needs 1.28e6 cells on its first level, past the 2^20 cap
+    payload = {"coefficients": HOMOG_COEFFS, "radii": [1.0, 1e4]}
+    assert run(tmp_path, "dirichlet", payload, out="big") == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+    assert "refinement cap" in err["message"]
+    assert not list(tmp_path.glob("big*"))
 
 
 # -- speed --------------------------------------------------------------------------
@@ -363,3 +398,67 @@ def test_sweep_gap_decreases_and_target_constant(tmp_path):
 def test_sweep_invalid_epsilon_rejected(tmp_path):
     assert run(tmp_path, "sweep", {"coefficients": HOMOG_COEFFS,
                                    "epsilons": [2.0]}) == 2
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, workers", [(1, []), (2, [2]), (8, [2])])
+def test_sweep_starts_no_more_workers_than_rows(tmp_path, monkeypatch, jobs, workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    payload = {"coefficients": HOMOG_COEFFS, "epsilons": [1.0, 0.5]}
+    assert run(tmp_path, "sweep", payload, jobs=jobs) == 0
+    assert RecordingPool.created == workers
+    assert len((tmp_path / "out_sweep.csv").read_text().splitlines()) == 2 + 2
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    payload = {"coefficients": HOMOG_COEFFS, "epsilons": [1.0, 0.5]}
+    assert run(tmp_path, "sweep", payload, out="bad", jobs=jobs) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and "--jobs" in err["message"]
+    assert RecordingPool.created == []
+    assert not list(tmp_path.glob("bad*"))
+
+
+@pytest.mark.parametrize("command", sorted(set(DETERMINISM_PAYLOADS) - {"sweep"}))
+def test_jobs_is_a_sweep_option_only(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, DETERMINISM_PAYLOADS[command], jobs=2)
+    assert exc.value.code == 2
+
+
+def test_sweep_verbose_sums_the_k_solves_of_its_rows(tmp_path, capsys):
+    # each row at epsilon 1 is the speed search of the unscaled set; two
+    # workers carry their rows' counts back with the rows
+    assert run(tmp_path, "speed", {"coefficients": HOMOG_COEFFS}, out="sp", verbose=True) == 0
+    speed = json.loads(capsys.readouterr().err)
+    per_row = sum(n for search, n in speed["k_evals"].items() if search != "curve")
+    payload = {"coefficients": HOMOG_COEFFS, "epsilons": [1.0, 1.0]}
+    assert run(tmp_path, "sweep", payload, out="sw", verbose=True, jobs=2) == 0
+    assert json.loads(capsys.readouterr().err) == {"command": "sweep",
+                                                   "k_evals": 2 * per_row}
+
+
+def test_homogenize_verbose_prints_its_command(tmp_path, capsys):
+    assert run(tmp_path, "homogenize", {"coefficients": HOMOG_COEFFS}, verbose=True) == 0
+    assert json.loads(capsys.readouterr().err) == {"command": "homogenize"}

@@ -507,6 +507,16 @@ def test_dirichlet_eigenvector_positive_interior():
     assert np.min(res.phi) > 0 and np.min(res.psi) > 0
 
 
+def test_dirichlet_starting_level_past_the_cap_raises_before_building(monkeypatch):
+    # R = 1e4 starts at ceil(64 * 2R / L) = 1.28e6 cells, past REFINE_CAP = 2^20
+    def no_skeleton(*args, **kwargs):
+        raise AssertionError("an operator was built past the refinement cap")
+
+    monkeypatch.setattr(eigen, "_skeleton", no_skeleton)
+    with pytest.raises(NumericalError, match="starting level of 1280000 cells"):
+        dirichlet_eigenvalue(HOMOG, 1e4)
+
+
 # -- minimax characterization ----------------------------------------------------------
 
 def test_minimax_at_eigenvector():

@@ -57,8 +57,9 @@ def test_homogeneous_speed_to_rounding_level():
     rep = spreading_speeds(constant_set())
     assert abs(rep.c_right - 2.0) <= 1e-10
     assert abs(rep.c_left - 2.0) <= 1e-10
-    assert max(rep.finest_cells.values()) <= 512
-    assert all(rep.levels[s] >= 2 * rep.evaluations[s] for s in rep.evaluations)
+    solves = [res for results in rep.solves.values() for res in results]
+    assert max(res.n_cells for res in solves) <= 512
+    assert all(res.levels >= 2 for res in solves)
 
 
 def test_speed_from_two_by_two_oracle():
@@ -97,9 +98,13 @@ def test_secant_step_next_to_an_evaluated_root_stays_in_the_bracket():
     # lands inside and the search stops after one more solve.
     f0, f1 = -1.3724940500583663e-18, 0.19995947908799433
     slope = (f1 - f0) / 0.1
-    x, _, calls = speeds._increasing_root(lambda x: (slope * x + f0, x), 0.0, 0.1, 1e-6,
-                                          at_x0=(f0, 0.0))
-    assert calls == 2 and 0.0 < x < 1e-15
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return slope * x + f0, x
+    x, _ = speeds._increasing_root(f, 0.0, 0.1, 1e-6, at_x0=(f0, 0.0))
+    assert len(calls) == 2 and 0.0 < x < 1e-15
 
 
 def test_tangency_search_matches_dense_scan():
@@ -134,7 +139,7 @@ def test_tangency_search_matches_dense_scan():
         c_scan = float(np.min(scan))
         warm["vec"] = None
         lam0 = np.sqrt(k_fixed(0.0).value / periodic_mean(cs.sigma))
-        lam_star, res, _ = tangency_search(lambda lam: k_fixed(lam, slope=True), lam0, 1e-6)
+        lam_star, res = tangency_search(lambda lam: k_fixed(lam, slope=True), lam0, 1e-6)
         assert res.value / lam_star == pytest.approx(c_scan, abs=1e-4), f"trial {trial}"
 
 
@@ -236,9 +241,11 @@ def test_speed_search_makes_few_k_solves(monkeypatch):
     monkeypatch.setattr(eigen, "k_of_lambda", counted)
     report = spreading_speeds(cs)
     assert len(calls) <= 25
-    assert 1 + sum(report.evaluations.values()) == len(calls)
-    for name in ("evaluations", "levels", "finest_cells"):
-        assert name not in report.to_dict()
+    # k(0), then the solves each search logged, in the order they were made
+    logged = [res.lam for search in ("right", "left", "k_min")
+              for res in report.solves[search]]
+    assert calls == [0.0] + logged
+    assert "solves" not in report.to_dict()
 
 
 # -- homogenized speed ---------------------------------------------------------------
