@@ -6,9 +6,10 @@ before touching the filesystem, and writes deterministic files whose headers
 embed a hash of the config.  Exit codes: 0 success, 2 config/validation
 error, 3 numerical error; errors are reported as one JSON object on stderr.
 
-`main` is the one job path: it loads the config, checks its keys against the
-COMMANDS table, hashes it and calls the handler, which returns the paths it
-wrote and its solver counts; `--verbose` prints the counts as one JSON line.
+`main` is the one job path: it loads the config, reads every value through
+the command's schema in the COMMANDS table, hashes the config and calls the
+handler with the values read; the handler returns the paths it wrote and its
+solver counts, and `--verbose` prints the counts as one JSON line.
 """
 
 from __future__ import annotations
@@ -18,72 +19,35 @@ import concurrent.futures
 import json
 import math
 import sys
-from typing import Optional
 
 import numpy as np
 
 from . import coefficients as coeffs
 from . import eigen, ode, pde, speeds
 from .errors import NumericalError, ValidationError
-from .util import config_hash, write_csv
+from .util import (REQUIRED, config_hash, fraction, integer, list_of, number, positive,
+                   read_dataclass, read_object, string, write_csv)
 
 
-def _check_keys(obj: dict, context: str, required: set, optional: set) -> None:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{context} must be a JSON object")
-    unknown = set(obj) - required - optional
-    if unknown:
-        raise ValidationError(f"unknown keys {sorted(unknown)} in {context}")
-    missing = required - set(obj)
-    if missing:
-        raise ValidationError(f"missing keys {sorted(missing)} in {context}")
-
-
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
-def _number(obj: dict, key: str, context: str, default=None, positive=False):
-    if key not in obj:
-        return default
-    val = obj[key]
-    if not _is_number(val):
-        raise ValidationError(f"{context}.{key} must be a number")
-    if positive and not (val > 0):
-        raise ValidationError(f"{context}.{key} must be positive")
-    return float(val)
-
-
-def _integer(obj: dict, key: str, context: Optional[str], default=None):
-    """obj[key] as an int (default when absent); context=None for top-level keys."""
-    if key not in obj:
-        return default
-    val = obj[key]
-    if not isinstance(val, int) or isinstance(val, bool):
-        name = key if context is None else f"{context}.{key}"
-        raise ValidationError(f"{name} must be an integer")
+def _cells(val, name: str) -> int:
+    """A cell count.  No grid finer than eigen.REFINE_CAP is ever built, so a
+    larger count is rejected before anything is allocated."""
+    val = integer(val, name)
+    if val > eigen.REFINE_CAP:
+        raise ValidationError(f"{name} must be at most {eigen.REFINE_CAP}")
     return val
 
 
-def _lambda_grid(config: dict, context: str) -> np.ndarray:
-    lo = _number(config, "lambda_min", context, -3.0)
-    hi = _number(config, "lambda_max", context, 3.0)
-    step = _number(config, "lambda_step", context, 0.1, positive=True)
+def _lambda_grid(cfg: dict, context: str) -> np.ndarray:
+    lo, hi, step = cfg["lambda_min"], cfg["lambda_max"], cfg["lambda_step"]
     if hi < lo:
         raise ValidationError(f"{context}: lambda_max must be >= lambda_min")
-    count = int(math.floor((hi - lo) / step + 0.5)) + 1
+    span = (hi - lo) / step
+    if not span < eigen.REFINE_CAP:          # an overflowing span too
+        raise ValidationError(f"{context}: the lambda grid has more than "
+                              f"{eigen.REFINE_CAP} steps")
+    count = int(math.floor(span + 0.5)) + 1
     return lo + step * np.arange(count)
-
-
-def _grid_spec(config: dict) -> Optional[eigen.GridSpec]:
-    n = _integer(config, "n_cells", None)
-    return None if n is None else eigen.GridSpec(n_cells=n)
-
-
-def _coefficient_set(config: dict) -> coeffs.CoefficientSet:
-    if "coefficients" not in config:
-        raise ValidationError("config needs a 'coefficients' object")
-    return coeffs.set_from_dict(config["coefficients"])
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -116,17 +80,13 @@ def _search_counts(searches: dict) -> dict:
             for key in ("k_evals", "levels", "factorizations", "finest_cells")}
 
 
-# -- subcommand handlers: (config, out, tag) -> (paths written, solver counts) ---
+# -- subcommand handlers: (values, out, tag) -> (paths written, solver counts) ---
+# `values` holds every key of the command's schema, read and checked.
 
-def run_eigen(config: dict, out: str, tag: str):
-    cs = _coefficient_set(config)
-    grid = _grid_spec(config)
-    tol = _number(config, "tolerance", "eigen config", eigen.K_GRID_TOL, positive=True)
-    lams = _lambda_grid(config, "eigen config")
-    profile_lams = config.get("profile_lambdas", [0.0])
-    if not isinstance(profile_lams, list) or not all(map(_is_number, profile_lams)):
-        raise ValidationError("profile_lambdas must be a list of numbers")
-
+def run_eigen(cfg: dict, out: str, tag: str):
+    lams = _lambda_grid(cfg, "eigen config")
+    cs, grid, tol = cfg["coefficients"], cfg["n_cells"], cfg["tolerance"]
+    profile_lams = cfg["profile_lambdas"]
     results = eigen.k_curve(cs, lams, grid, tol)
     profiles = [eigen.k_of_lambda(cs, float(lam), grid, tol) for lam in profile_lams]
     paths = [f"{out}_kcurve.csv"]
@@ -140,30 +100,19 @@ def run_eigen(config: dict, out: str, tag: str):
     return paths, _eigen_counts(results + profiles)
 
 
-def run_dirichlet(config: dict, out: str, tag: str):
-    cs = _coefficient_set(config)
-    grid = _grid_spec(config)
-    tol = _number(config, "tolerance", "dirichlet config", eigen.K_GRID_TOL, positive=True)
-    radii = config["radii"]
-    if (not isinstance(radii, list) or not radii
-            or any(not _is_number(R) or R <= 0 for R in radii)):
-        raise ValidationError("radii must be a nonempty list of positive numbers")
-    results = eigen.dirichlet_sweep(cs, radii, grid, tol)
+def run_dirichlet(cfg: dict, out: str, tag: str):
+    radii = cfg["radii"]
+    results = eigen.dirichlet_sweep(cfg["coefficients"], radii, cfg["n_cells"], cfg["tolerance"])
     path = f"{out}_dirichlet.csv"
     eigen.write_dirichlet_csv(path, radii, results, [f"config_hash={tag}"])
     return [path], _eigen_counts(results)
 
 
-def run_speed(config: dict, out: str, tag: str):
-    cs = _coefficient_set(config)
-    grid = _grid_spec(config)
-    lam_tol = _number(config, "lambda_tolerance", "speed config",
-                      speeds.LAMBDA_TOL, positive=True)
-    k_tol = _number(config, "k_tolerance", "speed config", eigen.K_GRID_TOL,
-                    positive=True)
-    lams = _lambda_grid(config, "speed config")
+def run_speed(cfg: dict, out: str, tag: str):
+    lams = _lambda_grid(cfg, "speed config")
+    cs, grid, k_tol = cfg["coefficients"], cfg["n_cells"], cfg["k_tolerance"]
 
-    report = speeds.spreading_speeds(cs, grid, lam_tol, k_tol)
+    report = speeds.spreading_speeds(cs, grid, cfg["lambda_tolerance"], k_tol)
     curve = eigen.k_curve(cs, lams, grid, k_tol)
     payload = report.to_dict()
     payload["config_hash"] = tag
@@ -176,21 +125,8 @@ def run_speed(config: dict, out: str, tag: str):
     return paths, _search_counts(dict(report.solves, curve=curve))
 
 
-def _hom_params(config: dict) -> ode.HomParams:
-    if "params" not in config:
-        raise ValidationError("config needs a 'params' object")
-    p = config["params"]
-    names = ("sigma", "r_u", "r_v", "kappa_u", "kappa_v", "mu_u", "mu_v")
-    _check_keys(p, "params", set(names), set())
-    return ode.HomParams(**{name: _number(p, name, "params") for name in names})
-
-
-def run_ode(config: dict, out: str, tag: str):
-    p = _hom_params(config)
-    u0 = _number(config, "u0", "ode config")
-    v0 = _number(config, "v0", "ode config")
-    T = _number(config, "T", "ode config", positive=True)
-    dt = _number(config, "dt", "ode config", 1e-3, positive=True)
+def run_ode(cfg: dict, out: str, tag: str):
+    p, u0, v0, T, dt = (cfg[key] for key in ("params", "u0", "v0", "T", "dt"))
     if u0 < 0 or v0 < 0:
         raise ValidationError("u0 and v0 must be nonnegative")
 
@@ -214,45 +150,11 @@ def run_ode(config: dict, out: str, tag: str):
     return paths, {"steps": len(traj.t) - 1}
 
 
-def _domain_spec(config: dict) -> pde.DomainSpec:
-    if "domain" not in config:
-        raise ValidationError("config needs a 'domain' object")
-    d = config["domain"]
-    _check_keys(d, "domain", {"x_min", "x_max", "n_points"}, {"boundary"})
-    return pde.DomainSpec(n_points=_integer(d, "n_points", "domain"),
-                          x_min=_number(d, "x_min", "domain"),
-                          x_max=_number(d, "x_max", "domain"),
-                          boundary=d.get("boundary", "neumann"))
-
-
-def _initial_data(config: dict) -> pde.InitialData:
-    if "initial" not in config:
-        raise ValidationError("config needs an 'initial' object")
-    d = config["initial"]
-    _check_keys(d, "initial", {"kind", "amplitude"},
-                {"x_on", "x_off", "center", "width"})
-    kwargs = {"kind": d["kind"],
-              "amplitude": _number(d, "amplitude", "initial", positive=True)}
-    for key in ("x_on", "x_off", "center", "width"):
-        if key in d:
-            kwargs[key] = _number(d, key, "initial")
-    return pde.InitialData(**kwargs)
-
-
-def run_simulate(config: dict, out: str, tag: str):
-    cs = _coefficient_set(config)
-    domain = _domain_spec(config)
-    init = _initial_data(config)
-    T = _number(config, "T", "simulate config", positive=True)
-    dt = _number(config, "dt", "simulate config", positive=True)
-    record_every = _number(config, "record_every", "simulate config", positive=True)
-    theta = _number(config, "theta", "simulate config")
-    snapshot_every = _number(config, "snapshot_every", "simulate config")
-    window = _number(config, "window", "simulate config", 0.5, positive=True)
-
-    result = pde.simulate(cs, domain, init, T, dt, record_every,
-                          theta=theta, snapshot_every=snapshot_every)
-    measurement = pde.measure_speed(result.trace, window)
+def run_simulate(cfg: dict, out: str, tag: str):
+    result = pde.simulate(cfg["coefficients"], cfg["domain"], cfg["initial"], cfg["T"],
+                          cfg["dt"], cfg["record_every"], theta=cfg["theta"],
+                          snapshot_every=cfg["snapshot_every"])
+    measurement = pde.measure_speed(result.trace, cfg["window"])
     paths = []
     for i, snap in enumerate(result.snapshots):
         path = f"{out}_snapshot_{i}.csv"
@@ -287,22 +189,18 @@ def _json_float(x: float):
     return None if not np.isfinite(x) else float(x)
 
 
-def run_stationary(config: dict, out: str, tag: str):
-    cs = _coefficient_set(config)
-    n_cells = _integer(config, "n_cells", None, 512)
-    tol = _number(config, "tolerance", "stationary config", 1e-9, positive=True)
-    t_max = _number(config, "t_max", "stationary config", 4000.0, positive=True)
+def run_stationary(cfg: dict, out: str, tag: str):
     counts = {}
-    nodes, u, v = pde.stationary_profile(cs, n_cells=n_cells, tol=tol, t_max=t_max,
+    nodes, u, v = pde.stationary_profile(cfg["coefficients"], n_cells=cfg["n_cells"],
+                                         tol=cfg["tolerance"], t_max=cfg["t_max"],
                                          counts=counts)
     path = f"{out}_stationary.csv"
     write_csv(path, ("x", "u", "v"), (nodes, u, v), [f"config_hash={tag}"])
     return [path], counts
 
 
-def run_homogenize(config: dict, out: str, tag: str):
-    cs = _coefficient_set(config)
-    h = coeffs.homogenize(cs)
+def run_homogenize(cfg: dict, out: str, tag: str):
+    h = coeffs.homogenize(cfg["coefficients"])
     payload = h.to_dict()
     payload["config_hash"] = tag
     try:
@@ -331,17 +229,10 @@ def _sweep_row(args) -> dict:
     return row
 
 
-def run_sweep(config: dict, out: str, tag: str, jobs: int):
+def run_sweep(cfg: dict, out: str, tag: str, jobs: int):
     if jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {jobs}")
-    cs = _coefficient_set(config)
-    k_tol = _number(config, "k_tolerance", "sweep config", eigen.K_GRID_TOL,
-                    positive=True)
-    eps_list = config["epsilons"]
-    if (not isinstance(eps_list, list) or not eps_list
-            or any(not _is_number(e) or not (0 < e <= 1) for e in eps_list)):
-        raise ValidationError("epsilons must be a nonempty list of values in (0, 1]")
-
+    cs, k_tol, eps_list = cfg["coefficients"], cfg["k_tolerance"], cfg["epsilons"]
     h = coeffs.homogenize(cs)
     target = speeds.homogenized_speed(h)
     set_dict = coeffs.set_to_dict(cs)
@@ -369,22 +260,39 @@ def run_sweep(config: dict, out: str, tag: str, jobs: int):
     return [path], {"k_evals": sum(raw["k_evals"] for raw in rows_raw)}
 
 
-# command -> (handler, required config keys, optional config keys besides "command")
+_COEFFICIENTS = {"coefficients": (lambda val, _: coeffs.set_from_dict(val), REQUIRED)}
+_GRID = {"n_cells": (lambda val, name: eigen.GridSpec(_cells(val, name)), None)}
+_LAMBDA_GRID = {"lambda_min": (number, -3.0), "lambda_max": (number, 3.0),
+                "lambda_step": (positive, 0.1)}
+
+# command -> (handler, schema of its config keys besides "command")
 COMMANDS = {
-    "eigen": (run_eigen, {"coefficients"},
-              {"lambda_min", "lambda_max", "lambda_step", "n_cells", "tolerance",
-               "profile_lambdas"}),
-    "dirichlet": (run_dirichlet, {"coefficients", "radii"}, {"n_cells", "tolerance"}),
-    "speed": (run_speed, {"coefficients"},
-              {"n_cells", "lambda_tolerance", "k_tolerance", "lambda_min", "lambda_max",
-               "lambda_step"}),
-    "ode": (run_ode, {"params", "u0", "v0", "T"}, {"dt"}),
-    "simulate": (run_simulate,
-                 {"coefficients", "domain", "initial", "T", "dt", "record_every"},
-                 {"theta", "snapshot_every", "window"}),
-    "stationary": (run_stationary, {"coefficients"}, {"n_cells", "tolerance", "t_max"}),
-    "homogenize": (run_homogenize, {"coefficients"}, set()),
-    "sweep": (run_sweep, {"coefficients", "epsilons"}, {"k_tolerance"}),
+    "eigen": (run_eigen, {**_COEFFICIENTS, **_LAMBDA_GRID, **_GRID,
+                          "tolerance": (positive, eigen.K_GRID_TOL),
+                          "profile_lambdas": (list_of(number), [0.0])}),
+    "dirichlet": (run_dirichlet, {**_COEFFICIENTS,
+                                  "radii": (list_of(positive, nonempty=True), REQUIRED),
+                                  **_GRID, "tolerance": (positive, eigen.K_GRID_TOL)}),
+    "speed": (run_speed, {**_COEFFICIENTS, **_GRID,
+                          "lambda_tolerance": (positive, speeds.LAMBDA_TOL),
+                          "k_tolerance": (positive, eigen.K_GRID_TOL), **_LAMBDA_GRID}),
+    "ode": (run_ode, {"params": (read_dataclass(ode.HomParams, "params"), REQUIRED),
+                      "u0": (number, REQUIRED), "v0": (number, REQUIRED),
+                      "T": (positive, REQUIRED), "dt": (positive, 1e-3)}),
+    "simulate": (run_simulate, {**_COEFFICIENTS,
+                                "domain": (read_dataclass(pde.DomainSpec, "domain"), REQUIRED),
+                                "initial": (read_dataclass(pde.InitialData, "initial"),
+                                            REQUIRED),
+                                "T": (positive, REQUIRED), "dt": (positive, REQUIRED),
+                                "record_every": (positive, REQUIRED), "theta": (positive, None),
+                                "snapshot_every": (positive, None), "window": (fraction, 0.5)}),
+    "stationary": (run_stationary, {**_COEFFICIENTS, "n_cells": (_cells, 512),
+                                    "tolerance": (positive, 1e-9),
+                                    "t_max": (positive, 4000.0)}),
+    "homogenize": (run_homogenize, _COEFFICIENTS),
+    "sweep": (run_sweep, {**_COEFFICIENTS,
+                          "epsilons": (list_of(fraction, nonempty=True), REQUIRED),
+                          "k_tolerance": (positive, eigen.K_GRID_TOL)}),
 }
 
 
@@ -433,13 +341,14 @@ def main(argv=None) -> int:
             p.add_argument("--jobs", type=int, default=1,
                            help="worker processes for the epsilon rows")
     args = parser.parse_args(argv)
-    handler, required, optional = COMMANDS[args.command]
+    handler, schema = COMMANDS[args.command]
     extra = {"jobs": args.jobs} if args.command == "sweep" else {}
 
     try:
         config = _load_config(args.config, args.command)
-        _check_keys(config, f"{args.command} config", required, optional | {"command"})
-        paths, counts = handler(config, args.out, config_hash(config), **extra)
+        values = read_object(config, f"{args.command} config",
+                             {**schema, "command": (string, None)})
+        paths, counts = handler(values, args.out, config_hash(config), **extra)
     except ValidationError as exc:
         json.dump({"error": "validation", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -16,6 +16,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .util import REQUIRED, list_of, number, read_object, string
 
 KINDS = ("constant", "cosine", "piecewise_constant", "table")
 
@@ -388,78 +389,58 @@ def homogenize(cs: CoefficientSet) -> HomogenizedSet:
 # amplitude, phase, harmonics, breakpoints, values, samples; a set uses
 # period plus the seven coefficient names.
 
-_SPEC_KEYS = {
-    "constant": ("value",),
-    "cosine": ("mean", "amplitude", "phase", "harmonics"),
-    "piecewise_constant": ("breakpoints", "values"),
-    "table": ("samples",),
+_numbers = list_of(number)
+
+# kind -> (constructor, schema of the keys besides kind and period)
+_SPEC_SCHEMAS = {
+    "constant": (CoefficientSpec.constant, {"value": (number, REQUIRED)}),
+    "cosine": (CoefficientSpec.cosine, {"mean": (number, REQUIRED),
+                                        "amplitude": (number, REQUIRED),
+                                        "phase": (number, 0.0),
+                                        "harmonics": (list_of(_numbers), ())}),
+    "piecewise_constant": (CoefficientSpec.piecewise, {"breakpoints": (_numbers, REQUIRED),
+                                                       "values": (_numbers, REQUIRED)}),
+    "table": (CoefficientSpec.table, {"samples": (_numbers, REQUIRED)}),
 }
-_OPTIONAL_SPEC_KEYS = {"cosine": {"phase", "harmonics"}}
+
+# The specs are read once the set's period, their default period, is known.
+_SET_SCHEMA = {"period": (number, 1.0),
+               **{name: (lambda val, _: val, REQUIRED) for name in COEFFICIENT_NAMES}}
+
+
+def _as_json(val):
+    """Tuples, nested ones too, as the JSON lists they were read from."""
+    return [_as_json(v) for v in val] if isinstance(val, tuple) else val
 
 
 def spec_to_dict(spec: CoefficientSpec) -> dict:
-    d = {"kind": spec.kind, "period": spec.period}
-    if spec.kind == "constant":
-        d["value"] = spec.value
-    elif spec.kind == "cosine":
-        d["mean"] = spec.mean
-        d["amplitude"] = spec.amplitude
-        d["phase"] = spec.phase
-        if spec.harmonics:
-            d["harmonics"] = [list(h) for h in spec.harmonics]
-    elif spec.kind == "piecewise_constant":
-        d["breakpoints"] = list(spec.breakpoints)
-        d["values"] = list(spec.values)
-    else:
-        d["samples"] = list(spec.samples)
-    return d
+    return {"kind": spec.kind, "period": spec.period,
+            **{key: _as_json(getattr(spec, key)) for key in _SPEC_SCHEMAS[spec.kind][1]}}
 
 
-def spec_from_dict(d: dict) -> CoefficientSpec:
+def spec_from_dict(d: dict, period: float = 1.0,
+                   context: str = "coefficient spec") -> CoefficientSpec:
+    """The spec of a JSON object; its period defaults to `period`."""
     if not isinstance(d, dict) or "kind" not in d:
-        raise ValidationError("coefficient spec must be an object with a 'kind' key")
+        raise ValidationError(f"{context} must be an object with a 'kind' key")
     kind = d["kind"]
-    if kind not in _SPEC_KEYS:
+    if not isinstance(kind, str) or kind not in _SPEC_SCHEMAS:
         raise ValidationError(f"unknown coefficient kind {kind!r}")
-    allowed = {"kind", "period", *_SPEC_KEYS[kind]}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValidationError(f"unknown keys {sorted(unknown)} in {kind} coefficient spec")
-    required = set(_SPEC_KEYS[kind]) - _OPTIONAL_SPEC_KEYS.get(kind, set())
-    missing = required - set(d)
-    if missing:
-        raise ValidationError(f"missing keys {sorted(missing)} in {kind} coefficient spec")
-    period = d.get("period", 1.0)
-    if kind == "constant":
-        return CoefficientSpec.constant(d["value"], period=period)
-    if kind == "cosine":
-        return CoefficientSpec.cosine(d["mean"], d["amplitude"], d.get("phase", 0.0),
-                                      period=period, harmonics=d.get("harmonics", ()))
-    if kind == "piecewise_constant":
-        return CoefficientSpec.piecewise(d["breakpoints"], d["values"], period=period)
-    return CoefficientSpec.table(d["samples"], period=period)
+    build, schema = _SPEC_SCHEMAS[kind]
+    values = read_object(d, context, {"kind": (string, REQUIRED),
+                                      "period": (number, period), **schema})
+    del values["kind"]
+    return build(**values)
 
 
 def set_to_dict(cs: CoefficientSet) -> dict:
-    d = {"period": cs.period}
-    for name in COEFFICIENT_NAMES:
-        d[name] = spec_to_dict(getattr(cs, name))
-    return d
+    return {"period": cs.period,
+            **{name: spec_to_dict(getattr(cs, name)) for name in COEFFICIENT_NAMES}}
 
 
 def set_from_dict(d: dict) -> CoefficientSet:
-    if not isinstance(d, dict):
-        raise ValidationError("coefficient set must be a JSON object")
-    unknown = set(d) - {"period", *COEFFICIENT_NAMES}
-    if unknown:
-        raise ValidationError(f"unknown keys {sorted(unknown)} in coefficient set")
-    missing = {*COEFFICIENT_NAMES} - set(d)
-    if missing:
-        raise ValidationError(f"missing coefficients {sorted(missing)} in coefficient set")
-    period = d.get("period", 1.0)
-    specs = {}
-    for name in COEFFICIENT_NAMES:
-        sd = dict(d[name])
-        sd.setdefault("period", period)
-        specs[name] = spec_from_dict(sd)
-    return CoefficientSet(period=period, **specs)
+    values = read_object(d, "coefficient set", _SET_SCHEMA)
+    period = values.pop("period")
+    return CoefficientSet(period=period, **{
+        name: spec_from_dict(spec, period, f"coefficient set.{name}")
+        for name, spec in values.items()})

@@ -591,12 +591,16 @@ def minimax_check(cs: CoefficientSet, lam: float, grid: GridSpec,
 # wrappers installed on eigen.k_of_lambda / eigen.dirichlet_eigenvalue see
 # each solve.
 
-def _warm_chain(solve: Callable[..., EigenResult]) -> Callable[[float], EigenResult]:
+def _warm_chain(solve: Callable[..., EigenResult],
+                start: Optional[EigenResult] = None) -> Callable[[float], EigenResult]:
     """solve(param, warm, left_warm) as a one-argument function that starts
     each solve from the eigenvector, and the left Perron pair if it has one,
-    of the previous solve.  This is the only place that carries an
-    eigenvector from one k(lambda) or Dirichlet solve to the next."""
+    of the previous solve, the first one from `start` when given.  This is
+    the only place that carries an eigenvector from one k(lambda) or
+    Dirichlet solve to the next."""
     warm = left = None
+    if start is not None:
+        warm, left = (start.phi, start.psi), start.left
 
     def step(param: float) -> EigenResult:
         nonlocal warm, left
@@ -607,15 +611,16 @@ def _warm_chain(solve: Callable[..., EigenResult]) -> Callable[[float], EigenRes
 
 
 def k_chain(cs: CoefficientSet, grid: Optional[GridSpec], tol: float,
-            slope: bool = False) -> Callable[[float], EigenResult]:
+            slope: bool = False,
+            start: Optional[EigenResult] = None) -> Callable[[float], EigenResult]:
     """lambda -> k_of_lambda(cs, lambda, grid, tol, slope=slope), warm-started
-    along the calls.  The chain owns the operator skeletons of the latest
-    solve's grid levels, which the next solve, near it in lambda, mostly
-    reuses."""
+    along the calls, the first one from `start` when given.  The chain owns
+    the operator skeletons of the latest solve's grid levels, which the next
+    solve, near it in lambda, mostly reuses."""
     skeletons = {}
     return _warm_chain(lambda lam, warm, left: k_of_lambda(cs, lam, grid, tol, warm=warm,
                                                            slope=slope, left_warm=left,
-                                                           skeletons=skeletons))
+                                                           skeletons=skeletons), start)
 
 
 def k_curve(cs: CoefficientSet, lambdas: Sequence[float],

@@ -31,6 +31,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .coefficients import CoefficientSet
+from .eigen import REFINE_CAP
 from .errors import InvariantBreachError, NumericalError, PreconditionError, ValidationError
 from .stencil import flux_stencil
 from .util import write_csv
@@ -57,6 +58,8 @@ class DomainSpec:
             raise ValidationError("x_max must exceed x_min")
         if self.n_points < 256:
             raise ValidationError("domains need at least 256 points")
+        if self.n_points > REFINE_CAP:
+            raise ValidationError(f"domains take at most {REFINE_CAP} points")
         if self.boundary not in ("neumann", "dirichlet_zero"):
             raise ValidationError(f"unknown boundary kind {self.boundary!r}")
 
@@ -331,8 +334,13 @@ def simulate(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
     if domain.width < 20.0 * cs.period:
         raise ValidationError(f"domain width {domain.width} is below 20 periods; "
                               "fronts would immediately feel the truncation")
-    if not (T > 0 and record_every > 0):
-        raise ValidationError("T and record_every must be positive")
+    if not (T > 0 and dt > 0 and record_every > 0):
+        raise ValidationError("T, dt and record_every must be positive")
+    n_steps = int(round(T / dt))
+    record_stride = max(1, int(round(record_every / dt)))
+    if n_steps < record_stride:         # the speed fit needs two recorded positions
+        raise ValidationError(f"record_every={record_every} leaves fewer than two "
+                              f"recorded front positions by T={T}")
     nodes, u, v, stepper = _line_run(cs, domain, init, dt)
     if theta is None:
         theta = default_threshold(cs, u, v)
@@ -348,8 +356,6 @@ def simulate(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
     snapshots: List[FieldState] = []
     mass_max = float(np.max(u + v))
 
-    n_steps = int(round(T / dt))
-    record_stride = max(1, int(round(record_every / dt)))
     snap_stride = None
     if snapshot_every is not None:
         snap_stride = max(1, int(round(snapshot_every / dt)))

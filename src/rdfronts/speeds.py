@@ -7,10 +7,11 @@ function, changes sign, and min k is the root of the increasing k'.  Both
 roots are found by a safeguarded secant search on the exact slope k' that
 ``eigen.k_of_lambda(slope=True)`` returns.  Every k(lambda) comes from
 ``eigen.k_chain``, the warm-started chain that also produces the curve
-dumps: one chain for k(0), the right search and min k, and a second one for
-the left search.  The module also evaluates the analytic speed bounds, the
-three equivalent persistence indicators behind the hair-trigger effect,
-which reuse one speed search, and the speed of the homogenized medium.
+dumps: one chain for k(0), the right search and min k, and a second one,
+started from k(0) as well, for the left search.  The module also evaluates
+the analytic speed bounds, the three equivalent persistence indicators
+behind the hair-trigger effect, which reuse one speed search, and the speed
+of the homogenized medium.
 """
 
 from __future__ import annotations
@@ -170,6 +171,9 @@ def _speed_search(k: Callable[[float], EigenResult], k0: EigenResult, cs: Coeffi
                   grid: Optional[GridSpec], lam_tol: float, k_tol: float) -> SpeedReport:
     """The speeds and min k once k0 = k(0) > 0 is known: the right search on
     the chain k, the left search on a fresh chain, then min k on k again.
+    Both searches start from k0's eigenvectors: the left search of a set is
+    then the right search of its mirror image, and mirroring swaps the speeds
+    to rounding.
 
     The tangency searches start at sqrt(k(0) / mean sigma), the exact
     tangency point of a constant medium, where k = k(0) + sigma lambda^2.
@@ -186,7 +190,8 @@ def _speed_search(k: Callable[[float], EigenResult], k0: EigenResult, cs: Coeffi
 
     lam_right, res_right = tangency_search(logged(k, "right"), lam0, lam_tol)
     lam_left, res_left = tangency_search(
-        logged(k_chain(cs, grid, k_tol, slope=True), "left"), lam0, lam_tol, side=-1.0)
+        logged(k_chain(cs, grid, k_tol, slope=True, start=k0), "left"), lam0, lam_tol,
+        side=-1.0)
     res_min = _k_min_search(logged(k, "k_min"), k0, lam_tol)
     low, high = speed_bounds(cs)
     return SpeedReport(c_right=res_right.value / lam_right, c_left=res_left.value / lam_left,

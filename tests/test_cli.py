@@ -3,6 +3,8 @@
 import concurrent.futures
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,9 @@ import numpy as np
 import pytest
 
 import rdfronts
-from rdfronts.cli import main
+from rdfronts import pde
+from rdfronts.cli import COMMANDS, main
+from rdfronts.util import REQUIRED
 
 HOMOG_COEFFS = {
     "period": 1.0,
@@ -145,6 +149,59 @@ def test_missing_required_key_rejected(tmp_path, capsys, command):
     assert err == {"error": "validation",
                    "message": f"missing keys ['{key}'] in {command} config"}
     assert not list(tmp_path.glob("bad*"))
+
+
+COSINE = {"kind": "cosine", "mean": 1.0, "amplitude": 0.1}
+
+
+@pytest.mark.parametrize("override, name", [
+    pytest.param({"sigma": {"kind": "constant", "value": "abc"}}, "sigma.value", id="value-str"),
+    pytest.param({"sigma": {"kind": "constant", "value": [1]}}, "sigma.value", id="value-list"),
+    pytest.param({"sigma": {"kind": "constant", "value": None}}, "sigma.value", id="value-null"),
+    pytest.param({"sigma": {"kind": "constant", "value": True}}, "sigma.value", id="value-true"),
+    pytest.param({"sigma": {"kind": "constant", "value": 10 ** 400}}, "sigma.value",
+                 id="value-past-float-range"),
+    pytest.param({"sigma": {"kind": "piecewise_constant", "breakpoints": 5, "values": [1.0]}},
+                 "sigma.breakpoints", id="breakpoints-int"),
+    pytest.param({"sigma": {"kind": "table", "samples": ["a"]}}, "sigma.samples[0]",
+                 id="samples-str"),
+    pytest.param({"r_u": dict(COSINE, harmonics=5)}, "r_u.harmonics", id="harmonics-int"),
+    pytest.param({"r_u": dict(COSINE, phase="p")}, "r_u.phase", id="phase-str"),
+    pytest.param({"sigma": {"kind": "constant", "value": 1.0, "period": "x"}}, "sigma.period",
+                 id="spec-period-str"),
+    pytest.param({"sigma": "abc"}, "sigma", id="spec-str"),
+    pytest.param({"period": "a"}, "coefficient set.period", id="set-period-str"),
+])
+def test_malformed_coefficient_value_exits_2_without_files(tmp_path, capsys, override, name):
+    payload = {"coefficients": dict(HOMOG_COEFFS, **override)}
+    assert run(tmp_path, "eigen", payload, out="bad") == 2
+    line, = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "validation" and name in err["message"]
+    assert not list(tmp_path.glob("bad*"))
+
+
+def readme_config_table() -> dict:
+    """command -> (required keys, optional keys), as README's "Config payloads
+    per command" table lists them in backquotes."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("### Config payloads per command\n", 1)[1]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            command, required, optional = line.strip("|").split("|")
+            table[command.strip().strip("`")] = (set(re.findall(r"`([^`]+)`", required)),
+                                                 set(re.findall(r"`([^`]+)`", optional)))
+        elif table:
+            break
+    return table
+
+
+def test_readme_config_table_matches_the_schemas():
+    schemas = {command: ({key for key, (_, default) in schema.items() if default is REQUIRED},
+                         {key for key, (_, default) in schema.items() if default is not REQUIRED})
+               for command, (_, schema) in COMMANDS.items()}
+    assert readme_config_table() == schemas
 
 
 def test_command_mismatch_rejected(tmp_path):
@@ -327,6 +384,24 @@ def test_simulate_outputs(tmp_path):
     assert first[2] == "x,u,v"
 
 
+@pytest.mark.parametrize("option, value", [("window", 2.0), ("snapshot_every", 0),
+                                           ("snapshot_every", -1), ("theta", -1.0),
+                                           ("record_every", 1.5)])
+def test_simulate_run_option_out_of_range_exits_2_before_stepping(tmp_path, capsys,
+                                                                 monkeypatch, option, value):
+    # the payload runs 100 steps of 0.01 to T = 1
+    def stepped(*args, **kwargs):
+        raise AssertionError("an IMEX step ran")
+
+    monkeypatch.setattr(pde.Stepper, "advance", stepped)
+    payload = dict(DETERMINISM_PAYLOADS["simulate"], **{option: value})
+    assert run(tmp_path, "simulate", payload, out="bad") == 2
+    line, = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "validation" and option in err["message"]
+    assert not list(tmp_path.glob("bad*"))
+
+
 # -- stationary / homogenize --------------------------------------------------------------
 
 def test_stationary_profile_command(tmp_path):
@@ -346,6 +421,35 @@ def test_stationary_too_few_cells_exits_2_without_files(tmp_path, capsys, n_cell
     assert err["error"] == "validation"
     assert "n_cells" in err["message"]
     assert not list(tmp_path.glob("bad*"))
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30, 3 * 2 ** 30))
+
+
+@pytest.mark.parametrize("command, payload, word", [
+    pytest.param("stationary", {"coefficients": HOMOG_COEFFS, "n_cells": 10 ** 9}, "n_cells",
+                 id="stationary-n_cells"),
+    pytest.param("simulate", dict(DETERMINISM_PAYLOADS["simulate"], domain={
+        "x_min": -10.0, "x_max": 20.0, "n_points": 10 ** 9}), "points", id="simulate-n_points"),
+    pytest.param("eigen", {"coefficients": HOMOG_COEFFS, "lambda_step": 1e-12}, "lambda grid",
+                 id="eigen-lambda_step"),
+])
+def test_huge_size_exits_2_before_allocating(tmp_path, command, payload, word):
+    # A size that got past the readers would ask for gigabytes or terabytes;
+    # the child's 3 GiB address space and the timeout make that fail fast.
+    cfg = write_config(tmp_path, payload)
+    src = str(Path(rdfronts.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "rdfronts", command, "--config", cfg,
+                           "--out", str(tmp_path / "big")], env=env, capture_output=True,
+                          text=True, timeout=30, preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    line, = proc.stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "validation" and word in err["message"]
+    assert not list(tmp_path.glob("big*"))
 
 
 def test_stationary_numerical_error_exits_3(tmp_path, capsys):

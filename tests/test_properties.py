@@ -1,19 +1,24 @@
 """Property tests on seeded random inputs: the comparison bound of the IMEX
-stepper, the exact JSON round trip of coefficient specs, and the positive
-Perron vector inside its Collatz-Wielandt bracket.
+stepper, the exact JSON round trip of coefficient specs, the positive
+Perron vector inside its Collatz-Wielandt bracket, the convex k(lambda)
+inside its quadratic envelopes, and the speeds that mirroring swaps.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import dataclasses
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rdfronts.coefficients import CoefficientSet, CoefficientSpec, spec_from_dict, spec_to_dict
-from rdfronts.eigen import GridSpec, build_operator, principal_eigenpair
+from rdfronts.coefficients import (CoefficientSet, CoefficientSpec, mirror_set, spec_from_dict,
+                                   spec_to_dict)
+from rdfronts.eigen import (K_GRID_TOL, GridSpec, build_operator, k_curve, k_of_lambda,
+                            principal_eigenpair)
 from rdfronts.pde import BOUND_SLACK, DomainSpec, InitialData, Stepper, build_initial
+from rdfronts.speeds import spreading_speeds
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -119,3 +124,41 @@ def test_tilted_perron_vector_is_positive_and_bracketed(cs, lam, n):
 @given(cs=coefficient_sets(), half_width=st.floats(0.25, 8.0), n=cells)
 def test_dirichlet_perron_vector_is_positive_and_bracketed(cs, half_width, n):
     assert_perron_pair(build_operator(cs, 0.0, GridSpec(n_cells=n), half_width=half_width))
+
+
+# -- k(lambda) and mirror symmetry ----------------------------------------------
+
+@st.composite
+def k_sets(draw):
+    """coefficient_sets, in half the draws with sigma a two-piece piecewise
+    constant that jumps at a drawn position."""
+    cs = draw(coefficient_sets())
+    if draw(st.booleans()):
+        jump = draw(st.floats(0.1, 0.9))
+        values = draw(st.lists(st.floats(0.5, 2.0), min_size=2, max_size=2))
+        cs = dataclasses.replace(cs, sigma=CoefficientSpec.piecewise([0.0, jump], values))
+    return cs
+
+
+LAMBDAS = np.arange(-3.0, 3.01, 0.5)
+
+
+@SETTINGS
+@given(cs=k_sets())
+def test_k_is_convex_inside_its_quadratic_envelopes(cs):
+    # sigma_min lam^2 + r_min <= k(lam) <= sigma_max lam^2 + r_max; each k is
+    # solved to K_GRID_TOL, and a constant set meets both envelopes exactly
+    k = np.array([res.value for res in k_curve(cs, LAMBDAS, GridSpec(32))])
+    assert np.all(k[2:] - 2.0 * k[1:-1] + k[:-2] >= -K_GRID_TOL)
+    assert np.all(k >= cs.sigma_min * LAMBDAS ** 2 + cs.r_min - K_GRID_TOL)
+    assert np.all(k <= cs.sigma_max * LAMBDAS ** 2 + cs.r_max + K_GRID_TOL)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(cs=k_sets())
+def test_mirror_set_swaps_the_spreading_speeds(cs):
+    assume(k_of_lambda(cs, 0.0).value > 1e-2)      # the speeds need k(0) > 0
+    speeds = spreading_speeds(cs, GridSpec(32))
+    mirrored = spreading_speeds(mirror_set(cs), GridSpec(32))
+    assert abs(mirrored.c_right - speeds.c_left) <= 1e-9
+    assert abs(mirrored.c_left - speeds.c_right) <= 1e-9
