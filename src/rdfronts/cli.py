@@ -9,7 +9,9 @@ error, 3 numerical error; errors are reported as one JSON object on stderr.
 `main` is the one job path: it loads the config, reads every value through
 the command's schema in the COMMANDS table, hashes the config and calls the
 handler with the values read; the handler returns the paths it wrote and its
-solver counts, and `--verbose` prints the counts as one JSON line.
+solver counts, and `--verbose` prints the counts as one JSON line.  The
+handlers write every artifact themselves, so this module alone knows the
+file formats.
 """
 
 from __future__ import annotations
@@ -90,7 +92,9 @@ def run_eigen(cfg: dict, out: str, tag: str):
     results = eigen.k_curve(cs, lams, grid, tol)
     profiles = [eigen.k_of_lambda(cs, float(lam), grid, tol) for lam in profile_lams]
     paths = [f"{out}_kcurve.csv"]
-    eigen.write_k_curve_csv(paths[0], lams, results, [f"config_hash={tag}"])
+    write_csv(paths[0], ("lambda", "k", "residual", "n_cells"),
+              (lams, [r.value for r in results], [r.residual for r in results],
+               [str(r.n_cells) for r in results]), [f"config_hash={tag}"])
     for i, (lam, res) in enumerate(zip(profile_lams, profiles)):
         path = f"{out}_profile_{i}.csv"
         write_csv(path, ("x", "phi", "psi"),
@@ -104,7 +108,8 @@ def run_dirichlet(cfg: dict, out: str, tag: str):
     radii = cfg["radii"]
     results = eigen.dirichlet_sweep(cfg["coefficients"], radii, cfg["n_cells"], cfg["tolerance"])
     path = f"{out}_dirichlet.csv"
-    eigen.write_dirichlet_csv(path, radii, results, [f"config_hash={tag}"])
+    write_csv(path, ("R", "lambda1R"), (radii, [r.value for r in results]),
+              [f"config_hash={tag}"])
     return [path], _eigen_counts(results)
 
 
@@ -146,7 +151,10 @@ def run_ode(cfg: dict, out: str, tag: str):
     }
     paths = [f"{out}_ode.json", f"{out}_trajectory.csv"]
     _write_json(paths[0], payload)
-    ode.write_trajectory_csv(paths[1], traj, lyap, [f"config_hash={tag}"])
+    header, columns = ("t", "u", "v"), (traj.t, traj.u, traj.v)
+    if lyap is not None:
+        header, columns = header + ("lyapunov",), columns + (lyap,)
+    write_csv(paths[1], header, columns, [f"config_hash={tag}"])
     return paths, {"steps": len(traj.t) - 1}
 
 
@@ -158,10 +166,13 @@ def run_simulate(cfg: dict, out: str, tag: str):
     paths = []
     for i, snap in enumerate(result.snapshots):
         path = f"{out}_snapshot_{i}.csv"
-        pde.write_snapshot_csv(path, result.nodes, snap, [f"config_hash={tag}"])
+        write_csv(path, ("x", "u", "v"), (result.nodes, snap.u, snap.v),
+                  [f"config_hash={tag}", f"t={snap.t!r}"])
         paths.append(path)
+    trace = result.trace
     front_path = f"{out}_front.csv"
-    pde.write_front_trace_csv(front_path, result.trace, [f"config_hash={tag}"])
+    write_csv(front_path, ("t", "x_right", "x_left"), (trace.t, trace.x_right, trace.x_left),
+              [f"config_hash={tag}"])
     paths.append(front_path)
     payload = {
         "config_hash": tag,
@@ -215,11 +226,10 @@ def run_homogenize(cfg: dict, out: str, tag: str):
 def _sweep_row(args) -> dict:
     """One epsilon row; k_evals counts the k(lambda) solves of its speed
     searches, so the count travels back from a worker process with the row."""
-    set_dict, eps, k_tol = args
+    cs, eps, k_tol = args
     row = {"epsilon": eps, "c_right": "", "c_left": "", "error": "", "k_evals": 0}
     try:
-        base = coeffs.set_from_dict(set_dict)
-        cse = coeffs.rescale_epsilon(base, eps)
+        cse = coeffs.rescale_epsilon(cs, eps)
         report = speeds.spreading_speeds(cse, k_tol=k_tol)
         row["c_right"] = report.c_right
         row["c_left"] = report.c_left
@@ -235,8 +245,7 @@ def run_sweep(cfg: dict, out: str, tag: str, jobs: int):
     cs, k_tol, eps_list = cfg["coefficients"], cfg["k_tolerance"], cfg["epsilons"]
     h = coeffs.homogenize(cs)
     target = speeds.homogenized_speed(h)
-    set_dict = coeffs.set_to_dict(cs)
-    tasks = [(set_dict, float(e), k_tol) for e in eps_list]
+    tasks = [(cs, float(e), k_tol) for e in eps_list]
     workers = min(jobs, len(tasks))    # the pool starts all its workers up front
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -40,10 +40,10 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .coefficients import CoefficientSet
 from .errors import NumericalError, PreconditionError, ValidationError
 from .stencil import flux_parts, tilted_couplings
-from .util import write_csv
 
 REFINE_CAP = 2 ** 20          # hard cap on cells per period / interval
 RESIDUAL_TOL = 1e-9
+MAX_ITERATIONS = 10 ** 4      # shift-invert steps before a Perron solve gives up
 RAYLEIGH_TOL = 1e-12
 K_GRID_TOL = 1e-7             # target of |R_2n - R_n| or |k_2n - k_n| in refinement
 LEFT_RIGHT_TOL = 1e-9         # relative floor on |left root - right root|
@@ -215,11 +215,11 @@ class EigenResult:
         return np.concatenate([self.phi, self.psi])
 
 
-def peclet_cells(cs: CoefficientSet, lam: float, n_cells: int, length: float) -> int:
-    """Smallest power-of-two refinement of n_cells with h*|lam|*sigma_max <= sigma_min."""
+def peclet_cells(cs: CoefficientSet, lam: float, n_cells: int) -> int:
+    """Smallest power-of-two refinement n of n_cells with h*|lam|*sigma_max <= sigma_min."""
     n = n_cells
     while n <= REFINE_CAP:
-        h = length / n
+        h = cs.period / n
         if h * abs(lam) * cs.sigma_max <= cs.sigma_min:
             return n
         n *= 2
@@ -256,7 +256,7 @@ def build_operator(cs: CoefficientSet, lam: float, grid: GridSpec,
         if lam != 0.0:
             raise ValidationError("the Dirichlet eigenproblem is posed at lambda=0")
         return _operator(_skeleton(cs, grid.n_cells, half_width), 0.0)
-    n = peclet_cells(cs, lam, grid.n_cells, cs.period) if refine else grid.n_cells
+    n = peclet_cells(cs, lam, grid.n_cells) if refine else grid.n_cells
     return _operator(_skeleton(cs, n), lam)
 
 
@@ -353,9 +353,7 @@ class _ShiftedBand:
         return x[band.perm]
 
 
-def principal_eigenpair(op: DiscreteOperator, warm=None,
-                        residual_tol: float = RESIDUAL_TOL,
-                        max_iterations: int = 10 ** 4) -> EigenResult:
+def principal_eigenpair(op: DiscreteOperator, warm=None) -> EigenResult:
     """Perron eigenpair of a cooperative discrete operator by shift-invert iteration.
 
     Each step solves (sI - M) y = w and normalizes y.  For every shift s above
@@ -378,21 +376,21 @@ def principal_eigenpair(op: DiscreteOperator, warm=None,
     A step that stalls within 100x of the tolerance returns to s_far, since a
     near-singular shift leaves noise above the rounding floor.  Convergence
     requires a Rayleigh-quotient change below RAYLEIGH_TOL (relative) and a
-    sup-norm residual of M w - value w below residual_tol.  That residual
+    sup-norm residual of M w - value w below RESIDUAL_TOL.  That residual
     cannot drop below machine epsilon times the operator norm (the flux
     entries scale like 1/h^2), so the tolerance is floored there on fine grids.
     """
     matrix = op.matrix
     band = _ShiftedBand(op)
     rounding = 8.0 * np.finfo(float).eps * band.norm
-    residual_tol = max(residual_tol, rounding)
+    residual_tol = max(RESIDUAL_TOL, rounding)
 
     w = _start_vector(op, warm)
     value, residual, mw = _rayleigh_and_residual(matrix, w)
     shift = None
     next_shift = band.far_shift
     factorizations = 0
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         if next_shift != shift:
             shift = next_shift
             band.factor(shift)
@@ -412,7 +410,7 @@ def principal_eigenpair(op: DiscreteOperator, warm=None,
             else:
                 next_shift = min(float((mw / w).max()), band.far_shift)
         value, residual = new_value, new_residual
-    raise NumericalError(f"shift-invert iteration did not converge in {max_iterations} "
+    raise NumericalError(f"shift-invert iteration did not converge in {MAX_ITERATIONS} "
                          f"iterations (last residual {residual:.3e})")
 
 
@@ -529,7 +527,7 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
     the skeletons of this solve's levels.
     """
     grid = grid or GridSpec()
-    n = peclet_cells(cs, lam, grid.n_cells, cs.period)
+    n = peclet_cells(cs, lam, grid.n_cells)
     if warm is not None:
         n = max(n, len(warm[0]) // 4)
     held = {} if skeletons is None else skeletons
@@ -634,15 +632,3 @@ def dirichlet_sweep(cs: CoefficientSet, radii: Sequence[float],
     """Dirichlet principal eigenvalues over the radii, one warm-started chain."""
     return list(map(_warm_chain(lambda R, warm, _: dirichlet_eigenvalue(cs, R, grid, tol,
                                                                         warm=warm)), radii))
-
-
-def write_k_curve_csv(path, lambdas: Sequence[float], results: Sequence[EigenResult],
-                      comments: Sequence[str] = ()) -> None:
-    write_csv(path, ("lambda", "k", "residual", "n_cells"),
-              (lambdas, [r.value for r in results], [r.residual for r in results],
-               [str(r.n_cells) for r in results]), comments)
-
-
-def write_dirichlet_csv(path, radii: Sequence[float], results: Sequence[EigenResult],
-                        comments: Sequence[str] = ()) -> None:
-    write_csv(path, ("R", "lambda1R"), (radii, [r.value for r in results]), comments)

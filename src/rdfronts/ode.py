@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import NumericalError, PreconditionError, ValidationError
-from .util import write_csv
+from .util import step_count
 
 EQUILIBRIUM_RESIDUAL_TOL = 1e-10
 
@@ -203,7 +203,7 @@ def integrate(p: HomParams, u0: float, v0: float, T: float, dt: float = 1e-3) ->
         raise ValidationError("initial data must be nonnegative")
     if not (dt > 0) or not (T > 0):
         raise ValidationError("T and dt must be positive")
-    n_steps = int(round(T / dt))
+    n_steps = step_count(T, dt)
     t = np.arange(n_steps + 1, dtype=float)
     t *= dt                                   # i * dt, bit for bit
     u = np.empty(n_steps + 1)
@@ -247,13 +247,3 @@ def integrate(p: HomParams, u0: float, v0: float, T: float, dt: float = 1e-3) ->
                                  f"(|u|+|v| > {BLOWUP_LIMIT:g})")
         u[i], v[i] = cu, cv
     return Trajectory(t=t, u=u, v=v, clipped=clipped)
-
-
-def write_trajectory_csv(path, traj: Trajectory, lyapunov: Optional[np.ndarray] = None,
-                         comments=()) -> None:
-    """CSV dump t,u,v with a lyapunov column only when a weight exists."""
-    if lyapunov is None:
-        write_csv(path, ("t", "u", "v"), (traj.t, traj.u, traj.v), comments)
-    else:
-        write_csv(path, ("t", "u", "v", "lyapunov"),
-                  (traj.t, traj.u, traj.v, lyapunov), comments)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +34,7 @@ from .coefficients import CoefficientSet
 from .eigen import REFINE_CAP
 from .errors import InvariantBreachError, NumericalError, PreconditionError, ValidationError
 from .stencil import flux_stencil
-from .util import write_csv
+from .util import step_count
 
 BOUND_SLACK = 1e-8
 TRUST_MARGIN = 0.10          # outer fraction of the domain where fronts are unreliable
@@ -307,6 +307,12 @@ def default_threshold(cs: CoefficientSet, u0: np.ndarray, v0: np.ndarray) -> flo
     return 0.01 * scale
 
 
+def _stride(every: float, dt: float, n_steps: int) -> int:
+    """Steps between samples taken every `every` time units; an interval longer
+    than the run, even one whose quotient overflows, gives n_steps + 1."""
+    return max(1, int(round(min(every / dt, n_steps + 1))))
+
+
 def _line_run(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
               dt: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Stepper]:
     """Nodes, initial pair and stepper of a run on the truncated line; the
@@ -336,8 +342,8 @@ def simulate(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
                               "fronts would immediately feel the truncation")
     if not (T > 0 and dt > 0 and record_every > 0):
         raise ValidationError("T, dt and record_every must be positive")
-    n_steps = int(round(T / dt))
-    record_stride = max(1, int(round(record_every / dt)))
+    n_steps = step_count(T, dt)
+    record_stride = _stride(record_every, dt, n_steps)
     if n_steps < record_stride:         # the speed fit needs two recorded positions
         raise ValidationError(f"record_every={record_every} leaves fewer than two "
                               f"recorded front positions by T={T}")
@@ -358,7 +364,7 @@ def simulate(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
 
     snap_stride = None
     if snapshot_every is not None:
-        snap_stride = max(1, int(round(snapshot_every / dt)))
+        snap_stride = _stride(snapshot_every, dt, n_steps)
 
     def record(t: float, u: np.ndarray, v: np.ndarray) -> None:
         times.append(t)
@@ -519,15 +525,14 @@ def convergence_behind_front(cs: CoefficientSet, domain: DomainSpec,
     """
     if not (c_probe > 0):
         raise PreconditionError("c_probe must be positive (and below the spreading speed)")
+    n_steps = step_count(T, dt)
+    stride = _stride(sample_every, dt, n_steps)
     if target is None:
         target = stationary_profile(cs)
     cell_nodes, u_prof, v_prof = target
     nodes, u, v, stepper = _line_run(cs, domain, init, dt)
     tu = profile_on_domain(cell_nodes, u_prof, cs.period, nodes)
     tv = profile_on_domain(cell_nodes, v_prof, cs.period, nodes)
-
-    n_steps = int(round(T / dt))
-    stride = max(1, int(round(sample_every / dt)))
     times, sups = [], []
     for i, u, v, _ in stepper.run(u, v, n_steps):
         if i % stride == 0:
@@ -543,13 +548,16 @@ def convergence_behind_front(cs: CoefficientSet, domain: DomainSpec,
 
 # -- profile morphology -------------------------------------------------------
 
-def detect_hump(profile: np.ndarray, nodes: np.ndarray, x_front: float,
-                plateau_margin: float = 1.05) -> bool:
+PLATEAU_MARGIN = 1.05        # a hump peaks this factor above the rear plateau
+MONOTONE_SLACK = 0.01        # rise allowed per node, relative to the profile's maximum
+
+
+def detect_hump(profile: np.ndarray, nodes: np.ndarray, x_front: float) -> bool:
     """True if the profile has an interior local maximum above its rear plateau.
 
     The rear plateau level is taken far behind the front (first fifth of the
     region behind it); a hump must be a strict interior local max exceeding
-    that level by plateau_margin and lying ahead of the plateau zone.
+    that level by PLATEAU_MARGIN and lying ahead of the plateau zone.
     """
     behind = nodes <= x_front
     if behind.sum() < 16:
@@ -562,11 +570,10 @@ def detect_hump(profile: np.ndarray, nodes: np.ndarray, x_front: float,
     interior = rear[-1] < peak_idx < len(nodes) - 1
     local_max = (interior and profile[peak_idx] >= profile[peak_idx - 1]
                  and profile[peak_idx] >= profile[peak_idx + 1])
-    return bool(local_max and peak > plateau_margin * plateau)
+    return bool(local_max and peak > PLATEAU_MARGIN * plateau)
 
 
-def profile_is_monotone(profile: np.ndarray, nodes: np.ndarray, x_front: float,
-                        slack_fraction: float = 0.01) -> bool:
+def profile_is_monotone(profile: np.ndarray, nodes: np.ndarray, x_front: float) -> bool:
     """True if the profile is nonincreasing in x up to the front (small slack).
 
     slack is relative to the profile amplitude, absorbing grid-level wiggles.
@@ -575,19 +582,5 @@ def profile_is_monotone(profile: np.ndarray, nodes: np.ndarray, x_front: float,
     p = profile[region]
     if len(p) < 2:
         return True
-    slack = slack_fraction * float(np.max(p))
+    slack = MONOTONE_SLACK * float(np.max(p))
     return bool(np.all(np.diff(p) <= slack))
-
-
-# -- CSV output ---------------------------------------------------------------
-
-def write_snapshot_csv(path, nodes: np.ndarray, state: FieldState,
-                       comments: Sequence[str] = ()) -> None:
-    """Snapshot CSV x,u,v preceded by a t=<value> header comment."""
-    all_comments = list(comments) + [f"t={state.t!r}"]
-    write_csv(path, ("x", "u", "v"), (nodes, state.u, state.v), all_comments)
-
-
-def write_front_trace_csv(path, trace: FrontTrace, comments: Sequence[str] = ()) -> None:
-    write_csv(path, ("t", "x_right", "x_left"),
-              (trace.t, trace.x_right, trace.x_left), comments)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -54,10 +55,13 @@ def flux_parts(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str
 
     rows and cols are its triplet pattern, diag its n diagonal entries, and
     up and down the face sigma of its stored couplings to node i+1 and to
-    node i-1, which tilted_couplings turns into entries.
+    node i-1, which tilted_couplings turns into entries.  A spacing h whose
+    square underflows to 0 or overflows is rejected before any division.
     """
     if boundary not in ("periodic", "neumann", "dirichlet", "dirichlet_zero"):
         raise ValidationError(f"unknown boundary kind {boundary!r}")
+    if not 0.0 < float(h) * float(h) < math.inf:     # every entry divides by h**2
+        raise ValidationError(f"grid spacing h={float(h)!r} has no finite nonzero square")
     n = len(nodes)
     faces = face_sigma(cs, nodes, h, boundary)
     if boundary == "periodic":

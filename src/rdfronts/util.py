@@ -1,5 +1,5 @@
 """Small shared helpers: deterministic float formatting, CSV writing, hashing,
-and the checked reading of JSON config values."""
+checked step counts, and the checked reading of JSON config values."""
 
 from __future__ import annotations
 
@@ -56,6 +56,21 @@ def write_csv(path, header: Sequence[str], columns: Sequence[Sequence],
         for lo in range(0, n_rows, CSV_CHUNK_ROWS):
             cells = [_column_cells(c[lo:lo + CSV_CHUNK_ROWS]) for c in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+# Steps of one fixed-step run.  ode.integrate keeps three float arrays of
+# steps + 1 entries, so 2**24 steps hold them at about 0.4 GB.
+STEP_CAP = 2 ** 24
+
+
+def step_count(span: float, dt: float) -> int:
+    """int(round(span / dt)), the steps of a run of length span; a quotient
+    that is not finite or passes STEP_CAP is rejected before the run."""
+    steps = span / dt
+    if not steps <= STEP_CAP:                 # inf and nan fail too
+        raise ValidationError(f"a run of {span!r} time units at dt={dt!r} takes "
+                              f"more than {STEP_CAP} steps")
+    return int(round(steps))
 
 
 # -- JSON config values --------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 import rdfronts
 from rdfronts import pde
 from rdfronts.cli import COMMANDS, main
-from rdfronts.util import REQUIRED
+from rdfronts.util import REQUIRED, config_hash
 
 HOMOG_COEFFS = {
     "period": 1.0,
@@ -101,6 +101,82 @@ def test_deterministic_outputs(tmp_path, capsys, command):
         assert a_files == ["kcurve.csv", "profile_0.csv"]
     for suffix in a_files:
         assert (tmp_path / f"a_{suffix}").read_bytes() == (tmp_path / f"b_{suffix}").read_bytes()
+
+
+# -- file formats ---------------------------------------------------------------
+
+ODE_NO_WEIGHT = {"params": {"sigma": 1.0, "r_u": -0.5, "r_v": -0.5, "kappa_u": 1.0,
+                            "kappa_v": 1.0, "mu_u": 0.5, "mu_v": 0.5},
+                 "u0": 0.3, "v0": 0.4, "T": 1.0}
+
+# case -> {artifact: (comment keys after config_hash, CSV header, data rows)}
+# on DETERMINISM_PAYLOADS[command] (ODE_NO_WEIGHT for "ode-no-weight"); a
+# JSON report (None) carries the hash in its config_hash field instead.
+ARTIFACTS = {
+    "eigen": {"kcurve.csv": ((), "lambda,k,residual,n_cells", 5),
+              "profile_0.csv": (("lambda", "k"), "x,phi,psi", 128)},
+    "dirichlet": {"dirichlet.csv": ((), "R,lambda1R", 2)},
+    "speed": {"kcurve.csv": ((), "lambda,k,k_over_lambda", 5), "speed.json": None},
+    "ode": {"trajectory.csv": ((), "t,u,v,lyapunov", 1001), "ode.json": None},
+    "ode-no-weight": {"trajectory.csv": ((), "t,u,v", 1001), "ode.json": None},
+    "simulate": {"snapshot_0.csv": (("t",), "x,u,v", 256),
+                 "snapshot_1.csv": (("t",), "x,u,v", 256),
+                 "front.csv": ((), "t,x_right,x_left", 11), "speeds.json": None},
+    "stationary": {"stationary.csv": ((), "x,u,v", 64)},
+    "homogenize": {"homogenized.json": None},
+    "sweep": {"sweep.csv": ((), "epsilon,c_right,c_left,target,gap_right,gap_left,error", 2)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARTIFACTS))
+def test_artifact_comments_and_headers(tmp_path, case):
+    payload = ODE_NO_WEIGHT if case == "ode-no-weight" else DETERMINISM_PAYLOADS[case]
+    assert run(tmp_path, case.split("-")[0], payload) == 0
+    tag = config_hash(payload)
+    files = {path.name[len("out_"):]: path for path in tmp_path.glob("out_*")}
+    assert sorted(files) == sorted(ARTIFACTS[case])
+    for name, layout in ARTIFACTS[case].items():
+        text = files[name].read_text()
+        if layout is None:
+            assert json.loads(text)["config_hash"] == tag
+            continue
+        keys, header, rows = layout
+        lines = text.splitlines()
+        comments, body = lines[:1 + len(keys)], lines[1 + len(keys):]
+        assert comments[0] == f"# config_hash={tag}"
+        for key, line in zip(keys, comments[1:]):
+            assert line.startswith(f"# {key}=")
+            float(line.split("=", 1)[1])
+        assert body[0] == header
+        assert len(body) == 1 + rows
+        assert {line.count(",") for line in body} == {header.count(",")}
+
+
+def readme_output_headers() -> dict:
+    """artifact -> the CSV headers README's "Output file formats" list names
+    for it: the backquoted comma lists after its `*_<artifact>.csv` token."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("### Output file formats\n", 1)[1].split("\n## ", 1)[0]
+    headers, artifact = {}, None
+    for token in re.findall(r"`([^`]+)`", section):
+        named = re.fullmatch(r"\*_(\w+?)(?:_<i>)?\.(csv|json)", token)
+        if named:
+            artifact = named[1] if named[2] == "csv" else None
+            headers.setdefault(artifact, set())
+        elif artifact and "," in token:
+            headers[artifact].add(token)
+    headers.pop(None, None)
+    return headers
+
+
+def test_readme_output_formats_match_the_artifacts():
+    carried = {}
+    for layouts in ARTIFACTS.values():
+        for name, layout in layouts.items():
+            if layout is not None:
+                artifact = re.sub(r"_\d+$", "", name[:-len(".csv")])
+                carried.setdefault(artifact, set()).add(layout[1])
+    assert readme_output_headers() == carried
 
 
 def test_invalid_sigma_exits_2_without_files(tmp_path, capsys):
@@ -427,6 +503,25 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30, 3 * 2 ** 30))
 
 
+def run_limited(tmp_path, command, payload, *flags):
+    """The CLI in a child process with a 3 GiB address space and a 30 s
+    timeout, so that a size or a step count that got past the checks fails
+    fast instead of exhausting memory.  Never run the hostile configs below
+    without these limits."""
+    cfg = write_config(tmp_path, payload)
+    src = str(Path(rdfronts.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "rdfronts", command, "--config", cfg,
+                           "--out", str(tmp_path / "big"), *flags], env=env,
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=_limit_address_space)
+
+
+HUGE_PERIOD = {key: dict(spec, period=1e300) if isinstance(spec, dict) else 1e300
+               for key, spec in HOMOG_COEFFS.items()}
+
+
 @pytest.mark.parametrize("command, payload, word", [
     pytest.param("stationary", {"coefficients": HOMOG_COEFFS, "n_cells": 10 ** 9}, "n_cells",
                  id="stationary-n_cells"),
@@ -434,22 +529,40 @@ def _limit_address_space():
         "x_min": -10.0, "x_max": 20.0, "n_points": 10 ** 9}), "points", id="simulate-n_points"),
     pytest.param("eigen", {"coefficients": HOMOG_COEFFS, "lambda_step": 1e-12}, "lambda grid",
                  id="eigen-lambda_step"),
+    # step counts past util.STEP_CAP: T / dt overflows, or asks for 1e12 steps
+    pytest.param("simulate", dict(DETERMINISM_PAYLOADS["simulate"], T=1e300, dt=1e-10),
+                 "steps", id="simulate-T-overflow"),
+    pytest.param("simulate", dict(DETERMINISM_PAYLOADS["simulate"], T=1e9, dt=1e-3),
+                 "steps", id="simulate-T-1e9"),
+    pytest.param("ode", dict(DETERMINISM_PAYLOADS["ode"], T=1e300), "steps",
+                 id="ode-T-overflow"),
+    pytest.param("ode", dict(DETERMINISM_PAYLOADS["ode"], T=1e9, dt=1e-3), "steps",
+                 id="ode-T-1e9"),
+    # grid spacings whose square overflows or underflows
+    pytest.param("speed", {"coefficients": HUGE_PERIOD}, "grid spacing", id="speed-period"),
+    pytest.param("dirichlet", {"coefficients": HOMOG_COEFFS, "radii": [1e-300]},
+                 "grid spacing", id="dirichlet-radius"),
 ])
 def test_huge_size_exits_2_before_allocating(tmp_path, command, payload, word):
-    # A size that got past the readers would ask for gigabytes or terabytes;
-    # the child's 3 GiB address space and the timeout make that fail fast.
-    cfg = write_config(tmp_path, payload)
-    src = str(Path(rdfronts.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "rdfronts", command, "--config", cfg,
-                           "--out", str(tmp_path / "big")], env=env, capture_output=True,
-                          text=True, timeout=30, preexec_fn=_limit_address_space)
+    proc = run_limited(tmp_path, command, payload)
     assert proc.returncode == 2, proc.stderr
     line, = proc.stderr.splitlines()
     err = json.loads(line)
     assert err["error"] == "validation" and word in err["message"]
     assert not list(tmp_path.glob("big*"))
+
+
+def test_sweep_row_with_a_vanishing_grid_spacing_carries_the_error(tmp_path):
+    # epsilon = 1e-300 squeezes the period until h**2 underflows; the row
+    # fails alone, and stderr holds the --verbose line and nothing else
+    payload = {"coefficients": HOMOG_COEFFS, "epsilons": [1e-300]}
+    proc = run_limited(tmp_path, "sweep", payload, "--verbose")
+    assert proc.returncode == 0, proc.stderr
+    line, = proc.stderr.splitlines()
+    assert json.loads(line) == {"command": "sweep", "k_evals": 0}
+    path, = tmp_path.glob("big*")
+    row = path.read_text().splitlines()[2].split(",")
+    assert row[0] == "1e-300" and row[6].startswith("ValidationError: grid spacing")
 
 
 def test_stationary_numerical_error_exits_3(tmp_path, capsys):
@@ -497,6 +610,18 @@ def test_sweep_gap_decreases_and_target_constant(tmp_path):
     gaps = [float(row[4]) for row in rows]
     assert gaps == sorted(gaps, reverse=True)
     assert all(row[6] == "" for row in rows)
+
+
+def test_sweep_with_two_workers_writes_the_bytes_of_one(tmp_path):
+    # the rows carry the coefficient set itself to the worker processes
+    cosine_coeffs = dict(HOMOG_COEFFS)
+    cosine_coeffs["r_u"] = {"kind": "cosine", "mean": 1.0, "amplitude": 0.4, "phase": 0.3}
+    payload = {"coefficients": cosine_coeffs, "epsilons": [1.0, 0.5, 0.25]}
+    assert run(tmp_path, "sweep", payload, out="one", jobs=1) == 0
+    assert run(tmp_path, "sweep", payload, out="two", jobs=2) == 0
+    one = (tmp_path / "one_sweep.csv").read_bytes()
+    assert one == (tmp_path / "two_sweep.csv").read_bytes()
+    assert len(one.splitlines()) == 2 + 3
 
 
 def test_sweep_invalid_epsilon_rejected(tmp_path):

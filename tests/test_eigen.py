@@ -22,8 +22,6 @@ from rdfronts.eigen import (
     principal_eigenpair,
     tilt_derivative,
     tilt_slope,
-    write_dirichlet_csv,
-    write_k_curve_csv,
 )
 from rdfronts.errors import NumericalError, ValidationError
 from rdfronts.stencil import flux_stencil
@@ -554,24 +552,3 @@ def test_minimax_rejects_nonpositive_pair():
     bad[3] = 0.0
     with pytest.raises(ValidationError):
         minimax_check(HOMOG, 0.5, grid, (bad, np.ones(64)))
-
-
-# -- CSV export --------------------------------------------------------------------
-
-def test_csv_writers(tmp_path):
-    lams = [0.0, 0.5]
-    results = k_curve(HOMOG, lams)
-    kpath = tmp_path / "kcurve.csv"
-    write_k_curve_csv(kpath, lams, results, ["config_hash=deadbeef"])
-    lines = kpath.read_text().splitlines()
-    assert lines[0] == "# config_hash=deadbeef"
-    assert lines[1] == "lambda,k,residual,n_cells"
-    assert len(lines) == 4
-
-    radii = [1.0, 2.0]
-    dres = [dirichlet_eigenvalue(HOMOG, R) for R in radii]
-    dpath = tmp_path / "dirichlet.csv"
-    write_dirichlet_csv(dpath, radii, dres)
-    lines = dpath.read_text().splitlines()
-    assert lines[0] == "R,lambda1R"
-    assert len(lines) == 3

@@ -32,8 +32,6 @@ from rdfronts.pde import (
     profile_on_domain,
     simulate,
     stationary_profile,
-    write_front_trace_csv,
-    write_snapshot_csv,
 )
 from rdfronts.stencil import flux_stencil
 
@@ -388,6 +386,19 @@ def test_decay_ahead_of_front():
     assert values[-1] < values[0]
 
 
+def test_interval_longer_than_the_run_samples_no_step():
+    # every / dt overflows to inf here: the stride is one past the run
+    # instead of an OverflowError, so only the final state is a snapshot
+    assert pde._stride(1.7e308, 0.5, 2) == 3
+    assert pde._stride(2.4, 1.0, 2) == 2 and pde._stride(2.6, 1.0, 2) == 3
+    dom = DomainSpec(-20, 20, 256)
+    init = InitialData(kind="compact_bump", amplitude=0.2, center=0, width=2)
+    res = simulate(HOMOG, dom, init, T=1.0, dt=0.5, record_every=0.5, snapshot_every=1.7e308)
+    assert [snap.t for snap in res.snapshots] == [1.0]
+    with pytest.raises(ValidationError, match="record_every"):
+        simulate(HOMOG, dom, init, T=1.0, dt=0.5, record_every=1.7e308)
+
+
 def test_no_trust_warning_for_plateau_touching_the_boundary():
     # the left edge of right_front_like data sits at x_min from t = 0: that
     # front never was trusted, so it raises no warning
@@ -511,24 +522,3 @@ def test_monotone_detection():
     falling = 1.0 / (1.0 + np.exp(nodes - 5.0))
     assert profile_is_monotone(falling, nodes, 9.0)
     assert not profile_is_monotone(falling + 0.5 * np.exp(-2 * (nodes - 5) ** 2), nodes, 9.0)
-
-
-# -- CSV output ---------------------------------------------------------------------------------
-
-def test_snapshot_and_trace_csv(tmp_path):
-    dom = DomainSpec(-20, 20, 256)
-    init = InitialData(kind="compact_bump", amplitude=0.2, center=0, width=2)
-    res = simulate(HOMOG, dom, init, T=1.0, dt=0.01, record_every=0.25)
-    spath = tmp_path / "snap.csv"
-    write_snapshot_csv(spath, res.nodes, res.state, ["config_hash=abc"])
-    lines = spath.read_text().splitlines()
-    assert lines[0] == "# config_hash=abc"
-    assert lines[1] == "# t=1.0"
-    assert lines[2] == "x,u,v"
-    assert len(lines) == 3 + 256
-
-    tpath = tmp_path / "front.csv"
-    write_front_trace_csv(tpath, res.trace)
-    lines = tpath.read_text().splitlines()
-    assert lines[0] == "t,x_right,x_left"
-    assert len(lines) == 1 + len(res.trace.t)

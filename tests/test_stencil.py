@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from rdfronts.coefficients import CoefficientSet, CoefficientSpec
 from rdfronts.errors import ValidationError
-from rdfronts.stencil import face_sigma, flux_stencil
+from rdfronts.stencil import face_sigma, flux_parts, flux_stencil
 
 
 def make_set(sigma):
@@ -77,6 +77,15 @@ def test_unknown_boundary_rejected():
     nodes, h = dirichlet_nodes()
     with pytest.raises(ValidationError):
         flux_stencil(SETS["cosine"], nodes, h, "absorbing")
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e300, np.float64(1e-200), np.float64(1e200)])
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+def test_spacing_without_a_finite_nonzero_square_rejected(h, boundary):
+    # h**2 would underflow to 0 or overflow; rejected before any division,
+    # so no RuntimeWarning either
+    with pytest.raises(ValidationError, match="grid spacing"):
+        flux_parts(SETS["cosine"], h * np.arange(16), h, boundary)
 
 
 @pytest.mark.parametrize("name", sorted(SETS))

@@ -1,10 +1,13 @@
-"""CSV writing: byte-for-byte the per-cell formatter it replaced."""
+"""CSV writing, byte-for-byte the per-cell formatter it replaced, and the
+checked step count of fixed-step runs."""
 
 import math
 
 import numpy as np
+import pytest
 
 from rdfronts import util
+from rdfronts.errors import ValidationError
 
 
 def per_cell_csv(path, header, rows, comments=()):
@@ -43,3 +46,19 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
 def test_write_csv_without_rows(tmp_path):
     util.write_csv(tmp_path / "empty.csv", ("x", "y"), ([], np.array([])), ["c"])
     assert (tmp_path / "empty.csv").read_text() == "# c\nx,y\n"
+
+
+@pytest.mark.parametrize("span, dt, steps", [(100.0, 0.01, 10 ** 4), (200.0, 1e-3, 200000),
+                                             (1.0, 0.3, 3), (0.1, 1.0, 0),
+                                             (float(util.STEP_CAP), 1.0, util.STEP_CAP)])
+def test_step_count_is_the_rounded_quotient(span, dt, steps):
+    count = util.step_count(span, dt)
+    assert count == steps == int(round(span / dt)) and isinstance(count, int)
+
+
+@pytest.mark.parametrize("span, dt", [(1e300, 1e-10), (1e9, 1e-3),
+                                      (util.STEP_CAP + 1.0, 1.0), (math.inf, 1.0),
+                                      (math.nan, 1.0)])
+def test_step_count_rejects_an_overflowing_or_huge_quotient(span, dt):
+    with pytest.raises(ValidationError, match="steps"):
+        util.step_count(span, dt)
