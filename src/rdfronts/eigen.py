@@ -18,18 +18,18 @@ exist on the discrete level exactly as in the continuous theory.  The slope
 k'(lambda) follows from the right and left Perron vectors (``tilt_slope``).
 
 Only those flux couplings depend on lambda.  An ``OperatorSkeleton`` holds
-the rest of the operator on one grid, and ``_operator`` tilts it into an
-operator that shares the grid's ``OperatorPattern``; a warm chain keeps the
-skeletons of its latest solve's grid levels.  The Perron
-iteration solves shifted systems with a banded LU (LAPACK dgbtrf/dgbtrs) in
-an order that interleaves the species and visits the periodic ring
-zig-zag, which keeps the band at 4 sub- and superdiagonals (2 on Dirichlet
-operators).
+the grid's CSR pattern and the rest of the operator, and ``_operator`` tilts
+it into an operator on that pattern; the transposed operator of the left
+Perron solve stays on it too.  A warm chain keeps the skeletons of its latest
+solve's grid levels.  The Perron iteration solves shifted systems with a
+banded LU (LAPACK dgbtrf/dgbtrs) in an order that interleaves the species and
+visits the periodic ring zig-zag, which keeps the band at 4 sub- and
+superdiagonals (2 on Dirichlet operators).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -91,13 +91,17 @@ class _BandPattern:
 
 
 @dataclass(frozen=True)
-class OperatorPattern:
-    """The grid and CSR pattern that every coupled operator on one grid shares.
+class OperatorSkeleton:
+    """The grid, CSR pattern and lambda-independent values of the coupled
+    operator on one grid.
 
-    up_slots and down_slots are the positions of the flux couplings to node
-    i+1 and to node i-1 in the CSR data, for u and for v.  The band pattern
-    of the Perron solves and the weights of M'(lambda) = dM/dlambda relative
-    to M are built on first use and kept for every operator on the grid.
+    data holds the coefficient samples (diffusion diagonal plus reaction,
+    mutation; zero on the flux couplings), up_slots and down_slots the slots
+    of the couplings to node i+1 and to node i-1, for u and for v, and
+    up_sigma and down_sigma their face sigma.  Only the couplings depend on
+    lambda, through exp(-+lambda h), so _operator tilts a skeleton into any
+    operator on its grid.  The band pattern of the Perron solves, the M'
+    weights and the transpose permutation are built on first use.
     """
 
     n: int
@@ -108,6 +112,13 @@ class OperatorPattern:
     indptr: np.ndarray
     up_slots: np.ndarray          # (2, m)
     down_slots: np.ndarray
+    data: np.ndarray
+    up_sigma: np.ndarray          # face sigma of the i -> i+1 couplings
+    down_sigma: np.ndarray        # face sigma of the i -> i-1 couplings
+
+    def csr(self, values: np.ndarray) -> sp.csr_matrix:
+        """The 2n x 2n matrix with these values in the pattern's slots."""
+        return sp.csr_matrix((values, self.indices, self.indptr), shape=(2 * self.n,) * 2)
 
     @cached_property
     def band(self) -> _BandPattern:
@@ -122,22 +133,15 @@ class OperatorPattern:
         weights[self.up_slots], weights[self.down_slots] = -self.h, self.h
         return weights
 
-
-@dataclass(frozen=True)
-class OperatorSkeleton:
-    """The lambda-independent part of the coupled operator on one grid.
-
-    Holds the grid's pattern, the CSR data with the coefficient samples
-    (diffusion diagonal plus reaction, mutation; zero on the couplings) and
-    the face sigma of the flux couplings.  Only the couplings depend on
-    lambda, through exp(-+lambda h), so _operator tilts a skeleton into any
-    operator on its grid.
-    """
-
-    pattern: OperatorPattern
-    data: np.ndarray
-    up_sigma: np.ndarray          # face sigma of the i -> i+1 couplings
-    down_sigma: np.ndarray        # face sigma of the i -> i-1 couplings
+    @cached_property
+    def transpose(self) -> np.ndarray:
+        """The slot of entry (c, r) for the entry (r, c) in each slot.  The
+        pattern is structurally symmetric, so M^T has M's indices and indptr
+        and the data M.data[transpose]."""
+        rows, size = self.band.rows.astype(np.int64), 2 * self.n
+        keys = rows * size + self.indices              # ascending, in CSR order
+        swapped = self.indices.astype(np.int64) * size + rows
+        return np.searchsorted(keys, swapped).astype(np.int32)
 
 
 def _skeleton(cs: CoefficientSet, n: int,
@@ -165,32 +169,38 @@ def _skeleton(cs: CoefficientSet, n: int,
     slot = np.empty_like(source)
     slot[source] = np.arange(nnz, dtype=np.int32)
     block = n + 2 * m                             # COO entries of one species block
-    pattern = OperatorPattern(n, h, boundary, nodes, tags.indices, tags.indptr,
-                              np.stack([slot[n:n + m], slot[block + n:block + n + m]]),
-                              np.stack([slot[n + m:block], slot[block + n + m:2 * block]]))
     mu, mv = cs.mu_u(nodes), cs.mu_v(nodes)
     couplings = np.zeros(2 * m)
     values = np.concatenate([diag + (cs.r_u(nodes) - mu), couplings,
                              diag + (cs.r_v(nodes) - mv), couplings, mv, mu])
-    return OperatorSkeleton(pattern, values[source], up, down)
+    return OperatorSkeleton(n, h, boundary, nodes, tags.indices, tags.indptr,
+                            np.stack([slot[n:n + m], slot[block + n:block + n + m]]),
+                            np.stack([slot[n + m:block], slot[block + n + m:2 * block]]),
+                            values[source], up, down)
 
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Assembled 2n x 2n coupled operator (u unknowns first, then v)."""
+    """Assembled 2n x 2n coupled operator (u unknowns first, then v), whose
+    matrix is on its skeleton's CSR pattern."""
 
     matrix: sp.csr_matrix
     lam: float
-    pattern: OperatorPattern
+    skeleton: OperatorSkeleton
 
-    n = property(lambda self: self.pattern.n)
-    h = property(lambda self: self.pattern.h)
-    boundary = property(lambda self: self.pattern.boundary)
-    nodes = property(lambda self: self.pattern.nodes)
+    n = property(lambda self: self.skeleton.n)
+    h = property(lambda self: self.skeleton.h)
+    boundary = property(lambda self: self.skeleton.boundary)
+    nodes = property(lambda self: self.skeleton.nodes)
 
     @property
     def dimension(self) -> int:
         return 2 * self.n
+
+    def transposed(self) -> DiscreteOperator:
+        """The operator with matrix M^T, on the same pattern."""
+        grid = self.skeleton
+        return DiscreteOperator(grid.csr(self.matrix.data[grid.transpose]), self.lam, grid)
 
 
 @dataclass
@@ -231,12 +241,10 @@ def _operator(skeleton: OperatorSkeleton, lam: float) -> DiscreteOperator:
     """The skeleton's operator at lambda: its couplings tilted by exp(-+lambda h)
     and written into a copy of its data, on its CSR pattern.  The entries are
     bitwise those of a COO -> CSR build from flux_stencil."""
-    grid = skeleton.pattern
     data = skeleton.data.copy()
-    data[grid.up_slots], data[grid.down_slots] = tilted_couplings(
-        skeleton.up_sigma, skeleton.down_sigma, grid.h, lam)
-    matrix = sp.csr_matrix((data, grid.indices, grid.indptr), shape=(2 * grid.n, 2 * grid.n))
-    return DiscreteOperator(matrix, lam, grid)
+    data[skeleton.up_slots], data[skeleton.down_slots] = tilted_couplings(
+        skeleton.up_sigma, skeleton.down_sigma, skeleton.h, lam)
+    return DiscreteOperator(skeleton.csr(data), lam, skeleton)
 
 
 def build_operator(cs: CoefficientSet, lam: float, grid: GridSpec,
@@ -276,20 +284,6 @@ def _start_vector(op: DiscreteOperator, warm) -> np.ndarray:
     return np.ones(op.dimension)
 
 
-def _finalize(op: DiscreteOperator, w: np.ndarray, value: float, residual: float,
-              iterations: int, factorizations: int, rounding: float) -> EigenResult:
-    w = w / np.max(np.abs(w))
-    if w[np.argmax(np.abs(w))] < 0:
-        w = -w
-    if np.min(w) <= 0:
-        raise NumericalError("Perron iteration produced a non-positive eigenvector "
-                             f"(min component {np.min(w):.3e})")
-    return EigenResult(value=float(value), phi=w[:op.n].copy(), psi=w[op.n:].copy(),
-                       lam=op.lam, iterations=iterations, residual=float(residual),
-                       n_cells=op.n, h=op.h, rounding=rounding,
-                       factorizations=factorizations)
-
-
 def _rayleigh_and_residual(matrix, w) -> Tuple[float, float, np.ndarray]:
     mw = matrix @ w
     value = float(w @ mw) / float(w @ w)
@@ -298,27 +292,22 @@ def _rayleigh_and_residual(matrix, w) -> Tuple[float, float, np.ndarray]:
 
 
 class _ShiftedBand:
-    """sI - M of a cooperative operator in LAPACK band storage, one shift at a time.
+    """(sI - M)^-1 of a cooperative operator by a banded LU, one shift at a time.
 
-    An operator on its grid's CSR pattern takes the grid's band pattern.
-    Any other matrix, such as a transposed operator or one missing a stored
-    diagonal entry, gets a band pattern from its own sparsity pattern, in
-    the same unknown order.  The constructor checks that the off-diagonals
-    are nonnegative (ValidationError otherwise) and finds the far shift
-    max row sum + 1 and the norm max_i sum_j |M_ij|.  factor(s) factors
-    sI - M by dgbtrf (NumericalError on a zero pivot), and solve applies
-    its inverse by dgbtrs.
+    The matrix must be on its skeleton's CSR pattern, whose band pattern
+    places the entries, with nonnegative off-diagonals (ValidationError
+    otherwise).  far_shift is max row sum + 1 and norm max_i sum_j |M_ij|.
+    factor(s) factors M - sI by dgbtrf (NumericalError on a zero pivot), and
+    solve negates its solution: rounding is symmetric, so that is bitwise
+    the solution with sI - M.
     """
 
     def __init__(self, op: DiscreteOperator):
-        matrix, grid = op.matrix, op.pattern
-        if (matrix.format == "csr" and np.array_equal(matrix.indptr, grid.indptr)
+        matrix, grid = op.matrix, op.skeleton
+        if not (matrix.format == "csr" and np.array_equal(matrix.indptr, grid.indptr)
                 and np.array_equal(matrix.indices, grid.indices)):
-            band, data = grid.band, matrix.data
-        else:
-            coo = matrix.tocoo()
-            coo.sum_duplicates()
-            band, data = _BandPattern(coo.row, coo.col, op.n, op.boundary), coo.data
+            raise ValidationError("operator matrix is not on its grid's CSR pattern")
+        band, data = grid.band, matrix.data
         off = np.array(data, dtype=float)
         off[band.diag_slots] = 0.0
         if np.any(off < 0):
@@ -329,7 +318,7 @@ class _ShiftedBand:
         self.far_shift = max(float(np.max(off_sums + diag)), 0.0) + 1.0
         self.norm = float(np.max(np.abs(diag) + off_sums))
         del off                                   # before the band is allocated
-        self.band, self._negated = band, -data
+        self.band, self._data = band, data
         # The (depth, 2n) column-major array dgbtrf factors in place, and
         # the flat view that the slots index.
         self._flat = np.empty(op.dimension * band.depth)
@@ -339,8 +328,8 @@ class _ShiftedBand:
     def factor(self, shift: float) -> None:
         band = self.band
         self._flat.fill(0.0)
-        self._flat[band.slots] = self._negated
-        self._work[band.kl + band.ku] += shift
+        self._flat[band.slots] = self._data
+        self._work[band.kl + band.ku] -= shift
         _, self._pivots, info = dgbtrf(self._work, band.kl, band.ku, overwrite_ab=1)
         if info != 0:
             raise NumericalError(f"shifted operator is singular at s={shift:.17g}: "
@@ -350,7 +339,7 @@ class _ShiftedBand:
         band = self.band
         x, _ = dgbtrs(self._work, band.kl, band.ku, w[band.order], self._pivots,
                       overwrite_b=1)
-        return x[band.perm]
+        return np.negative(x[band.perm], out=x)
 
 
 def principal_eigenpair(op: DiscreteOperator, warm=None) -> EigenResult:
@@ -359,12 +348,9 @@ def principal_eigenpair(op: DiscreteOperator, warm=None) -> EigenResult:
     Each step solves (sI - M) y = w and normalizes y.  For every shift s above
     the Perron root k, sI - M is an irreducible nonsingular M-matrix, so its
     inverse is entrywise positive and keeps the iterate positive.  The
-    solves use a banded LU (LAPACK dgbtrf/dgbtrs) with the species
-    interleaved and a periodic ring visited zig-zag, which keeps 4 sub- and
-    superdiagonals on periodic operators and 2 on Dirichlet ones; see
-    _ShiftedBand.  A new shift only rewrites the diagonal row of the band
-    and refactors it; one factorization is held at a time.  Two shifts are
-    used:
+    solves use the banded LU of _ShiftedBand; a new shift refills the band
+    and refactors it, and one factorization is held at a time.  Two shifts
+    are used:
 
       * the far shift s_far = max row sum + 1, whose rate (s_far-k)/(s_far-k2)
         is enough for warm-started solves and damps rounding noise in the
@@ -403,7 +389,13 @@ def principal_eigenpair(op: DiscreteOperator, warm=None) -> EigenResult:
         new_value, new_residual, mw = _rayleigh_and_residual(matrix, w)
         ray_tol = max(RAYLEIGH_TOL * max(1.0, abs(new_value)), 0.01 * residual_tol)
         if abs(new_value - value) < ray_tol and new_residual < residual_tol:
-            return _finalize(op, w, new_value, new_residual, it, factorizations, rounding)
+            if np.min(w) <= 0:                    # an entry underflowed in w / w.max()
+                raise NumericalError("Perron iteration produced a non-positive eigenvector "
+                                     f"(min component {np.min(w):.3e})")
+            return EigenResult(value=new_value, phi=w[:op.n].copy(), psi=w[op.n:].copy(),
+                               lam=op.lam, iterations=it, residual=new_residual,
+                               n_cells=op.n, h=op.h, rounding=rounding,
+                               factorizations=factorizations)
         if new_residual > 0.25 * residual:
             if new_residual < 100.0 * residual_tol:
                 next_shift = band.far_shift
@@ -418,12 +410,10 @@ def tilt_derivative(op: DiscreteOperator) -> sp.csr_matrix:
     """M'(lambda) = dM/dlambda of an operator on its grid's CSR pattern.
 
     Only the flux couplings depend on lambda, so M' is M rescaled by the
-    pattern's weights: -h on the couplings towards node i+1, +h on those
+    skeleton's weights: -h on the couplings towards node i+1, +h on those
     towards node i-1, in both species blocks, and 0 elsewhere.
     """
-    grid = op.pattern
-    return sp.csr_matrix((grid.slope_weights * op.matrix.data, grid.indices, grid.indptr),
-                         shape=op.matrix.shape)
+    return op.skeleton.csr(op.skeleton.slope_weights * op.matrix.data)
 
 
 def tilt_slope(op: DiscreteOperator, right: EigenResult,
@@ -438,8 +428,7 @@ def tilt_slope(op: DiscreteOperator, right: EigenResult,
     agree to within the sum of the residuals plus LEFT_RIGHT_TOL (relative);
     otherwise NumericalError.
     """
-    left = principal_eigenpair(replace(op, matrix=op.matrix.T),
-                               warm=left_warm or (right.phi, right.psi))
+    left = principal_eigenpair(op.transposed(), warm=left_warm or (right.phi, right.psi))
     gap = abs(left.value - right.value)
     if gap > LEFT_RIGHT_TOL * max(1.0, abs(right.value)) + right.residual + left.residual:
         raise NumericalError(f"left and right Perron roots differ by {gap:.2e} on the "
@@ -500,6 +489,7 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm,
             finer.iterations, finer.factorizations, finer.levels = total_iter, total_lu, levels
             return finer, op, extrapolated
         coarse, prev_extrapolated = finer, extrapolated
+        del op                                    # before the finer level is built
 
 
 def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
@@ -526,8 +516,7 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
     from it and builds the missing ones, and afterwards the dict holds only
     the skeletons of this solve's levels.
     """
-    grid = grid or GridSpec()
-    n = peclet_cells(cs, lam, grid.n_cells)
+    n = peclet_cells(cs, lam, (grid or GridSpec()).n_cells)
     if warm is not None:
         n = max(n, len(warm[0]) // 4)
     held = {} if skeletons is None else skeletons
@@ -556,8 +545,7 @@ def dirichlet_eigenvalue(cs: CoefficientSet, R: float,
     """
     if not (R > 0):
         raise PreconditionError("Dirichlet half-width R must be positive")
-    grid = grid or GridSpec()
-    per_period = max(grid.n_cells, 16)
+    per_period = (grid or GridSpec()).n_cells
     n = max(per_period, int(np.ceil(per_period * 2.0 * R / cs.period)))
     res, _, value = _refine_to_tolerance(lambda m: _operator(_skeleton(cs, m, R), 0.0),
                                          n, tol, warm, f"R={R}")

@@ -56,7 +56,8 @@ def flux_parts(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str
     rows and cols are its triplet pattern, diag its n diagonal entries, and
     up and down the face sigma of its stored couplings to node i+1 and to
     node i-1, which tilted_couplings turns into entries.  A spacing h whose
-    square underflows to 0 or overflows is rejected before any division.
+    square underflows to 0 or overflows is rejected before any division, and
+    a sigma so large that the diagonal is not finite after it.
     """
     if boundary not in ("periodic", "neumann", "dirichlet", "dirichlet_zero"):
         raise ValidationError(f"unknown boundary kind {boundary!r}")
@@ -70,7 +71,10 @@ def flux_parts(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str
         if boundary == "neumann":
             faces[[0, -1]] = 0.0
         sig_right, sig_left = faces[1:], faces[:-1]
-    diag = -(sig_right + sig_left) / h ** 2
+    with np.errstate(over="ignore"):                 # an overflow is rejected just below
+        diag = -(sig_right + sig_left) / h ** 2
+    if not np.isfinite(diag).all():
+        raise ValidationError(f"diffusion entries sigma/h**2 are not finite at h={float(h)!r}")
     i = np.arange(n)
     if boundary == "periodic":
         return (np.concatenate([i, i, i]), np.concatenate([i, (i + 1) % n, (i - 1) % n]),

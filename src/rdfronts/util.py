@@ -27,16 +27,22 @@ def config_hash(config: dict) -> str:
 CSV_CHUNK_ROWS = 512        # rows formatted per write, so memory stays flat
 
 
+def _quoted(cell: str) -> str:
+    special = any(c in cell for c in ',"\r\n')
+    return '"' + cell.replace('"', '""') + '"' if special else cell
+
+
 def _column_cells(column) -> list:
     """The cells of one CSV column as text.
 
-    Strings are written verbatim (an error message, an empty cell, an
-    integer already turned into text); every other cell is a number and is
-    written as ``fmt`` writes it.  A column with no strings is converted
+    Strings are written as they are (an error message, an empty cell, an
+    integer already turned into text), quoted as RFC 4180 asks when they
+    hold a comma, a quote or a line break; every other cell is a number and
+    is written as ``fmt`` writes it.  A column with no strings is converted
     once and formatted with ``float.__repr__`` over its Python floats.
     """
     if not isinstance(column, np.ndarray) and any(isinstance(c, str) for c in column):
-        return [c if isinstance(c, str) else fmt(c) for c in column]
+        return [_quoted(c) if isinstance(c, str) else fmt(c) for c in column]
     return list(map(float.__repr__, np.asarray(column, dtype=float).tolist()))
 
 

@@ -520,6 +520,7 @@ def run_limited(tmp_path, command, payload, *flags):
 
 HUGE_PERIOD = {key: dict(spec, period=1e300) if isinstance(spec, dict) else 1e300
                for key, spec in HOMOG_COEFFS.items()}
+HUGE_SIGMA = dict(HOMOG_COEFFS, sigma={"kind": "constant", "value": 1e305})
 
 
 @pytest.mark.parametrize("command, payload, word", [
@@ -542,6 +543,12 @@ HUGE_PERIOD = {key: dict(spec, period=1e300) if isinstance(spec, dict) else 1e30
     pytest.param("speed", {"coefficients": HUGE_PERIOD}, "grid spacing", id="speed-period"),
     pytest.param("dirichlet", {"coefficients": HOMOG_COEFFS, "radii": [1e-300]},
                  "grid spacing", id="dirichlet-radius"),
+    # sigma / h**2 overflows in the stencil's diagonal
+    pytest.param("speed", {"coefficients": HUGE_SIGMA}, "not finite", id="speed-sigma"),
+    pytest.param("dirichlet", {"coefficients": HUGE_SIGMA, "radii": [1.0]}, "not finite",
+                 id="dirichlet-sigma"),
+    pytest.param("stationary", {"coefficients": HUGE_SIGMA}, "not finite",
+                 id="stationary-sigma"),
 ])
 def test_huge_size_exits_2_before_allocating(tmp_path, command, payload, word):
     proc = run_limited(tmp_path, command, payload)

@@ -208,7 +208,7 @@ def test_banded_solve_matches_dense(n, half_width, transpose):
     op = build_operator(cs, 0.0 if half_width else 1.5, GridSpec(n_cells=n),
                         half_width=half_width, refine=False)
     if transpose:
-        op = replace(op, matrix=op.matrix.T)
+        op = op.transposed()
     dense = op.matrix.toarray()
     band = _ShiftedBand(op)
     assert (band.band.kl, band.band.ku) == ((2, 2) if half_width else (4, 4))
@@ -226,11 +226,28 @@ def test_banded_solve_matches_dense(n, half_width, transpose):
 
 
 def test_singular_band_factor_raises():
+    # zero couplings and diagonal entries 0, 1, ..., 31 on the operator's
+    # pattern: 5I - M has a zero pivot in row 5
     op = build_operator(HOMOG, 0.0, GridSpec(n_cells=16))
-    diagonal = replace(op, matrix=sp.diags(np.arange(32.0)).tocsr())
-    band = _ShiftedBand(diagonal)
+    matrix = op.matrix.copy()
+    rows = np.repeat(np.arange(32), np.diff(matrix.indptr))
+    matrix.data = np.where(rows == matrix.indices, rows, 0.0)
+    band = _ShiftedBand(replace(op, matrix=matrix))
     with pytest.raises(NumericalError, match="singular"):
         band.factor(5.0)
+
+
+@pytest.mark.parametrize("half_width", [None, 2.0])
+@pytest.mark.parametrize("n", [16, 33, 64])
+def test_transposed_operator_shares_the_pattern(n, half_width):
+    op = build_operator(SKELETON_SETS["piecewise_sigma"], 0.0 if half_width else 1.5,
+                        GridSpec(n_cells=n), half_width=half_width, refine=False)
+    left = op.transposed()
+    assert left.matrix.format == "csr" and left.skeleton is op.skeleton
+    for name in ("indices", "indptr"):            # views of the skeleton's arrays
+        assert np.shares_memory(getattr(left.matrix, name), getattr(op.matrix, name))
+        assert np.array_equal(getattr(left.matrix, name), getattr(op.matrix, name))
+    assert np.array_equal(left.matrix.toarray(), op.matrix.T.toarray())
 
 
 def test_factorizations_are_counted():
@@ -306,18 +323,18 @@ def test_eigenresult_invariants():
     assert check == pytest.approx(res.residual, rel=1e-6)
 
 
-def test_operator_without_stored_diagonal_entry():
-    # a hand-built operator may leave a zero diagonal entry unstored; the
-    # shift must still reach that row
+def test_operator_off_its_pattern_rejected():
+    # the band pattern is the skeleton's, so a matrix laid out otherwise (the
+    # CSC transpose, one stored diagonal entry eliminated) is refused
     op = build_operator(HOMOG, 0.5, GridSpec(n_cells=32), refine=False)
     matrix = op.matrix.tolil()
     matrix[5, 5] = 0.0
     matrix = matrix.tocsr()
     matrix.eliminate_zeros()
     assert matrix[5, 5] == 0.0 and matrix.nnz == op.matrix.nnz - 1
-    res = principal_eigenpair(replace(op, matrix=matrix))
-    dense = np.linalg.eigvals(matrix.toarray())
-    assert res.value == pytest.approx(float(np.max(dense.real)), abs=1e-10)
+    for other in (op.matrix.T, matrix):
+        with pytest.raises(ValidationError, match="pattern"):
+            principal_eigenpair(replace(op, matrix=other))
 
 
 def test_non_cooperative_operator_rejected():

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import quad
 
-from rdfronts.coefficients import CoefficientSet, CoefficientSpec
+from rdfronts.coefficients import CoefficientSet, CoefficientSpec, constant_set
 from rdfronts.errors import ValidationError
 from rdfronts.stencil import face_sigma, flux_parts, flux_stencil
 
@@ -86,6 +86,16 @@ def test_spacing_without_a_finite_nonzero_square_rejected(h, boundary):
     # so no RuntimeWarning either
     with pytest.raises(ValidationError, match="grid spacing"):
         flux_parts(SETS["cosine"], h * np.arange(16), h, boundary)
+
+
+@pytest.mark.parametrize("sigma", [1e305, 1.7e308])
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet", "neumann"])
+def test_diagonal_that_is_not_finite_rejected(sigma, boundary):
+    # sigma / h**2 overflows at h = 1/64 (the face sum too at 1.7e308);
+    # rejected without a RuntimeWarning
+    h = 1.0 / 64
+    with pytest.raises(ValidationError, match="not finite"):
+        flux_parts(constant_set(sigma=sigma), h * np.arange(64), h, boundary)
 
 
 @pytest.mark.parametrize("name", sorted(SETS))

@@ -1,6 +1,7 @@
-"""CSV writing, byte-for-byte the per-cell formatter it replaced, and the
-checked step count of fixed-step runs."""
+"""CSV writing, byte-for-byte the per-cell formatter it replaced, with
+quoted text cells, and the checked step count of fixed-step runs."""
 
+import csv
 import math
 
 import numpy as np
@@ -46,6 +47,20 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
 def test_write_csv_without_rows(tmp_path):
     util.write_csv(tmp_path / "empty.csv", ("x", "y"), ([], np.array([])), ["c"])
     assert (tmp_path / "empty.csv").read_text() == "# c\nx,y\n"
+
+
+def test_write_csv_quotes_text_cells_with_separators(tmp_path):
+    # RFC 4180: a text cell with a comma, a quote or a line break is quoted,
+    # its quotes doubled; numbers and plain text are written as they are
+    texts = ["root search hit its cap of 60 steps; bracket [1, 2]", 'say "no"',
+             "two\nlines", "plain", ""]
+    util.write_csv(tmp_path / "t.csv", ("epsilon", "error"), ([0.5] * 5, texts))
+    with open(tmp_path / "t.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["epsilon", "error"]] + [["0.5", t] for t in texts]
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[1] == '0.5,"root search hit its cap of 60 steps; bracket [1, 2]"'
+    assert lines[2] == '0.5,"say ""no"""' and lines[5:] == ["0.5,plain", "0.5,"]
 
 
 @pytest.mark.parametrize("span, dt, steps", [(100.0, 0.01, 10 ** 4), (200.0, 1e-3, 200000),
