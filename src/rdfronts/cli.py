@@ -27,8 +27,8 @@ import numpy as np
 from . import coefficients as coeffs
 from . import eigen, ode, pde, speeds
 from .errors import NumericalError, ValidationError
-from .util import (REQUIRED, config_hash, fraction, integer, list_of, number, positive,
-                   read_dataclass, read_object, string, write_csv)
+from .util import (REQUIRED, config_hash, fmt, fraction, integer, list_of, number,
+                   positive, read_dataclass, read_object, string, write_csv)
 
 
 def _cells(val, name: str) -> int:
@@ -75,11 +75,11 @@ def _eigen_counts(results) -> dict:
 
 
 def _search_counts(searches: dict) -> dict:
-    """{"k_evals": {search: solves}, "levels": {search: ...}, ...} over searches."""
+    """{"k_evals": {search: solves}, "iterations": {search: ...}, ...} over searches."""
     per = {name: dict(_eigen_counts(results), k_evals=len(results))
            for name, results in searches.items()}
     return {key: {name: c[key] for name, c in per.items()}
-            for key in ("k_evals", "levels", "factorizations", "finest_cells")}
+            for key in ("k_evals", "iterations", "levels", "factorizations", "finest_cells")}
 
 
 # -- subcommand handlers: (values, out, tag) -> (paths written, solver counts) ---
@@ -155,7 +155,7 @@ def run_ode(cfg: dict, out: str, tag: str):
     if lyap is not None:
         header, columns = header + ("lyapunov",), columns + (lyap,)
     write_csv(paths[1], header, columns, [f"config_hash={tag}"])
-    return paths, {"steps": len(traj.t) - 1}
+    return paths, {"steps": len(traj.t) - 1, "computed_steps": traj.computed_steps}
 
 
 def run_simulate(cfg: dict, out: str, tag: str):
@@ -164,9 +164,10 @@ def run_simulate(cfg: dict, out: str, tag: str):
                           snapshot_every=cfg["snapshot_every"])
     measurement = pde.measure_speed(result.trace, cfg["window"])
     paths = []
+    x = list(map(fmt, result.nodes))             # formatted once for every snapshot
     for i, snap in enumerate(result.snapshots):
         path = f"{out}_snapshot_{i}.csv"
-        write_csv(path, ("x", "u", "v"), (result.nodes, snap.u, snap.v),
+        write_csv(path, ("x", "u", "v"), (x, snap.u, snap.v),
                   [f"config_hash={tag}", f"t={snap.t!r}"])
         paths.append(path)
     trace = result.trace

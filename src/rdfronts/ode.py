@@ -10,6 +10,7 @@ and a logarithmic Lyapunov weight.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -177,12 +178,15 @@ def analyze(p: HomParams) -> OdeAnalysis:
 
 @dataclass
 class Trajectory:
-    """Sampled kinetic orbit; clipped flags any negative undershoot reset to 0."""
+    """Sampled kinetic orbit; clipped flags any negative undershoot reset to 0,
+    and computed_steps counts the RK4 steps taken (the rows after a fixed
+    point of the map are copied, not computed)."""
 
     t: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    clipped: bool = False
+    clipped: bool
+    computed_steps: int
 
     def endpoint(self) -> Tuple[float, float]:
         return float(self.u[-1]), float(self.v[-1])
@@ -190,6 +194,7 @@ class Trajectory:
 
 BLOWUP_LIMIT = 1e6
 CLIP_FLOOR = 1e-14
+_state_bits = struct.Struct("dd").pack
 
 
 def integrate(p: HomParams, u0: float, v0: float, T: float, dt: float = 1e-3) -> Trajectory:
@@ -198,6 +203,12 @@ def integrate(p: HomParams, u0: float, v0: float, T: float, dt: float = 1e-3) ->
     Negative undershoots below the 1e-14 rounding floor are clipped to zero
     and flagged; amplitudes beyond 1e6 abort (theory bounds every orbit, so
     reaching that is a solver failure).
+
+    The loop stops at the first step that returns the state it started from,
+    bit for bit (-0.0 and 0.0 differ, and no tolerance applies).  The map is
+    deterministic, so every later step would return that state too: the
+    remaining rows are filled with it, and t and clipped are what the full
+    loop gives.
     """
     if u0 < 0 or v0 < 0:
         raise ValidationError("initial data must be nonnegative")
@@ -216,7 +227,9 @@ def integrate(p: HomParams, u0: float, v0: float, T: float, dt: float = 1e-3) ->
     # (0.5 * dt) * k, so half_dt changes no bit either.
     r_u, r_v, ka_u, ka_v, mu_u, mu_v = p.r_u, p.r_v, p.kappa_u, p.kappa_v, p.mu_u, p.mu_v
     half_dt = 0.5 * dt
+    computed_steps = n_steps
     for i in range(1, n_steps + 1):
+        pu, pv = cu, cv
         s = cu + cv
         k1u = (r_u - ka_u * s) * cu + mu_v * cv - mu_u * cu
         k1v = (r_v - ka_v * s) * cv + mu_u * cu - mu_v * cv
@@ -246,4 +259,9 @@ def integrate(p: HomParams, u0: float, v0: float, T: float, dt: float = 1e-3) ->
             raise NumericalError(f"kinetic orbit blew up at t={i * dt} "
                                  f"(|u|+|v| > {BLOWUP_LIMIT:g})")
         u[i], v[i] = cu, cv
-    return Trajectory(t=t, u=u, v=v, clipped=clipped)
+        # == first, so the bit comparison runs only where the values agree
+        if cu == pu and cv == pv and _state_bits(cu, cv) == _state_bits(pu, pv):
+            u[i + 1:], v[i + 1:] = cu, cv
+            computed_steps = i
+            break
+    return Trajectory(t=t, u=u, v=v, clipped=clipped, computed_steps=computed_steps)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import MISSING, fields
 from typing import Sequence
 
@@ -27,23 +28,38 @@ def config_hash(config: dict) -> str:
 CSV_CHUNK_ROWS = 512        # rows formatted per write, so memory stays flat
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
 def _quoted(cell: str) -> str:
-    special = any(c in cell for c in ',"\r\n')
-    return '"' + cell.replace('"', '""') + '"' if special else cell
+    return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
 
 
 def _column_cells(column) -> list:
     """The cells of one CSV column as text.
 
     Strings are written as they are (an error message, an empty cell, an
-    integer already turned into text), quoted as RFC 4180 asks when they
-    hold a comma, a quote or a line break; every other cell is a number and
-    is written as ``fmt`` writes it.  A column with no strings is converted
-    once and formatted with ``float.__repr__`` over its Python floats.
+    integer already turned into text, a column formatted once and written
+    many times), quoted as RFC 4180 asks when they hold a comma, a quote or
+    a line break; a column of strings none of which needs quotes is checked
+    once and written verbatim.  Every other cell is a number and is written
+    as ``fmt`` writes it.  A column with no strings is converted once and
+    split into runs of consecutive cells with the same bits (-0.0 and 0.0
+    differ; NaNs of one payload merge); each run is formatted once with
+    ``float.__repr__`` and repeated.
     """
     if not isinstance(column, np.ndarray) and any(isinstance(c, str) for c in column):
+        if all(type(c) is str for c in column) and not _NEEDS_QUOTES.search("".join(column)):
+            return list(column)
         return [_quoted(c) if isinstance(c, str) else fmt(c) for c in column]
-    return list(map(float.__repr__, np.asarray(column, dtype=float).tolist()))
+    values = np.asarray(column, dtype=float)
+    bits = values.view(np.int64)
+    run_starts = np.ones(len(bits), dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=run_starts[1:])
+    starts = np.flatnonzero(run_starts)
+    cells = np.fromiter(map(float.__repr__, values[starts].tolist()), dtype=object,
+                        count=len(starts))
+    return np.repeat(cells, np.diff(starts, append=len(bits))).tolist()
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence[Sequence],

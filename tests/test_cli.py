@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rdfronts
-from rdfronts import pde
+from rdfronts import eigen, pde, speeds
 from rdfronts.cli import COMMANDS, main
 from rdfronts.util import REQUIRED, config_hash
 
@@ -330,12 +330,26 @@ def test_speed_report_and_curve(tmp_path):
     assert q == pytest.approx(k / lam)
 
 
-def test_speed_verbose_reports_k_evals_on_stderr(tmp_path, capsys):
+def test_speed_verbose_reports_k_evals_on_stderr(tmp_path, capsys, monkeypatch):
     payload = {"coefficients": HOMOG_COEFFS,
                "lambda_min": 0.5, "lambda_max": 1.5, "lambda_step": 0.5}
     cfg = write_config(tmp_path, payload)
     assert main(["speed", "--config", cfg, "--out", str(tmp_path / "quiet")]) == 0
     assert capsys.readouterr().err == ""
+    solves = {}
+    spreading_speeds, k_curve = speeds.spreading_speeds, eigen.k_curve
+
+    def keep_searches(*args, **kwargs):
+        report = spreading_speeds(*args, **kwargs)
+        solves.update(report.solves)
+        return report
+
+    def keep_curve(*args, **kwargs):
+        solves["curve"] = k_curve(*args, **kwargs)
+        return solves["curve"]
+
+    monkeypatch.setattr(speeds, "spreading_speeds", keep_searches)
+    monkeypatch.setattr(eigen, "k_curve", keep_curve)
     assert main(["speed", "--config", cfg, "--out", str(tmp_path / "loud"), "--verbose"]) == 0
     line, = capsys.readouterr().err.splitlines()
     record = json.loads(line)
@@ -344,9 +358,13 @@ def test_speed_verbose_reports_k_evals_on_stderr(tmp_path, capsys):
     assert record["k_evals"]["curve"] == 3
     assert all(n > 0 for n in record["k_evals"].values())
     searches = sorted(record["k_evals"])
-    assert (sorted(record["levels"]) == sorted(record["factorizations"])
-            == sorted(record["finest_cells"]) == searches)
+    assert (sorted(record["iterations"]) == sorted(record["levels"])
+            == sorted(record["factorizations"]) == sorted(record["finest_cells"])
+            == sorted(solves) == searches)
     for search in searches:
+        # the right Perron solves of each search; tilt_slope's left ones are not counted
+        assert record["iterations"][search] == sum(r.iterations for r in solves[search])
+        assert record["k_evals"][search] == len(solves[search])
         # every k(lambda) solve takes at least two grid levels
         assert record["levels"][search] >= 2 * record["k_evals"][search]
         assert record["factorizations"][search] >= record["levels"][search]
@@ -387,7 +405,8 @@ def test_verbose_reports_step_counts_on_stderr(tmp_path, capsys, command, steps)
     record = json.loads(line)
     assert record.pop("command") == command
     if command == "ode":
-        assert record == {"steps": steps}
+        # this orbit does not reach a fixed point of the RK4 map in 1000 steps
+        assert record == {"steps": steps, "computed_steps": steps}
     else:
         # the homogeneous set needs one substep per step at these dt
         assert record == {"steps": steps, "substeps": steps, "max_clip": 0.0}

@@ -334,17 +334,35 @@ def rk4_reference(p, u0, v0, n_steps, dt):
     return np.array(t), np.array(u), np.array(v), clipped
 
 
-@pytest.mark.parametrize("p, u0, v0, dt, clips", [
-    (HomParams(1.0, 1.1, 0.9, 1.05, 0.95, 0.4, 0.6), 0.2, 0.3, 1e-3, False),
-    # stiff competition from a large v0 at a coarse step undershoots u below 0
-    (HomParams(1, 1, 1, 5, 1, 0.01, 0.01), 0.5, 10.0, 0.2, True),
+def first_fixed_point(u, v):
+    """First step whose (u, v) has the bits of the row before it, else the
+    number of steps."""
+    bits = np.stack([u, v]).view(np.int64)
+    same = np.flatnonzero(np.all(bits[:, 1:] == bits[:, :-1], axis=0))
+    return int(same[0]) + 1 if len(same) else len(u) - 1
+
+
+@pytest.mark.parametrize("p, u0, v0, dt, clips, settles", [
+    (HomParams(1.0, 1.1, 0.9, 1.05, 0.95, 0.4, 0.6), 0.2, 0.3, 1e-3, False, False),
+    # stiff competition from a large v0 at a coarse step undershoots u below
+    # 0, then reaches a fixed point of the RK4 map (step 182)
+    (HomParams(1, 1, 1, 5, 1, 0.01, 0.01), 0.5, 10.0, 0.2, True, True),
+    # the first orbit at a coarser step settles (step 679) without clipping
+    (HomParams(1.0, 1.1, 0.9, 1.05, 0.95, 0.4, 0.6), 0.2, 0.3, 0.05, False, True),
+    # lambda_A < 0: the orbit decays and underflows to (0, 0) (step 850)
+    (HomParams(1, -3.0, -2.0, 1, 1, 0.3, 0.3), 0.5, 0.5, 0.4, False, True),
+    # -0.0 steps to 0.0, which has other bits, and only then to itself
+    (HomParams(1, 1, 1, 1, 1, 0.5, 0.5), -0.0, 0.0, 0.01, False, True),
 ])
-def test_integrate_is_bitwise_the_rhs_loop(p, u0, v0, dt, clips):
+def test_integrate_is_bitwise_the_rhs_loop(p, u0, v0, dt, clips, settles):
     traj = integrate(p, u0, v0, 2000 * dt, dt)
     t, u, v, clipped = rk4_reference(p, u0, v0, 2000, dt)
     assert traj.clipped == clipped == clips
     for got, want in ((traj.t, t), (traj.u, u), (traj.v, v)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the loop stops at the first step that repeats its state bit for bit
+    assert traj.computed_steps == first_fixed_point(u, v)
+    assert (traj.computed_steps < 2000) == settles
 
 
 def test_integrator_validation():

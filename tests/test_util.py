@@ -12,13 +12,19 @@ from rdfronts.errors import ValidationError
 
 
 def per_cell_csv(path, header, rows, comments=()):
-    """The CSV writer as first written: every cell formatted on its own."""
+    """The CSV writer as first written, every cell formatted on its own, with
+    text quoted as RFC 4180 asks."""
+    def text(cell):
+        if any(c in cell for c in ',"\r\n'):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+
     with open(path, "w", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = [c if isinstance(c, str) else repr(float(c)) for c in row]
+            cells = [text(c) if isinstance(c, str) else repr(float(c)) for c in row]
             fh.write(",".join(cells) + "\n")
 
 
@@ -41,6 +47,29 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
     comments = ["config_hash=0123", "t=1.0"]
     util.write_csv(tmp_path / "new.csv", header, columns, comments)
     per_cell_csv(tmp_path / "old.csv", header, zip(*columns), comments)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_runs_match_per_cell_formatting(tmp_path):
+    # columns of repeated cells; a run is formatted once and repeated
+    chunk = util.CSV_CHUNK_ROWS
+    n = 3 * chunk + 5
+    crossing = np.repeat([0.25, 1.0 / 3.0, -2.0, 7.0],
+                         [chunk - 12, chunk + 40, chunk - 40, n - 3 * chunk + 12])
+    single = np.full(n, 0.5)
+    single[[chunk - 1, 2 * chunk - 1, n - 1]] = [0.75, -0.5, 1e-300]   # runs of 1 at chunk ends
+    special = np.repeat([math.nan, math.inf, -math.inf, 5e-324, 1e-310, math.nan, 0.0],
+                        [chunk + 3, 200, 7, 300, chunk, 1, n - 2 * chunk - 511])
+    zeros = np.zeros(n)
+    zeros[1::2] = -0.0                       # -0.0 == 0.0, but its cell is "-0.0"
+    zeros[chunk:chunk + 100] = -0.0
+    text = ["0.5"] * n
+    text[chunk + 9:chunk + 30] = ["1.5"] * 21
+    text[2 * chunk + 4] = 'a "quoted", cell'
+    columns = (crossing, single, special, zeros, text, tuple(zeros.tolist()))
+    header = ("a", "b", "c", "d", "e", "f")
+    util.write_csv(tmp_path / "new.csv", header, columns, ["config_hash=0123"])
+    per_cell_csv(tmp_path / "old.csv", header, zip(*columns), ["config_hash=0123"])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
