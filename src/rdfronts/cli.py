@@ -7,17 +7,18 @@ embed a hash of the config.  Exit codes: 0 success, 2 config/validation
 error, 3 numerical error; errors are reported as one JSON object on stderr.
 
 `main` is the one job path: it loads the config, reads every value through
-the command's schema in the COMMANDS table, hashes the config and calls the
-handler with the values read; the handler returns the paths it wrote and its
-solver counts, and `--verbose` prints the counts as one JSON line.  The
-handlers write every artifact themselves, so this module alone knows the
-file formats.
+the command's schema in the COMMANDS table and builds the run's `Artifacts`
+from --out and the config hash.  A handler computes everything first, hands
+each artifact to that writer by name and returns its solver counts, which
+`--verbose` prints as one JSON line.  The writer alone names, hash-tags and
+lists the files; `main` prints the path of every file written.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import math
 import sys
@@ -27,35 +28,55 @@ import numpy as np
 from . import coefficients as coeffs
 from . import eigen, ode, pde, speeds
 from .errors import NumericalError, ValidationError
-from .util import (REQUIRED, config_hash, fmt, fraction, integer, list_of, number,
-                   positive, read_dataclass, read_object, string, write_csv)
+from .util import (REFINE_CAP, REQUIRED, config_hash, fmt, fraction, integer, list_of,
+                   number, positive, read_dataclass, read_object, string, write_csv)
 
 
 def _cells(val, name: str) -> int:
-    """A cell count.  No grid finer than eigen.REFINE_CAP is ever built, so a
-    larger count is rejected before anything is allocated."""
+    """A cell count.  No grid finer than REFINE_CAP is ever built, so a larger
+    count is rejected before anything is allocated."""
     val = integer(val, name)
-    if val > eigen.REFINE_CAP:
-        raise ValidationError(f"{name} must be at most {eigen.REFINE_CAP}")
+    if val > REFINE_CAP:
+        raise ValidationError(f"{name} must be at most {REFINE_CAP}")
     return val
 
 
 def _lambda_grid(cfg: dict, context: str) -> np.ndarray:
+    """lambda_min, lambda_min + lambda_step, ... up to lambda_max and never a
+    step past it; a quotient short of a whole step count by rounding alone
+    (1e-9 steps) still reaches lambda_max."""
     lo, hi, step = cfg["lambda_min"], cfg["lambda_max"], cfg["lambda_step"]
     if hi < lo:
         raise ValidationError(f"{context}: lambda_max must be >= lambda_min")
     span = (hi - lo) / step
-    if not span < eigen.REFINE_CAP:          # an overflowing span too
+    if not span < REFINE_CAP:                # an overflowing span too
         raise ValidationError(f"{context}: the lambda grid has more than "
-                              f"{eigen.REFINE_CAP} steps")
-    count = int(math.floor(span + 0.5)) + 1
-    return lo + step * np.arange(count)
+                              f"{REFINE_CAP} steps")
+    return lo + step * np.arange(int(span + 1e-9) + 1)       # span >= 0: int floors
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+class Artifacts:
+    """The files of one run: artifact `name` is written to `{out}_{name}`
+    with the config hash `tag` in it, and its path is kept in `paths`."""
+
+    def __init__(self, out: str, tag: str):
+        self.out, self.tag, self.paths = out, tag, []
+
+    def csv(self, name: str, header, columns, *comments: str) -> None:
+        """A CSV file whose first comment line is config_hash=<tag>.
+        write_csv is looked up when called, so a replacement of
+        cli.write_csv sees every CSV artifact."""
+        path = f"{self.out}_{name}"
+        write_csv(path, header, columns, [f"config_hash={self.tag}", *comments])
+        self.paths.append(path)
+
+    def json(self, name: str, payload: dict) -> None:
+        """A JSON report: the payload and its config_hash key, keys sorted."""
+        path = f"{self.out}_{name}"
+        with open(path, "w", newline="\n") as fh:
+            json.dump(dict(payload, config_hash=self.tag), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        self.paths.append(path)
 
 
 def _print_counts(command: str, counts: dict) -> None:
@@ -82,192 +103,144 @@ def _search_counts(searches: dict) -> dict:
             for key in ("k_evals", "iterations", "levels", "factorizations", "finest_cells")}
 
 
-# -- subcommand handlers: (values, out, tag) -> (paths written, solver counts) ---
+# -- subcommand handlers: (values, artifacts) -> solver counts ---------------------
 # `values` holds every key of the command's schema, read and checked.
 
-def run_eigen(cfg: dict, out: str, tag: str):
+def run_eigen(cfg: dict, artifacts: Artifacts) -> dict:
     lams = _lambda_grid(cfg, "eigen config")
     cs, grid, tol = cfg["coefficients"], cfg["n_cells"], cfg["tolerance"]
     profile_lams = cfg["profile_lambdas"]
     results = eigen.k_curve(cs, lams, grid, tol)
     profiles = [eigen.k_of_lambda(cs, float(lam), grid, tol) for lam in profile_lams]
-    paths = [f"{out}_kcurve.csv"]
-    write_csv(paths[0], ("lambda", "k", "residual", "n_cells"),
-              (lams, [r.value for r in results], [r.residual for r in results],
-               [str(r.n_cells) for r in results]), [f"config_hash={tag}"])
+    artifacts.csv("kcurve.csv", ("lambda", "k", "residual", "n_cells"),
+                  (lams, [r.value for r in results], [r.residual for r in results],
+                   [str(r.n_cells) for r in results]))
     for i, (lam, res) in enumerate(zip(profile_lams, profiles)):
-        path = f"{out}_profile_{i}.csv"
-        write_csv(path, ("x", "phi", "psi"),
-                  (res.h * np.arange(res.n_cells), res.phi, res.psi),
-                  [f"config_hash={tag}", f"lambda={lam!r}", f"k={res.value!r}"])
-        paths.append(path)
-    return paths, _eigen_counts(results + profiles)
+        artifacts.csv(f"profile_{i}.csv", ("x", "phi", "psi"),
+                      (res.h * np.arange(res.n_cells), res.phi, res.psi),
+                      f"lambda={lam!r}", f"k={res.value!r}")
+    return _eigen_counts(results + profiles)
 
 
-def run_dirichlet(cfg: dict, out: str, tag: str):
+def run_dirichlet(cfg: dict, artifacts: Artifacts) -> dict:
     radii = cfg["radii"]
     results = eigen.dirichlet_sweep(cfg["coefficients"], radii, cfg["n_cells"], cfg["tolerance"])
-    path = f"{out}_dirichlet.csv"
-    write_csv(path, ("R", "lambda1R"), (radii, [r.value for r in results]),
-              [f"config_hash={tag}"])
-    return [path], _eigen_counts(results)
+    artifacts.csv("dirichlet.csv", ("R", "lambda1R"), (radii, [r.value for r in results]))
+    return _eigen_counts(results)
 
 
-def run_speed(cfg: dict, out: str, tag: str):
+def run_speed(cfg: dict, artifacts: Artifacts) -> dict:
     lams = _lambda_grid(cfg, "speed config")
     cs, grid, k_tol = cfg["coefficients"], cfg["n_cells"], cfg["k_tolerance"]
-
     report = speeds.spreading_speeds(cs, grid, cfg["lambda_tolerance"], k_tol)
     curve = eigen.k_curve(cs, lams, grid, k_tol)
-    payload = report.to_dict()
-    payload["config_hash"] = tag
-    paths = [f"{out}_speed.json", f"{out}_kcurve.csv"]
-    _write_json(paths[0], payload)
     k = [res.value for res in curve]
     over = [kv / lam if lam != 0 else float("nan") for lam, kv in zip(lams, k)]
-    write_csv(paths[1], ("lambda", "k", "k_over_lambda"), (lams, k, over),
-              [f"config_hash={tag}"])
-    return paths, _search_counts(dict(report.solves, curve=curve))
+    artifacts.json("speed.json", report.to_dict())
+    artifacts.csv("kcurve.csv", ("lambda", "k", "k_over_lambda"), (lams, k, over))
+    return _search_counts(dict(report.solves, curve=curve))
 
 
-def run_ode(cfg: dict, out: str, tag: str):
+def run_ode(cfg: dict, artifacts: Artifacts) -> dict:
     p, u0, v0, T, dt = (cfg[key] for key in ("params", "u0", "v0", "T", "dt"))
     if u0 < 0 or v0 < 0:
         raise ValidationError("u0 and v0 must be nonnegative")
 
     analysis = ode.analyze(p)
     traj = ode.integrate(p, u0, v0, T, dt)
-    lyap = None
+    header, columns = ("t", "u", "v"), (traj.t, traj.u, traj.v)
     if analysis.lyapunov_K is not None and np.all(traj.u > 0) and np.all(traj.v > 0):
-        lyap = ode.lyapunov_value(traj.u, traj.v, *analysis.equilibrium, analysis.lyapunov_K)
-    payload = {
-        "config_hash": tag,
+        header += ("lyapunov",)
+        columns += (ode.lyapunov_value(traj.u, traj.v, *analysis.equilibrium,
+                                       analysis.lyapunov_K),)
+    artifacts.json("ode.json", {
         "lambda_A": analysis.lambda_A,
         "equilibrium": list(analysis.equilibrium) if analysis.equilibrium else None,
         "jacobian": list(analysis.jacobian) if analysis.jacobian else None,
         "lyapunov_K": analysis.lyapunov_K,
         "endpoint": list(traj.endpoint()),
         "clipped": traj.clipped,
-    }
-    paths = [f"{out}_ode.json", f"{out}_trajectory.csv"]
-    _write_json(paths[0], payload)
-    header, columns = ("t", "u", "v"), (traj.t, traj.u, traj.v)
-    if lyap is not None:
-        header, columns = header + ("lyapunov",), columns + (lyap,)
-    write_csv(paths[1], header, columns, [f"config_hash={tag}"])
-    return paths, {"steps": len(traj.t) - 1, "computed_steps": traj.computed_steps}
+    })
+    artifacts.csv("trajectory.csv", header, columns)
+    return {"steps": len(traj.t) - 1, "computed_steps": traj.computed_steps}
 
 
-def run_simulate(cfg: dict, out: str, tag: str):
+def run_simulate(cfg: dict, artifacts: Artifacts) -> dict:
     result = pde.simulate(cfg["coefficients"], cfg["domain"], cfg["initial"], cfg["T"],
                           cfg["dt"], cfg["record_every"], theta=cfg["theta"],
                           snapshot_every=cfg["snapshot_every"])
     measurement = pde.measure_speed(result.trace, cfg["window"])
-    paths = []
     x = list(map(fmt, result.nodes))             # formatted once for every snapshot
     for i, snap in enumerate(result.snapshots):
-        path = f"{out}_snapshot_{i}.csv"
-        write_csv(path, ("x", "u", "v"), (x, snap.u, snap.v),
-                  [f"config_hash={tag}", f"t={snap.t!r}"])
-        paths.append(path)
+        artifacts.csv(f"snapshot_{i}.csv", ("x", "u", "v"), (x, snap.u, snap.v),
+                      f"t={snap.t!r}")
     trace = result.trace
-    front_path = f"{out}_front.csv"
-    write_csv(front_path, ("t", "x_right", "x_left"), (trace.t, trace.x_right, trace.x_left),
-              [f"config_hash={tag}"])
-    paths.append(front_path)
-    payload = {
-        "config_hash": tag,
+    artifacts.csv("front.csv", ("t", "x_right", "x_left"), (trace.t, trace.x_right, trace.x_left))
+    artifacts.json("speeds.json", {
+        **dataclasses.asdict(measurement),
         "theta": result.theta,
-        "c_right": measurement.c_right,
-        "c_left": measurement.c_left,
-        "r_squared_right": measurement.r_squared_right,
-        "r_squared_left": measurement.r_squared_left,
-        "right_reliable": measurement.right_reliable,
-        "left_reliable": measurement.left_reliable,
         "trusted_until_right": _json_float(result.trusted_until_right),
         "trusted_until_left": _json_float(result.trusted_until_left),
         "boundary_trust_warning": (result.trusted_until_right != np.inf
                                    or result.trusted_until_left != np.inf),
         "mass_max": result.state.mass_max,
         "max_clip": result.counts["max_clip"],
-    }
-    report_path = f"{out}_speeds.json"
-    _write_json(report_path, payload)
-    paths.append(report_path)
-    return paths, result.counts
+    })
+    return result.counts
 
 
 def _json_float(x: float):
     return None if not np.isfinite(x) else float(x)
 
 
-def run_stationary(cfg: dict, out: str, tag: str):
+def run_stationary(cfg: dict, artifacts: Artifacts) -> dict:
     counts = {}
     nodes, u, v = pde.stationary_profile(cfg["coefficients"], n_cells=cfg["n_cells"],
                                          tol=cfg["tolerance"], t_max=cfg["t_max"],
                                          counts=counts)
-    path = f"{out}_stationary.csv"
-    write_csv(path, ("x", "u", "v"), (nodes, u, v), [f"config_hash={tag}"])
-    return [path], counts
+    artifacts.csv("stationary.csv", ("x", "u", "v"), (nodes, u, v))
+    return counts
 
 
-def run_homogenize(cfg: dict, out: str, tag: str):
+def run_homogenize(cfg: dict, artifacts: Artifacts) -> dict:
     h = coeffs.homogenize(cfg["coefficients"])
-    payload = h.to_dict()
-    payload["config_hash"] = tag
     try:
-        payload["homogenized_speed"] = speeds.homogenized_speed(h)
+        speed = speeds.homogenized_speed(h)
     except ValidationError:
-        payload["homogenized_speed"] = None
-    path = f"{out}_homogenized.json"
-    _write_json(path, payload)
-    return [path], {}
+        speed = None
+    artifacts.json("homogenized.json", dict(h.to_dict(), homogenized_speed=speed))
+    return {}
 
 
-def _sweep_row(args) -> dict:
-    """One epsilon row; k_evals counts the k(lambda) solves of its speed
-    searches, so the count travels back from a worker process with the row."""
-    cs, eps, k_tol = args
-    row = {"epsilon": eps, "c_right": "", "c_left": "", "error": "", "k_evals": 0}
+def _sweep_row(args) -> tuple:
+    """One finished row of the sweep CSV, gaps to `target` included, and the
+    k(lambda) solves of its speed searches, so that the count travels back
+    from a worker process with the row.  A failed row carries its error."""
+    cs, eps, k_tol, target = args
     try:
-        cse = coeffs.rescale_epsilon(cs, eps)
-        report = speeds.spreading_speeds(cse, k_tol=k_tol)
-        row["c_right"] = report.c_right
-        row["c_left"] = report.c_left
-        row["k_evals"] = sum(map(len, report.solves.values()))
+        report = speeds.spreading_speeds(coeffs.rescale_epsilon(cs, eps), k_tol=k_tol)
     except (ValidationError, NumericalError) as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+        return (eps, "", "", target, "", "", f"{type(exc).__name__}: {exc}"), 0
+    c_r, c_l = report.c_right, report.c_left
+    return ((eps, c_r, c_l, target, abs(c_r - target), abs(c_l - target), ""),
+            sum(map(len, report.solves.values())))
 
 
-def run_sweep(cfg: dict, out: str, tag: str, jobs: int):
+def run_sweep(cfg: dict, artifacts: Artifacts, jobs: int) -> dict:
     if jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {jobs}")
     cs, k_tol, eps_list = cfg["coefficients"], cfg["k_tolerance"], cfg["epsilons"]
-    h = coeffs.homogenize(cs)
-    target = speeds.homogenized_speed(h)
-    tasks = [(cs, float(e), k_tol) for e in eps_list]
+    target = speeds.homogenized_speed(coeffs.homogenize(cs))
+    tasks = [(cs, float(e), k_tol, target) for e in eps_list]
     workers = min(jobs, len(tasks))    # the pool starts all its workers up front
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows_raw = list(pool.map(_sweep_row, tasks))
+            rows, k_evals = zip(*pool.map(_sweep_row, tasks))
     else:
-        rows_raw = [_sweep_row(t) for t in tasks]
-
-    rows = []
-    for raw in rows_raw:
-        if raw["error"]:
-            rows.append((raw["epsilon"], "", "", target, "", "", raw["error"]))
-        else:
-            gap_r = abs(raw["c_right"] - target)
-            gap_l = abs(raw["c_left"] - target)
-            rows.append((raw["epsilon"], raw["c_right"], raw["c_left"],
-                         target, gap_r, gap_l, ""))
-    path = f"{out}_sweep.csv"
-    write_csv(path, ("epsilon", "c_right", "c_left", "target",
-                     "gap_right", "gap_left", "error"),
-              list(zip(*rows)), [f"config_hash={tag}"])
-    return [path], {"k_evals": sum(raw["k_evals"] for raw in rows_raw)}
+        rows, k_evals = zip(*map(_sweep_row, tasks))
+    artifacts.csv("sweep.csv", ("epsilon", "c_right", "c_left", "target",
+                                "gap_right", "gap_left", "error"), list(zip(*rows)))
+    return {"k_evals": sum(k_evals)}
 
 
 _COEFFICIENTS = {"coefficients": (lambda val, _: coeffs.set_from_dict(val), REQUIRED)}
@@ -358,7 +331,8 @@ def main(argv=None) -> int:
         config = _load_config(args.config, args.command)
         values = read_object(config, f"{args.command} config",
                              {**schema, "command": (string, None)})
-        paths, counts = handler(values, args.out, config_hash(config), **extra)
+        artifacts = Artifacts(args.out, config_hash(config))
+        counts = handler(values, artifacts, **extra)
     except ValidationError as exc:
         json.dump({"error": "validation", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
@@ -369,6 +343,6 @@ def main(argv=None) -> int:
         return 3
     if args.verbose:
         _print_counts(args.command, counts)
-    for path in paths:
+    for path in artifacts.paths:
         print(path)
     return 0

@@ -40,8 +40,8 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .coefficients import CoefficientSet
 from .errors import NumericalError, PreconditionError, ValidationError
 from .stencil import flux_parts, tilted_couplings
+from .util import REFINE_CAP
 
-REFINE_CAP = 2 ** 20          # hard cap on cells per period / interval
 RESIDUAL_TOL = 1e-9
 MAX_ITERATIONS = 10 ** 4      # shift-invert steps before a Perron solve gives up
 RAYLEIGH_TOL = 1e-12
@@ -157,7 +157,7 @@ def _skeleton(cs: CoefficientSet, n: int,
     else:
         h = 2.0 * half_width / (n + 1)
         nodes = -half_width + h * np.arange(1, n + 1)
-        boundary = "dirichlet"
+        boundary = "dirichlet_zero"
     rows, cols, diag, up, down = flux_parts(cs, nodes, h, boundary)
     m, i = len(up), np.arange(n)
     nnz = 2 * len(rows) + 2 * n

@@ -31,10 +31,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .coefficients import CoefficientSet
-from .eigen import REFINE_CAP
 from .errors import InvariantBreachError, NumericalError, PreconditionError, ValidationError
 from .stencil import flux_stencil
-from .util import step_count
+from .util import REFINE_CAP, step_count
 
 BOUND_SLACK = 1e-8
 TRUST_MARGIN = 0.10          # outer fraction of the domain where fronts are unreliable
@@ -521,12 +520,21 @@ def convergence_behind_front(cs: CoefficientSet, domain: DomainSpec,
     """Track max over |x| <= c_probe*t of the distance to the stationary pair.
 
     target may be a precomputed (cell_nodes, u_prof, v_prof) triple; otherwise
-    the periodic stationary profile is computed first, on 512 cells.
+    the periodic stationary profile is computed first, on 512 cells.  A run
+    that would sample nothing (no step, no sample by T, or an empty cone at
+    the last sample) is rejected before that profile and before any step.
     """
     if not (c_probe > 0):
         raise PreconditionError("c_probe must be positive (and below the spreading speed)")
     n_steps = step_count(T, dt)
     stride = _stride(sample_every, dt, n_steps)
+    if n_steps < stride:
+        raise ValidationError(f"sample_every={sample_every} at dt={dt} takes no sample "
+                              f"by T={T}")
+    t_last = n_steps // stride * stride * dt
+    if not np.any(np.abs(domain.nodes()) <= c_probe * t_last):
+        raise ValidationError(f"no node lies in |x| <= {c_probe} t by the last sample "
+                              f"at T={T}")
     if target is None:
         target = stationary_profile(cs)
     cell_nodes, u_prof, v_prof = target

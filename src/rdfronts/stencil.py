@@ -59,7 +59,7 @@ def flux_parts(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str
     square underflows to 0 or overflows is rejected before any division, and
     a sigma so large that the diagonal is not finite after it.
     """
-    if boundary not in ("periodic", "neumann", "dirichlet", "dirichlet_zero"):
+    if boundary not in ("periodic", "neumann", "dirichlet_zero"):
         raise ValidationError(f"unknown boundary kind {boundary!r}")
     if not 0.0 < float(h) * float(h) < math.inf:     # every entry divides by h**2
         raise ValidationError(f"grid spacing h={float(h)!r} has no finite nonzero square")
@@ -101,7 +101,7 @@ def flux_stencil(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str,
     off-diagonals stay positive.  The n diagonal entries come first, in node
     order, then the couplings to node i+1, then those to node i-1.
     boundary is "periodic", "neumann" (zero flux through the end faces) or
-    "dirichlet"/"dirichlet_zero" (zero ghost values beyond the end nodes).
+    "dirichlet_zero" (zero ghost values beyond the end nodes).
     """
     rows, cols, diag, up, down = flux_parts(cs, nodes, h, boundary)
     return rows, cols, np.concatenate([diag, *tilted_couplings(up, down, h, lam)])

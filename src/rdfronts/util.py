@@ -84,6 +84,10 @@ def write_csv(path, header: Sequence[str], columns: Sequence[Sequence],
 # steps + 1 entries, so 2**24 steps hold them at about 0.4 GB.
 STEP_CAP = 2 ** 24
 
+# Cells of one grid: an eigen period or Dirichlet interval, a pde domain, a
+# stationary cell, and the steps of a CLI lambda grid.
+REFINE_CAP = 2 ** 20
+
 
 def step_count(span: float, dt: float) -> int:
     """int(round(span / dt)), the steps of a run of length span; a quotient

@@ -14,7 +14,7 @@ import pytest
 
 import rdfronts
 from rdfronts import eigen, pde, speeds
-from rdfronts.cli import COMMANDS, main
+from rdfronts.cli import COMMANDS, _lambda_grid, main
 from rdfronts.util import REQUIRED, config_hash
 
 HOMOG_COEFFS = {
@@ -101,6 +101,26 @@ def test_deterministic_outputs(tmp_path, capsys, command):
         assert a_files == ["kcurve.csv", "profile_0.csv"]
     for suffix in a_files:
         assert (tmp_path / f"a_{suffix}").read_bytes() == (tmp_path / f"b_{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("command, jobs", [*((c, 1) for c in sorted(DETERMINISM_PAYLOADS)),
+                                            ("sweep", 2)])
+def test_stdout_lists_exactly_the_files_written(tmp_path, capsys, command, jobs):
+    flags = {"jobs": jobs} if command == "sweep" else {}
+    assert run(tmp_path, command, DETERMINISM_PAYLOADS[command], **flags) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert sorted(printed) == sorted(str(path) for path in tmp_path.glob("out_*"))
+
+
+@pytest.mark.parametrize("lo, hi, step, count", [
+    (-3.0, 3.0, 0.1, 61), (-2.0, 2.0, 0.25, 17), (-1.0, 1.0, 0.5, 5), (0.5, 1.5, 0.5, 3),
+    # (hi - lo) / step rounds up to 2 and to 3 here; the grid must stop a step short
+    (0.0, 1.0, 0.6, 2), (0.0, 1.0, 0.4, 3),
+])
+def test_lambda_grid_never_passes_lambda_max(lo, hi, step, count):
+    grid = _lambda_grid({"lambda_min": lo, "lambda_max": hi, "lambda_step": step}, "eigen config")
+    assert grid.tobytes() == (lo + step * np.arange(count)).tobytes()
+    assert grid[-1] <= hi
 
 
 # -- file formats ---------------------------------------------------------------
@@ -639,15 +659,19 @@ def test_sweep_gap_decreases_and_target_constant(tmp_path):
 
 
 def test_sweep_with_two_workers_writes_the_bytes_of_one(tmp_path):
-    # the rows carry the coefficient set itself to the worker processes
+    # the rows carry the coefficient set itself to the worker processes, and
+    # come back finished: three speed rows and, at epsilon 1e-300, an error row
     cosine_coeffs = dict(HOMOG_COEFFS)
     cosine_coeffs["r_u"] = {"kind": "cosine", "mean": 1.0, "amplitude": 0.4, "phase": 0.3}
-    payload = {"coefficients": cosine_coeffs, "epsilons": [1.0, 0.5, 0.25]}
+    payload = {"coefficients": cosine_coeffs, "epsilons": [1.0, 0.5, 0.25, 1e-300]}
     assert run(tmp_path, "sweep", payload, out="one", jobs=1) == 0
     assert run(tmp_path, "sweep", payload, out="two", jobs=2) == 0
     one = (tmp_path / "one_sweep.csv").read_bytes()
     assert one == (tmp_path / "two_sweep.csv").read_bytes()
-    assert len(one.splitlines()) == 2 + 3
+    lines = one.decode().splitlines()
+    assert len(lines) == 2 + 4
+    errors = [line.split(",")[6].split(":")[0] for line in lines[2:]]
+    assert errors == ["", "", "", "ValidationError"]
 
 
 def test_sweep_invalid_epsilon_rejected(tmp_path):

@@ -107,7 +107,7 @@ def test_dirichlet_requires_half_width():
 
 def test_half_width_alone_selects_dirichlet():
     op = build_operator(HOMOG, 0.0, GridSpec(n_cells=64), half_width=2.0)
-    assert op.boundary == "dirichlet" and op.n == 64
+    assert op.boundary == "dirichlet_zero" and op.n == 64
     assert op.h == pytest.approx(4.0 / 65) and op.nodes[0] == pytest.approx(-2.0 + 4.0 / 65)
 
 
@@ -139,7 +139,7 @@ def fresh_assembly(cs, lam, n, half_width=None):
         h, boundary = cs.period / n, "periodic"
         nodes = h * np.arange(n)
     else:
-        h, boundary = 2.0 * half_width / (n + 1), "dirichlet"
+        h, boundary = 2.0 * half_width / (n + 1), "dirichlet_zero"
         nodes = -half_width + h * np.arange(1, n + 1)
     rows, cols, data = flux_stencil(cs, nodes, h, boundary, lam)
     diag, off = data[:n], data[n:]

@@ -499,6 +499,26 @@ def test_convergence_behind_front_oscillating_medium():
     assert hist.sup_distance[-1] < hist.sup_distance[2]
 
 
+@pytest.mark.parametrize("c_probe, T, sample_every, match", [
+    pytest.param(1.0, 0.004, 0.5, "no sample", id="no-step"),          # T < dt/2
+    pytest.param(1.0, 1.0, 2.0, "no sample", id="sample-after-T"),
+    # the nodes next to 0 lie 0.098 away, outside |x| <= 0.001 t up to t = 1
+    pytest.param(0.001, 1.0, 0.5, "no node", id="empty-cone"),
+])
+def test_convergence_that_samples_nothing_rejected_before_running(monkeypatch, c_probe, T,
+                                                                  sample_every, match):
+    def ran(*args, **kwargs):
+        raise AssertionError("the stationary profile or an IMEX step ran")
+
+    monkeypatch.setattr(pde, "stationary_profile", ran)
+    monkeypatch.setattr(pde.Stepper, "advance", ran)
+    dom = DomainSpec(-50, 50, 512)
+    init = InitialData(kind="compact_bump", amplitude=0.3, center=0, width=3)
+    with pytest.raises(ValidationError, match=match):
+        convergence_behind_front(HOMOG, dom, init, c_probe=c_probe, T=T, dt=0.01,
+                                 sample_every=sample_every)
+
+
 def test_periodic_pair_initial_data_positive():
     init = InitialData(kind="periodic_pair", amplitude=0.4)
     nodes = np.linspace(-10, 10, 513)
