@@ -24,11 +24,10 @@ from .eigen import (
     build_operator,
     dirichlet_eigenvalue,
     k_of_lambda,
-    minimax_check,
     principal_eigenpair,
 )
 from .ode import HomParams, OdeAnalysis, equilibrium, integrate, lambda_A
 from .pde import DomainSpec, FieldState, FrontTrace, InitialData, measure_speed, simulate
-from .speeds import SpeedReport, hair_trigger_check, homogenized_speed, spreading_speeds
+from .speeds import SpeedReport, homogenized_speed, spreading_speeds
 
 __version__ = "0.1.0"

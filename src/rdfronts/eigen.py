@@ -535,6 +535,19 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
     return res
 
 
+def _dirichlet_cells(cs: CoefficientSet, R: float, grid: Optional[GridSpec]) -> int:
+    """The first level's cell count on (-R, R), n_cells per period and at least
+    n_cells; a count past REFINE_CAP, or one that overflows, is a ValidationError."""
+    if not (R > 0):
+        raise PreconditionError("Dirichlet half-width R must be positive")
+    per_period = (grid or GridSpec()).n_cells
+    cells = max(per_period, per_period * 2.0 * R / cs.period)
+    if not cells <= REFINE_CAP:
+        raise ValidationError(f"Dirichlet radius R={R:.6g} needs {cells:.3g} cells on its "
+                              f"first grid level, past the refinement cap {REFINE_CAP}")
+    return int(np.ceil(cells))
+
+
 def dirichlet_eigenvalue(cs: CoefficientSet, R: float,
                          grid: Optional[GridSpec] = None,
                          tol: float = K_GRID_TOL, warm=None) -> EigenResult:
@@ -543,32 +556,11 @@ def dirichlet_eigenvalue(cs: CoefficientSet, R: float,
     Same refinement-plus-extrapolation contract as k_of_lambda; the initial
     cell count is scaled with the interval so the coefficients stay resolved.
     """
-    if not (R > 0):
-        raise PreconditionError("Dirichlet half-width R must be positive")
-    per_period = (grid or GridSpec()).n_cells
-    n = max(per_period, int(np.ceil(per_period * 2.0 * R / cs.period)))
+    n = _dirichlet_cells(cs, R, grid)
     res, _, value = _refine_to_tolerance(lambda m: _operator(_skeleton(cs, m, R), 0.0),
                                          n, tol, warm, f"R={R}")
     res.value = value
     return res
-
-
-def minimax_check(cs: CoefficientSet, lam: float, grid: GridSpec,
-                  test_pair: Tuple[np.ndarray, np.ndarray]) -> float:
-    """Collatz-Wielandt upper estimate of k(lambda) from a positive test pair.
-
-    Returns sup over grid nodes of max(L1[phi,psi]/phi, L2[phi,psi]/psi) for
-    the discrete tilted operator.  The value is always >= the discrete
-    k(lambda), with equality exactly at the principal eigenvector.
-    """
-    phi, psi = np.asarray(test_pair[0], dtype=float), np.asarray(test_pair[1], dtype=float)
-    if np.min(phi) <= 0 or np.min(psi) <= 0:
-        raise ValidationError("minimax test pair must be strictly positive")
-    op = build_operator(cs, lam, grid, refine=False)
-    if len(phi) != op.n or len(psi) != op.n:
-        raise ValidationError(f"test pair length {len(phi)} does not match grid n_cells={op.n}")
-    w = np.concatenate([phi, psi])
-    return float(np.max((op.matrix @ w) / w))
 
 
 # -- warm-started chains ------------------------------------------------------
@@ -617,6 +609,9 @@ def k_curve(cs: CoefficientSet, lambdas: Sequence[float],
 
 def dirichlet_sweep(cs: CoefficientSet, radii: Sequence[float],
                     grid: Optional[GridSpec], tol: float) -> list:
-    """Dirichlet principal eigenvalues over the radii, one warm-started chain."""
+    """Dirichlet principal eigenvalues over the radii, one warm-started chain;
+    every radius's first level is checked against the cap before any solve."""
+    for R in radii:
+        _dirichlet_cells(cs, R, grid)
     return list(map(_warm_chain(lambda R, warm, _: dirichlet_eigenvalue(cs, R, grid, tol,
                                                                         warm=warm)), radii))

@@ -9,9 +9,9 @@ roots are found by a safeguarded secant search on the exact slope k' that
 ``eigen.k_chain``, the warm-started chain that also produces the curve
 dumps: one chain for k(0), the right search and min k, and a second one,
 started from k(0) as well, for the left search.  The module also evaluates
-the analytic speed bounds, the three equivalent persistence indicators
-behind the hair-trigger effect, which reuse one speed search, and the speed
-of the homogenized medium.
+the analytic speed bounds and the speed of the homogenized medium.  The sign
+of min k is the report's hair-trigger indicator; the CLI's dirichlet, eigen
+and speed artifacts carry the three equivalent ones.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .coefficients import CoefficientSet, HomogenizedSet, periodic_mean
-from .eigen import K_GRID_TOL, EigenResult, GridSpec, dirichlet_sweep, k_chain
+from .eigen import K_GRID_TOL, EigenResult, GridSpec, k_chain
 from .errors import NumericalError, PreconditionError
 from .ode import HomParams, lambda_A
 
@@ -156,7 +156,12 @@ def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
 
     Requires the periodic principal eigenvalue k(0) to be positive (otherwise
     front-like data does not spread and the quotient formula degenerates).
-    Each search stops when a step moves lambda by less than lam_tol.
+    The right search and min k run on the chain that solved k(0), the left
+    search on a second chain.  Both searches start from k(0)'s eigenvectors,
+    so mirroring the set swaps the speeds to rounding, and at
+    sqrt(k(0) / mean sigma), the tangency point of a constant medium, where
+    k = k(0) + sigma lambda^2.  Each stops when a step moves lambda by less
+    than lam_tol.  hair_trigger is the sign of min k, None within SIGN_BAND.
     """
     k = k_chain(cs, grid, k_tol, slope=True)
     k0 = k(0.0)
@@ -164,20 +169,6 @@ def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
         raise PreconditionError(
             f"spreading-speed formula needs a positive periodic principal "
             f"eigenvalue; got k(0) = {k0.value:.6g}")
-    return _speed_search(k, k0, cs, grid, lam_tol, k_tol)
-
-
-def _speed_search(k: Callable[[float], EigenResult], k0: EigenResult, cs: CoefficientSet,
-                  grid: Optional[GridSpec], lam_tol: float, k_tol: float) -> SpeedReport:
-    """The speeds and min k once k0 = k(0) > 0 is known: the right search on
-    the chain k, the left search on a fresh chain, then min k on k again.
-    Both searches start from k0's eigenvectors: the left search of a set is
-    then the right search of its mirror image, and mirroring swaps the speeds
-    to rounding.
-
-    The tangency searches start at sqrt(k(0) / mean sigma), the exact
-    tangency point of a constant medium, where k = k(0) + sigma lambda^2.
-    """
     lam0 = math.sqrt(k0.value / periodic_mean(cs.sigma))
     solves = {"right": [], "left": [], "k_min": []}
 
@@ -194,68 +185,12 @@ def _speed_search(k: Callable[[float], EigenResult], k0: EigenResult, cs: Coeffi
         side=-1.0)
     res_min = _k_min_search(logged(k, "k_min"), k0, lam_tol)
     low, high = speed_bounds(cs)
+    k_min = res_min.value
     return SpeedReport(c_right=res_right.value / lam_right, c_left=res_left.value / lam_left,
                        argmin_lambda_right=float(lam_right),
                        argmin_lambda_left=float(-lam_left),
-                       k_min=res_min.value, bound_low=low, bound_high=high,
-                       hair_trigger=_sign_or_none(res_min.value), solves=solves)
-
-
-@dataclass
-class HairTriggerReport:
-    """The three persistence indicators; None marks an indeterminate one."""
-
-    via_dirichlet: Optional[bool]
-    via_k_min: Optional[bool]
-    via_speeds: Optional[bool]
-    dirichlet_max: float
-    k_min: float
-    c_right: Optional[float]
-    c_left: Optional[float]
-
-    def consistent(self) -> bool:
-        decided = {b for b in (self.via_dirichlet, self.via_k_min, self.via_speeds)
-                   if b is not None}
-        return len(decided) <= 1
-
-
-def _sign_or_none(x: float) -> Optional[bool]:
-    if x > SIGN_BAND:
-        return True
-    if x < -SIGN_BAND:
-        return False
-    return None
-
-
-def hair_trigger_check(cs: CoefficientSet, grid: Optional[GridSpec] = None,
-                       k_tol: float = K_GRID_TOL) -> HairTriggerReport:
-    """Evaluate the three equivalent hair-trigger conditions.
-
-    (a) some Dirichlet eigenvalue over the geometric sweep {L, 2L, ..., 64L}
-    is positive, (b) min over lambda of k(lambda) is positive, (c) both
-    spreading speeds are positive.  (b) and (c) come from one speed search,
-    as in spreading_speeds.  Outside a +/-1e-4 band around zero the three
-    answers must agree; inside it they are reported as indeterminate.
-    """
-    L = cs.period
-    radii = [L * 2 ** j for j in range(7)]          # L .. 64 L
-    best = max(res.value for res in dirichlet_sweep(cs, radii, grid, k_tol))
-    via_a = _sign_or_none(best)
-
-    k = k_chain(cs, grid, k_tol, slope=True)
-    k0 = k(0.0)
-    c_right = c_left = None
-    via_c: Optional[bool] = None
-    if k0.value > SIGN_BAND:
-        report = _speed_search(k, k0, cs, grid, LAMBDA_TOL, k_tol)
-        c_right, c_left, k_min = report.c_right, report.c_left, report.k_min
-        via_c = _sign_or_none(min(c_right, c_left))
-    else:
-        # k(0) > 0 fails or is indeterminate: the speed indicator is not available
-        k_min = _k_min_search(k, k0, LAMBDA_TOL).value
-    return HairTriggerReport(via_dirichlet=via_a, via_k_min=_sign_or_none(k_min),
-                             via_speeds=via_c, dirichlet_max=float(best),
-                             k_min=float(k_min), c_right=c_right, c_left=c_left)
+                       k_min=k_min, bound_low=low, bound_high=high,
+                       hair_trigger=k_min > 0 if abs(k_min) > SIGN_BAND else None, solves=solves)
 
 
 def homogenized_speed(h: HomogenizedSet) -> float:

@@ -323,13 +323,22 @@ def test_dirichlet_sweep(tmp_path):
     assert len(vals) == 3
 
 
-def test_dirichlet_radius_past_the_refinement_cap_exits_3_without_files(tmp_path, capsys):
-    # R = 1e4 needs 1.28e6 cells on its first level, past the 2^20 cap
-    payload = {"coefficients": HOMOG_COEFFS, "radii": [1.0, 1e4]}
-    assert run(tmp_path, "dirichlet", payload, out="big") == 3
+@pytest.mark.parametrize("radii", [[1.0, 1e4], [1e300], [1.0, 1.7e308]],
+                         ids=["1e4", "1e300", "overflow"])
+def test_dirichlet_radius_past_the_refinement_cap_exits_2_before_solving(tmp_path, capsys,
+                                                                        monkeypatch, radii):
+    # R = 1e4 needs 1.28e6 cells on its first level, past the 2^20 cap; R = 1e300
+    # needs a count with 300 digits, which the message must not print, and the
+    # count of R = 1.7e308 overflows to inf
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a radius was solved before every radius was checked")
+
+    monkeypatch.setattr(eigen, "dirichlet_eigenvalue", no_solve)
+    payload = {"coefficients": HOMOG_COEFFS, "radii": radii}
+    assert run(tmp_path, "dirichlet", payload, out="big") == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "numerical"
-    assert "refinement cap" in err["message"]
+    assert err["error"] == "validation"
+    assert "refinement cap" in err["message"] and len(err["message"]) < 200
     assert not list(tmp_path.glob("big*"))
 
 
@@ -447,6 +456,42 @@ def test_speed_on_decaying_medium_is_validation_error(tmp_path):
     coeffs["r_u"] = {"kind": "constant", "value": -0.5}
     coeffs["r_v"] = {"kind": "constant", "value": -0.5}
     assert run(tmp_path, "speed", {"coefficients": coeffs}) == 2
+
+
+DYING_COEFFS = dict(HOMOG_COEFFS, r_u={"kind": "constant", "value": -0.5},
+                    r_v={"kind": "constant", "value": -0.5})
+
+
+@pytest.mark.parametrize("coeffs, spreads", [(HOMOG_COEFFS, True), (DYING_COEFFS, False)],
+                         ids=["spreading", "dying"])
+def test_hair_trigger_indicators_agree_on_the_artifacts(tmp_path, capsys, coeffs, spreads):
+    # The three equivalent hair-trigger indicators, each read from an artifact:
+    # the largest Dirichlet eigenvalue over the radii L..64L, min k (the speed
+    # report's k_min, which the eigen curve's minimum matches on these sets), and
+    # the two spreading speeds, which exist only when k(0) > 0.
+    radii = [2.0 ** j for j in range(7)]                  # period 1
+    assert run(tmp_path, "dirichlet", {"coefficients": coeffs, "radii": radii}) == 0
+    rows = (tmp_path / "out_dirichlet.csv").read_text().splitlines()[2:]
+    dirichlet_max = max(float(row.split(",")[1]) for row in rows)
+    assert run(tmp_path, "eigen", {"coefficients": coeffs}) == 0
+    rows = (tmp_path / "out_kcurve.csv").read_text().splitlines()[2:]
+    curve_min = min(float(row.split(",")[1]) for row in rows)
+    capsys.readouterr()
+    status = run(tmp_path, "speed", {"coefficients": coeffs}, out="sp")
+    if spreads:
+        assert dirichlet_max > 1e-4
+        assert status == 0
+        report = json.loads((tmp_path / "sp_speed.json").read_text())
+        assert report["hair_trigger"] is True
+        assert min(report["c_right"], report["c_left"]) > 1e-4
+        assert report["k_min"] == pytest.approx(1.0, abs=1e-5)
+        assert report["k_min"] == pytest.approx(curve_min, abs=1e-5)
+    else:
+        assert dirichlet_max < -1e-4
+        assert status == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+        assert not list(tmp_path.glob("sp_*"))
+        assert curve_min == pytest.approx(-0.5, abs=1e-5)
 
 
 # -- ode ----------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from rdfronts.eigen import (
     dirichlet_eigenvalue,
     k_curve,
     k_of_lambda,
-    minimax_check,
     principal_eigenpair,
     tilt_derivative,
     tilt_slope,
@@ -528,44 +527,16 @@ def test_dirichlet_starting_level_past_the_cap_raises_before_building(monkeypatc
         raise AssertionError("an operator was built past the refinement cap")
 
     monkeypatch.setattr(eigen, "_skeleton", no_skeleton)
-    with pytest.raises(NumericalError, match="starting level of 1280000 cells"):
+    with pytest.raises(ValidationError, match=r"R=10000 needs 1\.28e\+06 cells"):
         dirichlet_eigenvalue(HOMOG, 1e4)
 
 
-# -- minimax characterization ----------------------------------------------------------
+def test_k_starting_level_past_the_cap_raises_before_building(monkeypatch):
+    # a warm vector of 2048 cells starts k(lambda) at 512 cells, past a cap of 256
+    def no_skeleton(*args, **kwargs):
+        raise AssertionError("an operator was built past the refinement cap")
 
-def test_minimax_at_eigenvector():
-    grid = GridSpec(n_cells=128)
-    cs = cosine_set(r_u=CoefficientSpec.cosine(1.0, 0.3))
-    op = build_operator(cs, 0.5, grid, refine=False)
-    res = principal_eigenpair(op)
-    val = minimax_check(cs, 0.5, grid, (res.phi, res.psi))
-    assert val == pytest.approx(res.value, abs=1e-8)
-
-
-def test_minimax_constants_on_homogeneous():
-    grid = GridSpec(n_cells=128)
-    op = build_operator(HOMOG, 0.5, grid, refine=False)
-    res = principal_eigenpair(op)
-    val = minimax_check(HOMOG, 0.5, grid, (np.ones(128), np.ones(128)))
-    assert val == pytest.approx(res.value, abs=1e-10)
-
-
-def test_minimax_noisy_pair_overestimates():
-    grid = GridSpec(n_cells=128)
-    cs = cosine_set(r_u=CoefficientSpec.cosine(1.0, 0.3))
-    op = build_operator(cs, 0.5, grid, refine=False)
-    res = principal_eigenpair(op)
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        noisy = (res.phi * (1.0 + 0.05 * rng.random(128)),
-                 res.psi * (1.0 + 0.05 * rng.random(128)))
-        assert minimax_check(cs, 0.5, grid, noisy) >= res.value - 1e-8
-
-
-def test_minimax_rejects_nonpositive_pair():
-    grid = GridSpec(n_cells=64)
-    bad = np.ones(64)
-    bad[3] = 0.0
-    with pytest.raises(ValidationError):
-        minimax_check(HOMOG, 0.5, grid, (bad, np.ones(64)))
+    monkeypatch.setattr(eigen, "REFINE_CAP", 256)
+    monkeypatch.setattr(eigen, "_skeleton", no_skeleton)
+    with pytest.raises(NumericalError, match="starting level of 512 cells"):
+        k_of_lambda(HOMOG, 0.0, warm=(np.ones(2048), np.ones(2048)))

@@ -99,7 +99,9 @@ def test_spec_round_trips_exactly(spec):
 def assert_perron_pair(op):
     """A positive eigenvector w, whose ratios Mw/w bracket k within twice the
     residual over min(w) (their Collatz-Wielandt bracket), and a k that the
-    row sums, the ratios of the constant vector, bracket as well."""
+    row sums, the ratios of the constant vector, bracket as well.  A positive
+    vector that is not an eigenvector, w perturbed by up to 5%, still has
+    max(Mx/x) >= k: the Collatz-Wielandt upper bound."""
     res = principal_eigenpair(op)
     w = res.eigenvector()
     assert np.min(w) > 0
@@ -109,6 +111,8 @@ def assert_perron_pair(op):
     assert np.max(ratios) - np.min(ratios) <= 2.0 * slack
     row_sums = op.matrix @ np.ones(op.dimension)
     assert np.min(row_sums) - slack <= res.value <= np.max(row_sums) + slack
+    noisy = w * (1.0 + 0.05 * np.random.default_rng(7).random(op.dimension))
+    assert np.max((op.matrix @ noisy) / noisy) >= res.value - slack
 
 
 cells = st.integers(16, 128)

@@ -1,4 +1,4 @@
-"""Spreading-speed computation, bounds and persistence indicators."""
+"""Spreading-speed computation, bounds, search cost and the homogenized speed."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from rdfronts.errors import PreconditionError
 from rdfronts.speeds import (
     HomogenizedSet,
     golden_min,
-    hair_trigger_check,
     homogenized_speed,
     speed_bounds,
     spreading_speeds,
@@ -187,46 +186,7 @@ def test_lower_bound_absent_for_sign_changing_growth():
     assert np.isfinite(high)
 
 
-# -- hair-trigger indicators -------------------------------------------------------
-
-def test_hair_trigger_positive_case():
-    rep = hair_trigger_check(constant_set(sigma=1, r_u=1, r_v=1, mu_u=0.5, mu_v=0.5))
-    assert (rep.via_dirichlet, rep.via_k_min, rep.via_speeds) == (True, True, True)
-    assert rep.consistent()
-    assert rep.k_min == pytest.approx(1.0, abs=1e-5)
-
-
-def test_hair_trigger_negative_case():
-    rep = hair_trigger_check(constant_set(r_u=-0.5, r_v=-0.5, mu_u=0.5, mu_v=0.5))
-    assert rep.via_dirichlet is False
-    assert rep.via_k_min is False
-    assert rep.via_speeds is None      # speeds hypothesis k(0) > 0 fails
-    assert rep.consistent()
-    assert rep.k_min == pytest.approx(-0.5, abs=1e-5)
-
-
-def test_hair_trigger_reuses_one_speed_search(monkeypatch):
-    # README example set.  Every k(lambda) solve is counted: at eigen's
-    # module-global name, and at speeds' own name should it import one.
-    cs = cosine_set(r_u=CoefficientSpec.cosine(1.0, 0.4, 0.3),
-                    r_v=CoefficientSpec.cosine(1.0, 0.4, 1.1))
-    solve, lambdas = eigen.k_of_lambda, []
-
-    def counted(*args, **kwargs):
-        lambdas.append(args[1])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(eigen, "k_of_lambda", counted)
-    monkeypatch.setattr(speeds, "k_of_lambda", counted, raising=False)
-    report = spreading_speeds(cs)
-    n_speeds = len(lambdas)
-    lambdas.clear()
-    rep = hair_trigger_check(cs)
-    assert 0 < len(lambdas) <= n_speeds
-    assert (rep.via_dirichlet, rep.via_k_min, rep.via_speeds) == (True, True, True)
-    assert (rep.c_right, rep.c_left, rep.k_min) == (report.c_right, report.c_left,
-                                                    report.k_min)
-
+# -- speed search cost -------------------------------------------------------------
 
 def test_speed_search_makes_few_k_solves(monkeypatch):
     # README example set: k(0), then the right, left and k_min root searches
