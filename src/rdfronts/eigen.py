@@ -29,6 +29,7 @@ superdiagonals (2 on Dirichlet operators).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
@@ -71,7 +72,7 @@ class _BandPattern:
     goes to row kl + ku + perm[r] - perm[c], column perm[c] of the
     (2 kl + ku + 1) x 2n array dgbtrf factors; slots holds that position for
     each entry, as a flat index into the transposed (C-ordered) array, and
-    diag_slots the entries on the diagonal.
+    diag_slots the entries on the diagonal, one per row and in row order.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int, boundary: str):
@@ -101,7 +102,8 @@ class OperatorSkeleton:
     up_sigma and down_sigma their face sigma.  Only the couplings depend on
     lambda, through exp(-+lambda h), so _operator tilts a skeleton into any
     operator on its grid.  The band pattern of the Perron solves, the M'
-    weights and the transpose permutation are built on first use.
+    weights and the transpose permutation are built on first use, and so are
+    the plans that interpolate a warm start onto a periodic grid.
     """
 
     n: int
@@ -117,8 +119,46 @@ class OperatorSkeleton:
     down_sigma: np.ndarray        # face sigma of the i -> i-1 couplings
 
     def csr(self, values: np.ndarray) -> sp.csr_matrix:
-        """The 2n x 2n matrix with these values in the pattern's slots."""
-        return sp.csr_matrix((values, self.indices, self.indptr), shape=(2 * self.n,) * 2)
+        """The 2n x 2n matrix with these values in the pattern's slots: a
+        shallow copy of the pattern's own matrix, which shares its indices
+        and indptr, with its data replaced.  This skips the checks of the CSR
+        constructor, which the pattern passed once."""
+        matrix = copy.copy(self._pattern)
+        matrix.data = values
+        return matrix
+
+    @cached_property
+    def _pattern(self) -> sp.csr_matrix:
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(2 * self.n,) * 2)
+
+    @cached_property
+    def _interp_plans(self) -> dict:
+        return {}
+
+    def interp_plan(self, m: int) -> Tuple[np.ndarray, ...]:
+        """np.interp(x_new, x_old, f, period=1.0) from the m points x_old of
+        linspace(0, 1, m, endpoint=False) onto the n points x_new of the same
+        kind, as the plan (lo, hi, dx, t): x_new[i] lies t[i] past
+        x_old[lo[i]], in an interval of width dx[i] that ends at x_old[hi[i]],
+        the indices wrapped around the period.  np.interp pads x_old with its
+        last point minus the period and its first plus the period, finds the
+        interval by binary search and returns (f[hi] - f[lo]) / dx * t + f[lo];
+        the plan keeps the same operands, so applying it gives np.interp's bits.
+
+        A periodic skeleton keeps its plans per m, since a k chain reuses the
+        skeleton over many solves.  A Dirichlet grid depends on R and serves
+        one solve, so its plan is not kept past it."""
+        plan = self._interp_plans.get(m)
+        if plan is None:
+            x_old = np.linspace(0.0, 1.0, m, endpoint=False)
+            x_new = np.linspace(0.0, 1.0, self.n, endpoint=False)
+            padded = np.concatenate([x_old[-1:] - 1.0, x_old, x_old[:1] + 1.0])
+            j = np.searchsorted(padded, x_new, side="right") - 1
+            plan = (((j - 1) % m).astype(np.int32), (j % m).astype(np.int32),
+                    padded[j + 1] - padded[j], x_new - padded[j])
+            if self.boundary == "periodic":
+                self._interp_plans[m] = plan
+        return plan
 
     @cached_property
     def band(self) -> _BandPattern:
@@ -271,24 +311,37 @@ def build_operator(cs: CoefficientSet, lam: float, grid: GridSpec,
 # -- Perron iteration --------------------------------------------------------
 
 def _start_vector(op: DiscreteOperator, warm) -> np.ndarray:
+    """The warm pair, interpolated onto the operator's grid by the skeleton's
+    plan when its length differs, scaled to max 1; ones when there is no warm
+    pair or it is not positive."""
     if warm is not None:
-        phi, psi = warm
-        if len(phi) != op.n:
-            xs_old = np.linspace(0.0, 1.0, len(phi), endpoint=False)
-            xs_new = np.linspace(0.0, 1.0, op.n, endpoint=False)
-            phi = np.interp(xs_new, xs_old, phi, period=1.0)
-            psi = np.interp(xs_new, xs_old, psi, period=1.0)
-        w = np.concatenate([phi, psi])
+        old = np.stack(warm)                      # (2, m): phi, then psi
+        if old.shape[1] != op.n:
+            lo, hi, dx, t = op.skeleton.interp_plan(old.shape[1])
+            start = old.take(lo, axis=1)
+            old = old.take(hi, axis=1)
+            old -= start                          # (f[hi] - f[lo]) / dx * t + f[lo]
+            old /= dx
+            old *= t
+            old += start
+        w = old.ravel()
         if np.all(w > 0):
             return w / np.max(w)
     return np.ones(op.dimension)
 
 
 def _rayleigh_and_residual(matrix, w) -> Tuple[float, float, np.ndarray]:
+    """Rayleigh quotient, sup-norm residual and M w of an iterate w whose
+    largest entry is 1, so the residual needs no scaling."""
     mw = matrix @ w
     value = float(w @ mw) / float(w @ w)
-    residual = float(np.abs(mw - value * w).max()) / float(np.abs(w).max())
+    residual = float(np.abs(mw - value * w).max())
     return value, residual, mw
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """a and b are one array, as on the skeleton's own matrices, or equal."""
+    return a is b or np.array_equal(a, b)
 
 
 class _ShiftedBand:
@@ -304,16 +357,15 @@ class _ShiftedBand:
 
     def __init__(self, op: DiscreteOperator):
         matrix, grid = op.matrix, op.skeleton
-        if not (matrix.format == "csr" and np.array_equal(matrix.indptr, grid.indptr)
-                and np.array_equal(matrix.indices, grid.indices)):
+        if not (matrix.format == "csr" and _same(matrix.indptr, grid.indptr)
+                and _same(matrix.indices, grid.indices)):
             raise ValidationError("operator matrix is not on its grid's CSR pattern")
         band, data = grid.band, matrix.data
         off = np.array(data, dtype=float)
         off[band.diag_slots] = 0.0
         if np.any(off < 0):
             raise ValidationError("operator is not cooperative: negative off-diagonal entry")
-        diag = np.zeros(op.dimension)
-        diag[band.rows[band.diag_slots]] = data[band.diag_slots]
+        diag = data[band.diag_slots]
         off_sums = np.bincount(band.rows, weights=off, minlength=op.dimension)
         self.far_shift = max(float(np.max(off_sums + diag)), 0.0) + 1.0
         self.norm = float(np.max(np.abs(diag) + off_sums))

@@ -249,6 +249,23 @@ def test_transposed_operator_shares_the_pattern(n, half_width):
     assert np.array_equal(left.matrix.toarray(), op.matrix.T.toarray())
 
 
+@pytest.mark.parametrize("half_width", [None, 2.0])
+@pytest.mark.parametrize("m, n", [(64, 128), (256, 512), (100, 200),      # refining
+                                  (256, 64), (1024, 256), (400, 100),     # coarsening
+                                  (100, 64), (64, 100), (33, 47)])        # non-dyadic
+def test_warm_start_is_bitwise_numpy_interp(m, n, half_width):
+    # The warm start decides every later iterate, so the skeleton's plan must
+    # reproduce np.interp(period=1) to the bit, or artifacts would move.
+    skeleton = _skeleton(README_SET, n, half_width)
+    op = _operator(skeleton, 0.0)
+    warm = np.random.default_rng(m + n).random((2, m)) + 1e-3
+    x_old, x_new = (np.linspace(0.0, 1.0, k, endpoint=False) for k in (m, n))
+    w = np.concatenate([np.interp(x_new, x_old, f, period=1.0) for f in warm])
+    for _ in range(2):             # periodic plans are kept and reused, Dirichlet ones not
+        assert np.array_equal(eigen._start_vector(op, tuple(warm)), w / np.max(w))
+    assert list(skeleton._interp_plans) == ([m] if half_width is None else [])
+
+
 def test_factorizations_are_counted():
     op = build_operator(README_SET, 1.0, GridSpec(n_cells=256), refine=False)
     res = principal_eigenpair(op)
