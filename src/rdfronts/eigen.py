@@ -411,8 +411,11 @@ def principal_eigenpair(op: DiscreteOperator, warm=None) -> EigenResult:
         superlinear), taken whenever a step shrinks the residual by less than
         4x while it is still 100x above its tolerance.
 
-    A step that stalls within 100x of the tolerance returns to s_far, since a
-    near-singular shift leaves noise above the rounding floor.  Convergence
+    A step that stalls on a Collatz-Wielandt shift within 100x of the
+    tolerance takes one step on s_far, since a near-singular shift leaves
+    noise above the rounding floor and one far step damps it.  A stall on
+    s_far goes back to the Collatz-Wielandt shift: staying on s_far would
+    crawl at its rate, thousands of steps on some operators.  Convergence
     requires a Rayleigh-quotient change below RAYLEIGH_TOL (relative) and a
     sup-norm residual of M w - value w below RESIDUAL_TOL.  That residual
     cannot drop below machine epsilon times the operator norm (the flux
@@ -449,7 +452,7 @@ def principal_eigenpair(op: DiscreteOperator, warm=None) -> EigenResult:
                                n_cells=op.n, h=op.h, rounding=rounding,
                                factorizations=factorizations)
         if new_residual > 0.25 * residual:
-            if new_residual < 100.0 * residual_tol:
+            if new_residual < 100.0 * residual_tol and shift != band.far_shift:
                 next_shift = band.far_shift
             else:
                 next_shift = min(float((mw / w).max()), band.far_shift)

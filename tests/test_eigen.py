@@ -327,6 +327,53 @@ def test_large_dirichlet_operator_converges_in_few_iterations():
     assert np.min(ratios) <= res.value <= np.max(ratios)
 
 
+# A stall on the far shift used to stay there, at its rate of about
+# 1 - gap/s_far per step.  In this matrix the cold 16384-cell piecewise_sigma
+# operators then took 9108 steps at lambda = 1.5 and did not converge in
+# MAX_ITERATIONS at -1.5; every other case took at most 29.  The shift rule
+# takes one far step per stall, and the worst case takes 12.
+SHIFT_RULE_SETS = {
+    "readme": README_SET,
+    # the speed benchmark's seed-101 piecewise_sigma set
+    "piecewise_sigma": cosine_set(sigma=CoefficientSpec.piecewise([0.0, 0.3], [1.0, 0.9]),
+                                  r_u=CoefficientSpec.cosine(1.0, 0.3841, 5.1406),
+                                  r_v=CoefficientSpec.cosine(1.0, 0.3667, 2.9568)),
+}
+SHIFT_RULE_CAP = 12
+
+
+def shift_rule_operator(name, kind, param, n):
+    cs = SHIFT_RULE_SETS[name]
+    if kind == "dirichlet":
+        return _operator(_skeleton(cs, n, param), 0.0)
+    return _operator(_skeleton(cs, n), param)
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+@pytest.mark.parametrize("n", [64, 1024, 4096, 16384])
+@pytest.mark.parametrize("kind, param", [*(("periodic", lam) for lam in (0.0, 1.5, -1.5, 3.0, -3.0)),
+                                         ("dirichlet", 0.5), ("dirichlet", 4.0)])
+@pytest.mark.parametrize("name", sorted(SHIFT_RULE_SETS))
+def test_perron_solves_converge_in_few_steps(name, kind, param, n, start):
+    warm = None
+    if start == "warm":
+        coarse = principal_eigenpair(shift_rule_operator(name, kind, param, n // 2))
+        warm = (coarse.phi, coarse.psi)
+    res = principal_eigenpair(shift_rule_operator(name, kind, param, n), warm=warm)
+    assert res.iterations <= SHIFT_RULE_CAP
+    assert res.residual < max(eigen.RESIDUAL_TOL, res.rounding)
+
+
+@pytest.mark.parametrize("lam", [1.5, -1.5])
+def test_warm_piecewise_sigma_step_to_2048_cells(lam):
+    # 1024 -> 2048 cells warm took 20 and 33 steps when a far-shift stall
+    # stayed on the far shift, and takes 5 now
+    coarse = principal_eigenpair(shift_rule_operator("piecewise_sigma", "periodic", lam, 1024))
+    res = principal_eigenpair(shift_rule_operator("piecewise_sigma", "periodic", lam, 2048),
+                              warm=(coarse.phi, coarse.psi))
+    assert res.iterations <= SHIFT_RULE_CAP
+
+
 def test_eigenresult_invariants():
     cs = cosine_set(r_u=CoefficientSpec.cosine(1.0, 0.4, 0.9))
     op = build_operator(cs, 0.7, GridSpec(n_cells=256), refine=False)
