@@ -110,6 +110,7 @@ def run_eigen(cfg: dict, artifacts: Artifacts) -> dict:
     lams = _lambda_grid(cfg, "eigen config")
     cs, grid, tol = cfg["coefficients"], cfg["n_cells"], cfg["tolerance"]
     profile_lams = cfg["profile_lambdas"]
+    eigen.check_lambdas(cs, [*lams, *profile_lams], grid)
     results = eigen.k_curve(cs, lams, grid, tol)
     profiles = [eigen.k_of_lambda(cs, float(lam), grid, tol) for lam in profile_lams]
     artifacts.csv("kcurve.csv", ("lambda", "k", "residual", "n_cells"),
@@ -132,6 +133,7 @@ def run_dirichlet(cfg: dict, artifacts: Artifacts) -> dict:
 def run_speed(cfg: dict, artifacts: Artifacts) -> dict:
     lams = _lambda_grid(cfg, "speed config")
     cs, grid, k_tol = cfg["coefficients"], cfg["n_cells"], cfg["k_tolerance"]
+    eigen.check_lambdas(cs, lams, grid)
     report = speeds.spreading_speeds(cs, grid, cfg["lambda_tolerance"], k_tol)
     curve = eigen.k_curve(cs, lams, grid, k_tol)
     k = [res.value for res in curve]

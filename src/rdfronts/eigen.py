@@ -40,7 +40,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .coefficients import CoefficientSet
 from .errors import NumericalError, PreconditionError, ValidationError
-from .stencil import flux_parts, tilted_couplings
+from .stencil import check_spacing, flux_parts, tilted_couplings
 from .util import REFINE_CAP
 
 RESIDUAL_TOL = 1e-9
@@ -275,6 +275,23 @@ def peclet_cells(cs: CoefficientSet, lam: float, n_cells: int) -> int:
         n *= 2
     raise NumericalError(f"grid refinement cap {REFINE_CAP} exceeded while enforcing "
                          f"the advection admissibility bound at lambda={lam}")
+
+
+def check_lambdas(cs: CoefficientSet, lambdas: Sequence[float],
+                  grid: Optional[GridSpec]) -> None:
+    """ValidationError unless every lambda's first level can be built: the
+    n_cells grid, which every first level refines, must have a spacing with a
+    finite square, and peclet_cells must place the level under REFINE_CAP.
+    The largest |lambda| needs the most cells, so it alone is checked.
+    Called on a config's lambdas before any solve."""
+    n = (grid or GridSpec()).n_cells
+    check_spacing(cs.period / n)
+    lam = max(lambdas, key=abs)
+    try:
+        peclet_cells(cs, lam, n)
+    except NumericalError:
+        raise ValidationError(f"lambda={lam:.6g} needs more than {REFINE_CAP} cells (the "
+                              "refinement cap) for h |lambda| sigma_max <= sigma_min") from None
 
 
 def _operator(skeleton: OperatorSkeleton, lam: float) -> DiscreteOperator:

@@ -49,6 +49,13 @@ def face_sigma(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str) -
     return cs.sigma(left + 0.5 * h)
 
 
+def check_spacing(h: float) -> None:
+    """Every stencil entry divides by h**2: a spacing whose square underflows
+    to 0 or overflows is a ValidationError."""
+    if not 0.0 < float(h) * float(h) < math.inf:
+        raise ValidationError(f"grid spacing h={float(h)!r} has no finite nonzero square")
+
+
 def flux_parts(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The lambda-independent parts of flux_stencil: (rows, cols, diag, up, down).
@@ -61,8 +68,7 @@ def flux_parts(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str
     """
     if boundary not in ("periodic", "neumann", "dirichlet_zero"):
         raise ValidationError(f"unknown boundary kind {boundary!r}")
-    if not 0.0 < float(h) * float(h) < math.inf:     # every entry divides by h**2
-        raise ValidationError(f"grid spacing h={float(h)!r} has no finite nonzero square")
+    check_spacing(h)
     n = len(nodes)
     faces = face_sigma(cs, nodes, h, boundary)
     if boundary == "periodic":

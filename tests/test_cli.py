@@ -342,6 +342,34 @@ def test_dirichlet_radius_past_the_refinement_cap_exits_2_before_solving(tmp_pat
     assert not list(tmp_path.glob("big*"))
 
 
+BEYOND_PECLET_CAP = {
+    "grid": {"lambda_min": 0.0, "lambda_max": 1e9, "lambda_step": 1e9},
+    "negative": {"lambda_min": -1.7e308, "lambda_max": 0.0, "lambda_step": 1e308},
+    "profile": {"lambda_min": 0.0, "lambda_max": 0.0, "profile_lambdas": [0.5, 1e9]},
+}
+
+
+@pytest.mark.parametrize("command, case", [("eigen", "grid"), ("eigen", "negative"),
+                                           ("eigen", "profile"), ("speed", "grid"),
+                                           ("speed", "negative")])
+def test_lambda_past_the_peclet_cap_exits_2_before_solving(tmp_path, capsys, monkeypatch,
+                                                          command, case):
+    # lambda = 1e9 needs about 1e9 cells for h |lambda| sigma_max <= sigma_min,
+    # past the 2^20 cap; lambda = 0 comes first in the grid and must not be solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a lambda was solved before every lambda was checked")
+
+    monkeypatch.setattr(eigen, "k_of_lambda", no_solve)
+    payload = dict(BEYOND_PECLET_CAP[case], coefficients=HOMOG_COEFFS)
+    assert run(tmp_path, command, payload, out="big") == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    err = json.loads(err)
+    assert err["error"] == "validation"
+    assert "refinement cap" in err["message"] and len(err["message"]) < 200
+    assert not list(tmp_path.glob("big*"))
+
+
 # -- speed --------------------------------------------------------------------------
 
 def test_speed_report_and_curve(tmp_path):
