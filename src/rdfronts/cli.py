@@ -33,11 +33,12 @@ from .util import (REFINE_CAP, REQUIRED, config_hash, fmt, fraction, integer, li
 
 
 def _cells(val, name: str) -> int:
-    """A cell count.  No grid finer than REFINE_CAP is ever built, so a larger
-    count is rejected before anything is allocated."""
+    """A cell count of at least 16, the fewest an eigen or stationary grid
+    takes.  No grid finer than REFINE_CAP is ever built, so a larger count is
+    rejected before anything is allocated."""
     val = integer(val, name)
-    if val > REFINE_CAP:
-        raise ValidationError(f"{name} must be at most {REFINE_CAP}")
+    if not 16 <= val <= REFINE_CAP:
+        raise ValidationError(f"{name} must lie in [16, {REFINE_CAP}]")
     return val
 
 

@@ -423,9 +423,9 @@ def spec_from_dict(d: dict, period: float = 1.0,
     """The spec of a JSON object; its period defaults to `period`."""
     if not isinstance(d, dict) or "kind" not in d:
         raise ValidationError(f"{context} must be an object with a 'kind' key")
-    kind = d["kind"]
-    if not isinstance(kind, str) or kind not in _SPEC_SCHEMAS:
-        raise ValidationError(f"unknown coefficient kind {kind!r}")
+    kind = string(d["kind"], f"{context}.kind")
+    if kind not in _SPEC_SCHEMAS:
+        raise ValidationError(f"unknown coefficient kind {kind!r} in {context}.kind")
     build, schema = _SPEC_SCHEMAS[kind]
     values = read_object(d, context, {"kind": (string, REQUIRED),
                                       "period": (number, period), **schema})

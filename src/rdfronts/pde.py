@@ -33,7 +33,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from .coefficients import CoefficientSet
 from .errors import InvariantBreachError, NumericalError, PreconditionError, ValidationError
 from .stencil import flux_stencil
-from .util import REFINE_CAP, step_count
+from .util import REFINE_CAP, STEP_CAP, step_count
 
 BOUND_SLACK = 1e-8
 TRUST_MARGIN = 0.10          # outer fraction of the domain where fronts are unreliable
@@ -203,7 +203,9 @@ class Stepper:
         kappa_max = max(float(np.max(ku)), float(np.max(kv)))
         mu_max = max(float(np.max(mu)), float(np.max(mv)))
         lipschitz = r_abs + 2.0 * mu_max + 3.0 * kappa_max * max(amplitude_bound, 0.0)
-        self.substeps = max(1, int(np.ceil(dt * lipschitz / REACTION_CFL)))
+        substeps = np.ceil(dt * lipschitz / REACTION_CFL)
+        # a count past STEP_CAP (inf and nan too) stays a float, and run rejects it
+        self.substeps = max(1, int(substeps)) if substeps <= STEP_CAP else float(substeps)
         self.dt = dt
         self.dt_sub = dt / self.substeps
         n = len(nodes)
@@ -261,16 +263,22 @@ class Stepper:
         return w
 
     def run(self, u: np.ndarray, v: np.ndarray,
-            n_steps: int) -> Iterator[Tuple[int, np.ndarray, np.ndarray, float]]:
+            n_steps: float) -> Iterator[Tuple[int, np.ndarray, np.ndarray, float]]:
         """Advance n_steps full steps, yielding (i, u, v, sup(u+v)) after step i.
 
         This is the only caller of ``advance``.  Each yielded u, v are the
         columns of a new state array, so a caller may keep them across steps.
+        A run of more than STEP_CAP substeps in all is rejected before its
+        first step; n_steps may then be a float count, inf included.
         Raises InvariantBreachError when sup(u+v) passes the comparison bound
         by more than BOUND_SLACK, or is NaN.
         """
+        total = n_steps * self.substeps
+        if not total <= STEP_CAP:                 # inf and nan fail too
+            raise ValidationError(f"the run takes {total:.3g} reaction substeps ({n_steps:.3g} "
+                                  f"steps of {self.substeps:.3g}), more than {STEP_CAP}")
         w = np.asfortranarray(np.column_stack([u, v]))
-        for i in range(1, n_steps + 1):
+        for i in range(1, int(n_steps) + 1):
             w = self.advance(w)
             self.steps += 1
             u, v = w[:, 0], w[:, 1]
@@ -485,7 +493,7 @@ def stationary_profile(cs: CoefficientSet, n_cells: int = 512, tol: float = 1e-9
     v = np.full(n_cells, amp)
     dt = STATIONARY_DT
     stepper = Stepper(cs, nodes, h, "periodic", dt, cs.k_bar)
-    for _, un, vn, _ in stepper.run(u, v, int(np.ceil(t_max / dt))):
+    for _, un, vn, _ in stepper.run(u, v, np.ceil(t_max / dt)):
         rate = max(float(np.max(np.abs(un - u))), float(np.max(np.abs(vn - v)))) / dt
         u, v = un, vn
         if rate < tol:
