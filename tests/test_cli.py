@@ -1,21 +1,27 @@
 """End-to-end CLI: configs, exit codes, determinism, file formats."""
 
 import concurrent.futures
+import copy
+import dataclasses
+import functools
+import inspect
 import json
+import operator
 import os
 import re
-import resource
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import rdfronts
-from rdfronts import eigen, pde, speeds
+from rdfronts import coefficients, eigen, pde, speeds
 from rdfronts.cli import COMMANDS, _lambda_grid, main
-from rdfronts.util import REQUIRED, config_hash
+from rdfronts.errors import ValidationError
+from rdfronts.util import REQUIRED, config_hash, number, string
 
 HOMOG_COEFFS = {
     "period": 1.0,
@@ -221,62 +227,6 @@ def test_non_finite_number_exits_2_without_files(tmp_path, capsys, literal):
     assert not list(tmp_path.glob("bad*"))
 
 
-@pytest.mark.parametrize("command", sorted(DETERMINISM_PAYLOADS))
-def test_unknown_key_rejected(tmp_path, capsys, command):
-    payload = dict(DETERMINISM_PAYLOADS[command], lambda_stepp=0.1)
-    assert run(tmp_path, command, payload, out="bad") == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "validation",
-                   "message": f"unknown keys ['lambda_stepp'] in {command} config"}
-    assert not list(tmp_path.glob("bad*"))
-
-
-REQUIRED_KEY = {"eigen": "coefficients", "dirichlet": "radii", "speed": "coefficients",
-                "ode": "u0", "simulate": "record_every", "stationary": "coefficients",
-                "homogenize": "coefficients", "sweep": "epsilons"}
-
-
-@pytest.mark.parametrize("command", sorted(REQUIRED_KEY))
-def test_missing_required_key_rejected(tmp_path, capsys, command):
-    key = REQUIRED_KEY[command]
-    payload = {k: v for k, v in DETERMINISM_PAYLOADS[command].items() if k != key}
-    assert run(tmp_path, command, payload, out="bad") == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "validation",
-                   "message": f"missing keys ['{key}'] in {command} config"}
-    assert not list(tmp_path.glob("bad*"))
-
-
-COSINE = {"kind": "cosine", "mean": 1.0, "amplitude": 0.1}
-
-
-@pytest.mark.parametrize("override, name", [
-    pytest.param({"sigma": {"kind": "constant", "value": "abc"}}, "sigma.value", id="value-str"),
-    pytest.param({"sigma": {"kind": "constant", "value": [1]}}, "sigma.value", id="value-list"),
-    pytest.param({"sigma": {"kind": "constant", "value": None}}, "sigma.value", id="value-null"),
-    pytest.param({"sigma": {"kind": "constant", "value": True}}, "sigma.value", id="value-true"),
-    pytest.param({"sigma": {"kind": "constant", "value": 10 ** 400}}, "sigma.value",
-                 id="value-past-float-range"),
-    pytest.param({"sigma": {"kind": "piecewise_constant", "breakpoints": 5, "values": [1.0]}},
-                 "sigma.breakpoints", id="breakpoints-int"),
-    pytest.param({"sigma": {"kind": "table", "samples": ["a"]}}, "sigma.samples[0]",
-                 id="samples-str"),
-    pytest.param({"r_u": dict(COSINE, harmonics=5)}, "r_u.harmonics", id="harmonics-int"),
-    pytest.param({"r_u": dict(COSINE, phase="p")}, "r_u.phase", id="phase-str"),
-    pytest.param({"sigma": {"kind": "constant", "value": 1.0, "period": "x"}}, "sigma.period",
-                 id="spec-period-str"),
-    pytest.param({"sigma": "abc"}, "sigma", id="spec-str"),
-    pytest.param({"period": "a"}, "coefficient set.period", id="set-period-str"),
-])
-def test_malformed_coefficient_value_exits_2_without_files(tmp_path, capsys, override, name):
-    payload = {"coefficients": dict(HOMOG_COEFFS, **override)}
-    assert run(tmp_path, "eigen", payload, out="bad") == 2
-    line, = capsys.readouterr().err.splitlines()
-    err = json.loads(line)
-    assert err["error"] == "validation" and name in err["message"]
-    assert not list(tmp_path.glob("bad*"))
-
-
 def readme_config_table() -> dict:
     """command -> (required keys, optional keys), as README's "Config payloads
     per command" table lists them in backquotes."""
@@ -469,16 +419,6 @@ def test_verbose_reports_step_counts_on_stderr(tmp_path, capsys, command, steps)
         assert record == {"steps": steps, "substeps": steps, "max_clip": 0.0}
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # importing scipy.optimize adds about a quarter second to every CLI start
-    src = str(Path(rdfronts.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, rdfronts.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
-
-
 def test_speed_on_decaying_medium_is_validation_error(tmp_path):
     coeffs = dict(HOMOG_COEFFS)
     coeffs["r_u"] = {"kind": "constant", "value": -0.5}
@@ -611,77 +551,395 @@ def test_stationary_too_few_cells_exits_2_without_files(tmp_path, capsys, n_cell
     assert not list(tmp_path.glob("bad*"))
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30, 3 * 2 ** 30))
+# -- hostile configs, run in one child process ------------------------------------------
+# Every config of this section runs the CLI in one child process with a 3 GiB
+# address space, so that a size or a step count that got past the checks fails
+# fast instead of exhausting memory.  Never run them without that limit.  The
+# child imports rdfronts.cli once and runs each config through cli.main under a
+# 30 s alarm of its own.
+
+ADDRESS_SPACE = 3 * 2 ** 30
+CONFIG_SECONDS = 30
+
+# argv: address space, seconds per config, the cases file, the report file.
+# A case is (argv, --out prefix, whether to run it as python -m rdfronts); its
+# run is reported as the exit status, the stderr lines and the files written.
+CHILD = """
+import contextlib, glob, io, json, resource, runpy, signal, sys, traceback, warnings
+
+limit, seconds, cases_path, report_path = int(sys.argv[1]), int(sys.argv[2]), *sys.argv[3:]
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+import rdfronts.cli
+
+report = {"scipy.optimize": "scipy.optimize" in sys.modules,
+          "RLIMIT_AS": resource.getrlimit(resource.RLIMIT_AS), "runs": []}
+warnings.simplefilter("always")          # each config prints its warnings, as if alone
 
 
-def run_limited(tmp_path, command, payload, *flags):
-    """The CLI in a child process with a 3 GiB address space and a 30 s
-    timeout, so that a size or a step count that got past the checks fails
-    fast instead of exhausting memory.  Never run the hostile configs below
-    without these limits."""
-    cfg = write_config(tmp_path, payload)
-    src = str(Path(rdfronts.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "rdfronts", command, "--config", cfg,
-                           "--out", str(tmp_path / "big"), *flags], env=env,
-                          capture_output=True, text=True, timeout=30,
-                          preexec_fn=_limit_address_space)
+class Timeout(BaseException):
+    pass
+
+
+def on_alarm(signum, frame):
+    raise Timeout
+
+
+signal.signal(signal.SIGALRM, on_alarm)
+with open(cases_path) as fh:
+    cases = json.load(fh)
+for argv, out, as_module in cases:
+    stderr = io.StringIO()
+    signal.alarm(seconds)
+    try:
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                if as_module:                    # python -m rdfronts, which exits
+                    sys.argv = ["rdfronts", *argv]
+                    runpy.run_module("rdfronts", run_name="__main__")
+                else:
+                    status = rdfronts.cli.main(argv)
+            except SystemExit as exc:
+                status = exc.code
+            except Exception:
+                traceback.print_exc()
+                status = 1
+    except Timeout:
+        status = "timeout"
+    finally:
+        signal.alarm(0)
+    report["runs"].append({"status": status, "stderr": stderr.getvalue().splitlines(),
+                           "files": sorted(glob.glob(glob.escape(out) + "*"))})
+with open(report_path, "w") as fh:
+    json.dump(report, fh)
+"""
+
+
+def constant(value):
+    return {"kind": "constant", "value": value}
 
 
 HUGE_PERIOD = {key: dict(spec, period=1e300) if isinstance(spec, dict) else 1e300
                for key, spec in HOMOG_COEFFS.items()}
-HUGE_SIGMA = dict(HOMOG_COEFFS, sigma={"kind": "constant", "value": 1e305})
+HUGE_SIGMA = dict(HOMOG_COEFFS, sigma=constant(1e305))
 
-
-@pytest.mark.parametrize("command, payload, word", [
-    pytest.param("stationary", {"coefficients": HOMOG_COEFFS, "n_cells": 10 ** 9}, "n_cells",
-                 id="stationary-n_cells"),
-    pytest.param("simulate", dict(DETERMINISM_PAYLOADS["simulate"], domain={
-        "x_min": -10.0, "x_max": 20.0, "n_points": 10 ** 9}), "points", id="simulate-n_points"),
-    pytest.param("eigen", {"coefficients": HOMOG_COEFFS, "lambda_step": 1e-12}, "lambda grid",
-                 id="eigen-lambda_step"),
+# case -> (command, payload, word the validation message names)
+HUGE = {
+    "stationary-n_cells": ("stationary", {"coefficients": HOMOG_COEFFS, "n_cells": 10 ** 9},
+                           "n_cells"),
+    "simulate-n_points": ("simulate", dict(DETERMINISM_PAYLOADS["simulate"], domain={
+        "x_min": -10.0, "x_max": 20.0, "n_points": 10 ** 9}), "points"),
+    "eigen-lambda_step": ("eigen", {"coefficients": HOMOG_COEFFS, "lambda_step": 1e-12},
+                          "lambda grid"),
     # step counts past util.STEP_CAP: T / dt overflows, or asks for 1e12 steps
-    pytest.param("simulate", dict(DETERMINISM_PAYLOADS["simulate"], T=1e300, dt=1e-10),
-                 "steps", id="simulate-T-overflow"),
-    pytest.param("simulate", dict(DETERMINISM_PAYLOADS["simulate"], T=1e9, dt=1e-3),
-                 "steps", id="simulate-T-1e9"),
-    pytest.param("ode", dict(DETERMINISM_PAYLOADS["ode"], T=1e300), "steps",
-                 id="ode-T-overflow"),
-    pytest.param("ode", dict(DETERMINISM_PAYLOADS["ode"], T=1e9, dt=1e-3), "steps",
-                 id="ode-T-1e9"),
+    "simulate-T-overflow": ("simulate", dict(DETERMINISM_PAYLOADS["simulate"], T=1e300,
+                                             dt=1e-10), "steps"),
+    "simulate-T-1e9": ("simulate", dict(DETERMINISM_PAYLOADS["simulate"], T=1e9, dt=1e-3),
+                       "steps"),
+    "ode-T-overflow": ("ode", dict(DETERMINISM_PAYLOADS["ode"], T=1e300), "steps"),
+    "ode-T-1e9": ("ode", dict(DETERMINISM_PAYLOADS["ode"], T=1e9, dt=1e-3), "steps"),
     # grid spacings whose square overflows or underflows
-    pytest.param("speed", {"coefficients": HUGE_PERIOD}, "grid spacing", id="speed-period"),
-    pytest.param("dirichlet", {"coefficients": HOMOG_COEFFS, "radii": [1e-300]},
-                 "grid spacing", id="dirichlet-radius"),
+    "speed-period": ("speed", {"coefficients": HUGE_PERIOD}, "grid spacing"),
+    "dirichlet-radius": ("dirichlet", {"coefficients": HOMOG_COEFFS, "radii": [1e-300]},
+                         "grid spacing"),
     # sigma / h**2 overflows in the stencil's diagonal
-    pytest.param("speed", {"coefficients": HUGE_SIGMA}, "not finite", id="speed-sigma"),
-    pytest.param("dirichlet", {"coefficients": HUGE_SIGMA, "radii": [1.0]}, "not finite",
-                 id="dirichlet-sigma"),
-    pytest.param("stationary", {"coefficients": HUGE_SIGMA}, "not finite",
-                 id="stationary-sigma"),
-])
-def test_huge_size_exits_2_before_allocating(tmp_path, command, payload, word):
-    proc = run_limited(tmp_path, command, payload)
-    assert proc.returncode == 2, proc.stderr
-    line, = proc.stderr.splitlines()
-    err = json.loads(line)
-    assert err["error"] == "validation" and word in err["message"]
-    assert not list(tmp_path.glob("big*"))
+    "speed-sigma": ("speed", {"coefficients": HUGE_SIGMA}, "not finite"),
+    "dirichlet-sigma": ("dirichlet", {"coefficients": HUGE_SIGMA, "radii": [1.0]},
+                        "not finite"),
+    "stationary-sigma": ("stationary", {"coefficients": HUGE_SIGMA}, "not finite"),
+}
+
+# Reaction substeps past util.STEP_CAP in all: a step of dt takes
+# dt * Lipschitz / 0.25 of them, and stationary takes up to 80 000 steps.
+# The step count of stationary-t_max-overflow and the Lipschitz bound of
+# simulate-overflow pass the float range.
+SIMULATE = DETERMINISM_PAYLOADS["simulate"]
+SUBSTEPS = {
+    "stationary-r_u": ("stationary", {"coefficients": dict(HOMOG_COEFFS, r_u=constant(1e300))}),
+    "stationary-r_u-1e6": ("stationary", {"coefficients": dict(HOMOG_COEFFS,
+                                                                r_u=constant(1e6))}),
+    "stationary-t_max-overflow": ("stationary", {"coefficients": HOMOG_COEFFS, "t_max": 1e308}),
+    "simulate-amplitude": ("simulate", dict(SIMULATE, initial=dict(SIMULATE["initial"],
+                                                                   amplitude=1e300))),
+    **{f"simulate-{key}": ("simulate", dict(SIMULATE, coefficients=dict(
+        HOMOG_COEFFS, **{key: constant(1e300)}))) for key in ("r_u", "mu_u", "kappa_u")},
+    "simulate-dt": ("simulate", dict(SIMULATE, dt=1e300, T=1e301)),
+    "simulate-overflow": ("simulate", dict(SIMULATE, coefficients=dict(
+        HOMOG_COEFFS, r_u=constant(1e300), kappa_u=constant(1e300)))),
+}
+
+# -- the rejection table, read from the command schemas --
+# Each ill-typed value goes, one at a time, into every key of every command
+# (optional keys inserted), every field of every read_dataclass object, and
+# every key of the coefficient set and of each coefficient kind, wherever
+# that key's own reader rejects it.  The integer stands where a list, an
+# object or a string is due, the list of a string where a number or a list
+# of numbers is.
+ILL_TYPED = {"list": [], "dict": {}, "str": "x", "true": True, "null": None,
+             "past-float-range": 10 ** 400, "int": 5, "str-list": ["x"]}
+
+# Every command that takes a coefficient set reads it by one reader, so the
+# set's own keys are walked through this command alone.
+COEFFICIENT_COMMAND = "eigen"
+READ_SET = COMMANDS[COEFFICIENT_COMMAND][1]["coefficients"][0]
 
 
-def test_sweep_row_with_a_vanishing_grid_spacing_carries_the_error(tmp_path):
-    # epsilon = 1e-300 squeezes the period until h**2 underflows; the row
-    # fails alone, and stderr holds the --verbose line and nothing else
-    payload = {"coefficients": HOMOG_COEFFS, "epsilons": [1e-300]}
-    proc = run_limited(tmp_path, "sweep", payload, "--verbose")
+def _read_spec(val, name):
+    return coefficients.spec_from_dict(val, 1.0, name)
+
+
+# set_from_dict reads the period first, then each coefficient by spec_from_dict
+SET_SCHEMA = {**coefficients._SET_SCHEMA,
+              **{name: (_read_spec, REQUIRED) for name in coefficients.COEFFICIENT_NAMES}}
+# spec_from_dict reads kind and period, then the keys of the kind.  A missing
+# kind has a message of its own: the {} case of each coefficient name.
+SPEC_KEYS = {"kind": (string, None), "period": (number, 1.0)}
+# a valid spec of each kind, put in place of sigma
+SPECS = {"constant": constant(1.0),
+         "cosine": {"kind": "cosine", "mean": 1.0, "amplitude": 0.1},
+         "piecewise_constant": {"kind": "piecewise_constant", "breakpoints": [0.0],
+                                "values": [1.0]},
+         "table": {"kind": "table", "samples": [1.0]}}
+SIGMA = ("coefficients", "sigma")
+
+
+def _object_reader(read):
+    """(context, schema) of a reader that reads a JSON object key by key, else None."""
+    if read is READ_SET:
+        return "coefficient set", SET_SCHEMA
+    found = inspect.getclosurevars(read).nonlocals
+    if dataclasses.is_dataclass(found.get("cls")):       # util.read_dataclass
+        return found["context"], found["schema"]
+    return None
+
+
+def _rejects(read, value, name) -> bool:
+    try:
+        read(value, name)
+    except ValidationError:
+        return True
+    return False
+
+
+REMOVED = object()
+
+
+def _edited(payload, path, value=REMOVED):
+    """A copy of payload with `value` at path, a tuple of keys, or without that key."""
+    payload = copy.deepcopy(payload)
+    *parents, key = path
+    obj = functools.reduce(operator.getitem, parents, payload)
+    if value is REMOVED:
+        del obj[key]
+    else:
+        obj[key] = value
+    return payload
+
+
+class Case(NamedTuple):
+    what: str            # "ill-typed", "unknown" or "missing"
+    command: str
+    path: tuple          # keys down to the value, or to the object of an unknown key
+    payload: dict
+    expected: str        # what the message names, or the whole message of a key case
+    tag: str = ""        # the ILL_TYPED value
+
+
+def _walk(command, payload, path, context, schema):
+    """The cases of the object at path, read by `schema` under `context`,
+    and of the objects inside it."""
+    last = list(schema)[-1]
+    typo = last + last[-1]
+    yield Case("unknown", command, path, _edited(payload, (*path, typo), 0.0),
+               f"unknown keys ['{typo}'] in {context}")
+    for key, (read, default) in schema.items():
+        if default is REQUIRED:
+            yield Case("missing", command, (*path, key), _edited(payload, (*path, key)),
+                       f"missing keys ['{key}'] in {context}")
+        inner = _object_reader(read)
+        name = inner[0] if inner else f"{context}.{key}"
+        for tag, value in ILL_TYPED.items():
+            if _rejects(read, value, name):
+                yield Case("ill-typed", command, (*path, key),
+                           _edited(payload, (*path, key), value), name, tag)
+        if inner and (read is not READ_SET or command == COEFFICIENT_COMMAND):
+            yield from _walk(command, payload, (*path, key), *inner)
+
+
+def _schema_cases():
+    for command, (_, schema) in COMMANDS.items():
+        yield from _walk(command, DETERMINISM_PAYLOADS[command], (), f"{command} config", schema)
+    for kind, (_, schema) in coefficients._SPEC_SCHEMAS.items():
+        payload = _edited(DETERMINISM_PAYLOADS[COEFFICIENT_COMMAND], SIGMA, SPECS[kind])
+        common = SPEC_KEYS if kind == "constant" else {}
+        yield from _walk(COEFFICIENT_COMMAND, payload, SIGMA, "coefficient set.sigma",
+                         {**common, **schema})
+
+
+def _coefficient_label(path) -> str:
+    """set-period, a coefficient name, spec-kind, spec-period or a key of a kind."""
+    parent, key = path[-2:]
+    if parent == "coefficients":
+        return "set-period" if key == "period" else key
+    return f"spec-{key}" if key in SPEC_KEYS else key
+
+
+SCHEMA_CASES = list(_schema_cases())
+ILL_TYPED_WALK = [case for case in SCHEMA_CASES if case.what == "ill-typed"]
+
+
+def _in_the_set(path) -> bool:
+    return len(path) > 1 and path[0] == "coefficients"
+
+
+ILL_TYPED_CASES = {f"{c.command}-{'.'.join(c.path)}-{c.tag}": c
+                   for c in ILL_TYPED_WALK if not _in_the_set(c.path)}
+# the coefficient set's own keys, walked through COEFFICIENT_COMMAND
+COEFFICIENT_CASES = {f"{_coefficient_label(c.path)}-{c.tag}": c
+                     for c in ILL_TYPED_WALK if _in_the_set(c.path)}
+# "unknown" | "missing" -> command -> {path: case}
+KEY_CASES = {what: {command: {".".join(c.path) or "config": c for c in SCHEMA_CASES
+                              if c.what == what and c.command == command}
+                    for command in COMMANDS}
+             for what in ("unknown", "missing")}
+
+CHILD_CONFIGS = {
+    **{f"huge/{case}": (command, payload, ()) for case, (command, payload, _) in HUGE.items()},
+    **{f"substeps/{case}": (command, payload, ()) for case, (command, payload) in SUBSTEPS.items()},
+    # epsilon = 1e-300 squeezes the period until h**2 underflows
+    "sweep/vanishing": ("sweep", {"coefficients": HOMOG_COEFFS, "epsilons": [1e-300]},
+                        ("--verbose",)),
+    **{f"ill-typed/{key}": (c.command, c.payload, ()) for key, c in ILL_TYPED_CASES.items()},
+    **{f"coefficients/{key}": (c.command, c.payload, ()) for key, c in COEFFICIENT_CASES.items()},
+    **{f"{what}/{command}/{path}": (c.command, c.payload, ())
+       for what, commands in KEY_CASES.items() for command, cases in commands.items()
+       for path, c in cases.items()},
+}
+MODULE_RUN = "huge/stationary-n_cells"          # run as python -m rdfronts
+
+
+@pytest.fixture(scope="module")
+def child(tmp_path_factory):
+    """The child's report: {"scipy.optimize": whether importing rdfronts.cli
+    loaded it, "RLIMIT_AS": its limits, "runs": {config: run}}."""
+    root = tmp_path_factory.mktemp("hostile")
+    cases = []
+    for i, (key, (command, payload, flags)) in enumerate(CHILD_CONFIGS.items()):
+        config, out = root / f"{i}.json", str(root / f"{i}_out")
+        config.write_text(json.dumps(payload))
+        cases.append(([command, "--config", str(config), "--out", out, *flags], out,
+                      key == MODULE_RUN))
+    (root / "cases.json").write_text(json.dumps(cases))
+    src = str(Path(rdfronts.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(ADDRESS_SPACE), str(CONFIG_SECONDS),
+                           str(root / "cases.json"), str(root / "report.json")],
+                          env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    line, = proc.stderr.splitlines()
+    report = json.loads((root / "report.json").read_text())
+    assert report["RLIMIT_AS"] == [ADDRESS_SPACE, ADDRESS_SPACE]
+    report["runs"] = dict(zip(CHILD_CONFIGS, report["runs"]))
+    return report
+
+
+def validation_message(run) -> str:
+    """The message of a run that exited 2 with one JSON line on stderr and wrote no file."""
+    assert run["status"] == 2, run
+    line, = run["stderr"]
+    err = json.loads(line)
+    assert sorted(err) == ["error", "message"] and err["error"] == "validation"
+    assert run["files"] == []
+    return err["message"]
+
+
+@pytest.mark.parametrize("case", HUGE)
+def test_huge_size_exits_2_before_allocating(child, case):
+    assert HUGE[case][2] in validation_message(child["runs"][f"huge/{case}"])
+
+
+@pytest.mark.parametrize("case", SUBSTEPS)
+def test_substeps_past_the_step_cap_exit_2_before_stepping(child, case):
+    message = validation_message(child["runs"][f"substeps/{case}"])
+    assert "substeps" in message and len(message) < 200
+
+
+def test_sweep_row_with_a_vanishing_grid_spacing_carries_the_error(child):
+    # the row fails alone, and stderr holds the --verbose line and nothing else
+    run = child["runs"]["sweep/vanishing"]
+    assert run["status"] == 0, run["stderr"]
+    line, = run["stderr"]
     assert json.loads(line) == {"command": "sweep", "k_evals": 0}
-    path, = tmp_path.glob("big*")
-    row = path.read_text().splitlines()[2].split(",")
+    path, = run["files"]
+    row = Path(path).read_text().splitlines()[2].split(",")
     assert row[0] == "1e-300" and row[6].startswith("ValidationError: grid spacing")
+
+
+def test_cli_import_leaves_scipy_optimize_out(child):
+    # importing scipy.optimize adds about a quarter second to every CLI start
+    assert child["scipy.optimize"] is False
+
+
+@pytest.mark.parametrize("case", ILL_TYPED_CASES)
+def test_ill_typed_value_exits_2_without_files(child, case):
+    assert ILL_TYPED_CASES[case].expected in validation_message(
+        child["runs"][f"ill-typed/{case}"])
+
+
+@pytest.mark.parametrize("case", COEFFICIENT_CASES)
+def test_malformed_coefficient_value_exits_2_without_files(child, case):
+    assert COEFFICIENT_CASES[case].expected in validation_message(
+        child["runs"][f"coefficients/{case}"])
+
+
+def assert_key_cases(child, what, command):
+    cases = KEY_CASES[what][command]
+    messages = {path: validation_message(child["runs"][f"{what}/{command}/{path}"])
+                for path in cases}
+    assert messages == {path: c.expected for path, c in cases.items()}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_unknown_key_rejected(child, command):
+    # a typo key in the config and in each object inside it
+    assert_key_cases(child, "unknown", command)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_missing_required_key_rejected(child, command):
+    # each required key of the config and of each object inside it, removed once
+    assert_key_cases(child, "missing", command)
+
+
+def _reads_an_object(read) -> bool:
+    try:
+        read({"not_a_key": 0.0}, "probe")
+    except ValidationError as exc:
+        return str(exc).startswith("unknown keys")
+    return True
+
+
+def test_the_walk_reaches_every_reader():
+    # A nested object added to a schema fails here until _object_reader
+    # descends into it.
+    assert len(ILL_TYPED_CASES) + len(COEFFICIENT_CASES) == len(ILL_TYPED_WALK)   # ids unique
+    reached = {(c.command, c.path) for c in ILL_TYPED_WALK}
+    walked = {(c.command, c.path) for c in SCHEMA_CASES if c.what == "unknown"}
+    for command, (_, schema) in COMMANDS.items():
+        for key, (read, _) in schema.items():
+            assert (command, (key,)) in reached
+            if not _reads_an_object(read) or (read is READ_SET
+                                              and command != COEFFICIENT_COMMAND):
+                continue
+            assert (command, (key,)) in walked
+            if read is not READ_SET:                     # a read_dataclass target
+                cls = inspect.getclosurevars(read).nonlocals["cls"]
+                assert {(command, (key, f.name)) for f in dataclasses.fields(cls)} <= reached
+    for name in SET_SCHEMA:
+        assert (COEFFICIENT_COMMAND, ("coefficients", name)) in reached
+    for kind, (_, schema) in coefficients._SPEC_SCHEMAS.items():
+        for key in schema:
+            assert any(c.path == (*SIGMA, key) and c.payload["coefficients"]["sigma"]["kind"] == kind
+                       for c in ILL_TYPED_WALK)
 
 
 def test_stationary_numerical_error_exits_3(tmp_path, capsys):
