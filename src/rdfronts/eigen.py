@@ -9,7 +9,9 @@ notions are computed on a conservative-flux finite-difference grid:
                         conjugated by exp(lambda x), periodic eigenvector,
   * Dirichlet        -- on (-R, R) with zero boundary values.
 
-The diffusion part is ``stencil.flux_stencil``, shared with the pde module,
+The diffusion part is the stencil of ``stencil.flux_stencil``, which the pde
+module uses, built here from its parts, ``stencil.flux_parts`` and
+``stencil.tilted_couplings``, with bitwise the same entries.  It is
 conjugated as exp(lambda x_i) * D[exp(-lambda x) w]_i: the off-diagonal flux
 entries are multiplied by exp(-lambda h) and exp(+lambda h).  Off-diagonals
 therefore stay positive for every lambda and h, and the matrix is Metzler and
