@@ -573,7 +573,6 @@ import rdfronts.cli
 
 report = {"scipy.optimize": "scipy.optimize" in sys.modules,
           "RLIMIT_AS": resource.getrlimit(resource.RLIMIT_AS), "runs": []}
-warnings.simplefilter("always")          # each config prints its warnings, as if alone
 
 
 class Timeout(BaseException):
@@ -591,7 +590,10 @@ for argv, out, as_module in cases:
     stderr = io.StringIO()
     signal.alarm(seconds)
     try:
-        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        # catch_warnings forgets which warnings were shown, so each config
+        # prints its own as a child of its own would
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \\
+                warnings.catch_warnings():
             try:
                 if as_module:                    # python -m rdfronts, which exits
                     sys.argv = ["rdfronts", *argv]
