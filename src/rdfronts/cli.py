@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -311,7 +312,10 @@ def _load_config(path: str, command: str) -> dict:
     return config
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of main and reused:
+    building its eight subparsers costs more than reading a config."""
     parser = argparse.ArgumentParser(
         prog="rdfronts",
         description="Experiments on two-species reaction-diffusion fronts "
@@ -326,7 +330,11 @@ def main(argv=None) -> int:
         if name == "sweep":
             p.add_argument("--jobs", type=int, default=1,
                            help="worker processes for the epsilon rows")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     handler, schema = COMMANDS[args.command]
     extra = {"jobs": args.jobs} if args.command == "sweep" else {}
 
