@@ -669,7 +669,7 @@ SUBSTEPS = {
         HOMOG_COEFFS, r_u=constant(1e300), kappa_u=constant(1e300)))),
 }
 
-# -- the rejection table, read from the command schemas --
+# -- the rejection table, read from the command schemas
 # Each ill-typed value goes, one at a time, into every key of every command
 # (optional keys inserted), every field of every read_dataclass object, and
 # every key of the coefficient set and of each coefficient kind, wherever
@@ -940,7 +940,7 @@ def test_the_walk_reaches_every_reader():
         assert (COEFFICIENT_COMMAND, ("coefficients", name)) in reached
     for kind, (_, schema) in coefficients._SPEC_SCHEMAS.items():
         for key in schema:
-            assert any(c.path == (*SIGMA, key) and c.payload["coefficients"]["sigma"]["kind"] == kind
+            assert any(c.path == (*SIGMA, key) and c.payload[SIGMA[0]][SIGMA[1]]["kind"] == kind
                        for c in ILL_TYPED_WALK)
 
 
