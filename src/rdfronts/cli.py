@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -62,6 +63,8 @@ class Artifacts:
     with the config hash `tag` in it, and its path is kept in `paths`."""
 
     def __init__(self, out: str, tag: str):
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise ValidationError(f"--out {out!r}: its directory does not exist")
         self.out, self.tag, self.paths = out, tag, []
 
     def csv(self, name: str, header, columns, *comments: str) -> None:
@@ -296,12 +299,16 @@ def _finite_float(text: str) -> float:
 
 def _load_config(path: str, command: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh, parse_float=_finite_float,
                                parse_constant=_reject_non_finite)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValidationError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bytes that are not UTF-8, an integer past Python's digit
+        # limit, nesting deeper than the decoder's recursion limit
         raise ValidationError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")

@@ -320,16 +320,6 @@ def _stride(every: float, dt: float, n_steps: int) -> int:
     return max(1, int(round(min(every / dt, n_steps + 1))))
 
 
-def _line_run(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
-              dt: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Stepper]:
-    """Nodes, initial pair and stepper of a run on the truncated line; the
-    stepper's bound is max(K_bar, sup(u0+v0))."""
-    nodes = domain.nodes()
-    u, v = build_initial(init, nodes, cs.period)
-    bound = max(cs.k_bar, float(np.max(u + v)))
-    return nodes, u, v, Stepper(cs, nodes, domain.h, domain.boundary, dt, bound)
-
-
 def simulate(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
              T: float, dt: float, record_every: float,
              theta: Optional[float] = None,
@@ -354,7 +344,10 @@ def simulate(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
     if n_steps < record_stride:         # the speed fit needs two recorded positions
         raise ValidationError(f"record_every={record_every} leaves fewer than two "
                               f"recorded front positions by T={T}")
-    nodes, u, v, stepper = _line_run(cs, domain, init, dt)
+    nodes = domain.nodes()
+    u, v = build_initial(init, nodes, cs.period)
+    mass_max = float(np.max(u + v))
+    stepper = Stepper(cs, nodes, domain.h, domain.boundary, dt, max(cs.k_bar, mass_max))
     if theta is None:
         theta = default_threshold(cs, u, v)
 
@@ -367,7 +360,6 @@ def simulate(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
 
     times, fronts = [], ([], [])
     snapshots: List[FieldState] = []
-    mass_max = float(np.max(u + v))
 
     snap_stride = None
     if snapshot_every is not None:
@@ -468,7 +460,7 @@ def measure_speed(trace: FrontTrace, window: float = 0.5) -> SpeedMeasurement:
                             right_reliable=ok_r, left_reliable=ok_l)
 
 
-# -- stationary profiles and convergence behind the front ---------------------
+# -- stationary profiles ------------------------------------------------------
 
 def stationary_profile(cs: CoefficientSet, n_cells: int = 512, tol: float = 1e-9,
                        t_max: float = 4000.0, counts: Optional[dict] = None
@@ -501,65 +493,6 @@ def stationary_profile(cs: CoefficientSet, n_cells: int = 512, tol: float = 1e-9
                 counts.update(stepper.counts())
             return nodes, u, v
     raise NumericalError(f"stationary profile did not settle below {tol} by t={t_max}")
-
-
-def profile_on_domain(cell_nodes: np.ndarray, profile: np.ndarray, period: float,
-                      nodes: np.ndarray) -> np.ndarray:
-    """Tile a periodic cell profile onto an arbitrary grid by periodic interpolation."""
-    return np.interp(np.mod(nodes, period), cell_nodes, profile, period=period)
-
-
-@dataclass
-class ConvergenceHistory:
-    """Sup-distance to the stationary state inside an expanding cone |x| <= c t."""
-
-    t: np.ndarray
-    sup_distance: np.ndarray
-
-    def final(self) -> float:
-        return float(self.sup_distance[-1])
-
-
-def convergence_behind_front(cs: CoefficientSet, domain: DomainSpec,
-                             init: InitialData, c_probe: float,
-                             T: float, dt: float, sample_every: float,
-                             target: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-                             ) -> ConvergenceHistory:
-    """Track max over |x| <= c_probe*t of the distance to the stationary pair.
-
-    target may be a precomputed (cell_nodes, u_prof, v_prof) triple; otherwise
-    the periodic stationary profile is computed first, on 512 cells.  A run
-    that would sample nothing (no step, no sample by T, or an empty cone at
-    the last sample) is rejected before that profile and before any step.
-    """
-    if not (c_probe > 0):
-        raise PreconditionError("c_probe must be positive (and below the spreading speed)")
-    n_steps = step_count(T, dt)
-    stride = _stride(sample_every, dt, n_steps)
-    if n_steps < stride:
-        raise ValidationError(f"sample_every={sample_every} at dt={dt} takes no sample "
-                              f"by T={T}")
-    t_last = n_steps // stride * stride * dt
-    if not np.any(np.abs(domain.nodes()) <= c_probe * t_last):
-        raise ValidationError(f"no node lies in |x| <= {c_probe} t by the last sample "
-                              f"at T={T}")
-    if target is None:
-        target = stationary_profile(cs)
-    cell_nodes, u_prof, v_prof = target
-    nodes, u, v, stepper = _line_run(cs, domain, init, dt)
-    tu = profile_on_domain(cell_nodes, u_prof, cs.period, nodes)
-    tv = profile_on_domain(cell_nodes, v_prof, cs.period, nodes)
-    times, sups = [], []
-    for i, u, v, _ in stepper.run(u, v, n_steps):
-        if i % stride == 0:
-            t = i * dt
-            cone = np.abs(nodes) <= c_probe * t
-            if cone.any():
-                d = max(float(np.max(np.abs(u[cone] - tu[cone]))),
-                        float(np.max(np.abs(v[cone] - tv[cone]))))
-                times.append(t)
-                sups.append(d)
-    return ConvergenceHistory(t=np.asarray(times), sup_distance=np.asarray(sups))
 
 
 # -- profile morphology -------------------------------------------------------

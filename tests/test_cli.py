@@ -261,6 +261,36 @@ def test_malformed_json_rejected(tmp_path):
     assert main(["eigen", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param(b'{"coefficients": ' + b"1" * 4301 + b"}", id="integer-of-4301-digits"),
+    pytest.param(b'{"coefficients": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                 id="nested-100000-deep"),
+    pytest.param(b'{"coefficients": "\xff"}', id="not-utf-8"),
+])
+def test_undecodable_config_exits_2_without_files(tmp_path, capsys, text):
+    cfg = tmp_path / "homogenize.json"
+    cfg.write_bytes(text)
+    assert main(["homogenize", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "validation"
+    assert not list(tmp_path.glob("bad*"))
+
+
+@pytest.mark.parametrize("command", ["homogenize", "speed"])
+def test_out_prefix_in_a_missing_directory_exits_2_before_solving(tmp_path, capsys,
+                                                                  monkeypatch, command):
+    def solved(*args, **kwargs):
+        raise AssertionError("a speed was computed")
+
+    monkeypatch.setattr(speeds, "spreading_speeds", solved)
+    monkeypatch.setattr(speeds, "homogenized_speed", solved)
+    assert run(tmp_path, command, DETERMINISM_PAYLOADS[command], out="missing/run") == 2
+    line, = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "validation" and "--out" in err["message"]
+    assert [p.name for p in tmp_path.iterdir()] == [f"{command}.json"]
+
+
 # -- dirichlet -----------------------------------------------------------------------
 
 def test_dirichlet_sweep(tmp_path):
@@ -549,6 +579,65 @@ def test_stationary_too_few_cells_exits_2_without_files(tmp_path, capsys, n_cell
     assert err["error"] == "validation"
     assert "n_cells" in err["message"]
     assert not list(tmp_path.glob("bad*"))
+
+
+# -- convergence behind the front, read from the artifacts -------------------------------
+# Behind the front every positive solution converges to the positive stationary
+# pair: `stationary` writes that pair on one cell, `simulate` the states, and the
+# distance between them is taken over the cone |x| <= t of each snapshot.
+
+def csv_columns(path) -> np.ndarray:
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]]).T
+
+
+def distances_behind_front(tmp_path, coeffs, n_cells, payload) -> np.ndarray:
+    """sup over |x| <= t of |(u, v) - stationary pair| at each snapshot of a
+    `simulate` run, the pair tiled from a `stationary` run on n_cells."""
+    assert run(tmp_path, "stationary", {"coefficients": coeffs, "n_cells": n_cells}) == 0
+    cell_x, cell_u, cell_v = csv_columns(tmp_path / "out_stationary.csv")
+    assert run(tmp_path, "simulate", dict(payload, coefficients=coeffs)) == 0
+    L, sups = coeffs["period"], []
+    for i in range(len(list(tmp_path.glob("out_snapshot_*.csv")))):
+        path = tmp_path / f"out_snapshot_{i}.csv"
+        t = float(path.read_text().splitlines()[1].removeprefix("# t="))
+        x, u, v = csv_columns(path)
+        cone = np.abs(x) <= t
+        cell = np.mod(x[cone], L)
+        sups.append(max(np.max(np.abs(u[cone] - np.interp(cell, cell_x, cell_u, period=L))),
+                        np.max(np.abs(v[cone] - np.interp(cell, cell_x, cell_v, period=L)))))
+    return np.array(sups)
+
+
+def test_convergence_from_stationary_data_is_noise(tmp_path):
+    assert run(tmp_path, "stationary", {"coefficients": HOMOG_COEFFS, "n_cells": 256}) == 0
+    u_star = csv_columns(tmp_path / "out_stationary.csv")[1][0]
+    payload = {"domain": {"x_min": -30.0, "x_max": 30.0, "n_points": 512},
+               "initial": {"kind": "constant_pair", "amplitude": u_star},
+               "T": 5.0, "dt": 0.01, "record_every": 1.0, "snapshot_every": 1.0}
+    sups = distances_behind_front(tmp_path, HOMOG_COEFFS, 256, payload)
+    assert sups[-1] < 1e-8
+
+
+BUMP_RUN = {"domain": {"x_min": -80.0, "x_max": 80.0, "n_points": 1024},
+            "initial": {"kind": "compact_bump", "amplitude": 0.3, "center": 0.0, "width": 3.0},
+            "T": 30.0, "dt": 0.02, "record_every": 2.0, "snapshot_every": 2.0}
+
+
+def test_convergence_behind_front_decreases(tmp_path):
+    sups = distances_behind_front(tmp_path, HOMOG_COEFFS, 512, BUMP_RUN)
+    assert sups[-1] < 0.02 * coefficients.set_from_dict(HOMOG_COEFFS).k_bar
+    assert sups[-1] < sups[2]
+
+
+def test_convergence_behind_front_oscillating_medium(tmp_path):
+    # the cosine growth rates of period 1, rescaled to period 1/4
+    coeffs = dict(HOMOG_COEFFS, period=0.25,
+                  r_u={"kind": "cosine", "mean": 1.0, "amplitude": 0.4, "phase": 0.3},
+                  r_v={"kind": "cosine", "mean": 1.0, "amplitude": 0.4, "phase": 1.1})
+    sups = distances_behind_front(tmp_path, coeffs, 512, BUMP_RUN)
+    assert sups[-1] < 0.02 * coefficients.set_from_dict(coeffs).k_bar
+    assert sups[-1] < sups[2]
 
 
 # -- hostile configs, run in one child process ------------------------------------------

@@ -24,12 +24,10 @@ from rdfronts.pde import (
     InitialData,
     Stepper,
     build_initial,
-    convergence_behind_front,
     detect_hump,
     front_positions,
     measure_speed,
     profile_is_monotone,
-    profile_on_domain,
     simulate,
     stationary_profile,
 )
@@ -177,11 +175,6 @@ def test_every_driver_checks_the_comparison_bound(monkeypatch):
         simulate(HOMOG, dom, init, T=1.0, dt=0.01, record_every=0.5)
     with pytest.raises(InvariantBreachError):
         stationary_profile(HOMOG, n_cells=64)
-    nodes = np.linspace(0.0, 1.0, 64, endpoint=False)
-    target = (nodes, np.full(64, 0.5), np.full(64, 0.5))
-    with pytest.raises(InvariantBreachError):
-        convergence_behind_front(HOMOG, dom, init, c_probe=1.0, T=1.0, dt=0.01,
-                                 sample_every=0.5, target=target)
 
 
 def test_nan_state_breaches_the_bound():
@@ -450,7 +443,8 @@ def test_stationary_profile_is_cell_periodic():
     nodes, up, vp = stationary_profile(cse, n_cells=512, tol=1e-10)
     # the profile lives on one cell; tiling it across a wider window must agree
     # with evaluating the coefficients' periodicity: shift by one full cell
-    shifted = profile_on_domain(nodes, up, cse.period, nodes + cse.period)
+    L = cse.period
+    shifted = np.interp(np.mod(nodes + L, L), nodes, up, period=L)
     assert np.max(np.abs(shifted - up)) < 1e-8
 
 
@@ -463,60 +457,6 @@ def test_stationary_profile_approaches_homogenized_limit():
         nodes, up, vp = stationary_profile(rescale_epsilon(base, eps), n_cells=512)
         dists.append(max(float(np.max(np.abs(up - us))), float(np.max(np.abs(vp - vs)))))
     assert dists[1] < dists[0]
-
-
-# -- convergence behind the front ------------------------------------------------------------
-
-def test_convergence_from_stationary_data_is_noise():
-    nodes, up, vp = stationary_profile(HOMOG, n_cells=256)
-    us = float(up[0])
-    dom = DomainSpec(-30, 30, 512)
-    init = InitialData(kind="constant_pair", amplitude=us)
-    hist = convergence_behind_front(HOMOG, dom, init, c_probe=1.0, T=5.0,
-                                    dt=0.01, sample_every=1.0,
-                                    target=(nodes, up, vp))
-    assert hist.final() < 1e-8
-
-
-def test_convergence_behind_front_decreases():
-    dom = DomainSpec(-80, 80, 1024)
-    init = InitialData(kind="compact_bump", amplitude=0.3, center=0, width=3)
-    hist = convergence_behind_front(HOMOG, dom, init, c_probe=1.0, T=30.0,
-                                    dt=0.02, sample_every=2.0)
-    assert hist.final() < 0.02 * HOMOG.k_bar
-    assert hist.sup_distance[-1] < hist.sup_distance[2]
-
-
-def test_convergence_behind_front_oscillating_medium():
-    base = cosine_set(r_u=CoefficientSpec.cosine(1.0, 0.4, 0.3),
-                      r_v=CoefficientSpec.cosine(1.0, 0.4, 1.1))
-    cse = rescale_epsilon(base, 0.25)
-    dom = DomainSpec(-80, 80, 1024)
-    init = InitialData(kind="compact_bump", amplitude=0.3, center=0, width=3)
-    hist = convergence_behind_front(cse, dom, init, c_probe=1.0, T=30.0,
-                                    dt=0.02, sample_every=2.0)
-    assert hist.final() < 0.02 * cse.k_bar
-    assert hist.sup_distance[-1] < hist.sup_distance[2]
-
-
-@pytest.mark.parametrize("c_probe, T, sample_every, match", [
-    pytest.param(1.0, 0.004, 0.5, "no sample", id="no-step"),          # T < dt/2
-    pytest.param(1.0, 1.0, 2.0, "no sample", id="sample-after-T"),
-    # the nodes next to 0 lie 0.098 away, outside |x| <= 0.001 t up to t = 1
-    pytest.param(0.001, 1.0, 0.5, "no node", id="empty-cone"),
-])
-def test_convergence_that_samples_nothing_rejected_before_running(monkeypatch, c_probe, T,
-                                                                  sample_every, match):
-    def ran(*args, **kwargs):
-        raise AssertionError("the stationary profile or an IMEX step ran")
-
-    monkeypatch.setattr(pde, "stationary_profile", ran)
-    monkeypatch.setattr(pde.Stepper, "advance", ran)
-    dom = DomainSpec(-50, 50, 512)
-    init = InitialData(kind="compact_bump", amplitude=0.3, center=0, width=3)
-    with pytest.raises(ValidationError, match=match):
-        convergence_behind_front(HOMOG, dom, init, c_probe=c_probe, T=T, dt=0.01,
-                                 sample_every=sample_every)
 
 
 def test_periodic_pair_initial_data_positive():
