@@ -433,11 +433,6 @@ def spec_from_dict(d: dict, period: float = 1.0,
     return build(**values)
 
 
-def set_to_dict(cs: CoefficientSet) -> dict:
-    return {"period": cs.period,
-            **{name: spec_to_dict(getattr(cs, name)) for name in COEFFICIENT_NAMES}}
-
-
 def set_from_dict(d: dict) -> CoefficientSet:
     values = read_object(d, "coefficient set", _SET_SCHEMA)
     period = values.pop("period")

@@ -9,11 +9,10 @@ notions are computed on a conservative-flux finite-difference grid:
                         conjugated by exp(lambda x), periodic eigenvector,
   * Dirichlet        -- on (-R, R) with zero boundary values.
 
-The diffusion part is the stencil of ``stencil.flux_stencil``, which the pde
-module uses, built here from its parts, ``stencil.flux_parts`` and
-``stencil.tilted_couplings``, with bitwise the same entries.  It is
-conjugated as exp(lambda x_i) * D[exp(-lambda x) w]_i: the off-diagonal flux
-entries are multiplied by exp(-lambda h) and exp(+lambda h).  Off-diagonals
+The diffusion part is the stencil of ``stencil.flux_parts`` and
+``stencil.tilted_couplings``, as in the pde module, conjugated as
+exp(lambda x_i) * D[exp(-lambda x) w]_i: the off-diagonal flux entries are
+multiplied by exp(-lambda h) and exp(+lambda h).  Off-diagonals
 therefore stay positive for every lambda and h, and the matrix is Metzler and
 irreducible, so the Perron root and a componentwise positive eigenvector
 exist on the discrete level exactly as in the continuous theory.  The slope
@@ -22,11 +21,11 @@ k'(lambda) follows from the right and left Perron vectors (``tilt_slope``).
 Only those flux couplings depend on lambda.  An ``OperatorSkeleton`` holds
 the grid's CSR pattern and the rest of the operator, and ``_operator`` tilts
 it into an operator on that pattern; the transposed operator of the left
-Perron solve stays on it too.  A warm chain keeps the skeletons of its latest
-solve's grid levels.  The Perron iteration solves shifted systems with a
-banded LU (LAPACK dgbtrf/dgbtrs) in an order that interleaves the species and
-visits the periodic ring zig-zag, which keeps the band at 4 sub- and
-superdiagonals (2 on Dirichlet operators).
+Perron solve stays on it too.  A warm chain keeps every skeleton it built.
+The Perron iteration solves shifted systems with a banded LU (LAPACK
+dgbtrf/dgbtrs) in an order that interleaves the species and visits the
+periodic ring zig-zag, which keeps the band at 4 sub- and superdiagonals (2
+on Dirichlet operators).
 """
 
 from __future__ import annotations
@@ -190,7 +189,7 @@ def _skeleton(cs: CoefficientSet, n: int,
               half_width: Optional[float] = None) -> OperatorSkeleton:
     """Skeleton on n cells of one period, or on n interior nodes of (-R, R)
     given half_width=R.  The CSR layout is that of the COO -> CSR build of
-    [u block, v block, u<-v, v<-u], each stencil block being flux_stencil's
+    [u block, v block, u<-v, v<-u], each stencil block being flux_parts'
     diagonal (plus reaction minus mutation), up and down couplings."""
     if half_width is None:
         h = cs.period / n
@@ -281,25 +280,27 @@ def peclet_cells(cs: CoefficientSet, lam: float, n_cells: int) -> int:
 
 def check_lambdas(cs: CoefficientSet, lambdas: Sequence[float],
                   grid: Optional[GridSpec]) -> None:
-    """ValidationError unless every lambda's first level can be built: the
-    n_cells grid, which every first level refines, must have a spacing with a
-    finite square, and peclet_cells must place the level under REFINE_CAP.
-    The largest |lambda| needs the most cells, so it alone is checked.
-    Called on a config's lambdas before any solve."""
+    """ValidationError unless every lambda's first level can be built and
+    doubled: the n_cells grid, which every first level refines, must have a
+    spacing with a finite square, and peclet_cells must place the level at
+    most at REFINE_CAP // 2.  The largest |lambda| needs the most cells, so
+    it alone is checked.  Called on a config's lambdas before any solve."""
     n = (grid or GridSpec()).n_cells
     check_spacing(cs.period / n)
     lam = max(lambdas, key=abs)
     try:
-        peclet_cells(cs, lam, n)
+        if 2 * peclet_cells(cs, lam, n) > REFINE_CAP:
+            raise NumericalError
     except NumericalError:
-        raise ValidationError(f"lambda={lam:.6g} needs more than {REFINE_CAP} cells (the "
-                              "refinement cap) for h |lambda| sigma_max <= sigma_min") from None
+        raise ValidationError(f"lambda={lam:.6g} needs over {REFINE_CAP // 2} cells (n_cells, "
+                              "h |lambda| sigma_max <= sigma_min) on its first level, which "
+                              f"the refinement cap {REFINE_CAP} cannot double") from None
 
 
 def _operator(skeleton: OperatorSkeleton, lam: float) -> DiscreteOperator:
     """The skeleton's operator at lambda: its couplings tilted by exp(-+lambda h)
     and written into a copy of its data, on its CSR pattern.  The entries are
-    bitwise those of a COO -> CSR build from flux_stencil."""
+    bitwise those of a COO -> CSR build of the stencil's triplets."""
     data = skeleton.data.copy()
     data[skeleton.up_slots], data[skeleton.down_slots] = tilted_couplings(
         skeleton.up_sigma, skeleton.down_sigma, skeleton.h, lam)
@@ -535,9 +536,9 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm,
     level's eigenpair (with the Perron iterations, factorizations and levels
     of the whole loop), its operator and R_2n.
     """
-    if n > REFINE_CAP:              # a starting level past the cap, before it is built
-        raise NumericalError(f"grid refinement cap {REFINE_CAP} exceeded by the "
-                             f"starting level of {n} cells at {label}")
+    if 2 * n > REFINE_CAP:          # a starting level it cannot double, before it is built
+        raise NumericalError(f"grid refinement cap {REFINE_CAP} exceeded by the double "
+                             f"of the starting level of {n} cells at {label}")
     coarse = principal_eigenpair(make_op(n), warm=warm)
     total_iter, total_lu, levels = coarse.iterations, coarse.factorizations, 1
     prev_extrapolated = None
@@ -587,21 +588,18 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
 
     skeletons maps cell counts to operator skeletons of cs.  A chain passes
     one dict to all its solves: each solve takes the skeletons of its levels
-    from it and builds the missing ones, and afterwards the dict holds only
-    the skeletons of this solve's levels.
+    from it and adds the ones it builds.
     """
     n = peclet_cells(cs, lam, (grid or GridSpec()).n_cells)
     if warm is not None:
         n = max(n, len(warm[0]) // 4)
     held = {} if skeletons is None else skeletons
-    used = {}
 
     def make_op(m: int) -> DiscreteOperator:
-        used[m] = held[m] if m in held else _skeleton(cs, m)
-        return _operator(used[m], lam)
+        if m not in held:
+            held[m] = _skeleton(cs, m)
+        return _operator(held[m], lam)
     res, op, value = _refine_to_tolerance(make_op, n, tol, warm, f"lambda={lam}")
-    held.clear()
-    held.update(used)
     if slope:
         res.slope, left = tilt_slope(op, res, left_warm)
         res.left = (left.phi, left.psi)
@@ -611,14 +609,14 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
 
 def _dirichlet_cells(cs: CoefficientSet, R: float, grid: Optional[GridSpec]) -> int:
     """The first level's cell count on (-R, R), n_cells per period and at least
-    n_cells; a count past REFINE_CAP, or one that overflows, is a ValidationError."""
+    n_cells; one that REFINE_CAP cannot double, or that overflows, is a ValidationError."""
     if not (R > 0):
         raise PreconditionError("Dirichlet half-width R must be positive")
     per_period = (grid or GridSpec()).n_cells
     cells = max(per_period, per_period * 2.0 * R / cs.period)
-    if not cells <= REFINE_CAP:
+    if not 2 * cells <= REFINE_CAP:
         raise ValidationError(f"Dirichlet radius R={R:.6g} needs {cells:.3g} cells on its "
-                              f"first grid level, past the refinement cap {REFINE_CAP}")
+                              f"first level, more than the refinement cap {REFINE_CAP} halved")
     return int(np.ceil(cells))
 
 
@@ -666,9 +664,9 @@ def k_chain(cs: CoefficientSet, grid: Optional[GridSpec], tol: float,
             slope: bool = False,
             start: Optional[EigenResult] = None) -> Callable[[float], EigenResult]:
     """lambda -> k_of_lambda(cs, lambda, grid, tol, slope=slope), warm-started
-    along the calls, the first one from `start` when given.  The chain owns
-    the operator skeletons of the latest solve's grid levels, which the next
-    solve, near it in lambda, mostly reuses."""
+    along the calls, the first one from `start` when given.  The chain keeps
+    every operator skeleton its solves built, and the next solve, near the
+    last in lambda, mostly reuses them."""
     skeletons = {}
     return _warm_chain(lambda lam, warm, left: k_of_lambda(cs, lam, grid, tol, warm=warm,
                                                            slope=slope, left_warm=left,

@@ -1,4 +1,8 @@
-"""The conservative-flux stencil of (sigma w_x)_x, shared by eigen and pde."""
+"""The conservative-flux stencil w -> exp(lam x) (sigma (exp(-lam x) w)_x)_x,
+shared by eigen and pde: flux_parts gives its lambda-independent parts and
+tilted_couplings its couplings at one lambda.  sigma is taken once per face
+(face_sigma), so the untilted matrix is exactly symmetric.  boundary is
+"periodic", "neumann" (zero end fluxes) or "dirichlet_zero" (zero ghosts)."""
 
 from __future__ import annotations
 
@@ -58,11 +62,12 @@ def check_spacing(h: float) -> None:
 
 def flux_parts(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The lambda-independent parts of flux_stencil: (rows, cols, diag, up, down).
+    """The lambda-independent parts of the stencil: (rows, cols, diag, up, down).
 
-    rows and cols are its triplet pattern, diag its n diagonal entries, and
-    up and down the face sigma of its stored couplings to node i+1 and to
-    node i-1, which tilted_couplings turns into entries.  A spacing h whose
+    rows and cols are its COO triplet pattern: the n diagonal entries in node
+    order, then the couplings to node i+1, then those to node i-1.  diag
+    holds the diagonal entries, up and down the face sigma of the two
+    couplings, which tilted_couplings turns into entries.  A spacing h whose
     square underflows to 0 or overflows is rejected before any division, and
     a sigma so large that the diagonal is not finite after it.
     """
@@ -91,23 +96,8 @@ def flux_parts(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str
 
 def tilted_couplings(up: np.ndarray, down: np.ndarray, h: float,
                      lam: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The off-diagonal entries of flux_stencil from the face sigma of its
+    """The off-diagonal entries of the stencil from the face sigma of its
     couplings: up towards node i+1 scaled by exp(-lam h), down towards node
-    i-1 by exp(lam h)."""
+    i-1 by exp(lam h), so they stay positive."""
     return up * np.exp(-lam * h) / h ** 2, down * np.exp(lam * h) / h ** 2
 
-
-def flux_stencil(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str,
-                 lam: float = 0.0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO triplets (rows, cols, data) of w -> exp(lam x) (sigma (exp(-lam x) w)_x)_x.
-
-    sigma comes from face_sigma, one value per face shared by the two nodes
-    beside it, so the untilted matrix is exactly symmetric.  The tilt scales
-    the coupling to node i+1 by exp(-lam h) and to node i-1 by exp(lam h), so
-    off-diagonals stay positive.  The n diagonal entries come first, in node
-    order, then the couplings to node i+1, then those to node i-1.
-    boundary is "periodic", "neumann" (zero flux through the end faces) or
-    "dirichlet_zero" (zero ghost values beyond the end nodes).
-    """
-    rows, cols, diag, up, down = flux_parts(cs, nodes, h, boundary)
-    return rows, cols, np.concatenate([diag, *tilted_couplings(up, down, h, lam)])

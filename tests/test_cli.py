@@ -350,6 +350,30 @@ def test_lambda_past_the_peclet_cap_exits_2_before_solving(tmp_path, capsys, mon
     assert not list(tmp_path.glob("big*"))
 
 
+FIRST_LEVEL_PAST_HALF_CAP = {
+    "eigen": {"n_cells": 786432, "lambda_min": 0.0, "lambda_max": 0.0},
+    "dirichlet": {"radii": [5000.0]},                 # 640 000 cells on its first level
+}
+
+
+@pytest.mark.parametrize("command", sorted(FIRST_LEVEL_PAST_HALF_CAP))
+def test_first_level_the_cap_cannot_double_exits_2_before_solving(tmp_path, capsys,
+                                                                  monkeypatch, command):
+    # refinement solves the first level and then its double, so a first level
+    # above REFINE_CAP // 2 = 524 288 cells could only end in a NumericalError
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a Perron solve ran on a level the cap cannot double")
+
+    monkeypatch.setattr(eigen, "principal_eigenpair", no_solve)
+    payload = dict(FIRST_LEVEL_PAST_HALF_CAP[command], coefficients=HOMOG_COEFFS)
+    assert run(tmp_path, command, payload, out="big") == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    err = json.loads(err)
+    assert err["error"] == "validation" and "refinement cap" in err["message"]
+    assert not list(tmp_path.glob("big*"))
+
+
 # -- speed --------------------------------------------------------------------------
 
 def test_speed_report_and_curve(tmp_path):

@@ -23,7 +23,7 @@ from rdfronts.eigen import (
     tilt_slope,
 )
 from rdfronts.errors import NumericalError, ValidationError
-from rdfronts.stencil import flux_stencil
+from rdfronts.stencil import flux_parts, tilted_couplings
 
 
 def cosine_set(**overrides):
@@ -132,7 +132,7 @@ SKELETON_SETS = {
 
 
 def fresh_assembly(cs, lam, n, half_width=None):
-    """The coupled operator built straight from flux_stencil's triplets: reaction
+    """The coupled operator built straight from the stencil's triplets: reaction
     on copies of the diagonal, mutation couplings appended, one COO -> CSR."""
     if half_width is None:
         h, boundary = cs.period / n, "periodic"
@@ -140,8 +140,8 @@ def fresh_assembly(cs, lam, n, half_width=None):
     else:
         h, boundary = 2.0 * half_width / (n + 1), "dirichlet_zero"
         nodes = -half_width + h * np.arange(1, n + 1)
-    rows, cols, data = flux_stencil(cs, nodes, h, boundary, lam)
-    diag, off = data[:n], data[n:]
+    rows, cols, diag, up, down = flux_parts(cs, nodes, h, boundary)
+    off = np.concatenate(tilted_couplings(up, down, h, lam))
     mu, mv = cs.mu_u(nodes), cs.mu_v(nodes)
     i = np.arange(n)
     data = np.concatenate([diag + (cs.r_u(nodes) - mu), off,
@@ -174,8 +174,9 @@ def test_tilt_derivative_matches_flux_stencil(name, lam):
     # M' scales the couplings to node i+1 by -h and those to node i-1 by +h
     cs, n = SKELETON_SETS[name], 64
     op = build_operator(cs, lam, GridSpec(n_cells=n), refine=False)
-    rows, cols, data = flux_stencil(cs, op.nodes, op.h, "periodic", lam)
-    rows, cols, rate = rows[n:], cols[n:], op.h * data[n:]
+    rows, cols, _, up, down = flux_parts(cs, op.nodes, op.h, "periodic")
+    rows, cols = rows[n:], cols[n:]
+    rate = op.h * np.concatenate(tilted_couplings(up, down, op.h, lam))
     rate[:n] *= -1.0
     expected = sp.coo_matrix((np.concatenate([rate, rate]),
                               (np.concatenate([rows, rows + n]),
@@ -183,18 +184,37 @@ def test_tilt_derivative_matches_flux_stencil(name, lam):
     assert np.array_equal(tilt_derivative(op).toarray(), expected.toarray())
 
 
-def test_chain_reuses_skeletons_of_its_latest_solve(monkeypatch):
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """The cell counts of the skeletons built, in order."""
+    counts = []
 
     def counted(cs, n, *args):
-        built.append(n)
+        counts.append(n)
         return _skeleton(cs, n, *args)
     monkeypatch.setattr(eigen, "_skeleton", counted)
+    return counts
+
+
+def test_chain_reuses_skeletons_of_a_nearby_solve(built):
     k = eigen.k_chain(README_SET, None, eigen.K_GRID_TOL)
     first = k(0.5)
     count = len(built)
     second = k(0.6)
     assert first.n_cells == second.n_cells and len(built) == count
+
+
+def test_skeleton_store_keeps_every_level_built(built):
+    # a warm start from 1024 cells begins at 256, past the cold solve's coarse
+    # levels; a later cold solve still finds them in the store
+    store = {}
+    cold = k_of_lambda(README_SET, 0.5, skeletons=store)
+    warm = k_of_lambda(README_SET, 0.5, warm=(np.ones(1024), np.ones(1024)), skeletons=store)
+    assert warm.n_cells >> (warm.levels - 1) == 256
+    count = len(built)
+    again = k_of_lambda(README_SET, 0.5, skeletons=store)
+    assert len(built) == count and again.value == cold.value
+    assert sorted(store) == sorted(built)
 
 
 # -- banded shift-invert solves ----------------------------------------------------

@@ -31,7 +31,7 @@ from rdfronts.pde import (
     simulate,
     stationary_profile,
 )
-from rdfronts.stencil import flux_stencil
+from rdfronts.stencil import flux_parts, tilted_couplings
 
 HOMOG = constant_set(sigma=1.0, r_u=1.0, r_v=1.0, mu_u=0.5, mu_v=0.5)
 
@@ -206,13 +206,19 @@ def stepper_set(sigma):
                       mu_v=CoefficientSpec.cosine(0.5, 0.2, 1.1))
 
 
+def stencil_triplets(cs, nodes, h, boundary):
+    """COO (rows, cols, data) of the untilted stencil, from its parts."""
+    rows, cols, diag, up, down = flux_parts(cs, nodes, h, boundary)
+    return rows, cols, np.concatenate([diag, *tilted_couplings(up, down, h, 0.0)])
+
+
 class SpluStepper:
     """Reference IMEX loop: the reaction one species at a time, then both
     species solved against a SuperLU factor of I - dt_sub * D."""
 
     def __init__(self, cs, nodes, h, boundary, dt_sub, substeps):
         n = len(nodes)
-        rows, cols, data = flux_stencil(cs, nodes, h, boundary)
+        rows, cols, data = stencil_triplets(cs, nodes, h, boundary)
         flux = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
         self.lu = spla.splu((sp.identity(n, format="csc") - dt_sub * flux).tocsc())
         self.coef = [f(nodes) for f in (cs.r_u, cs.r_v, cs.kappa_u, cs.kappa_v,
@@ -239,7 +245,7 @@ def test_factored_solve_matches_dense_solve(boundary, sigma):
     nodes, h = grid(boundary)
     n = len(nodes)
     stepper = Stepper(cs, nodes, h, boundary, 0.05, 1.0)
-    rows, cols, data = flux_stencil(cs, nodes, h, boundary)
+    rows, cols, data = stencil_triplets(cs, nodes, h, boundary)
     dense = np.zeros((n, n))
     np.add.at(dense, (rows, cols), data)
     rhs = np.asfortranarray(np.random.default_rng(7).uniform(-1.0, 1.0, (n, 2)))

@@ -113,6 +113,8 @@ TRACED_CONFIGS = {
               "lambda_step": 0.5},
     "dirichlet": {"coefficients": COSINE_COEFFS, "radii": [1.0, 2.0]},
     "simulate": dict(CONFIGS["simulate"], dt=0.1),           # two substeps a step
+    # the periodic cell, whose I - dt D is factored by spla.splu
+    "stationary": {"coefficients": COSINE_COEFFS, "n_cells": 64},
 }
 
 
@@ -135,3 +137,10 @@ def test_tracer_counts_match_verbose(tmp_path):
     assert verbose["substeps"] > verbose["steps"] > 0
     assert (metrics["pde.steps"], metrics["pde.substeps"]) == (verbose["steps"],
                                                                verbose["substeps"])
+    metrics, verbose = report["stationary"]
+    assert verbose["substeps"] > verbose["steps"] > 0
+    assert (metrics["pde.steps"], metrics["pde.substeps"],
+            metrics["pde.stationary_steps"]) == (verbose["steps"], verbose["substeps"],
+                                                 verbose["steps"])
+    # a factorization that went around spla.splu would leave both at 0
+    assert metrics["pde.lu_factor_s"] > 0 and metrics["pde.solve_s"] > 0

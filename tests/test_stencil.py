@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from rdfronts.coefficients import CoefficientSet, CoefficientSpec, constant_set
 from rdfronts.errors import ValidationError
-from rdfronts.stencil import face_sigma, flux_parts, flux_stencil
+from rdfronts.stencil import face_sigma, flux_parts, tilted_couplings
 
 
 def make_set(sigma):
@@ -20,6 +20,12 @@ SETS = {
     "cosine": make_set(CoefficientSpec.cosine(1.0, 0.3, 0.4, harmonics=[(0.1, 2, 1.0)])),
     "piecewise": make_set(CoefficientSpec.piecewise([0.0, 0.3, 0.65], [1.0, 0.6, 1.4])),
 }
+
+
+def triplets(cs, nodes, h, boundary, lam=0.0):
+    """COO (rows, cols, data) of the stencil tilted by lam, from its parts."""
+    rows, cols, diag, up, down = flux_parts(cs, nodes, h, boundary)
+    return rows, cols, np.concatenate([diag, *tilted_couplings(up, down, h, lam)])
 
 
 def dense(triplets, n):
@@ -42,8 +48,8 @@ def dirichlet_nodes(n=40, R=2.0):
 def test_tilt_is_conjugation_by_exponential(name, boundary, lam):
     nodes, h = dirichlet_nodes()
     n = len(nodes)
-    d0 = dense(flux_stencil(SETS[name], nodes, h, boundary), n)
-    tilted = dense(flux_stencil(SETS[name], nodes, h, boundary, lam), n)
+    d0 = dense(triplets(SETS[name], nodes, h, boundary), n)
+    tilted = dense(triplets(SETS[name], nodes, h, boundary, lam), n)
     expected = np.exp(lam * nodes)[:, None] * d0 * np.exp(-lam * nodes)[None, :]
     np.testing.assert_allclose(tilted, expected, rtol=1e-12, atol=0.0)
 
@@ -53,12 +59,12 @@ def test_tilt_is_conjugation_by_exponential(name, boundary, lam):
 def test_diagonal_triplets_come_first(name, boundary):
     nodes, h = dirichlet_nodes()
     n = len(nodes)
-    rows, cols, data = flux_stencil(SETS[name], nodes, h, boundary, 1.5)
+    rows, cols, data = triplets(SETS[name], nodes, h, boundary, 1.5)
     assert np.array_equal(rows[:n], np.arange(n))
     assert np.array_equal(cols[:n], np.arange(n))
     assert not np.any(rows[n:] == cols[n:])
     assert np.all(data[:n] < 0) and np.all(data[n:] > 0)
-    # then the couplings to node i+1, then those to node i-1 (eigen.tilt_slope relies on it)
+    # then the couplings to node i+1, then those to node i-1 (eigen._skeleton slices by it)
     m = (len(rows) - n) // 2
     assert np.all((cols[n:n + m] - rows[n:n + m]) % n == 1)
     assert np.all((rows[n + m:] - cols[n + m:]) % n == 1)
@@ -72,7 +78,7 @@ def test_untilted_rows_sum_to_zero(name, boundary):
     n = 256
     h = 1.0 / n
     nodes = h * np.arange(n)
-    rows, cols, data = flux_stencil(SETS[name], nodes, h, boundary)
+    rows, cols, data = triplets(SETS[name], nodes, h, boundary)
     row_sums = np.bincount(rows, weights=data, minlength=n)
     assert np.max(np.abs(row_sums)) <= 8.0 * np.finfo(float).eps * np.max(np.abs(data))
 
@@ -80,7 +86,7 @@ def test_untilted_rows_sum_to_zero(name, boundary):
 def test_unknown_boundary_rejected():
     nodes, h = dirichlet_nodes()
     with pytest.raises(ValidationError):
-        flux_stencil(SETS["cosine"], nodes, h, "absorbing")
+        flux_parts(SETS["cosine"], nodes, h, "absorbing")
 
 
 @pytest.mark.parametrize("h", [1e-300, 1e300, np.float64(1e-200), np.float64(1e200)])
@@ -107,7 +113,7 @@ def test_diagonal_that_is_not_finite_rejected(sigma, boundary):
 def test_untilted_matrix_is_exactly_symmetric(name, boundary):
     # one sigma per face, shared by the two nodes beside it
     nodes, h = dirichlet_nodes()
-    d0 = dense(flux_stencil(SETS[name], nodes, h, boundary), len(nodes))
+    d0 = dense(triplets(SETS[name], nodes, h, boundary), len(nodes))
     assert np.array_equal(d0, d0.T)
 
 
