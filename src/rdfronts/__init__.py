@@ -13,7 +13,6 @@ from .coefficients import (
     CoefficientSpec,
     HomogenizedSet,
     constant_set,
-    from_sis,
     homogenize,
     rescale_epsilon,
 )

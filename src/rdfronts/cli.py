@@ -239,7 +239,8 @@ def run_sweep(cfg: dict, artifacts: Artifacts, jobs: int) -> dict:
     cs, k_tol, eps_list = cfg["coefficients"], cfg["k_tolerance"], cfg["epsilons"]
     target = speeds.homogenized_speed(coeffs.homogenize(cs))
     tasks = [(cs, float(e), k_tol, target) for e in eps_list]
-    workers = min(jobs, len(tasks))    # the pool starts all its workers up front
+    # the pool starts all its workers up front: no more than rows or usable CPUs
+    workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows, k_evals = zip(*pool.map(_sweep_row, tasks))

@@ -134,51 +134,6 @@ class CoefficientSpec:
         return float(out) if out.ndim == 0 else out
 
 
-# -- spec algebra -----------------------------------------------------------
-
-def scale_shift(spec: CoefficientSpec, scale: float, shift: float) -> CoefficientSpec:
-    """Exact representation of scale*spec + shift, staying within the same kind."""
-    if spec.kind == "constant":
-        return replace(spec, value=scale * spec.value + shift)
-    if spec.kind == "cosine":
-        return replace(spec, mean=scale * spec.mean + shift,
-                       amplitude=scale * spec.amplitude,
-                       harmonics=tuple((scale * a, n, p) for a, n, p in spec.harmonics))
-    if spec.kind == "piecewise_constant":
-        return replace(spec, values=tuple(scale * v + shift for v in spec.values))
-    return replace(spec, samples=tuple(scale * s + shift for s in spec.samples))
-
-
-def combine(a: float, spec_a: CoefficientSpec, b: float,
-            spec_b: CoefficientSpec) -> CoefficientSpec:
-    """a*spec_a + b*spec_b as a single spec.
-
-    Exact whenever one side is constant, both are piecewise constant, or both
-    are cosine series; other mixes are tabulated on PROBE_POINTS samples (the
-    table is a continuous surrogate, adequate for the sampled-coefficient
-    workflows).
-    """
-    if spec_a.period != spec_b.period:
-        raise ValidationError("cannot combine specs with different periods")
-    if spec_b.kind == "constant":
-        return scale_shift(spec_a, a, b * spec_b.value)
-    if spec_a.kind == "constant":
-        return scale_shift(spec_b, b, a * spec_a.value)
-    if spec_a.kind == "cosine" and spec_b.kind == "cosine":
-        harmonics = [(a * amp, n, p) for amp, n, p in spec_a.harmonics]
-        harmonics.append((b * spec_b.amplitude, 1, spec_b.phase))
-        harmonics.extend((b * amp, n, p) for amp, n, p in spec_b.harmonics)
-        return replace(spec_a, mean=a * spec_a.mean + b * spec_b.mean,
-                       amplitude=a * spec_a.amplitude,
-                       harmonics=tuple(harmonics))
-    if spec_a.kind == "piecewise_constant" and spec_b.kind == "piecewise_constant":
-        brk = sorted(set(spec_a.breakpoints) | set(spec_b.breakpoints))
-        vals = [a * spec_a(x) + b * spec_b(x) for x in brk]
-        return CoefficientSpec.piecewise(brk, vals, period=spec_a.period)
-    xs = np.arange(PROBE_POINTS) * (spec_a.period / PROBE_POINTS)
-    return CoefficientSpec.table(a * spec_a(xs) + b * spec_b(xs), period=spec_a.period)
-
-
 def mirror(spec: CoefficientSpec) -> CoefficientSpec:
     """The reflected coefficient x -> spec(-x), again L-periodic.
 
@@ -281,25 +236,6 @@ def mirror_set(cs: CoefficientSet) -> CoefficientSet:
     """Reflect every coefficient about x=0."""
     return CoefficientSet(period=cs.period,
                           **{n: mirror(getattr(cs, n)) for n in COEFFICIENT_NAMES})
-
-
-def from_sis(N: float, sigma: CoefficientSpec,
-             beta1: CoefficientSpec, beta2: CoefficientSpec,
-             gamma1: CoefficientSpec, gamma2: CoefficientSpec,
-             mu1: CoefficientSpec, mu2: CoefficientSpec,
-             L: float) -> CoefficientSet:
-    """Reduce a constant-total-population two-pathogen SIS model.
-
-    The infected densities obey the two-species system with growth rates
-    N*beta_i - gamma_i, competition kappa_i = beta_i and unchanged mutation
-    rates; the diffusivity carries over as-is.
-    """
-    if not (N > 0):
-        raise ValidationError("total population N must be positive")
-    r_u = combine(N, beta1, -1.0, gamma1)
-    r_v = combine(N, beta2, -1.0, gamma2)
-    return CoefficientSet(period=L, sigma=sigma, r_u=r_u, r_v=r_v,
-                          kappa_u=beta1, kappa_v=beta2, mu_u=mu1, mu_v=mu2)
 
 
 def rescale_epsilon(cs: CoefficientSet, eps: float) -> CoefficientSet:

@@ -20,12 +20,13 @@ k'(lambda) follows from the right and left Perron vectors (``tilt_slope``).
 
 Only those flux couplings depend on lambda.  An ``OperatorSkeleton`` holds
 the grid's CSR pattern and the rest of the operator, and ``_operator`` tilts
-it into an operator on that pattern; the transposed operator of the left
-Perron solve stays on it too.  A warm chain keeps every skeleton it built.
-The Perron iteration solves shifted systems with a banded LU (LAPACK
+it into an operator on that pattern.  A warm chain keeps every skeleton it
+built.  The Perron iteration solves shifted systems with a banded LU (LAPACK
 dgbtrf/dgbtrs) in an order that interleaves the species and visits the
 periodic ring zig-zag, which keeps the band at 4 sub- and superdiagonals (2
-on Dirichlet operators).
+on Dirichlet operators).  An operator holds its band, so the left Perron
+vector is solved with the transposed factors (dgbtrs trans=1) of the right
+solve's last shift.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ class OperatorSkeleton:
     of the couplings to node i+1 and to node i-1, for u and for v, and
     up_sigma and down_sigma their face sigma.  Only the couplings depend on
     lambda, through exp(-+lambda h), so _operator tilts a skeleton into any
-    operator on its grid.  The band pattern of the Perron solves, the M'
-    weights and the transpose permutation are built on first use, and so are
-    the plans that interpolate a warm start onto a periodic grid.
+    operator on its grid.  The band pattern of the Perron solves and the M'
+    weights are built on first use, and so are the plans that interpolate a
+    warm start onto a periodic grid.
     """
 
     n: int
@@ -174,16 +175,6 @@ class OperatorSkeleton:
         weights[self.up_slots], weights[self.down_slots] = -self.h, self.h
         return weights
 
-    @cached_property
-    def transpose(self) -> np.ndarray:
-        """The slot of entry (c, r) for the entry (r, c) in each slot.  The
-        pattern is structurally symmetric, so M^T has M's indices and indptr
-        and the data M.data[transpose]."""
-        rows, size = self.band.rows.astype(np.int64), 2 * self.n
-        keys = rows * size + self.indices              # ascending, in CSR order
-        swapped = self.indices.astype(np.int64) * size + rows
-        return np.searchsorted(keys, swapped).astype(np.int32)
-
 
 def _skeleton(cs: CoefficientSet, n: int,
               half_width: Optional[float] = None) -> OperatorSkeleton:
@@ -238,15 +229,20 @@ class DiscreteOperator:
     def dimension(self) -> int:
         return 2 * self.n
 
-    def transposed(self) -> DiscreteOperator:
-        """The operator with matrix M^T, on the same pattern."""
-        grid = self.skeleton
-        return DiscreteOperator(grid.csr(self.matrix.data[grid.transpose]), self.lam, grid)
+    @cached_property
+    def shifted(self) -> _ShiftedBand:
+        """The banded LU of its Perron solves, built on first use.  It holds
+        the last shift factored, for the left solve that follows the right
+        one; it lives as long as the operator, which a refinement loop drops
+        level by level."""
+        return _ShiftedBand(self)
 
 
 @dataclass
 class EigenResult:
-    """Principal eigenvalue with its positive discrete eigenvector pair."""
+    """Principal eigenvalue with its positive discrete eigenvector pair.  A
+    k_of_lambda(slope=True) result counts the left solve behind its slope in
+    its iterations and factorizations."""
 
     value: float
     phi: np.ndarray
@@ -260,7 +256,6 @@ class EigenResult:
     levels: int = 1                          # grid levels solved (1 for a single operator)
     factorizations: int = 0                  # banded LU factorizations, summed like iterations
     slope: Optional[float] = None            # d value / d lambda, from k_of_lambda(slope=True)
-    left: Optional[Tuple[np.ndarray, np.ndarray]] = None   # left Perron pair behind slope
 
     def eigenvector(self) -> np.ndarray:
         return np.concatenate([self.phi, self.psi])
@@ -370,9 +365,11 @@ class _ShiftedBand:
     The matrix must be on its skeleton's CSR pattern, whose band pattern
     places the entries, with nonnegative off-diagonals (ValidationError
     otherwise).  far_shift is max row sum + 1 and norm max_i sum_j |M_ij|.
-    factor(s) factors M - sI by dgbtrf (NumericalError on a zero pivot), and
-    solve negates its solution: rounding is symmetric, so that is bitwise
-    the solution with sI - M.
+    factor(s) factors M - sI by dgbtrf (NumericalError on a zero pivot) and
+    keeps s as shift.  solve negates its solution: rounding is symmetric, so
+    that is bitwise the solution with sI - M, or with its transpose given
+    trans=1.  The band order P needs no change for the transpose, as
+    (P A P^T)^T = P A^T P^T.
     """
 
     def __init__(self, op: DiscreteOperator):
@@ -395,10 +392,11 @@ class _ShiftedBand:
         # the flat view that the slots index.
         self._flat = np.empty(op.dimension * band.depth)
         self._work = self._flat.reshape(op.dimension, band.depth).T
-        self._pivots = None
+        self._pivots = self.shift = None
 
     def factor(self, shift: float) -> None:
         band = self.band
+        self.shift = None                         # until the new factors are in place
         self._flat.fill(0.0)
         self._flat[band.slots] = self._data
         self._work[band.kl + band.ku] -= shift
@@ -406,15 +404,16 @@ class _ShiftedBand:
         if info != 0:
             raise NumericalError(f"shifted operator is singular at s={shift:.17g}: "
                                  f"dgbtrf info {info}")
+        self.shift = shift
 
-    def solve(self, w: np.ndarray) -> np.ndarray:
+    def solve(self, w: np.ndarray, trans: int = 0) -> np.ndarray:
         band = self.band
         x, _ = dgbtrs(self._work, band.kl, band.ku, w[band.order], self._pivots,
-                      overwrite_b=1)
+                      trans=trans, overwrite_b=1)
         return np.negative(x[band.perm], out=x)
 
 
-def principal_eigenpair(op: DiscreteOperator, warm=None) -> EigenResult:
+def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> EigenResult:
     """Perron eigenpair of a cooperative discrete operator by shift-invert iteration.
 
     Each step solves (sI - M) y = w and normalizes y.  For every shift s above
@@ -440,23 +439,28 @@ def principal_eigenpair(op: DiscreteOperator, warm=None) -> EigenResult:
     sup-norm residual of M w - value w below RESIDUAL_TOL.  That residual
     cannot drop below machine epsilon times the operator norm (the flux
     entries scale like 1/h^2), so the tolerance is floored there on fine grids.
+
+    With left=True the pair is that of M^T, the left Perron pair of M: the
+    steps solve with the transposed factors of the operator's band, and the
+    first one uses the shift a previous solve on the operator left factored,
+    if any.  A solve without a held shift starts on s_far.
     """
-    matrix = op.matrix
-    band = _ShiftedBand(op)
+    matrix = op.matrix.T if left else op.matrix
+    band = op.shifted
     rounding = 8.0 * np.finfo(float).eps * band.norm
     residual_tol = max(RESIDUAL_TOL, rounding)
 
     w = _start_vector(op, warm)
     value, residual, mw = _rayleigh_and_residual(matrix, w)
-    shift = None
-    next_shift = band.far_shift
+    shift = band.shift if left else None
+    next_shift = band.far_shift if shift is None else shift
     factorizations = 0
     for it in range(1, MAX_ITERATIONS + 1):
         if next_shift != shift:
             shift = next_shift
             band.factor(shift)
             factorizations += 1
-        w = band.solve(w)
+        w = band.solve(w, trans=int(left))
         if not (w > 0).all():
             raise NumericalError(f"shift-invert step at s={shift:.17g} produced a "
                                  f"non-positive iterate (min {np.min(w):.3e})")
@@ -491,19 +495,18 @@ def tilt_derivative(op: DiscreteOperator) -> sp.csr_matrix:
     return op.skeleton.csr(op.skeleton.slope_weights * op.matrix.data)
 
 
-def tilt_slope(op: DiscreteOperator, right: EigenResult,
-               left_warm=None) -> Tuple[float, EigenResult]:
+def tilt_slope(op: DiscreteOperator, right: EigenResult) -> Tuple[float, EigenResult]:
     """dk/dlambda of the Perron root of a tilted operator, and its left eigenpair.
 
     Hellmann-Feynman: k' = y^T M'(lambda) x / y^T x, where x is the Perron
-    vector of `right` and y the left one, the Perron vector of the transposed
-    operator (solved warm from left_warm, else from x), and M' comes from
-    tilt_derivative.  Each Perron root is accurate to about its residual,
-    which is floored at rounding level on fine grids, so the two roots must
-    agree to within the sum of the residuals plus LEFT_RIGHT_TOL (relative);
-    otherwise NumericalError.
+    vector of `right`, solved on op, and y the left one, solved from x on the
+    factorization op's band still holds (principal_eigenpair with left=True),
+    and M' comes from tilt_derivative.  Each Perron root is accurate to about its
+    residual, which is floored at rounding level on fine grids, so the two
+    roots must agree to within the sum of the residuals plus LEFT_RIGHT_TOL
+    (relative); otherwise NumericalError.
     """
-    left = principal_eigenpair(op.transposed(), warm=left_warm or (right.phi, right.psi))
+    left = principal_eigenpair(op, warm=(right.phi, right.psi), left=True)
     gap = abs(left.value - right.value)
     if gap > LEFT_RIGHT_TOL * max(1.0, abs(right.value)) + right.residual + left.residual:
         raise NumericalError(f"left and right Perron roots differ by {gap:.2e} on the "
@@ -569,7 +572,7 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm,
 
 def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
                 tol: float = K_GRID_TOL, warm=None, slope: bool = False,
-                left_warm=None, skeletons: Optional[dict] = None) -> EigenResult:
+                skeletons: Optional[dict] = None) -> EigenResult:
     """Exponent-tilted principal eigenvalue k(lambda) with automatic refinement.
 
     The returned value is the Richardson extrapolation of the two finest
@@ -583,8 +586,8 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
     where the previous solve did, and the grid can still coarsen by one.
 
     With slope=True the result also carries k'(lambda) from tilt_slope on the
-    finest level, and the left Perron pair behind it (warm-started from
-    left_warm).
+    finest level, and its iterations and factorizations include that left
+    solve's.
 
     skeletons maps cell counts to operator skeletons of cs.  A chain passes
     one dict to all its solves: each solve takes the skeletons of its levels
@@ -601,8 +604,9 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
         return _operator(held[m], lam)
     res, op, value = _refine_to_tolerance(make_op, n, tol, warm, f"lambda={lam}")
     if slope:
-        res.slope, left = tilt_slope(op, res, left_warm)
-        res.left = (left.phi, left.psi)
+        res.slope, left = tilt_slope(op, res)
+        res.iterations += left.iterations
+        res.factorizations += left.factorizations
     res.value = value
     return res
 
@@ -643,19 +647,17 @@ def dirichlet_eigenvalue(cs: CoefficientSet, R: float,
 
 def _warm_chain(solve: Callable[..., EigenResult],
                 start: Optional[EigenResult] = None) -> Callable[[float], EigenResult]:
-    """solve(param, warm, left_warm) as a one-argument function that starts
-    each solve from the eigenvector, and the left Perron pair if it has one,
-    of the previous solve, the first one from `start` when given.  This is
-    the only place that carries an eigenvector from one k(lambda) or
-    Dirichlet solve to the next."""
-    warm = left = None
-    if start is not None:
-        warm, left = (start.phi, start.psi), start.left
+    """solve(param, warm) as a one-argument function that starts each solve
+    from the eigenvector of the previous solve, the first one from `start`
+    when given.  This is the only place that carries an eigenvector from one
+    k(lambda) or Dirichlet solve to the next; a left Perron solve starts from
+    its own right vector."""
+    warm = None if start is None else (start.phi, start.psi)
 
     def step(param: float) -> EigenResult:
-        nonlocal warm, left
-        res = solve(float(param), warm, left)
-        warm, left = (res.phi, res.psi), res.left
+        nonlocal warm
+        res = solve(float(param), warm)
+        warm = (res.phi, res.psi)
         return res
     return step
 
@@ -668,9 +670,8 @@ def k_chain(cs: CoefficientSet, grid: Optional[GridSpec], tol: float,
     every operator skeleton its solves built, and the next solve, near the
     last in lambda, mostly reuses them."""
     skeletons = {}
-    return _warm_chain(lambda lam, warm, left: k_of_lambda(cs, lam, grid, tol, warm=warm,
-                                                           slope=slope, left_warm=left,
-                                                           skeletons=skeletons), start)
+    return _warm_chain(lambda lam, warm: k_of_lambda(cs, lam, grid, tol, warm=warm,
+                                                     slope=slope, skeletons=skeletons), start)
 
 
 def k_curve(cs: CoefficientSet, lambdas: Sequence[float],
@@ -685,5 +686,5 @@ def dirichlet_sweep(cs: CoefficientSet, radii: Sequence[float],
     every radius's first level is checked against the cap before any solve."""
     for R in radii:
         _dirichlet_cells(cs, R, grid)
-    return list(map(_warm_chain(lambda R, warm, _: dirichlet_eigenvalue(cs, R, grid, tol,
-                                                                        warm=warm)), radii))
+    return list(map(_warm_chain(lambda R, warm: dirichlet_eigenvalue(cs, R, grid, tol,
+                                                                     warm=warm)), radii))

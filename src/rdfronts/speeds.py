@@ -66,7 +66,7 @@ class SpeedReport:
     bound_high: float
     hair_trigger: Optional[bool]
     # Not an artifact field: the k(lambda) solves of each search ("right",
-    # "left", "k_min") in the order they were made.
+    # k(0) first, "left", "k_min") in the order they were made.
     solves: Dict[str, List[EigenResult]] = field(default_factory=dict, repr=False,
                                                  compare=False)
 
@@ -170,7 +170,7 @@ def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
             f"spreading-speed formula needs a positive periodic principal "
             f"eigenvalue; got k(0) = {k0.value:.6g}")
     lam0 = math.sqrt(k0.value / periodic_mean(cs.sigma))
-    solves = {"right": [], "left": [], "k_min": []}
+    solves = {"right": [k0], "left": [], "k_min": []}
 
     def logged(k: Callable[[float], EigenResult], search: str):
         def solve(lam: float) -> EigenResult:

@@ -423,7 +423,7 @@ def test_speed_verbose_reports_k_evals_on_stderr(tmp_path, capsys, monkeypatch):
             == sorted(record["factorizations"]) == sorted(record["finest_cells"])
             == sorted(solves) == searches)
     for search in searches:
-        # the right Perron solves of each search; tilt_slope's left ones are not counted
+        # the Perron solves of each search, tilt_slope's left ones included
         assert record["iterations"][search] == sum(r.iterations for r in solves[search])
         assert record["k_evals"][search] == len(solves[search])
         # every k(lambda) solve takes at least two grid levels
@@ -1147,10 +1147,21 @@ class RecordingPool:
 def test_sweep_starts_no_more_workers_than_rows(tmp_path, monkeypatch, jobs, workers):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
     payload = {"coefficients": HOMOG_COEFFS, "epsilons": [1.0, 0.5]}
     assert run(tmp_path, "sweep", payload, jobs=jobs) == 0
     assert RecordingPool.created == workers
     assert len((tmp_path / "out_sweep.csv").read_text().splitlines()) == 2 + 2
+
+
+def test_sweep_starts_no_more_workers_than_cpus(tmp_path, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    payload = {"coefficients": HOMOG_COEFFS, "epsilons": [1.0, 0.5, 0.25]}
+    assert run(tmp_path, "sweep", payload, jobs=64) == 0
+    assert RecordingPool.created == [2]
+    assert len((tmp_path / "out_sweep.csv").read_text().splitlines()) == 2 + 3
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

@@ -9,8 +9,6 @@ from rdfronts.coefficients import (
     COEFFICIENT_NAMES,
     CoefficientSet,
     CoefficientSpec,
-    combine,
-    from_sis,
     homogenize,
     mirror,
     mirror_set,
@@ -150,39 +148,6 @@ def test_probe_extrema():
     assert cs.k_bar == pytest.approx(cs.r_max / cs.kappa_min)
 
 
-# -- SIS reduction ----------------------------------------------------------------
-
-def test_from_sis_constants():
-    c = CoefficientSpec.constant
-    cs = from_sis(1.0, c(1.0), c(1.0), c(1.0), c(0.5), c(0.5), c(0.3), c(0.3), 1.0)
-    assert cs.r_u(0.2) == pytest.approx(0.5)
-    assert cs.r_v(0.2) == pytest.approx(0.5)
-    assert cs.kappa_u(0.9) == 1.0
-
-
-def test_from_sis_negative_growth():
-    c = CoefficientSpec.constant
-    cs = from_sis(2.0, c(1.0), c(1.0), c(1.0), c(3.0), c(0.5), c(0.3), c(0.3), 1.0)
-    assert cs.r_u(0.0) == pytest.approx(-1.0)
-
-
-def test_from_sis_preserves_cosine_spec():
-    beta = CoefficientSpec.cosine(1.0, 0.5)
-    c = CoefficientSpec.constant
-    cs = from_sis(1.0, c(1.0), beta, c(1.0), c(0.0, 1.0), c(0.0, 1.0),
-                  c(0.3), c(0.3), 1.0)
-    assert cs.r_u.kind == "cosine"
-    xs = np.linspace(0, 1, 64)
-    assert cs.r_u(xs) == pytest.approx(beta(xs))
-    assert cs.kappa_u(xs) == pytest.approx(beta(xs))
-
-
-def test_from_sis_nonpositive_N_rejected():
-    c = CoefficientSpec.constant
-    with pytest.raises(ValidationError):
-        from_sis(0.0, c(1.0), c(1.0), c(1.0), c(0.5), c(0.5), c(0.3), c(0.3), 1.0)
-
-
 # -- epsilon rescaling ------------------------------------------------------------
 
 def test_rescale_identity():
@@ -252,23 +217,7 @@ def test_homogenize_invariant_under_rescaling(eps):
         assert h1.to_dict()[key] == pytest.approx(val, abs=1e-9), key
 
 
-# -- spec algebra -----------------------------------------------------------------
-
-def test_combine_cosines_exact():
-    a = CoefficientSpec.cosine(1.0, 0.5, 0.2)
-    b = CoefficientSpec.cosine(0.3, 0.1, 1.2, harmonics=[(0.05, 2, 0.0)])
-    out = combine(2.0, a, -1.0, b)
-    xs = np.linspace(0, 1, 97)
-    assert out(xs) == pytest.approx(2.0 * a(xs) - b(xs), abs=1e-14)
-
-
-def test_combine_piecewise_merges_breakpoints():
-    a = CoefficientSpec.piecewise([0.0, 0.5], [1.0, 2.0])
-    b = CoefficientSpec.piecewise([0.0, 0.25, 0.75], [0.1, 0.2, 0.3])
-    out = combine(1.0, a, 1.0, b)
-    xs = np.linspace(0, 1, 101, endpoint=False)
-    assert out(xs) == pytest.approx(a(xs) + b(xs))
-
+# -- mirroring ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("spec", ALL_KINDS)
 def test_mirror_reflects(spec):

@@ -23,7 +23,9 @@ from rdfronts.eigen import (
     tilt_slope,
 )
 from rdfronts.errors import NumericalError, ValidationError
+from rdfronts.speeds import spreading_speeds
 from rdfronts.stencil import flux_parts, tilted_couplings
+from test_properties import assert_perron_pair
 
 
 def cosine_set(**overrides):
@@ -223,11 +225,10 @@ def test_skeleton_store_keeps_every_level_built(built):
 @pytest.mark.parametrize("half_width", [None, 2.0])
 @pytest.mark.parametrize("n", [33, 64])
 def test_banded_solve_matches_dense(n, half_width, transpose):
+    # transpose: the trans=1 solve on the same factors, against (sI - M)^T
     cs = SKELETON_SETS["piecewise_sigma"]
     op = build_operator(cs, 0.0 if half_width else 1.5, GridSpec(n_cells=n),
                         half_width=half_width, refine=False)
-    if transpose:
-        op = op.transposed()
     dense = op.matrix.toarray()
     band = _ShiftedBand(op)
     assert (band.band.kl, band.band.ku) == ((2, 2) if half_width else (4, 4))
@@ -238,8 +239,11 @@ def test_banded_solve_matches_dense(n, half_width, transpose):
     near = (k + 0.1,) if half_width else ()
     for shift in (band.far_shift, k + 1.0) + near:
         band.factor(shift)
-        exact = np.linalg.solve(shift * np.eye(2 * n) - dense, rhs)
-        assert np.max(np.abs(band.solve(rhs) - exact)) <= 1e-12 * np.max(np.abs(exact))
+        shifted = shift * np.eye(2 * n) - dense
+        exact = np.linalg.solve(shifted.T if transpose else shifted, rhs)
+        solved = band.solve(rhs, trans=int(transpose))
+        assert band.shift == shift
+        assert np.max(np.abs(solved - exact)) <= 1e-12 * np.max(np.abs(exact))
     if near:
         assert np.any(band._pivots != np.arange(2 * n))
 
@@ -258,15 +262,17 @@ def test_singular_band_factor_raises():
 
 @pytest.mark.parametrize("half_width", [None, 2.0])
 @pytest.mark.parametrize("n", [16, 33, 64])
-def test_transposed_operator_shares_the_pattern(n, half_width):
+def test_left_pair_is_the_perron_pair_of_the_transpose(n, half_width):
+    # solved on the factors the right solve left on the operator's band
     op = build_operator(SKELETON_SETS["piecewise_sigma"], 0.0 if half_width else 1.5,
                         GridSpec(n_cells=n), half_width=half_width, refine=False)
-    left = op.transposed()
-    assert left.matrix.format == "csr" and left.skeleton is op.skeleton
-    for name in ("indices", "indptr"):            # views of the skeleton's arrays
-        assert np.shares_memory(getattr(left.matrix, name), getattr(op.matrix, name))
-        assert np.array_equal(getattr(left.matrix, name), getattr(op.matrix, name))
-    assert np.array_equal(left.matrix.toarray(), op.matrix.T.toarray())
+    right = principal_eigenpair(op)
+    left = principal_eigenpair(op, warm=(right.phi, right.psi), left=True)
+    dense = op.matrix.toarray().T
+    y = left.eigenvector()
+    assert np.all(y > 0)
+    assert np.max(np.abs(dense @ y - left.value * y)) <= 1e-9
+    assert_perron_pair(dense, left)
 
 
 @pytest.mark.parametrize("half_width", [None, 2.0])
@@ -464,13 +470,33 @@ def test_tilt_slope_rejects_disagreeing_roots():
         tilt_slope(op, replace(right, value=right.value + 1e-6))
 
 
-def test_k_of_lambda_slope_matches_centred_difference():
+def test_k_of_lambda_slope_matches_centred_difference(monkeypatch):
     cs, d = SLOPE_SETS["cosine"], 1e-3
+    tilt, pairs = eigen.tilt_slope, []
+    monkeypatch.setattr(eigen, "tilt_slope", lambda *args: pairs.append(tilt(*args)) or pairs[-1])
     res = k_of_lambda(cs, 1.0, slope=True)
     assert k_of_lambda(cs, 1.0).slope is None
     centred = (k_of_lambda(cs, 1.0 + d).value - k_of_lambda(cs, 1.0 - d).value) / (2 * d)
     assert res.slope == pytest.approx(centred, abs=1e-5)
-    assert np.all(res.left[0] > 0) and np.all(res.left[1] > 0)
+    (slope, left), = pairs                        # the left pair behind the slope
+    assert slope == res.slope
+    assert np.all(left.phi > 0) and np.all(left.psi > 0)
+
+
+@pytest.mark.parametrize("name", sorted(SLOPE_SETS))
+def test_left_solves_reuse_the_right_factors(name, monkeypatch):
+    # a left solve starts on the shift the right solve left factored, so most
+    # take no factorization of their own
+    solve, lefts = eigen.principal_eigenpair, []
+
+    def kept(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        if kwargs.get("left"):
+            lefts.append(res)
+        return res
+    monkeypatch.setattr(eigen, "principal_eigenpair", kept)
+    spreading_speeds(SLOPE_SETS[name])
+    assert lefts and sum(res.factorizations for res in lefts) < len(lefts)
 
 
 def test_k_zero_is_periodic_eigenvalue():

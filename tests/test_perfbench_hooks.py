@@ -112,6 +112,8 @@ TRACED_CONFIGS = {
     "eigen": {"coefficients": COSINE_COEFFS, "lambda_min": -1.0, "lambda_max": 1.0,
               "lambda_step": 0.5},
     "dirichlet": {"coefficients": COSINE_COEFFS, "radii": [1.0, 2.0]},
+    "speed": {"coefficients": COSINE_COEFFS, "lambda_min": -1.0, "lambda_max": 1.0,
+              "lambda_step": 0.5},
     "simulate": dict(CONFIGS["simulate"], dt=0.1),           # two substeps a step
     # the periodic cell, whose I - dt D is factored by spla.splu
     "stationary": {"coefficients": COSINE_COEFFS, "n_cells": 64},
@@ -133,6 +135,11 @@ def test_tracer_counts_match_verbose(tmp_path):
         metrics, verbose = report[command]
         assert verbose["iterations"] > verbose["levels"] > 0
         assert metrics["eigen.perron_iterations"] == verbose["iterations"]
+    # per search, k(0) and tilt_slope's left solves included
+    metrics, verbose = report["speed"]
+    assert sum(verbose["iterations"].values()) > sum(verbose["k_evals"].values()) > 0
+    assert metrics["eigen.perron_iterations"] == sum(verbose["iterations"].values())
+    assert metrics["eigen.k_evals"] == sum(verbose["k_evals"].values())
     metrics, verbose = report["simulate"]
     assert verbose["substeps"] > verbose["steps"] > 0
     assert (metrics["pde.steps"], metrics["pde.substeps"]) == (verbose["steps"],

@@ -96,23 +96,23 @@ def test_spec_round_trips_exactly(spec):
 
 # -- Perron eigenpairs --------------------------------------------------------
 
-def assert_perron_pair(op):
-    """A positive eigenvector w, whose ratios Mw/w bracket k within twice the
-    residual over min(w) (their Collatz-Wielandt bracket), and a k that the
-    row sums, the ratios of the constant vector, bracket as well.  A positive
-    vector that is not an eigenvector, w perturbed by up to 5%, still has
-    max(Mx/x) >= k: the Collatz-Wielandt upper bound."""
-    res = principal_eigenpair(op)
+def assert_perron_pair(matrix, res):
+    """res holds a positive eigenvector w of the matrix M, whose ratios Mw/w
+    bracket k within twice the residual over min(w) (their Collatz-Wielandt
+    bracket), and a k that the row sums, the ratios of the constant vector,
+    bracket as well.  A positive vector that is not an eigenvector, w
+    perturbed by up to 5%, still has max(Mx/x) >= k: the Collatz-Wielandt
+    upper bound."""
     w = res.eigenvector()
     assert np.min(w) > 0
     slack = (res.residual + res.rounding) / np.min(w)
-    ratios = (op.matrix @ w) / w
+    ratios = (matrix @ w) / w
     assert np.min(ratios) - slack <= res.value <= np.max(ratios) + slack
     assert np.max(ratios) - np.min(ratios) <= 2.0 * slack
-    row_sums = op.matrix @ np.ones(op.dimension)
+    row_sums = matrix @ np.ones(len(w))
     assert np.min(row_sums) - slack <= res.value <= np.max(row_sums) + slack
-    noisy = w * (1.0 + 0.05 * np.random.default_rng(7).random(op.dimension))
-    assert np.max((op.matrix @ noisy) / noisy) >= res.value - slack
+    noisy = w * (1.0 + 0.05 * np.random.default_rng(7).random(len(w)))
+    assert np.max((matrix @ noisy) / noisy) >= res.value - slack
 
 
 cells = st.integers(16, 128)
@@ -121,13 +121,15 @@ cells = st.integers(16, 128)
 @SETTINGS
 @given(cs=coefficient_sets(), lam=st.floats(-3.0, 3.0), n=cells)
 def test_tilted_perron_vector_is_positive_and_bracketed(cs, lam, n):
-    assert_perron_pair(build_operator(cs, lam, GridSpec(n_cells=n), refine=False))
+    op = build_operator(cs, lam, GridSpec(n_cells=n), refine=False)
+    assert_perron_pair(op.matrix, principal_eigenpair(op))
 
 
 @SETTINGS
 @given(cs=coefficient_sets(), half_width=st.floats(0.25, 8.0), n=cells)
 def test_dirichlet_perron_vector_is_positive_and_bracketed(cs, half_width, n):
-    assert_perron_pair(build_operator(cs, 0.0, GridSpec(n_cells=n), half_width=half_width))
+    op = build_operator(cs, 0.0, GridSpec(n_cells=n), half_width=half_width)
+    assert_perron_pair(op.matrix, principal_eigenpair(op))
 
 
 # -- k(lambda) and mirror symmetry ----------------------------------------------
