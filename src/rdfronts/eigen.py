@@ -501,10 +501,10 @@ def tilt_slope(op: DiscreteOperator, right: EigenResult) -> Tuple[float, EigenRe
     Hellmann-Feynman: k' = y^T M'(lambda) x / y^T x, where x is the Perron
     vector of `right`, solved on op, and y the left one, solved from x on the
     factorization op's band still holds (principal_eigenpair with left=True),
-    and M' comes from tilt_derivative.  Each Perron root is accurate to about its
-    residual, which is floored at rounding level on fine grids, so the two
-    roots must agree to within the sum of the residuals plus LEFT_RIGHT_TOL
-    (relative); otherwise NumericalError.
+    and M' comes from tilt_derivative.  Each Perron root is accurate to about
+    its residual, which is floored at rounding level on fine grids, so the
+    two roots must agree to within the sum of the residuals plus
+    LEFT_RIGHT_TOL (relative); otherwise NumericalError.
     """
     left = principal_eigenpair(op, warm=(right.phi, right.psi), left=True)
     gap = abs(left.value - right.value)
