@@ -67,21 +67,31 @@ class Artifacts:
             raise ValidationError(f"--out {out!r}: its directory does not exist")
         self.out, self.tag, self.paths = out, tag, []
 
+    def _write(self, name: str, write, *args) -> None:
+        """write(path, *args) to `{out}_{name}`, then keep the path.  An OSError,
+        such as a directory in the file's place, is a ValidationError."""
+        path = f"{self.out}_{name}"
+        try:
+            write(path, *args)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from None
+        self.paths.append(path)
+
     def csv(self, name: str, header, columns, *comments: str) -> None:
         """A CSV file whose first comment line is config_hash=<tag>.
         write_csv is looked up when called, so a replacement of
         cli.write_csv sees every CSV artifact."""
-        path = f"{self.out}_{name}"
-        write_csv(path, header, columns, [f"config_hash={self.tag}", *comments])
-        self.paths.append(path)
+        self._write(name, write_csv, header, columns, [f"config_hash={self.tag}", *comments])
 
     def json(self, name: str, payload: dict) -> None:
         """A JSON report: the payload and its config_hash key, keys sorted."""
-        path = f"{self.out}_{name}"
-        with open(path, "w", newline="\n") as fh:
-            json.dump(dict(payload, config_hash=self.tag), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        self.paths.append(path)
+        self._write(name, _write_json, dict(payload, config_hash=self.tag))
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _print_counts(command: str, counts: dict) -> None:
@@ -115,7 +125,7 @@ def run_eigen(cfg: dict, artifacts: Artifacts) -> dict:
     lams = _lambda_grid(cfg, "eigen config")
     cs, grid, tol = cfg["coefficients"], cfg["n_cells"], cfg["tolerance"]
     profile_lams = cfg["profile_lambdas"]
-    eigen.check_lambdas(cs, [*lams, *profile_lams], grid)
+    eigen.first_level(cs, grid, max([*lams, *profile_lams], key=abs))
     results = eigen.k_curve(cs, lams, grid, tol)
     profiles = [eigen.k_of_lambda(cs, float(lam), grid, tol) for lam in profile_lams]
     artifacts.csv("kcurve.csv", ("lambda", "k", "residual", "n_cells"),
@@ -138,7 +148,7 @@ def run_dirichlet(cfg: dict, artifacts: Artifacts) -> dict:
 def run_speed(cfg: dict, artifacts: Artifacts) -> dict:
     lams = _lambda_grid(cfg, "speed config")
     cs, grid, k_tol = cfg["coefficients"], cfg["n_cells"], cfg["k_tolerance"]
-    eigen.check_lambdas(cs, lams, grid)
+    eigen.first_level(cs, grid, max(lams, key=abs))
     report = speeds.spreading_speeds(cs, grid, cfg["lambda_tolerance"], k_tol)
     curve = eigen.k_curve(cs, lams, grid, k_tol)
     k = [res.value for res in curve]

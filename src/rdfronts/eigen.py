@@ -26,7 +26,8 @@ dgbtrf/dgbtrs) in an order that interleaves the species and visits the
 periodic ring zig-zag, which keeps the band at 4 sub- and superdiagonals (2
 on Dirichlet operators).  An operator holds its band, so the left Perron
 vector is solved with the transposed factors (dgbtrs trans=1) of the right
-solve's last shift.
+solve's last shift.  Every grid refinement starts on the level that
+``first_level`` picks and checks before anything is built.
 """
 
 from __future__ import annotations
@@ -261,35 +262,30 @@ class EigenResult:
         return np.concatenate([self.phi, self.psi])
 
 
-def peclet_cells(cs: CoefficientSet, lam: float, n_cells: int) -> int:
-    """Smallest power-of-two refinement n of n_cells with h*|lam|*sigma_max <= sigma_min."""
-    n = n_cells
-    while n <= REFINE_CAP:
-        h = cs.period / n
-        if h * abs(lam) * cs.sigma_max <= cs.sigma_min:
-            return n
-        n *= 2
-    raise NumericalError(f"grid refinement cap {REFINE_CAP} exceeded while enforcing "
-                         f"the advection admissibility bound at lambda={lam}")
-
-
-def check_lambdas(cs: CoefficientSet, lambdas: Sequence[float],
-                  grid: Optional[GridSpec]) -> None:
-    """ValidationError unless every lambda's first level can be built and
-    doubled: the n_cells grid, which every first level refines, must have a
-    spacing with a finite square, and peclet_cells must place the level at
-    most at REFINE_CAP // 2.  The largest |lambda| needs the most cells, so
-    it alone is checked.  Called on a config's lambdas before any solve."""
+def first_level(cs: CoefficientSet, grid: Optional[GridSpec], lam: float = 0.0,
+                R: Optional[float] = None, warm=None) -> int:
+    """Cell count of the first level of every grid refinement: n_cells doubled
+    until h*|lam|*sigma_max <= sigma_min on a period, n_cells per period (at
+    least n_cells) on (-R, R), and at least n // 4 for a warm pair of n cells.
+    ValidationError when REFINE_CAP cannot double it or its spacing (a period's
+    n_cells spacing first) has no finite nonzero square."""
     n = (grid or GridSpec()).n_cells
-    check_spacing(cs.period / n)
-    lam = max(lambdas, key=abs)
-    try:
-        if 2 * peclet_cells(cs, lam, n) > REFINE_CAP:
-            raise NumericalError
-    except NumericalError:
-        raise ValidationError(f"lambda={lam:.6g} needs over {REFINE_CAP // 2} cells (n_cells, "
-                              "h |lambda| sigma_max <= sigma_min) on its first level, which "
-                              f"the refinement cap {REFINE_CAP} cannot double") from None
+    if R is None:
+        check_spacing(cs.period / n)
+        while n <= REFINE_CAP // 2 and cs.period / n * abs(lam) * cs.sigma_max > cs.sigma_min:
+            n *= 2
+    elif not (R > 0):
+        raise PreconditionError("Dirichlet half-width R must be positive")
+    else:
+        n = max(n, n * 2.0 * R / cs.period)
+    n = max(n, len(warm[0]) // 4 if warm is not None else 0)
+    if not 2 * n <= REFINE_CAP:
+        where = f"lambda={lam:.6g}" if R is None else f"R={R:.6g}"
+        raise ValidationError(f"{where} needs {n:.3g} cells on its first level; the refinement "
+                              f"cap {REFINE_CAP} cannot double a starting level of {n:.3g} cells")
+    n = int(np.ceil(n))
+    check_spacing(cs.period / n if R is None else 2.0 * R / (n + 1))
+    return n
 
 
 def _operator(skeleton: OperatorSkeleton, lam: float) -> DiscreteOperator:
@@ -319,7 +315,7 @@ def build_operator(cs: CoefficientSet, lam: float, grid: GridSpec,
         if lam != 0.0:
             raise ValidationError("the Dirichlet eigenproblem is posed at lambda=0")
         return _operator(_skeleton(cs, grid.n_cells, half_width), 0.0)
-    n = peclet_cells(cs, lam, grid.n_cells) if refine else grid.n_cells
+    n = first_level(cs, grid, lam) if refine else grid.n_cells
     return _operator(_skeleton(cs, n), lam)
 
 
@@ -539,17 +535,11 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm,
     level's eigenpair (with the Perron iterations, factorizations and levels
     of the whole loop), its operator and R_2n.
     """
-    if 2 * n > REFINE_CAP:          # a starting level it cannot double, before it is built
-        raise NumericalError(f"grid refinement cap {REFINE_CAP} exceeded by the double "
-                             f"of the starting level of {n} cells at {label}")
     coarse = principal_eigenpair(make_op(n), warm=warm)
     total_iter, total_lu, levels = coarse.iterations, coarse.factorizations, 1
     prev_extrapolated = None
     while True:
         n *= 2
-        if n > REFINE_CAP:
-            raise NumericalError(f"grid refinement cap {REFINE_CAP} exceeded before "
-                                 f"the eigenvalue gap fell below {tol} at {label}")
         op = make_op(n)
         finer = principal_eigenpair(op, warm=(coarse.phi, coarse.psi))
         total_iter += finer.iterations
@@ -580,10 +570,10 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
     term).  The grid is doubled until two successive Richardson values, or
     two successive eigenvalues, differ by less than tol, or until the gap
     reaches the rounding floor; see _refine_to_tolerance.  k(0) is the
-    periodic principal eigenvalue.  A warm start (phi, psi) from a previous
-    solve also starts the refinement at a quarter of its cell count n, so
-    n/4, n/2 and n are the three levels the Richardson test needs to stop
-    where the previous solve did, and the grid can still coarsen by one.
+    periodic principal eigenvalue.  The first level is first_level's, which a
+    warm start (phi, psi) from a previous solve raises to a quarter of its cell
+    count n: n/4, n/2 and n are the three levels the Richardson test needs to
+    stop where the previous solve did, and the grid can still coarsen by one.
 
     With slope=True the result also carries k'(lambda) from tilt_slope on the
     finest level, and its iterations and factorizations include that left
@@ -593,9 +583,7 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
     one dict to all its solves: each solve takes the skeletons of its levels
     from it and adds the ones it builds.
     """
-    n = peclet_cells(cs, lam, (grid or GridSpec()).n_cells)
-    if warm is not None:
-        n = max(n, len(warm[0]) // 4)
+    n = first_level(cs, grid, lam, warm=warm)
     held = {} if skeletons is None else skeletons
 
     def make_op(m: int) -> DiscreteOperator:
@@ -611,28 +599,15 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
     return res
 
 
-def _dirichlet_cells(cs: CoefficientSet, R: float, grid: Optional[GridSpec]) -> int:
-    """The first level's cell count on (-R, R), n_cells per period and at least
-    n_cells; one that REFINE_CAP cannot double, or that overflows, is a ValidationError."""
-    if not (R > 0):
-        raise PreconditionError("Dirichlet half-width R must be positive")
-    per_period = (grid or GridSpec()).n_cells
-    cells = max(per_period, per_period * 2.0 * R / cs.period)
-    if not 2 * cells <= REFINE_CAP:
-        raise ValidationError(f"Dirichlet radius R={R:.6g} needs {cells:.3g} cells on its "
-                              f"first level, more than the refinement cap {REFINE_CAP} halved")
-    return int(np.ceil(cells))
-
-
 def dirichlet_eigenvalue(cs: CoefficientSet, R: float,
                          grid: Optional[GridSpec] = None,
                          tol: float = K_GRID_TOL, warm=None) -> EigenResult:
     """Principal eigenvalue on (-R, R) with zero boundary values.
 
-    Same refinement-plus-extrapolation contract as k_of_lambda; the initial
-    cell count is scaled with the interval so the coefficients stay resolved.
+    Same refinement-plus-extrapolation contract as k_of_lambda, from the level
+    of first_level: n_cells per period, so the coefficients stay resolved.
     """
-    n = _dirichlet_cells(cs, R, grid)
+    n = first_level(cs, grid, R=R)
     res, _, value = _refine_to_tolerance(lambda m: _operator(_skeleton(cs, m, R), 0.0),
                                          n, tol, warm, f"R={R}")
     res.value = value
@@ -683,8 +658,8 @@ def k_curve(cs: CoefficientSet, lambdas: Sequence[float],
 def dirichlet_sweep(cs: CoefficientSet, radii: Sequence[float],
                     grid: Optional[GridSpec], tol: float) -> list:
     """Dirichlet principal eigenvalues over the radii, one warm-started chain;
-    every radius's first level is checked against the cap before any solve."""
+    every radius's first_level is checked before any solve."""
     for R in radii:
-        _dirichlet_cells(cs, R, grid)
+        first_level(cs, grid, R=R)
     return list(map(_warm_chain(lambda R, warm: dirichlet_eigenvalue(cs, R, grid, tol,
                                                                      warm=warm)), radii))

@@ -291,6 +291,25 @@ def test_out_prefix_in_a_missing_directory_exits_2_before_solving(tmp_path, caps
     assert [p.name for p in tmp_path.iterdir()] == [f"{command}.json"]
 
 
+@pytest.mark.parametrize("command, blocked, kept", [
+    ("homogenize", "homogenized.json", []), ("ode", "trajectory.csv", ["ode.json"])],
+    ids=["json", "csv"])
+def test_artifact_path_taken_by_a_directory_exits_2(tmp_path, capsys, command, blocked, kept):
+    # the JSON and the CSV writer both turn the OSError into a validation
+    # error; a file written before the failing one stays
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / f"run_{blocked}").mkdir()
+    assert run(tmp_path, command, DETERMINISM_PAYLOADS[command], out="d/run") == 2
+    captured = capsys.readouterr()
+    line, = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "validation"
+    assert err["message"].startswith(f"cannot write {tmp_path / 'd' / 'run'}_{blocked}: ")
+    assert captured.out == ""
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == sorted(
+        f"run_{name}" for name in [blocked, *kept])
+
+
 # -- dirichlet -----------------------------------------------------------------------
 
 def test_dirichlet_sweep(tmp_path):
@@ -320,6 +339,22 @@ def test_dirichlet_radius_past_the_refinement_cap_exits_2_before_solving(tmp_pat
     assert err["error"] == "validation"
     assert "refinement cap" in err["message"] and len(err["message"]) < 200
     assert not list(tmp_path.glob("big*"))
+
+
+def test_dirichlet_radius_with_a_vanishing_spacing_exits_2_before_any_solve(tmp_path, capsys,
+                                                                           monkeypatch):
+    # R = 32 is fine and comes first; R = 1e-170 has a spacing of about 3e-172,
+    # whose square underflows to 0, and must be rejected before R = 32 is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a Perron solve ran before every radius was checked")
+
+    monkeypatch.setattr(eigen, "principal_eigenpair", no_solve)
+    payload = {"coefficients": HOMOG_COEFFS, "radii": [32.0, 1e-170]}
+    assert run(tmp_path, "dirichlet", payload, out="tiny") == 2
+    line, = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "validation" and "grid spacing" in err["message"]
+    assert not list(tmp_path.glob("tiny*"))
 
 
 BEYOND_PECLET_CAP = {

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rdfronts import eigen
+from rdfronts import eigen, util
 from rdfronts.coefficients import CoefficientSpec, CoefficientSet, constant_set
 from rdfronts.eigen import (
     GridSpec,
@@ -641,6 +641,12 @@ def test_dirichlet_starting_level_past_the_cap_raises_before_building(monkeypatc
         dirichlet_eigenvalue(HOMOG, 1e4)
 
 
+def test_soft_cell_cap_stops_refinement_before_the_refinement_cap():
+    # a first level is at most REFINE_CAP // 2 cells and refinement stops at the
+    # first level of SOFT_CELL_CAP cells or more, so no level passes REFINE_CAP
+    assert eigen.SOFT_CELL_CAP <= util.REFINE_CAP // 2
+
+
 def test_k_starting_level_past_the_cap_raises_before_building(monkeypatch):
     # a warm vector of 2048 cells starts k(lambda) at 512 cells, past a cap of 256
     def no_skeleton(*args, **kwargs):
@@ -648,5 +654,5 @@ def test_k_starting_level_past_the_cap_raises_before_building(monkeypatch):
 
     monkeypatch.setattr(eigen, "REFINE_CAP", 256)
     monkeypatch.setattr(eigen, "_skeleton", no_skeleton)
-    with pytest.raises(NumericalError, match="starting level of 512 cells"):
+    with pytest.raises(ValidationError, match="starting level of 512 cells"):
         k_of_lambda(HOMOG, 0.0, warm=(np.ones(2048), np.ones(2048)))
