@@ -149,8 +149,9 @@ def run_speed(cfg: dict, artifacts: Artifacts) -> dict:
     lams = _lambda_grid(cfg, "speed config")
     cs, grid, k_tol = cfg["coefficients"], cfg["n_cells"], cfg["k_tolerance"]
     eigen.first_level(cs, grid, max(lams, key=abs))
-    report = speeds.spreading_speeds(cs, grid, cfg["lambda_tolerance"], k_tol)
-    curve = eigen.k_curve(cs, lams, grid, k_tol)
+    skeletons = {}                                # one store for the searches and the curve
+    report = speeds.spreading_speeds(cs, grid, cfg["lambda_tolerance"], k_tol, skeletons)
+    curve = eigen.k_curve(cs, lams, grid, k_tol, skeletons)
     k = [res.value for res in curve]
     over = [kv / lam if lam != 0 else float("nan") for lam, kv in zip(lams, k)]
     artifacts.json("speed.json", report.to_dict())

@@ -20,14 +20,18 @@ k'(lambda) follows from the right and left Perron vectors (``tilt_slope``).
 
 Only those flux couplings depend on lambda.  An ``OperatorSkeleton`` holds
 the grid's CSR pattern and the rest of the operator, and ``_operator`` tilts
-it into an operator on that pattern.  A warm chain keeps every skeleton it
-built.  The Perron iteration solves shifted systems with a banded LU (LAPACK
+it into an operator on that pattern.  The pattern and the slots of each kind
+of entry are written in closed form from the column order of every row
+(``_row_kinds``), with no sort.  A warm chain keeps every skeleton it built.
+The Perron iteration solves shifted systems with a banded LU (LAPACK
 dgbtrf/dgbtrs) in an order that interleaves the species and visits the
 periodic ring zig-zag, which keeps the band at 4 sub- and superdiagonals (2
-on Dirichlet operators).  An operator holds its band, so the left Perron
-vector is solved with the transposed factors (dgbtrs trans=1) of the right
-solve's last shift.  Every grid refinement starts on the level that
-``first_level`` picks and checks before anything is built.
+on Dirichlet operators).  An operator puts its matrix into band storage
+once; each new shift factors a copy with the shift on its diagonal row.  It
+holds the last factorization, so the left Perron vector is solved with the
+transposed factors (dgbtrs trans=1) of the right solve's last shift.  Every
+grid refinement starts on the level that ``first_level`` picks and checks
+before anything is built.
 """
 
 from __future__ import annotations
@@ -64,34 +68,66 @@ class GridSpec:
             raise ValidationError("n_cells must be at least 16")
 
 
+DIAG, DOWN, UP, MUTATION = range(4)     # the kinds of entry in a row of the coupled operator
+
+
+def _row_kinds(species: int, node: int, n: int, periodic: bool) -> list:
+    """The kinds of the entries of row (species, node) of the coupled operator
+    on n nodes, in CSR column order.  Within the species they are the couplings
+    to node-1 and node+1 and the diagonal, sorted by column: [down, diag, up]
+    away from the ends; on the ring node 0 has [diag, up, down] and node n-1
+    [up, down, diag], and on (-R, R) node 0 has no down and node n-1 no up
+    coupling.  The mutation entry lies in the other species' block: last in a
+    u row, first in a v row."""
+    cols = {DOWN: node - 1, DIAG: node, UP: node + 1}
+    cols = {kind: col % n for kind, col in cols.items() if periodic or 0 <= col < n}
+    within = sorted(cols, key=cols.get)
+    return within + [MUTATION] if species == 0 else [MUTATION] + within
+
+
 class _BandPattern:
-    """Where the stored entries of a 2n x 2n matrix go in LAPACK band storage.
+    """Where the entries of a skeleton's 2n x 2n matrix go in LAPACK band
+    storage.
 
     The unknowns are put in band order: the two species interleaved, node by
     node, and a periodic ring visited zig-zag (0, n-1, 1, n-2, ...), so that
     ring neighbours, the wrap-around included, are at most two nodes apart.
     perm[j] is the band position of unknown j and order its inverse.  An
     entry (r, c) of a matrix with kl sub- and ku superdiagonals in this order
-    goes to row kl + ku + perm[r] - perm[c], column perm[c] of the
-    (2 kl + ku + 1) x 2n array dgbtrf factors; slots holds that position for
-    each entry, as a flat index into the transposed (C-ordered) array, and
-    diag_slots the entries on the diagonal, one per row and in row order.
+    goes to row ku + perm[r] - perm[c], column perm[c] of the
+    (kl + ku + 1) x 2n band that dgbtrf factors below kl rows of fill-in.
+    slots[kind, species, node] holds that position for each kind of entry,
+    laid out like the skeleton's CSR slots, as a flat index into the
+    transposed (C-ordered) band; it follows from the band positions of each
+    row's node and of its column's.  The couplings a Dirichlet end row lacks
+    go to position 0, above the band's first column, which stays 0.  The
+    index arrays have the width of the skeleton's slots.
     """
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int, boundary: str):
-        visit = np.arange(n, dtype=np.int32)
-        if boundary == "periodic":
+    def __init__(self, skeleton: OperatorSkeleton):
+        n = skeleton.n
+        visit = np.arange(n)
+        if skeleton.periodic:
             visit[0::2], visit[1::2] = np.arange((n + 1) // 2), n - 1 - np.arange(n // 2)
-        node_pos = np.empty(n, dtype=np.int32)
+        node_pos = np.empty(n, dtype=skeleton.slots.dtype)
         node_pos[visit] = np.arange(n)
         self.perm = np.concatenate([2 * node_pos, 2 * node_pos + 1])
-        self.order = np.argsort(self.perm).astype(np.int32)
-        self.rows = rows
-        self.diag_slots = np.flatnonzero(rows == cols).astype(np.int32)
-        below = self.perm[rows] - self.perm[cols]
-        self.kl, self.ku = int(below.max(initial=0)), int(-below.min(initial=0))
+        self.order = np.empty_like(self.perm)
+        self.order[self.perm] = np.arange(2 * n)
+        rows = self.perm.reshape(2, n)            # band position of (species, node)
+        cols = {DIAG: rows, DOWN: np.roll(rows, 1, axis=1), UP: np.roll(rows, -1, axis=1),
+                MUTATION: rows[::-1]}             # that of the column of each kind
+        self.slots = np.empty((4, 2, n), dtype=skeleton.slots.dtype)
+        for kind, col in cols.items():
+            np.subtract(rows, col, out=self.slots[kind])
+        if not skeleton.periodic:                 # no coupling past an end of (-R, R)
+            self.slots[DOWN, :, 0] = self.slots[UP, :, -1] = 0
+        self.kl, self.ku = int(self.slots.max()), int(-self.slots.min())
         self.depth = 2 * self.kl + self.ku + 1
-        self.slots = self.perm[cols] * self.depth + (self.kl + self.ku) + below
+        for kind, col in cols.items():
+            self.slots[kind] += col * (self.kl + self.ku + 1) + self.ku
+        if not skeleton.periodic:
+            self.slots[DOWN, :, 0] = self.slots[UP, :, -1] = 0
 
 
 @dataclass(frozen=True)
@@ -99,14 +135,18 @@ class OperatorSkeleton:
     """The grid, CSR pattern and lambda-independent values of the coupled
     operator on one grid.
 
-    data holds the coefficient samples (diffusion diagonal plus reaction,
-    mutation; zero on the flux couplings), up_slots and down_slots the slots
-    of the couplings to node i+1 and to node i-1, for u and for v, and
-    up_sigma and down_sigma their face sigma.  Only the couplings depend on
-    lambda, through exp(-+lambda h), so _operator tilts a skeleton into any
-    operator on its grid.  The band pattern of the Perron solves and the M'
-    weights are built on first use, and so are the plans that interpolate a
-    warm start onto a periodic grid.
+    slots[kind, species, node] is the CSR slot of each kind of entry (DIAG,
+    DOWN, UP, MUTATION), and diag_slots, up_slots, down_slots and
+    mutation_slots are its views on the entries that exist: on (-R, R) node
+    0 has no down and node n-1 no up coupling, and those two slots point at
+    the row's diagonal.  diag and mutation hold the coefficient samples of
+    their entries by species and node (the diffusion diagonal plus reaction
+    minus mutation; mu_v in the u rows, mu_u in the v rows), and up_sigma
+    and down_sigma the face sigma of the couplings to node i+1 and to node
+    i-1.  Only the couplings depend on lambda, through exp(-+lambda h), so
+    _operator tilts a skeleton into any operator on its grid.  The band
+    pattern of the Perron solves and the M' weights are built on first use,
+    and so are the plans that interpolate a warm start onto a periodic grid.
     """
 
     n: int
@@ -115,24 +155,35 @@ class OperatorSkeleton:
     nodes: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
-    up_slots: np.ndarray          # (2, m)
-    down_slots: np.ndarray
-    data: np.ndarray
+    slots: np.ndarray             # (4, 2, n)
+    diag: np.ndarray              # (2, n)
+    mutation: np.ndarray          # (2, n)
     up_sigma: np.ndarray          # face sigma of the i -> i+1 couplings
     down_sigma: np.ndarray        # face sigma of the i -> i-1 couplings
 
+    periodic = property(lambda self: self.boundary == "periodic")
+    diag_slots = property(lambda self: self.slots[DIAG])
+    mutation_slots = property(lambda self: self.slots[MUTATION])
+    up_slots = property(lambda self: self.slots[UP, :, :len(self.up_sigma)])
+    down_slots = property(lambda self: self.slots[DOWN, :, self.n - len(self.down_sigma):])
+
     def csr(self, values: np.ndarray) -> sp.csr_matrix:
-        """The 2n x 2n matrix with these values in the pattern's slots: a
-        shallow copy of the pattern's own matrix, which shares its indices
-        and indptr, with its data replaced.  This skips the checks of the CSR
-        constructor, which the pattern passed once."""
-        matrix = copy.copy(self._pattern)
+        """The 2n x 2n matrix with these values in the pattern's slots.  The
+        first one goes through the CSR constructor and is kept as the
+        pattern's matrix; each one is a shallow copy of it, which shares its
+        indices and indptr, with the data replaced, so the later ones skip
+        the constructor's checks."""
+        if not self._pattern:
+            self._pattern.append(sp.csr_matrix((values, self.indices, self.indptr),
+                                               shape=(2 * self.n,) * 2))
+        matrix = copy.copy(self._pattern[0])
         matrix.data = values
         return matrix
 
     @cached_property
-    def _pattern(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(2 * self.n,) * 2)
+    def _pattern(self) -> list:
+        """The first matrix csr built, once there is one."""
+        return []
 
     @cached_property
     def _interp_plans(self) -> dict:
@@ -165,8 +216,7 @@ class OperatorSkeleton:
 
     @cached_property
     def band(self) -> _BandPattern:
-        rows = np.repeat(np.arange(2 * self.n, dtype=np.int32), np.diff(self.indptr))
-        return _BandPattern(rows, self.indices, self.n, self.boundary)
+        return _BandPattern(self)
 
     @cached_property
     def slope_weights(self) -> np.ndarray:
@@ -180,9 +230,13 @@ class OperatorSkeleton:
 def _skeleton(cs: CoefficientSet, n: int,
               half_width: Optional[float] = None) -> OperatorSkeleton:
     """Skeleton on n cells of one period, or on n interior nodes of (-R, R)
-    given half_width=R.  The CSR layout is that of the COO -> CSR build of
-    [u block, v block, u<-v, v<-u], each stencil block being flux_parts'
-    diagonal (plus reaction minus mutation), up and down couplings."""
+    given half_width=R, each species block being flux_parts' diagonal (plus
+    reaction minus mutation), up and down couplings.
+
+    The CSR arrays are written in closed form, in the layout a COO -> CSR
+    build gives: each row holds its entries in the column order of
+    _row_kinds, 4 to a row except the 3 of the four end rows on (-R, R).  The
+    slots of each kind follow from the row starts, with no sort."""
     if half_width is None:
         h = cs.period / n
         nodes = h * np.arange(n)
@@ -191,25 +245,36 @@ def _skeleton(cs: CoefficientSet, n: int,
         h = 2.0 * half_width / (n + 1)
         nodes = -half_width + h * np.arange(1, n + 1)
         boundary = "dirichlet_zero"
-    rows, cols, diag, up, down = flux_parts(cs, nodes, h, boundary)
-    m, i = len(up), np.arange(n)
-    nnz = 2 * len(rows) + 2 * n
-    tags = sp.coo_matrix((np.arange(nnz, dtype=np.int32),
-                          (np.concatenate([rows, rows + n, i, n + i], dtype=np.int32),
-                           np.concatenate([cols, cols + n, n + i, i], dtype=np.int32))),
-                         shape=(2 * n, 2 * n)).tocsr()
-    source = tags.data                            # the COO entry behind each CSR slot
-    slot = np.empty_like(source)
-    slot[source] = np.arange(nnz, dtype=np.int32)
-    block = n + 2 * m                             # COO entries of one species block
+    _, _, diag, up, down = flux_parts(cs, nodes, h, boundary)
+    m = len(up)
+    indptr = np.arange(0, 8 * n + 1, 4, dtype=np.int32)
+    if m < n:                                     # each 3-entry row shifts the rows after it
+        for row in (0, n - 1, n, 2 * n - 1):
+            indptr[row + 1:] -= 1
+    start = indptr[:-1].reshape(2, n).astype(np.intp)
+    at = np.empty((4, 2, n), dtype=np.intp)       # the slot of each kind, by species and node
+    for s in (0, 1):
+        for position, kind in enumerate(_row_kinds(s, 1, n, m == n)):
+            at[kind, s] = start[s] + position     # every row as one away from the ends,
+        for i in (0, n - 1):                      # then the two end rows
+            for position, kind in enumerate(_row_kinds(s, i, n, m == n)):
+                at[kind, s, i] = start[s, i] + position
+    if m < n:                                     # the couplings an end row lacks
+        at[DOWN, :, 0], at[UP, :, -1] = at[DIAG, :, 0], at[DIAG, :, -1]
+    own = np.arange(2 * n, dtype=np.int32).reshape(2, n)     # column of (species, node)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[at[DIAG]], indices[at[MUTATION]] = own, own[::-1]
+    indices[at[UP, :, :m]] = np.roll(own, -1, axis=1)[:, :m]
+    indices[at[DOWN, :, n - m:]] = np.roll(own, 1, axis=1)[:, n - m:]
+    # A ring's skeleton serves the operators of a whole k chain, so its slots
+    # keep numpy's index width, which indexes fastest; one on (-R, R) serves a
+    # single solve on the largest grids, and int32, as in the CSR indices,
+    # halves the memory of its slots and band pattern.
+    slots = at if m == n else at.astype(np.int32)
     mu, mv = cs.mu_u(nodes), cs.mu_v(nodes)
-    couplings = np.zeros(2 * m)
-    values = np.concatenate([diag + (cs.r_u(nodes) - mu), couplings,
-                             diag + (cs.r_v(nodes) - mv), couplings, mv, mu])
-    return OperatorSkeleton(n, h, boundary, nodes, tags.indices, tags.indptr,
-                            np.stack([slot[n:n + m], slot[block + n:block + n + m]]),
-                            np.stack([slot[n + m:block], slot[block + n + m:2 * block]]),
-                            values[source], up, down)
+    return OperatorSkeleton(n, h, boundary, nodes, indices, indptr, slots,
+                            np.stack([diag + (cs.r_u(nodes) - mu), diag + (cs.r_v(nodes) - mv)]),
+                            np.stack([mv, mu]), up, down)
 
 
 @dataclass(frozen=True)
@@ -243,7 +308,9 @@ class DiscreteOperator:
 class EigenResult:
     """Principal eigenvalue with its positive discrete eigenvector pair.  A
     k_of_lambda(slope=True) result counts the left solve behind its slope in
-    its iterations and factorizations."""
+    its iterations and factorizations.  bracket is that of the discrete root
+    of the (finest) operator solved, which k_of_lambda and
+    dirichlet_eigenvalue replace by their Richardson value."""
 
     value: float
     phi: np.ndarray
@@ -254,6 +321,7 @@ class EigenResult:
     n_cells: int
     h: float
     rounding: float                          # 8 eps ||M||, the floor under the residual
+    bracket: Tuple[float, float]             # [min, max] of Mw/w: Collatz-Wielandt bounds
     levels: int = 1                          # grid levels solved (1 for a single operator)
     factorizations: int = 0                  # banded LU factorizations, summed like iterations
     slope: Optional[float] = None            # d value / d lambda, from k_of_lambda(slope=True)
@@ -289,10 +357,12 @@ def first_level(cs: CoefficientSet, grid: Optional[GridSpec], lam: float = 0.0,
 
 
 def _operator(skeleton: OperatorSkeleton, lam: float) -> DiscreteOperator:
-    """The skeleton's operator at lambda: its couplings tilted by exp(-+lambda h)
-    and written into a copy of its data, on its CSR pattern.  The entries are
-    bitwise those of a COO -> CSR build of the stencil's triplets."""
-    data = skeleton.data.copy()
+    """The skeleton's operator at lambda, on its CSR pattern: each kind of entry
+    written to its slots, the couplings tilted by exp(-+lambda h).  The
+    entries are bitwise those of a COO -> CSR build of the stencil's
+    triplets."""
+    data = np.empty(len(skeleton.indices))
+    data[skeleton.diag_slots], data[skeleton.mutation_slots] = skeleton.diag, skeleton.mutation
     data[skeleton.up_slots], data[skeleton.down_slots] = tilted_couplings(
         skeleton.up_sigma, skeleton.down_sigma, skeleton.h, lam)
     return DiscreteOperator(skeleton.csr(data), lam, skeleton)
@@ -346,7 +416,8 @@ def _rayleigh_and_residual(matrix, w) -> Tuple[float, float, np.ndarray]:
     largest entry is 1, so the residual needs no scaling."""
     mw = matrix @ w
     value = float(w @ mw) / float(w @ w)
-    residual = float(np.abs(mw - value * w).max())
+    r = value * w
+    residual = float(np.abs(np.subtract(mw, r, out=r), out=r).max())
     return value, residual, mw
 
 
@@ -360,41 +431,56 @@ class _ShiftedBand:
 
     The matrix must be on its skeleton's CSR pattern, whose band pattern
     places the entries, with nonnegative off-diagonals (ValidationError
-    otherwise).  far_shift is max row sum + 1 and norm max_i sum_j |M_ij|.
-    factor(s) factors M - sI by dgbtrf (NumericalError on a zero pivot) and
-    keeps s as shift.  solve negates its solution: rounding is symmetric, so
-    that is bitwise the solution with sI - M, or with its transpose given
+    otherwise).  far_shift is max row sum + 1 and norm max_i sum_j |M_ij|,
+    read from the entries of each kind at the skeleton's slots.  M goes into
+    LAPACK band storage once; factor(s) copies that band below the kl rows of
+    fill-in, subtracts s from its diagonal row (the only row that depends on
+    s), factors M - sI by dgbtrf (NumericalError on a zero pivot) and keeps s
+    as shift.  dgbtrf zeroes the fill-in it uses, so the fill-in rows need no
+    reset between shifts.  solve negates its solution: rounding is symmetric,
+    so that is bitwise the solution with sI - M, or with its transpose given
     trans=1.  The band order P needs no change for the transpose, as
     (P A P^T)^T = P A^T P^T.
     """
 
     def __init__(self, op: DiscreteOperator):
         matrix, grid = op.matrix, op.skeleton
-        if not (matrix.format == "csr" and _same(matrix.indptr, grid.indptr)
-                and _same(matrix.indices, grid.indices)):
+        on_grid = grid.csr(matrix.data)           # a matrix on the grid's own index arrays
+        if not (matrix.format == "csr" and _same(matrix.indptr, on_grid.indptr)
+                and _same(matrix.indices, on_grid.indices)):
             raise ValidationError("operator matrix is not on its grid's CSR pattern")
-        band, data = grid.band, matrix.data
-        off = np.array(data, dtype=float)
-        off[band.diag_slots] = 0.0
-        if np.any(off < 0):
+        values = matrix.data[grid.slots]          # by kind, species and node
+        if not grid.periodic:                     # no couplings past the ends of (-R, R)
+            values[DOWN, :, 0] = values[UP, :, -1] = 0.0
+        if (values[DOWN:] < 0).any():             # the kinds after DIAG are off-diagonal
             raise ValidationError("operator is not cooperative: negative off-diagonal entry")
-        diag = data[band.diag_slots]
-        off_sums = np.bincount(band.rows, weights=off, minlength=op.dimension)
-        self.far_shift = max(float(np.max(off_sums + diag)), 0.0) + 1.0
-        self.norm = float(np.max(np.abs(diag) + off_sums))
-        del off                                   # before the band is allocated
-        self.band, self._data = band, data
-        # The (depth, 2n) column-major array dgbtrf factors in place, and
-        # the flat view that the slots index.
-        self._flat = np.empty(op.dimension * band.depth)
-        self._work = self._flat.reshape(op.dimension, band.depth).T
+        # The off-diagonal sum of each row, added in its CSR order (_row_kinds):
+        # (down + up) + mutation in a u row, (mutation + down) + up in a v row,
+        # but (mutation + up) + down in the v rows at the two ends of the ring.
+        down, up, mutation = values[DOWN], values[UP], values[MUTATION]
+        off = np.add(down, up)
+        off[0] += mutation[0]
+        np.add(mutation[1], down[1], out=off[1])
+        off[1] += up[1]
+        if grid.periodic:
+            for i in (0, -1):
+                off[1, i] = mutation[1, i] + up[1, i] + down[1, i]
+        self.far_shift = max(float(np.max(off + values[DIAG])), 0.0) + 1.0
+        self.norm = float(np.max(np.abs(values[DIAG]) + off))
+        del down, up, mutation, off
+        band = self.band = grid.band
+        self._stored = np.zeros((op.dimension, band.kl + band.ku + 1))
+        self._stored.reshape(-1)[band.slots] = values
+        del values                                # before the work array is allocated
+        # The (depth, 2n) column-major array dgbtrf factors in place; it sets
+        # the fill-in of the top kl rows before using it.
+        self._work = np.zeros((op.dimension, band.depth)).T
         self._pivots = self.shift = None
 
     def factor(self, shift: float) -> None:
         band = self.band
         self.shift = None                         # until the new factors are in place
-        self._flat.fill(0.0)
-        self._flat[band.slots] = self._data
+        self._work[band.kl:] = self._stored.T
         self._work[band.kl + band.ku] -= shift
         _, self._pivots, info = dgbtrf(self._work, band.kl, band.ku, overwrite_ab=1)
         if info != 0:
@@ -415,9 +501,9 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> 
     Each step solves (sI - M) y = w and normalizes y.  For every shift s above
     the Perron root k, sI - M is an irreducible nonsingular M-matrix, so its
     inverse is entrywise positive and keeps the iterate positive.  The
-    solves use the banded LU of _ShiftedBand; a new shift refills the band
-    and refactors it, and one factorization is held at a time.  Two shifts
-    are used:
+    solves use the banded LU of _ShiftedBand, which holds the operator's band:
+    a new shift copies it, shifts its diagonal row and refactors, and one
+    factorization is held at a time.  Two shifts are used:
 
       * the far shift s_far = max row sum + 1, whose rate (s_far-k)/(s_far-k2)
         is enough for warm-started solves and damps rounding noise in the
@@ -435,6 +521,10 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> 
     sup-norm residual of M w - value w below RESIDUAL_TOL.  That residual
     cannot drop below machine epsilon times the operator norm (the flux
     entries scale like 1/h^2), so the tolerance is floored there on fine grids.
+    At convergence the result carries the Collatz-Wielandt bracket
+    [min(Mw/w), max(Mw/w)], which holds the Perron root of M for any positive
+    w, and a value outside it by more than the rounding level 8 eps ||M|| is
+    a NumericalError.
 
     With left=True the pair is that of M^T, the left Perron pair of M: the
     steps solve with the transposed factors of the operator's band, and the
@@ -447,7 +537,7 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> 
     residual_tol = max(RESIDUAL_TOL, rounding)
 
     w = _start_vector(op, warm)
-    value, residual, mw = _rayleigh_and_residual(matrix, w)
+    value, residual, _ = _rayleigh_and_residual(matrix, w)
     shift = band.shift if left else None
     next_shift = band.far_shift if shift is None else shift
     factorizations = 0
@@ -467,9 +557,14 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> 
             if np.min(w) <= 0:                    # an entry underflowed in w / w.max()
                 raise NumericalError("Perron iteration produced a non-positive eigenvector "
                                      f"(min component {np.min(w):.3e})")
+            ratios = mw / w
+            low, high = float(ratios.min()), float(ratios.max())
+            if not low - rounding <= new_value <= high + rounding:
+                raise NumericalError(f"Perron value {new_value:.17g} lies outside its "
+                                     f"Collatz-Wielandt bracket [{low:.17g}, {high:.17g}]")
             return EigenResult(value=new_value, phi=w[:op.n].copy(), psi=w[op.n:].copy(),
                                lam=op.lam, iterations=it, residual=new_residual,
-                               n_cells=op.n, h=op.h, rounding=rounding,
+                               n_cells=op.n, h=op.h, rounding=rounding, bracket=(low, high),
                                factorizations=factorizations)
         if new_residual > 0.25 * residual:
             if new_residual < 100.0 * residual_tol and shift != band.far_shift:
@@ -477,6 +572,7 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> 
             else:
                 next_shift = min(float((mw / w).max()), band.far_shift)
         value, residual = new_value, new_residual
+        del mw                                    # before the next solve allocates
     raise NumericalError(f"shift-invert iteration did not converge in {MAX_ITERATIONS} "
                          f"iterations (last residual {residual:.3e})")
 
@@ -638,21 +734,24 @@ def _warm_chain(solve: Callable[..., EigenResult],
 
 
 def k_chain(cs: CoefficientSet, grid: Optional[GridSpec], tol: float,
-            slope: bool = False,
-            start: Optional[EigenResult] = None) -> Callable[[float], EigenResult]:
+            slope: bool = False, start: Optional[EigenResult] = None,
+            skeletons: Optional[dict] = None) -> Callable[[float], EigenResult]:
     """lambda -> k_of_lambda(cs, lambda, grid, tol, slope=slope), warm-started
     along the calls, the first one from `start` when given.  The chain keeps
-    every operator skeleton its solves built, and the next solve, near the
+    every operator skeleton its solves built, in `skeletons` when given (a
+    dict that other chains on cs may share), and the next solve, near the
     last in lambda, mostly reuses them."""
-    skeletons = {}
+    held = {} if skeletons is None else skeletons
     return _warm_chain(lambda lam, warm: k_of_lambda(cs, lam, grid, tol, warm=warm,
-                                                     slope=slope, skeletons=skeletons), start)
+                                                     slope=slope, skeletons=held), start)
 
 
 def k_curve(cs: CoefficientSet, lambdas: Sequence[float],
-            grid: Optional[GridSpec] = None, tol: float = K_GRID_TOL) -> list:
-    """k(lambda) over a lambda grid, one warm-started chain in grid order."""
-    return list(map(k_chain(cs, grid, tol), lambdas))
+            grid: Optional[GridSpec] = None, tol: float = K_GRID_TOL,
+            skeletons: Optional[dict] = None) -> list:
+    """k(lambda) over a lambda grid, one warm-started chain in grid order,
+    keeping its skeletons in `skeletons` when given (see k_chain)."""
+    return list(map(k_chain(cs, grid, tol, skeletons=skeletons), lambdas))
 
 
 def dirichlet_sweep(cs: CoefficientSet, radii: Sequence[float],

@@ -8,10 +8,11 @@ roots are found by a safeguarded secant search on the exact slope k' that
 ``eigen.k_of_lambda(slope=True)`` returns.  Every k(lambda) comes from
 ``eigen.k_chain``, the warm-started chain that also produces the curve
 dumps: one chain for k(0), the right search and min k, and a second one,
-started from k(0) as well, for the left search.  The module also evaluates
-the analytic speed bounds and the speed of the homogenized medium.  The sign
-of min k is the report's hair-trigger indicator; the CLI's dirichlet, eigen
-and speed artifacts carry the three equivalent ones.
+started from k(0) as well, for the left search, both on one store of
+operator skeletons.  The module also evaluates the analytic speed bounds and
+the speed of the homogenized medium.  The sign of min k is the report's
+hair-trigger indicator; the CLI's dirichlet, eigen and speed artifacts carry
+the three equivalent ones.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def _k_min_search(k: Callable[[float], EigenResult], k0: EigenResult,
 
 
 def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
-                     lam_tol: float = LAMBDA_TOL, k_tol: float = K_GRID_TOL) -> SpeedReport:
+                     lam_tol: float = LAMBDA_TOL, k_tol: float = K_GRID_TOL,
+                     skeletons: Optional[dict] = None) -> SpeedReport:
     """Right and left spreading speeds of the propagation problem.
 
     Requires the periodic principal eigenvalue k(0) to be positive (otherwise
@@ -162,8 +164,11 @@ def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
     sqrt(k(0) / mean sigma), the tangency point of a constant medium, where
     k = k(0) + sigma lambda^2.  Each stops when a step moves lambda by less
     than lam_tol.  hair_trigger is the sign of min k, None within SIGN_BAND.
+    Both chains keep their operator skeletons in one dict, `skeletons` when
+    given, so a caller can share them with its own chains on cs.
     """
-    k = k_chain(cs, grid, k_tol, slope=True)
+    skeletons = {} if skeletons is None else skeletons
+    k = k_chain(cs, grid, k_tol, slope=True, skeletons=skeletons)
     k0 = k(0.0)
     if k0.value <= 0:
         raise PreconditionError(
@@ -181,8 +186,8 @@ def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
 
     lam_right, res_right = tangency_search(logged(k, "right"), lam0, lam_tol)
     lam_left, res_left = tangency_search(
-        logged(k_chain(cs, grid, k_tol, slope=True, start=k0), "left"), lam0, lam_tol,
-        side=-1.0)
+        logged(k_chain(cs, grid, k_tol, slope=True, start=k0, skeletons=skeletons), "left"),
+        lam0, lam_tol, side=-1.0)
     res_min = _k_min_search(logged(k, "k_min"), k0, lam_tol)
     low, high = speed_bounds(cs)
     k_min = res_min.value

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf
 
 from rdfronts import eigen, util
 from rdfronts.coefficients import CoefficientSpec, CoefficientSet, constant_set
@@ -159,7 +160,8 @@ def assert_same_csr(a, b):
     assert np.array_equal(a.data, b.data)       # bitwise: exact float equality
 
 
-@pytest.mark.parametrize("n", [16, 64, 512])
+# A Dirichlet grid has ceil(n_cells * 2R / L) cells, so any count from 16 up.
+@pytest.mark.parametrize("n", [16, 64, 512, 17, 33, 100])
 @pytest.mark.parametrize("name", sorted(SKELETON_SETS))
 def test_skeleton_operators_are_bitwise_fresh_builds(name, n):
     cs = SKELETON_SETS[name]
@@ -219,6 +221,17 @@ def test_skeleton_store_keeps_every_level_built(built):
     assert sorted(store) == sorted(built)
 
 
+def test_speed_searches_and_curve_share_one_skeleton_store(built):
+    # the right and left chains of spreading_speeds and a curve on the same
+    # store build each grid level once
+    store = {}
+    spreading_speeds(README_SET, skeletons=store)
+    assert sorted(built) == sorted(store)
+    count = len(built)
+    k_curve(README_SET, [-1.0, -0.5, 0.0, 0.5, 1.0], skeletons=store)
+    assert len(built) == count
+
+
 # -- banded shift-invert solves ----------------------------------------------------
 
 @pytest.mark.parametrize("transpose", [False, True])
@@ -246,6 +259,94 @@ def test_banded_solve_matches_dense(n, half_width, transpose):
         assert np.max(np.abs(solved - exact)) <= 1e-12 * np.max(np.abs(exact))
     if near:
         assert np.any(band._pivots != np.arange(2 * n))
+
+
+def scattered_band(op):
+    """The operator in LAPACK band storage as laid out entry by entry: the
+    (2 kl + ku + 1) x 2n band of the zig-zag, species-interleaved order, zero
+    but for each entry (r, c) at flat slot perm[c] depth + kl + ku + perm[r] -
+    perm[c] of its transpose; with that order's perm, kl, ku and depth, and
+    far shift and norm from the row sums of the off-diagonal entries in CSR
+    order."""
+    n = op.n
+    visit = np.arange(n)
+    if op.boundary == "periodic":
+        visit = np.ravel(np.column_stack([np.arange(n), n - 1 - np.arange(n)]))[:n]
+    node_pos = np.argsort(visit)
+    perm = np.concatenate([2 * node_pos, 2 * node_pos + 1])
+    matrix = op.matrix
+    rows = np.repeat(np.arange(2 * n), np.diff(matrix.indptr))
+    cols = matrix.indices
+    below = perm[rows] - perm[cols]
+    kl, ku = int(below.max()), int(-below.min())
+    depth = 2 * kl + ku + 1
+    flat = np.zeros(2 * n * depth)
+    flat[perm[cols] * depth + kl + ku + perm[rows] - perm[cols]] = matrix.data
+    off = np.where(rows == cols, 0.0, matrix.data)
+    off_sums = np.bincount(rows, weights=off, minlength=2 * n)
+    diag = matrix.data[rows == cols]
+    far_shift = max(float(np.max(off_sums + diag)), 0.0) + 1.0
+    norm = float(np.max(np.abs(diag) + off_sums))
+    return flat.reshape(2 * n, depth).T, perm, kl, ku, far_shift, norm
+
+
+@pytest.mark.parametrize("half_width", [None, 2.0])
+@pytest.mark.parametrize("n", [16, 17, 33, 64, 100])
+@pytest.mark.parametrize("name", sorted(SKELETON_SETS))
+def test_band_is_bitwise_the_entry_by_entry_scatter(name, n, half_width):
+    # the band is laid out once per operator, from the entries by kind, and
+    # each factor copies it; both must give the scatter's band and factors
+    op = build_operator(SKELETON_SETS[name], 0.0 if half_width else 1.5, GridSpec(n_cells=n),
+                        half_width=half_width, refine=False)
+    full, perm, kl, ku, far_shift, norm = scattered_band(op)
+    band = _ShiftedBand(op)
+    assert (band.band.kl, band.band.ku) == (kl, ku) and np.array_equal(band.band.perm, perm)
+    assert np.array_equal(band.band.order, np.argsort(perm))
+    assert (band.far_shift, band.norm) == (far_shift, norm)
+    assert np.array_equal(band._stored.T, full[kl:]) and not full[:kl].any()
+    for shift in (band.far_shift, 0.5 * band.far_shift + 0.25):
+        band.factor(shift)
+        shifted = full.copy()
+        shifted[kl + ku] -= shift
+        factored, pivots, info = dgbtrf(shifted, kl, ku)
+        assert info == 0
+        assert np.array_equal(band._work, factored) and np.array_equal(band._pivots, pivots)
+
+
+@pytest.mark.parametrize("half_width", [None, 2.0])
+def test_row_sums_are_added_in_csr_order(half_width):
+    # off-diagonal entries 1 but the middle one of each end row 2^53: in CSR
+    # order (1 + 2^53) + 1 rounds to 2^53 twice, where (1 + 1) + 2^53 keeps
+    # the 2, so the far shift and the norm see the order of every end row
+    op = build_operator(HOMOG, 0.0, GridSpec(n_cells=32), half_width=half_width, refine=False)
+    matrix = op.matrix.copy()
+    rows = np.repeat(np.arange(64), np.diff(matrix.indptr))
+    matrix.data = np.where(rows == matrix.indices, 0.0, 1.0)
+    for row in (0, 31, 32, 63):
+        off = np.flatnonzero((rows == row) & (rows != matrix.indices))
+        matrix.data[off[len(off) // 2]] = 2.0 ** 53
+    op = replace(op, matrix=matrix)
+    _, _, _, _, far_shift, norm = scattered_band(op)
+    band = _ShiftedBand(op)
+    assert (band.far_shift, band.norm) == (far_shift, norm)
+
+
+@pytest.mark.parametrize("half_width", [None, 2.0])
+def test_refactoring_a_shift_is_bitwise_a_fresh_factorization(half_width):
+    # a factorization leaves fill-in in the band's top kl rows; the next
+    # shift's copy and dgbtrf must not depend on it
+    op = build_operator(SKELETON_SETS["piecewise_sigma"], 0.0 if half_width else 1.5,
+                        GridSpec(n_cells=64), half_width=half_width, refine=False)
+    band = _ShiftedBand(op)
+    s1 = band.far_shift
+    s2 = principal_eigenpair(op).value + 0.1
+    for shift in (s1, s2, s1):
+        band.factor(shift)
+        assert band.shift == shift
+    fresh = _ShiftedBand(op)
+    fresh.factor(s1)
+    assert np.array_equal(band._work, fresh._work)
+    assert np.array_equal(band._pivots, fresh._pivots)
 
 
 def test_singular_band_factor_raises():
@@ -410,6 +511,39 @@ def test_eigenresult_invariants():
     assert res.residual <= 1e-9
     check = np.max(np.abs(op.matrix @ w - res.value * w)) / np.max(np.abs(w))
     assert check == pytest.approx(res.residual, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind, param", [("periodic", 0.0), ("periodic", 1.5),
+                                         ("periodic", -3.0), ("dirichlet", 2.0)])
+@pytest.mark.parametrize("name", sorted(SKELETON_SETS))
+def test_collatz_wielandt_bracket_holds_the_dense_perron_root(name, kind, param):
+    # for any positive w, min(Mw/w) <= k <= max(Mw/w), for M and for M^T
+    half_width = param if kind == "dirichlet" else None
+    op = build_operator(SKELETON_SETS[name], 0.0 if half_width else param, GridSpec(n_cells=64),
+                        half_width=half_width, refine=False)
+    dense = op.matrix.toarray()
+    root = float(np.max(np.linalg.eigvals(dense).real))
+    right = principal_eigenpair(op)
+    left = principal_eigenpair(op, warm=(right.phi, right.psi), left=True)
+    for res, matrix in ((right, dense), (left, dense.T)):
+        low, high = res.bracket
+        assert low - res.rounding <= root <= high + res.rounding
+        ratios = (matrix @ res.eigenvector()) / res.eigenvector()
+        assert (low, high) == pytest.approx((ratios.min(), ratios.max()), abs=res.rounding)
+
+
+def test_value_outside_its_collatz_wielandt_bracket_raises(monkeypatch):
+    # a Rayleigh quotient pushed off the root converges all the same, and only
+    # the bracket check can tell
+    rayleigh = eigen._rayleigh_and_residual
+
+    def shifted(matrix, w):
+        value, residual, mw = rayleigh(matrix, w)
+        return value + 1e-3, residual, mw
+    monkeypatch.setattr(eigen, "_rayleigh_and_residual", shifted)
+    op = build_operator(README_SET, 0.5, GridSpec(n_cells=64), refine=False)
+    with pytest.raises(NumericalError, match="Collatz-Wielandt bracket"):
+        principal_eigenpair(op)
 
 
 def test_operator_off_its_pattern_rejected():

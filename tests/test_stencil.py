@@ -64,7 +64,7 @@ def test_diagonal_triplets_come_first(name, boundary):
     assert np.array_equal(cols[:n], np.arange(n))
     assert not np.any(rows[n:] == cols[n:])
     assert np.all(data[:n] < 0) and np.all(data[n:] > 0)
-    # then the couplings to node i+1, then those to node i-1 (eigen._skeleton slices by it)
+    # then the couplings to node i+1, then those to node i-1 (diag, up and down in that order)
     m = (len(rows) - n) // 2
     assert np.all((cols[n:n + m] - rows[n:n + m]) % n == 1)
     assert np.all((rows[n + m:] - cols[n + m:]) % n == 1)
