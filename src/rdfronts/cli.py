@@ -103,11 +103,13 @@ def _print_counts(command: str, counts: dict) -> None:
 
 def _eigen_counts(results) -> dict:
     """Perron iterations, LU factorizations and grid levels summed over the
-    eigenvalue solves, and the finest cell count among them."""
+    eigenvalue solves, the finest cell count among them, and the
+    factorizations that swapped rows, whose solves take dgbtrs."""
     return {"iterations": sum(r.iterations for r in results),
             "factorizations": sum(r.factorizations for r in results),
             "levels": sum(r.levels for r in results),
-            "finest_cells": max(r.n_cells for r in results)}
+            "finest_cells": max(r.n_cells for r in results),
+            "pivoted": sum(r.pivoted for r in results)}
 
 
 def _search_counts(searches: dict) -> dict:
@@ -115,7 +117,8 @@ def _search_counts(searches: dict) -> dict:
     per = {name: dict(_eigen_counts(results), k_evals=len(results))
            for name, results in searches.items()}
     return {key: {name: c[key] for name, c in per.items()}
-            for key in ("k_evals", "iterations", "levels", "factorizations", "finest_cells")}
+            for key in ("k_evals", "iterations", "levels", "factorizations", "finest_cells",
+                        "pivoted")}
 
 
 # -- subcommand handlers: (values, artifacts) -> solver counts ---------------------

@@ -24,14 +24,17 @@ it into an operator on that pattern.  The pattern and the slots of each kind
 of entry are written in closed form from the column order of every row
 (``_row_kinds``), with no sort.  A warm chain keeps every skeleton it built.
 The Perron iteration solves shifted systems with a banded LU (LAPACK
-dgbtrf/dgbtrs) in an order that interleaves the species and visits the
-periodic ring zig-zag, which keeps the band at 4 sub- and superdiagonals (2
-on Dirichlet operators).  An operator puts its matrix into band storage
-once; each new shift factors a copy with the shift on its diagonal row.  It
-holds the last factorization, so the left Perron vector is solved with the
-transposed factors (dgbtrs trans=1) of the right solve's last shift.  Every
-grid refinement starts on the level that ``first_level`` picks and checks
-before anything is built.
+dgbtrf) in an order that interleaves the species and visits the periodic
+ring zig-zag, which keeps the band at 4 sub- and superdiagonals (2 on
+Dirichlet operators, whose plain interleave needs no index array).  An
+operator puts its matrix into band storage once; each new shift factors a
+copy with the shift on its diagonal row.  A factorization that swapped no
+rows is solved by two triangular band solves (dtbsv), bitwise dgbtrs without
+its BLAS call per column.  Pivoted factors keep dgbtrs, and so does the left
+Perron vector, solved with the transposed factors (dgbtrs trans=1) of the
+right solve's last shift; _ShiftedBand says why.  Every grid refinement
+starts on the level that ``first_level`` picks and checks before anything
+is built.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .coefficients import CoefficientSet
@@ -92,7 +96,8 @@ class _BandPattern:
     The unknowns are put in band order: the two species interleaved, node by
     node, and a periodic ring visited zig-zag (0, n-1, 1, n-2, ...), so that
     ring neighbours, the wrap-around included, are at most two nodes apart.
-    perm[j] is the band position of unknown j and order its inverse.  An
+    perm[j] is the band position of unknown j and order its inverse; zigzag
+    is False on (-R, R), where perm[species n + node] is 2 node + species.  An
     entry (r, c) of a matrix with kl sub- and ku superdiagonals in this order
     goes to row ku + perm[r] - perm[c], column perm[c] of the
     (kl + ku + 1) x 2n band that dgbtrf factors below kl rows of fill-in.
@@ -107,6 +112,7 @@ class _BandPattern:
     def __init__(self, skeleton: OperatorSkeleton):
         n = skeleton.n
         visit = np.arange(n)
+        self.zigzag = skeleton.periodic
         if skeleton.periodic:
             visit[0::2], visit[1::2] = np.arange((n + 1) // 2), n - 1 - np.arange(n // 2)
         node_pos = np.empty(n, dtype=skeleton.slots.dtype)
@@ -128,6 +134,28 @@ class _BandPattern:
             self.slots[kind] += col * (self.kl + self.ku + 1) + self.ku
         if not skeleton.periodic:
             self.slots[DOWN, :, 0] = self.slots[UP, :, -1] = 0
+
+
+def _interp_plan(m: int, n: int) -> Tuple[np.ndarray, ...]:
+    """np.interp(x_new, x_old, f, period=1.0) from the m points x_old of
+    linspace(0, 1, m, endpoint=False) onto the n points x_new of the same
+    kind, as the plan (lo, hi, dx, t): x_new[i] lies t[i] past x_old[lo[i]],
+    in an interval of width dx[i] that ends at x_old[hi[i]], the indices
+    wrapped around the period.  np.interp pads x_old with its last point
+    minus the period and its first plus the period, finds the interval
+    padded[j] <= x_new < padded[j + 1] by binary search and returns
+    (f[hi] - f[lo]) / dx * t + f[lo]; the plan keeps the same operands, so
+    applying it gives np.interp's bits.  Here j is i m // n + 1, the exact
+    interval of i / n, moved one step where rounding puts x_new[i] past
+    either end; padded[j] is x_old[j - 1], and only j = m wraps."""
+    x_old = np.linspace(0.0, 1.0, m, endpoint=False)
+    x_new = np.linspace(0.0, 1.0, n, endpoint=False)
+    padded = np.concatenate([x_old[-1:] - 1.0, x_old, x_old[:1] + 1.0])
+    j = np.arange(n) * m // n + 1
+    j += padded[j + 1] <= x_new
+    j -= padded[j] > x_new
+    return ((j - 1).astype(np.int32), np.where(j == m, 0, j).astype(np.int32),
+            padded[j + 1] - padded[j], x_new - padded[j])
 
 
 @dataclass(frozen=True)
@@ -190,26 +218,13 @@ class OperatorSkeleton:
         return {}
 
     def interp_plan(self, m: int) -> Tuple[np.ndarray, ...]:
-        """np.interp(x_new, x_old, f, period=1.0) from the m points x_old of
-        linspace(0, 1, m, endpoint=False) onto the n points x_new of the same
-        kind, as the plan (lo, hi, dx, t): x_new[i] lies t[i] past
-        x_old[lo[i]], in an interval of width dx[i] that ends at x_old[hi[i]],
-        the indices wrapped around the period.  np.interp pads x_old with its
-        last point minus the period and its first plus the period, finds the
-        interval by binary search and returns (f[hi] - f[lo]) / dx * t + f[lo];
-        the plan keeps the same operands, so applying it gives np.interp's bits.
-
-        A periodic skeleton keeps its plans per m, since a k chain reuses the
-        skeleton over many solves.  A Dirichlet grid depends on R and serves
-        one solve, so its plan is not kept past it."""
+        """_interp_plan(m, n) onto the skeleton's n cells.  A periodic skeleton
+        keeps its plans per m, since a k chain reuses the skeleton over many
+        solves.  A Dirichlet grid depends on R and serves one solve, so its
+        plan is not kept past it."""
         plan = self._interp_plans.get(m)
         if plan is None:
-            x_old = np.linspace(0.0, 1.0, m, endpoint=False)
-            x_new = np.linspace(0.0, 1.0, self.n, endpoint=False)
-            padded = np.concatenate([x_old[-1:] - 1.0, x_old, x_old[:1] + 1.0])
-            j = np.searchsorted(padded, x_new, side="right") - 1
-            plan = (((j - 1) % m).astype(np.int32), (j % m).astype(np.int32),
-                    padded[j + 1] - padded[j], x_new - padded[j])
+            plan = _interp_plan(m, self.n)
             if self.boundary == "periodic":
                 self._interp_plans[m] = plan
         return plan
@@ -245,7 +260,7 @@ def _skeleton(cs: CoefficientSet, n: int,
         h = 2.0 * half_width / (n + 1)
         nodes = -half_width + h * np.arange(1, n + 1)
         boundary = "dirichlet_zero"
-    _, _, diag, up, down = flux_parts(cs, nodes, h, boundary)
+    diag, up, down = flux_parts(cs, nodes, h, boundary)
     m = len(up)
     indptr = np.arange(0, 8 * n + 1, 4, dtype=np.int32)
     if m < n:                                     # each 3-entry row shifts the rows after it
@@ -324,6 +339,7 @@ class EigenResult:
     bracket: Tuple[float, float]             # [min, max] of Mw/w: Collatz-Wielandt bounds
     levels: int = 1                          # grid levels solved (1 for a single operator)
     factorizations: int = 0                  # banded LU factorizations, summed like iterations
+    pivoted: int = 0                         # those that swapped rows, summed alike
     slope: Optional[float] = None            # d value / d lambda, from k_of_lambda(slope=True)
 
     def eigenvector(self) -> np.ndarray:
@@ -437,10 +453,20 @@ class _ShiftedBand:
     fill-in, subtracts s from its diagonal row (the only row that depends on
     s), factors M - sI by dgbtrf (NumericalError on a zero pivot) and keeps s
     as shift.  dgbtrf zeroes the fill-in it uses, so the fill-in rows need no
-    reset between shifts.  solve negates its solution: rounding is symmetric,
-    so that is bitwise the solution with sI - M, or with its transpose given
-    trans=1.  The band order P needs no change for the transpose, as
-    (P A P^T)^T = P A^T P^T.
+    reset between shifts.  factor also records whether dgbtrf swapped rows
+    (unpivoted, False until a factorization succeeds).
+
+    solve negates its solution: rounding is symmetric, so that is bitwise the
+    solution with sI - M, or with its transpose given trans=1.  The band
+    order P needs no change for the transpose, as (P A P^T)^T = P A^T P^T.
+    On unpivoted factors a trans=0 solve is dtbsv on the unit-lower L, read
+    through a view of the band from its diagonal row, then dtbsv on U: the
+    same updates as dgbtrs' per-column DGER and its U solve, so the same
+    bits.  Pivoted factors, whose row swaps fall between L's columns, and
+    trans=1 solves, whose transposed L sweep dtbsv would sum in another
+    order, take dgbtrs.  On the ring the band order gathers through perm and
+    order; on (-R, R) it is the species interleave 2 node + species, so the
+    solve copies by strides.
     """
 
     def __init__(self, op: DiscreteOperator):
@@ -473,26 +499,53 @@ class _ShiftedBand:
         self._stored.reshape(-1)[band.slots] = values
         del values                                # before the work array is allocated
         # The (depth, 2n) column-major array dgbtrf factors in place; it sets
-        # the fill-in of the top kl rows before using it.
-        self._work = np.zeros((op.dimension, band.depth)).T
+        # the fill-in of the top kl rows before using it.  _lower reads the
+        # same buffer from the diagonal row on, with the same leading
+        # dimension, so each of its columns holds the unit-lower factor's
+        # multipliers below its first entry; the buffer has kl + ku entries
+        # more, so that its last column stays inside.
+        size = op.dimension * band.depth
+        buffer = np.zeros(size + band.kl + band.ku)
+        self._work = buffer[:size].reshape(op.dimension, band.depth).T
+        self._lower = buffer[band.kl + band.ku:].reshape(op.dimension, band.depth).T
         self._pivots = self.shift = None
+        self.unpivoted = False
 
     def factor(self, shift: float) -> None:
         band = self.band
-        self.shift = None                         # until the new factors are in place
+        self.shift, self.unpivoted = None, False  # until the new factors are in place
         self._work[band.kl:] = self._stored.T
         self._work[band.kl + band.ku] -= shift
         _, self._pivots, info = dgbtrf(self._work, band.kl, band.ku, overwrite_ab=1)
         if info != 0:
             raise NumericalError(f"shifted operator is singular at s={shift:.17g}: "
                                  f"dgbtrf info {info}")
+        # LAPACK's pivots satisfy j <= ipiv[j] <= j + kl, so they sum to
+        # N(N-1)/2 only when no row was interchanged.  Summed in their own
+        # int32, the sum needs no 64 kB cast buffer, and it may wrap: the
+        # excess over N(N-1)/2 is below 2^32, so it is 0 modulo 2^32 only if 0.
+        size = len(self._pivots)
+        excess = int(self._pivots.sum(dtype=self._pivots.dtype)) - size * (size - 1) // 2
+        self.unpivoted = excess % 2 ** 32 == 0
         self.shift = shift
 
     def solve(self, w: np.ndarray, trans: int = 0) -> np.ndarray:
-        band = self.band
-        x, _ = dgbtrs(self._work, band.kl, band.ku, w[band.order], self._pivots,
-                      trans=trans, overwrite_b=1)
-        return np.negative(x[band.perm], out=x)
+        band, n = self.band, len(w) // 2
+        if band.zigzag:
+            b = w[band.order]
+        else:                                     # the plain interleave: 2 node + species
+            b = np.empty_like(w)
+            b[0::2], b[1::2] = w[:n], w[n:]
+        if self.unpivoted and not trans:          # L y = b, then U x = y
+            b = dtbsv(band.kl, self._lower, b, lower=1, diag=1, overwrite_x=1)
+            x = dtbsv(band.kl + band.ku, self._work, b, overwrite_x=1)
+        else:
+            x, _ = dgbtrs(self._work, band.kl, band.ku, b, self._pivots,
+                          trans=trans, overwrite_b=1)
+        if band.zigzag:
+            x = x[band.perm]
+            return np.negative(x, out=x)
+        return np.negative(x.reshape(n, 2).T, order="C").ravel()
 
 
 def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> EigenResult:
@@ -503,7 +556,10 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> 
     inverse is entrywise positive and keeps the iterate positive.  The
     solves use the banded LU of _ShiftedBand, which holds the operator's band:
     a new shift copies it, shifts its diagonal row and refactors, and one
-    factorization is held at a time.  Two shifts are used:
+    factorization is held at a time.  A factorization that swapped no rows is
+    solved by two triangular band solves, one that did by dgbtrs, with the
+    same bits; the result counts the second kind as pivoted.  Two shifts are
+    used:
 
       * the far shift s_far = max row sum + 1, whose rate (s_far-k)/(s_far-k2)
         is enough for warm-started solves and damps rounding noise in the
@@ -527,9 +583,10 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> 
     a NumericalError.
 
     With left=True the pair is that of M^T, the left Perron pair of M: the
-    steps solve with the transposed factors of the operator's band, and the
-    first one uses the shift a previous solve on the operator left factored,
-    if any.  A solve without a held shift starts on s_far.
+    steps solve with the transposed factors of the operator's band (always
+    by dgbtrs trans=1), and the first one uses the shift a previous solve on
+    the operator left factored, if any.  A solve without a held shift starts
+    on s_far.
     """
     matrix = op.matrix.T if left else op.matrix
     band = op.shifted
@@ -540,12 +597,13 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> 
     value, residual, _ = _rayleigh_and_residual(matrix, w)
     shift = band.shift if left else None
     next_shift = band.far_shift if shift is None else shift
-    factorizations = 0
+    factorizations = pivoted = 0
     for it in range(1, MAX_ITERATIONS + 1):
         if next_shift != shift:
             shift = next_shift
             band.factor(shift)
             factorizations += 1
+            pivoted += not band.unpivoted
         w = band.solve(w, trans=int(left))
         if not (w > 0).all():
             raise NumericalError(f"shift-invert step at s={shift:.17g} produced a "
@@ -565,7 +623,7 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> 
             return EigenResult(value=new_value, phi=w[:op.n].copy(), psi=w[op.n:].copy(),
                                lam=op.lam, iterations=it, residual=new_residual,
                                n_cells=op.n, h=op.h, rounding=rounding, bracket=(low, high),
-                               factorizations=factorizations)
+                               factorizations=factorizations, pivoted=pivoted)
         if new_residual > 0.25 * residual:
             if new_residual < 100.0 * residual_tol and shift != band.far_shift:
                 next_shift = band.far_shift
@@ -633,6 +691,7 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm,
     """
     coarse = principal_eigenpair(make_op(n), warm=warm)
     total_iter, total_lu, levels = coarse.iterations, coarse.factorizations, 1
+    total_pivoted = coarse.pivoted
     prev_extrapolated = None
     while True:
         n *= 2
@@ -640,6 +699,7 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm,
         finer = principal_eigenpair(op, warm=(coarse.phi, coarse.psi))
         total_iter += finer.iterations
         total_lu += finer.factorizations
+        total_pivoted += finer.pivoted
         levels += 1
         gap = abs(finer.value - coarse.value)
         extrapolated = finer.value + (finer.value - coarse.value) / 3.0
@@ -651,6 +711,7 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm,
                                  f"{SOFT_CELL_CAP}-cell level for {label}")
         if gap < tol or settled or at_noise_floor or past_soft_cap:
             finer.iterations, finer.factorizations, finer.levels = total_iter, total_lu, levels
+            finer.pivoted = total_pivoted
             return finer, op, extrapolated
         coarse, prev_extrapolated = finer, extrapolated
         del op                                    # before the finer level is built
@@ -691,6 +752,7 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
         res.slope, left = tilt_slope(op, res)
         res.iterations += left.iterations
         res.factorizations += left.factorizations
+        res.pivoted += left.pivoted
     res.value = value
     return res
 

@@ -1,8 +1,9 @@
 """The conservative-flux stencil w -> exp(lam x) (sigma (exp(-lam x) w)_x)_x,
-shared by eigen and pde: flux_parts gives its lambda-independent parts and
-tilted_couplings its couplings at one lambda.  sigma is taken once per face
-(face_sigma), so the untilted matrix is exactly symmetric.  boundary is
-"periodic", "neumann" (zero end fluxes) or "dirichlet_zero" (zero ghosts)."""
+shared by eigen and pde: flux_parts gives its lambda-independent parts,
+tilted_couplings its couplings at one lambda and coo_pattern the positions of
+its entries.  sigma is taken once per face (face_sigma), so the untilted
+matrix is exactly symmetric.  boundary is "periodic", "neumann" (zero end
+fluxes) or "dirichlet_zero" (zero ghosts)."""
 
 from __future__ import annotations
 
@@ -61,20 +62,18 @@ def check_spacing(h: float) -> None:
 
 
 def flux_parts(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The lambda-independent parts of the stencil: (rows, cols, diag, up, down).
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lambda-independent parts of the stencil: (diag, up, down).
 
-    rows and cols are its COO triplet pattern: the n diagonal entries in node
-    order, then the couplings to node i+1, then those to node i-1.  diag
-    holds the diagonal entries, up and down the face sigma of the two
-    couplings, which tilted_couplings turns into entries.  A spacing h whose
+    diag holds the diagonal entries, up and down the face sigma of the
+    couplings to node i+1 and to node i-1 (n of each when periodic, n-1
+    otherwise), which tilted_couplings turns into entries.  A spacing h whose
     square underflows to 0 or overflows is rejected before any division, and
     a sigma so large that the diagonal is not finite after it.
     """
     if boundary not in ("periodic", "neumann", "dirichlet_zero"):
         raise ValidationError(f"unknown boundary kind {boundary!r}")
     check_spacing(h)
-    n = len(nodes)
     faces = face_sigma(cs, nodes, h, boundary)
     if boundary == "periodic":
         sig_right, sig_left = faces, np.roll(faces, 1)
@@ -86,12 +85,19 @@ def flux_parts(cs: CoefficientSet, nodes: np.ndarray, h: float, boundary: str
         diag = -(sig_right + sig_left) / h ** 2
     if not np.isfinite(diag).all():
         raise ValidationError(f"diffusion entries sigma/h**2 are not finite at h={float(h)!r}")
+    if boundary == "periodic":
+        return diag, sig_right, sig_left
+    return diag, sig_right[:-1], sig_left[1:]
+
+
+def coo_pattern(n: int, boundary: str) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the stencil's entries on n nodes, in the order of
+    np.concatenate([diag, up, down]) from flux_parts: the diagonal in node
+    order, then the couplings to node i+1, then those to node i-1."""
     i = np.arange(n)
     if boundary == "periodic":
-        return (np.concatenate([i, i, i]), np.concatenate([i, (i + 1) % n, (i - 1) % n]),
-                diag, sig_right, sig_left)
-    return (np.concatenate([i, i[:-1], i[1:]]), np.concatenate([i, i[1:], i[:-1]]),
-            diag, sig_right[:-1], sig_left[1:])
+        return np.concatenate([i, i, i]), np.concatenate([i, (i + 1) % n, (i - 1) % n])
+    return np.concatenate([i, i[:-1], i[1:]]), np.concatenate([i, i[1:], i[:-1]])
 
 
 def tilted_couplings(up: np.ndarray, down: np.ndarray, h: float,

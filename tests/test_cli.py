@@ -456,7 +456,7 @@ def test_speed_verbose_reports_k_evals_on_stderr(tmp_path, capsys, monkeypatch):
     searches = sorted(record["k_evals"])
     assert (sorted(record["iterations"]) == sorted(record["levels"])
             == sorted(record["factorizations"]) == sorted(record["finest_cells"])
-            == sorted(solves) == searches)
+            == sorted(record["pivoted"]) == sorted(solves) == searches)
     for search in searches:
         # the Perron solves of each search, tilt_slope's left ones included
         assert record["iterations"][search] == sum(r.iterations for r in solves[search])
@@ -464,6 +464,7 @@ def test_speed_verbose_reports_k_evals_on_stderr(tmp_path, capsys, monkeypatch):
         # every k(lambda) solve takes at least two grid levels
         assert record["levels"][search] >= 2 * record["k_evals"][search]
         assert record["factorizations"][search] >= record["levels"][search]
+        assert record["pivoted"][search] == sum(r.pivoted for r in solves[search])
         assert record["finest_cells"][search] >= 128
     for suffix in ("speed.json", "kcurve.csv"):
         assert ((tmp_path / f"loud_{suffix}").read_bytes()
@@ -479,11 +480,13 @@ def test_verbose_reports_eigen_solver_counts_on_stderr(tmp_path, capsys, command
     line, = capsys.readouterr().err.splitlines()
     record = json.loads(line)
     assert record.pop("command") == command
-    assert sorted(record) == ["factorizations", "finest_cells", "iterations", "levels"]
+    assert sorted(record) == ["factorizations", "finest_cells", "iterations", "levels",
+                              "pivoted"]
     solves = 5 + 1 if command == "eigen" else 2       # curve and profile, or radii
     # every solve takes at least two grid levels, each at least one factorization
     assert record["levels"] >= 2 * solves
     assert record["iterations"] >= record["factorizations"] >= record["levels"]
+    assert record["factorizations"] >= record["pivoted"] >= 0
     assert record["finest_cells"] >= 128
     for quiet in tmp_path.glob("quiet_*"):
         loud = tmp_path / quiet.name.replace("quiet_", "loud_")

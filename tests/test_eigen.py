@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgbtrf
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from rdfronts import eigen, util
 from rdfronts.coefficients import CoefficientSpec, CoefficientSet, constant_set
@@ -25,7 +26,7 @@ from rdfronts.eigen import (
 )
 from rdfronts.errors import NumericalError, ValidationError
 from rdfronts.speeds import spreading_speeds
-from rdfronts.stencil import flux_parts, tilted_couplings
+from rdfronts.stencil import coo_pattern, flux_parts, tilted_couplings
 from test_properties import assert_perron_pair
 
 
@@ -143,7 +144,8 @@ def fresh_assembly(cs, lam, n, half_width=None):
     else:
         h, boundary = 2.0 * half_width / (n + 1), "dirichlet_zero"
         nodes = -half_width + h * np.arange(1, n + 1)
-    rows, cols, diag, up, down = flux_parts(cs, nodes, h, boundary)
+    diag, up, down = flux_parts(cs, nodes, h, boundary)
+    rows, cols = coo_pattern(n, boundary)
     off = np.concatenate(tilted_couplings(up, down, h, lam))
     mu, mv = cs.mu_u(nodes), cs.mu_v(nodes)
     i = np.arange(n)
@@ -178,8 +180,8 @@ def test_tilt_derivative_matches_flux_stencil(name, lam):
     # M' scales the couplings to node i+1 by -h and those to node i-1 by +h
     cs, n = SKELETON_SETS[name], 64
     op = build_operator(cs, lam, GridSpec(n_cells=n), refine=False)
-    rows, cols, _, up, down = flux_parts(cs, op.nodes, op.h, "periodic")
-    rows, cols = rows[n:], cols[n:]
+    _, up, down = flux_parts(cs, op.nodes, op.h, "periodic")
+    rows, cols = (index[n:] for index in coo_pattern(n, "periodic"))
     rate = op.h * np.concatenate(tilted_couplings(up, down, op.h, lam))
     rate[:n] *= -1.0
     expected = sp.coo_matrix((np.concatenate([rate, rate]),
@@ -234,11 +236,36 @@ def test_speed_searches_and_curve_share_one_skeleton_store(built):
 
 # -- banded shift-invert solves ----------------------------------------------------
 
+def dgbtrs_solve(band, w, trans=0):
+    """-(sI - M)^-1 w, or with the transpose, by dgbtrs on the band's factors,
+    gathered through its order and perm: what _ShiftedBand.solve must give
+    to the bit."""
+    pattern = band.band
+    x, info = dgbtrs(band._work, pattern.kl, pattern.ku, w[pattern.order], band._pivots,
+                     trans=trans)
+    assert info == 0
+    return -x[pattern.perm]
+
+
+@pytest.fixture
+def triangle_solves(monkeypatch):
+    """The band width k of each dtbsv call the solves made, in order."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return dtbsv(*args, **kwargs)
+    monkeypatch.setattr(eigen, "dtbsv", counted)
+    return calls
+
+
 @pytest.mark.parametrize("transpose", [False, True])
 @pytest.mark.parametrize("half_width", [None, 2.0])
 @pytest.mark.parametrize("n", [33, 64])
-def test_banded_solve_matches_dense(n, half_width, transpose):
-    # transpose: the trans=1 solve on the same factors, against (sI - M)^T
+def test_banded_solve_matches_dense(n, half_width, transpose, triangle_solves):
+    # transpose: the trans=1 solve on the same factors, against (sI - M)^T.
+    # Pivoted factors and trans=1 solves take dgbtrs; unpivoted ones take the
+    # two triangle solves; either way the bits are dgbtrs'
     cs = SKELETON_SETS["piecewise_sigma"]
     op = build_operator(cs, 0.0 if half_width else 1.5, GridSpec(n_cells=n),
                         half_width=half_width, refine=False)
@@ -254,11 +281,57 @@ def test_banded_solve_matches_dense(n, half_width, transpose):
         band.factor(shift)
         shifted = shift * np.eye(2 * n) - dense
         exact = np.linalg.solve(shifted.T if transpose else shifted, rhs)
+        triangle_solves.clear()
         solved = band.solve(rhs, trans=int(transpose))
         assert band.shift == shift
         assert np.max(np.abs(solved - exact)) <= 1e-12 * np.max(np.abs(exact))
+        assert np.array_equal(solved, dgbtrs_solve(band, rhs, int(transpose)))
+        assert len(triangle_solves) == (2 if band.unpivoted and not transpose else 0)
     if near:
-        assert np.any(band._pivots != np.arange(2 * n))
+        assert np.any(band._pivots != np.arange(2 * n)) and not band.unpivoted
+
+
+@pytest.mark.parametrize("half_width", [None, 2.0])
+@pytest.mark.parametrize("n", [16, 17, 33, 64, 100])
+@pytest.mark.parametrize("name", sorted(SKELETON_SETS))
+def test_unpivoted_solve_is_bitwise_dgbtrs(name, n, half_width, triangle_solves):
+    # the triangle solves, on the ring's zig-zag gathers or the strided
+    # interleave of (-R, R), at the far shift and midway down to the root
+    op = build_operator(SKELETON_SETS[name], 0.0 if half_width else 1.5, GridSpec(n_cells=n),
+                        half_width=half_width, refine=False)
+    band = _ShiftedBand(op)
+    assert (band.band.kl, band.band.ku) == ((2, 2) if half_width else (4, 4))
+    if half_width:                 # the band order is the plain species interleave
+        assert not band.band.zigzag
+        assert np.array_equal(band.band.order, np.arange(2 * n).reshape(2, n).T.ravel())
+    root = principal_eigenpair(op).value
+    w = np.random.default_rng(n).random(2 * n)
+    for shift in (band.far_shift, 0.5 * (band.far_shift + root)):
+        band.factor(shift)
+        assert band.unpivoted and np.array_equal(band._pivots, np.arange(2 * n))
+        triangle_solves.clear()
+        assert np.array_equal(band.solve(w), dgbtrs_solve(band, w))
+        assert triangle_solves == [band.band.kl, band.band.kl + band.band.ku]
+
+
+@pytest.mark.parametrize("half_width", [None, 2.0])
+@pytest.mark.parametrize("n", [24, 2 ** 16])       # 2n(2n-1)/2 past 2^32 wraps the int32 sum
+def test_pivot_sum_detects_row_interchanges(n, half_width):
+    # random cooperative bands on the operator's pattern, factored at their
+    # far shift and at shifts among their diagonal entries, where partial
+    # pivoting swaps rows
+    op = build_operator(HOMOG, 0.0, GridSpec(n_cells=n), half_width=half_width, refine=False)
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(4):
+        matrix = op.matrix.copy()
+        matrix.data = rng.random(len(matrix.data))
+        band = _ShiftedBand(replace(op, matrix=matrix))
+        for shift in (band.far_shift, rng.uniform(0.0, 1.0)):
+            band.factor(shift)
+            assert band.unpivoted == np.array_equal(band._pivots, np.arange(2 * n))
+            seen.add(band.unpivoted)
+    assert seen == {True, False}
 
 
 def scattered_band(op):
@@ -357,8 +430,11 @@ def test_singular_band_factor_raises():
     rows = np.repeat(np.arange(32), np.diff(matrix.indptr))
     matrix.data = np.where(rows == matrix.indices, rows, 0.0)
     band = _ShiftedBand(replace(op, matrix=matrix))
+    band.factor(40.0)
+    assert band.unpivoted
     with pytest.raises(NumericalError, match="singular"):
         band.factor(5.0)
+    assert band.shift is None and not band.unpivoted     # no flag left from the last factors
 
 
 @pytest.mark.parametrize("half_width", [None, 2.0])
@@ -393,12 +469,49 @@ def test_warm_start_is_bitwise_numpy_interp(m, n, half_width):
     assert list(skeleton._interp_plans) == ([m] if half_width is None else [])
 
 
-def test_factorizations_are_counted():
+# (m, n): every m from 16 to 299 and dyadic and other m up to 16384, each
+# onto n from m/4 to 4m
+INTERP_PAIRS = sorted(
+    {(m, n) for m in range(16, 300)
+     for n in (m // 4, m // 2 + 1, m - 1, m + 3, 2 * m, 3 * m - 1, 4 * m)}
+    | {(2 ** a, 2 ** b) for a in range(4, 15) for b in range(a - 2, a + 3)}
+    | {(m, n) for m in (1000, 5000, 12345, 16384)
+       for n in (m // 4, m // 3, m - 1, m + 1, 2 * m + 1, 4 * m)})
+
+
+def test_interp_plans_are_bitwise_numpy_interp():
+    # the closed-form interval index, over grids refining, coarsening and
+    # non-dyadic, from 4 to 65536 points
+    rng = np.random.default_rng(3)
+    for m, n in INTERP_PAIRS:
+        f = rng.random(m)
+        lo, hi, dx, t = eigen._interp_plan(m, n)
+        x_old, x_new = (np.linspace(0.0, 1.0, k, endpoint=False) for k in (m, n))
+        expected = np.interp(x_new, x_old, f, period=1.0)
+        assert np.array_equal((f[hi] - f[lo]) / dx * t + f[lo], expected), (m, n)
+
+
+def test_factorizations_are_counted(monkeypatch):
     op = build_operator(README_SET, 1.0, GridSpec(n_cells=256), refine=False)
     res = principal_eigenpair(op)
     assert 1 <= res.factorizations <= res.iterations
     refined = k_of_lambda(README_SET, 1.0)
     assert refined.levels <= refined.factorizations <= refined.iterations
+    # pivoted counts the factorizations that swapped rows, over every level
+    # and the slope's left solve
+    swapped = []
+    factor = _ShiftedBand.factor
+
+    def counted(band, shift):
+        factor(band, shift)
+        swapped.append(not band.unpivoted)
+    monkeypatch.setattr(_ShiftedBand, "factor", counted)
+    for solve in (lambda: dirichlet_eigenvalue(README_SET, 4.0),
+                  lambda: k_of_lambda(README_SET, 1.0, slope=True)):
+        swapped.clear()
+        res = solve()
+        assert (res.factorizations, res.pivoted) == (len(swapped), sum(swapped))
+    assert dirichlet_eigenvalue(README_SET, 4.0).pivoted > 0
 
 
 # -- principal eigenpair ----------------------------------------------------------

@@ -31,7 +31,7 @@ from rdfronts.pde import (
     simulate,
     stationary_profile,
 )
-from rdfronts.stencil import flux_parts, tilted_couplings
+from rdfronts.stencil import coo_pattern, flux_parts, tilted_couplings
 
 HOMOG = constant_set(sigma=1.0, r_u=1.0, r_v=1.0, mu_u=0.5, mu_v=0.5)
 
@@ -208,8 +208,9 @@ def stepper_set(sigma):
 
 def stencil_triplets(cs, nodes, h, boundary):
     """COO (rows, cols, data) of the untilted stencil, from its parts."""
-    rows, cols, diag, up, down = flux_parts(cs, nodes, h, boundary)
-    return rows, cols, np.concatenate([diag, *tilted_couplings(up, down, h, 0.0)])
+    diag, up, down = flux_parts(cs, nodes, h, boundary)
+    return (*coo_pattern(len(nodes), boundary),
+            np.concatenate([diag, *tilted_couplings(up, down, h, 0.0)]))
 
 
 class SpluStepper:

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from rdfronts.coefficients import CoefficientSet, CoefficientSpec, constant_set
 from rdfronts.errors import ValidationError
-from rdfronts.stencil import face_sigma, flux_parts, tilted_couplings
+from rdfronts.stencil import coo_pattern, face_sigma, flux_parts, tilted_couplings
 
 
 def make_set(sigma):
@@ -24,8 +24,9 @@ SETS = {
 
 def triplets(cs, nodes, h, boundary, lam=0.0):
     """COO (rows, cols, data) of the stencil tilted by lam, from its parts."""
-    rows, cols, diag, up, down = flux_parts(cs, nodes, h, boundary)
-    return rows, cols, np.concatenate([diag, *tilted_couplings(up, down, h, lam)])
+    diag, up, down = flux_parts(cs, nodes, h, boundary)
+    return (*coo_pattern(len(nodes), boundary),
+            np.concatenate([diag, *tilted_couplings(up, down, h, lam)]))
 
 
 def dense(triplets, n):
