@@ -134,29 +134,6 @@ class CoefficientSpec:
         return float(out) if out.ndim == 0 else out
 
 
-def mirror(spec: CoefficientSpec) -> CoefficientSpec:
-    """The reflected coefficient x -> spec(-x), again L-periodic.
-
-    Piecewise-constant specs stay left-closed, so values exactly at the
-    breakpoints move to the other side of the jump (a measure-zero set).
-    """
-    if spec.kind == "constant":
-        return spec
-    if spec.kind == "cosine":
-        return replace(spec, phase=-spec.phase,
-                       harmonics=tuple((a, n, -p) for a, n, p in spec.harmonics))
-    if spec.kind == "piecewise_constant":
-        L = spec.period
-        b, v = spec.breakpoints, spec.values
-        # piece [b_i, b_{i+1}) maps to [L-b_{i+1}, L-b_i); re-anchor at 0
-        new_b = [0.0] + [L - x for x in reversed(b[1:])]
-        new_v = [v[-1]] + list(reversed(v[:-1]))
-        return CoefficientSpec.piecewise(new_b, new_v, period=L)
-    m = len(spec.samples)
-    s = list(spec.samples)
-    return replace(spec, samples=tuple(s[(-i) % m] for i in range(m)))
-
-
 def rescale_spec(spec: CoefficientSpec, eps: float) -> CoefficientSpec:
     """The rescaled coefficient x -> spec(x/eps), with period eps*L."""
     if not (eps > 0):
@@ -230,12 +207,6 @@ def constant_set(sigma=1.0, r_u=1.0, r_v=1.0, kappa_u=1.0, kappa_v=1.0,
     return CoefficientSet(period=period, sigma=c(sigma), r_u=c(r_u), r_v=c(r_v),
                           kappa_u=c(kappa_u), kappa_v=c(kappa_v),
                           mu_u=c(mu_u), mu_v=c(mu_v))
-
-
-def mirror_set(cs: CoefficientSet) -> CoefficientSet:
-    """Reflect every coefficient about x=0."""
-    return CoefficientSet(period=cs.period,
-                          **{n: mirror(getattr(cs, n)) for n in COEFFICIENT_NAMES})
 
 
 def rescale_epsilon(cs: CoefficientSet, eps: float) -> CoefficientSet:
@@ -342,16 +313,6 @@ _SPEC_SCHEMAS = {
 # The specs are read once the set's period, their default period, is known.
 _SET_SCHEMA = {"period": (number, 1.0),
                **{name: (lambda val, _: val, REQUIRED) for name in COEFFICIENT_NAMES}}
-
-
-def _as_json(val):
-    """Tuples, nested ones too, as the JSON lists they were read from."""
-    return [_as_json(v) for v in val] if isinstance(val, tuple) else val
-
-
-def spec_to_dict(spec: CoefficientSpec) -> dict:
-    return {"kind": spec.kind, "period": spec.period,
-            **{key: _as_json(getattr(spec, key)) for key in _SPEC_SCHEMAS[spec.kind][1]}}
 
 
 def spec_from_dict(d: dict, period: float = 1.0,

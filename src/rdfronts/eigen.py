@@ -19,14 +19,18 @@ exist on the discrete level exactly as in the continuous theory.  The slope
 k'(lambda) follows from the right and left Perron vectors (``tilt_slope``).
 
 Only those flux couplings depend on lambda.  An ``OperatorSkeleton`` holds
-the grid's CSR pattern and the rest of the operator, and ``_operator`` tilts
-it into an operator on that pattern.  The pattern and the slots of each kind
-of entry are written in closed form from the column order of every row
-(``_row_kinds``), with no sort.  A warm chain keeps every skeleton it built.
-The Perron iteration solves shifted systems with a banded LU (LAPACK
-dgbtrf) in an order that interleaves the species and visits the periodic
-ring zig-zag, which keeps the band at 4 sub- and superdiagonals (2 on
-Dirichlet operators, whose plain interleave needs no index array).  An
+the grid's CSR pattern, written in closed form with no sort, and the rest
+of the operator, and ``_operator`` tilts it into an operator on that
+pattern.  The Perron iteration solves shifted systems with a banded LU
+(LAPACK dgbtrf) in an order that interleaves the species, 2 sub- and
+superdiagonals wide on (-R, R) and 4 on the periodic ring, visited
+zig-zag.  On (-R, R) each kind of entry sits at a fixed stride of the CSR
+arrays and of the band (``_interleave_blocks``, ``_Interleave``), so a
+Dirichlet level is laid out by strided copies, with no index array.  The
+ring's wrap-around coupling sorts to the other side of its end rows, and
+its zig-zag puts the entries of one kind in other band rows on the two
+halves of the ring, so it keeps slot arrays (``_row_kinds``,
+``_BandPattern``), which a k chain reuses over many operators.  An
 operator puts its matrix into band storage once; each new shift factors a
 copy with the shift on its diagonal row.  A factorization that swapped no
 rows is solved by two triangular band solves (dtbsv), bitwise dgbtrs without
@@ -75,47 +79,67 @@ class GridSpec:
 DIAG, DOWN, UP, MUTATION = range(4)     # the kinds of entry in a row of the coupled operator
 
 
-def _row_kinds(species: int, node: int, n: int, periodic: bool) -> list:
+def _row_kinds(species: int, node: int, n: int) -> list:
     """The kinds of the entries of row (species, node) of the coupled operator
-    on n nodes, in CSR column order.  Within the species they are the couplings
-    to node-1 and node+1 and the diagonal, sorted by column: [down, diag, up]
-    away from the ends; on the ring node 0 has [diag, up, down] and node n-1
-    [up, down, diag], and on (-R, R) node 0 has no down and node n-1 no up
-    coupling.  The mutation entry lies in the other species' block: last in a
-    u row, first in a v row."""
-    cols = {DOWN: node - 1, DIAG: node, UP: node + 1}
-    cols = {kind: col % n for kind, col in cols.items() if periodic or 0 <= col < n}
+    on the ring of n nodes, in CSR column order.  Within the species they are
+    the couplings to node-1 and node+1 and the diagonal, sorted by column:
+    [down, diag, up] away from the ends, [diag, up, down] at node 0 and [up,
+    down, diag] at node n-1.  The mutation entry lies in the other species'
+    block: last in a u row, first in a v row."""
+    cols = {DOWN: (node - 1) % n, DIAG: node, UP: (node + 1) % n}
     within = sorted(cols, key=cols.get)
     return within + [MUTATION] if species == 0 else [MUTATION] + within
 
 
+def _interleave_blocks(flat: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray, list]:
+    """A CSR array (data or indices) on (-R, R) with n nodes as two (n-1, 4)
+    blocks, u rows and v rows, that hold each kind of entry in one column,
+    and the positions of the four entries outside them.  A u row holds
+    [down, diag, up, mutation] and a v row [mutation, down, diag, up], but
+    node 0 has no down and node n-1 no up coupling, so flat is
+
+      diag u0 | up ui, mutation ui, down ui+1, diag ui+1 (i < n-1) | mutation un-1 |
+      mutation v0 | diag v0 | up vi, mutation vi+1, down vi+1, diag vi+1 (i < n-1)"""
+    return (flat[1:4 * n - 3].reshape(n - 1, 4), flat[4 * n:].reshape(n - 1, 4),
+            [0, 4 * n - 3, 4 * n - 2, 4 * n - 1])
+
+
+def _interleave(out: np.ndarray, diag, up, down, mutation) -> np.ndarray:
+    """out with the entries of each kind written into _interleave_blocks'
+    columns and the four entries outside them: diag and mutation by species
+    and node, and (u, v) pairs of up on nodes 0..n-2 and down on 1..n-1."""
+    u, v, ends = _interleave_blocks(out, len(diag[0]))
+    u[:, 0], u[:, 1], u[:, 2], u[:, 3] = up[0], mutation[0][:-1], down[0], diag[0][1:]
+    v[:, 0], v[:, 1], v[:, 2], v[:, 3] = up[1], mutation[1][1:], down[1], diag[1][1:]
+    out[ends] = diag[0][0], mutation[0][-1], mutation[1][0], diag[1][0]
+    return out
+
+
 class _BandPattern:
-    """Where the entries of a skeleton's 2n x 2n matrix go in LAPACK band
+    """Where the entries of a ring skeleton's 2n x 2n matrix go in LAPACK band
     storage.
 
     The unknowns are put in band order: the two species interleaved, node by
-    node, and a periodic ring visited zig-zag (0, n-1, 1, n-2, ...), so that
-    ring neighbours, the wrap-around included, are at most two nodes apart.
-    perm[j] is the band position of unknown j and order its inverse; zigzag
-    is False on (-R, R), where perm[species n + node] is 2 node + species.  An
+    node, with the ring visited zig-zag (0, n-1, 1, n-2, ...), so that ring
+    neighbours, the wrap-around included, are at most two nodes apart.
+    perm[j] is the band position of unknown j and order its inverse.  An
     entry (r, c) of a matrix with kl sub- and ku superdiagonals in this order
     goes to row ku + perm[r] - perm[c], column perm[c] of the
     (kl + ku + 1) x 2n band that dgbtrf factors below kl rows of fill-in.
     slots[kind, species, node] holds that position for each kind of entry,
     laid out like the skeleton's CSR slots, as a flat index into the
     transposed (C-ordered) band; it follows from the band positions of each
-    row's node and of its column's.  The couplings a Dirichlet end row lacks
-    go to position 0, above the band's first column, which stays 0.  The
-    index arrays have the width of the skeleton's slots.
+    row's node and of its column's.  (-R, R) needs none of these arrays:
+    its plain interleave is _Interleave.
     """
+
+    zigzag = True
 
     def __init__(self, skeleton: OperatorSkeleton):
         n = skeleton.n
-        visit = np.arange(n)
-        self.zigzag = skeleton.periodic
-        if skeleton.periodic:
-            visit[0::2], visit[1::2] = np.arange((n + 1) // 2), n - 1 - np.arange(n // 2)
-        node_pos = np.empty(n, dtype=skeleton.slots.dtype)
+        visit = np.empty(n, dtype=np.intp)
+        visit[0::2], visit[1::2] = np.arange((n + 1) // 2), n - 1 - np.arange(n // 2)
+        node_pos = np.empty(n, dtype=np.intp)
         node_pos[visit] = np.arange(n)
         self.perm = np.concatenate([2 * node_pos, 2 * node_pos + 1])
         self.order = np.empty_like(self.perm)
@@ -123,17 +147,26 @@ class _BandPattern:
         rows = self.perm.reshape(2, n)            # band position of (species, node)
         cols = {DIAG: rows, DOWN: np.roll(rows, 1, axis=1), UP: np.roll(rows, -1, axis=1),
                 MUTATION: rows[::-1]}             # that of the column of each kind
-        self.slots = np.empty((4, 2, n), dtype=skeleton.slots.dtype)
+        self.slots = np.empty((4, 2, n), dtype=np.intp)
         for kind, col in cols.items():
             np.subtract(rows, col, out=self.slots[kind])
-        if not skeleton.periodic:                 # no coupling past an end of (-R, R)
-            self.slots[DOWN, :, 0] = self.slots[UP, :, -1] = 0
         self.kl, self.ku = int(self.slots.max()), int(-self.slots.min())
         self.depth = 2 * self.kl + self.ku + 1
         for kind, col in cols.items():
             self.slots[kind] += col * (self.kl + self.ku + 1) + self.ku
-        if not skeleton.periodic:
-            self.slots[DOWN, :, 0] = self.slots[UP, :, -1] = 0
+
+
+class _Interleave:
+    """The band order on (-R, R): unknown (species, node) at position
+    2 node + species, with kl = ku = 2.  Each kind of entry has one band row
+    and lies in its own node's band column or a neighbour's (diag in row 2,
+    the coupling to node i+1 in row 0, to node i-1 in row 4, mutation in row
+    1 of v's column or row 3 of u's), so _ShiftedBand lays the band out and
+    reorders vectors by strides, with no index array."""
+
+    zigzag = False
+    kl = ku = 2
+    depth = 2 * kl + ku + 1
 
 
 def _interp_plan(m: int, n: int) -> Tuple[np.ndarray, ...]:
@@ -163,17 +196,17 @@ class OperatorSkeleton:
     """The grid, CSR pattern and lambda-independent values of the coupled
     operator on one grid.
 
-    slots[kind, species, node] is the CSR slot of each kind of entry (DIAG,
-    DOWN, UP, MUTATION), and diag_slots, up_slots, down_slots and
-    mutation_slots are its views on the entries that exist: on (-R, R) node
-    0 has no down and node n-1 no up coupling, and those two slots point at
-    the row's diagonal.  diag and mutation hold the coefficient samples of
-    their entries by species and node (the diffusion diagonal plus reaction
-    minus mutation; mu_v in the u rows, mu_u in the v rows), and up_sigma
-    and down_sigma the face sigma of the couplings to node i+1 and to node
-    i-1.  Only the couplings depend on lambda, through exp(-+lambda h), so
-    _operator tilts a skeleton into any operator on its grid.  The band
-    pattern of the Perron solves and the M' weights are built on first use,
+    On the ring, slots[kind, species, node] is the CSR slot of each kind of
+    entry (DIAG, DOWN, UP, MUTATION), since the wrap-around coupling sorts to
+    the other side of the two end rows.  On (-R, R) every kind sits at a
+    fixed stride (_interleave_blocks), and slots is None.  diag and mutation
+    hold the coefficient samples of their entries by species and node (the
+    diffusion diagonal plus reaction minus mutation; mu_v in the u rows, mu_u
+    in the v rows), and up_sigma and down_sigma the face sigma of the
+    couplings to node i+1 and to node i-1 (n of each on the ring, n-1 on
+    (-R, R)).  Only the couplings depend on lambda, through exp(-+lambda h),
+    so _operator tilts a skeleton into any operator on its grid.  The band
+    order of the Perron solves and the M' weights are built on first use,
     and so are the plans that interpolate a warm start onto a periodic grid.
     """
 
@@ -183,17 +216,13 @@ class OperatorSkeleton:
     nodes: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
-    slots: np.ndarray             # (4, 2, n)
+    slots: Optional[np.ndarray]   # (4, 2, n) on the ring
     diag: np.ndarray              # (2, n)
     mutation: np.ndarray          # (2, n)
     up_sigma: np.ndarray          # face sigma of the i -> i+1 couplings
     down_sigma: np.ndarray        # face sigma of the i -> i-1 couplings
 
     periodic = property(lambda self: self.boundary == "periodic")
-    diag_slots = property(lambda self: self.slots[DIAG])
-    mutation_slots = property(lambda self: self.slots[MUTATION])
-    up_slots = property(lambda self: self.slots[UP, :, :len(self.up_sigma)])
-    down_slots = property(lambda self: self.slots[DOWN, :, self.n - len(self.down_sigma):])
 
     def csr(self, values: np.ndarray) -> sp.csr_matrix:
         """The 2n x 2n matrix with these values in the pattern's slots.  The
@@ -230,15 +259,19 @@ class OperatorSkeleton:
         return plan
 
     @cached_property
-    def band(self) -> _BandPattern:
-        return _BandPattern(self)
+    def band(self):
+        return _BandPattern(self) if self.periodic else _Interleave()
 
     @cached_property
     def slope_weights(self) -> np.ndarray:
         """M'.data / M.data: -h on the couplings to node i+1, +h on those to
         node i-1, 0 elsewhere."""
         weights = np.zeros(len(self.indices))
-        weights[self.up_slots], weights[self.down_slots] = -self.h, self.h
+        if self.periodic:
+            weights[self.slots[UP]], weights[self.slots[DOWN]] = -self.h, self.h
+        else:
+            zero, h = np.zeros((2, self.n)), np.full((2, self.n - 1), self.h)
+            _interleave(weights, zero, -h, h, zero)
         return weights
 
 
@@ -249,9 +282,9 @@ def _skeleton(cs: CoefficientSet, n: int,
     reaction minus mutation), up and down couplings.
 
     The CSR arrays are written in closed form, in the layout a COO -> CSR
-    build gives: each row holds its entries in the column order of
-    _row_kinds, 4 to a row except the 3 of the four end rows on (-R, R).  The
-    slots of each kind follow from the row starts, with no sort."""
+    build gives, with no sort: on the ring each row holds its 4 entries in
+    the column order of _row_kinds, and the slots of each kind follow from
+    the row starts; on (-R, R) the indices go in by _interleave's strides."""
     if half_width is None:
         h = cs.period / n
         nodes = h * np.arange(n)
@@ -261,31 +294,27 @@ def _skeleton(cs: CoefficientSet, n: int,
         nodes = -half_width + h * np.arange(1, n + 1)
         boundary = "dirichlet_zero"
     diag, up, down = flux_parts(cs, nodes, h, boundary)
-    m = len(up)
     indptr = np.arange(0, 8 * n + 1, 4, dtype=np.int32)
-    if m < n:                                     # each 3-entry row shifts the rows after it
-        for row in (0, n - 1, n, 2 * n - 1):
-            indptr[row + 1:] -= 1
-    start = indptr[:-1].reshape(2, n).astype(np.intp)
-    at = np.empty((4, 2, n), dtype=np.intp)       # the slot of each kind, by species and node
-    for s in (0, 1):
-        for position, kind in enumerate(_row_kinds(s, 1, n, m == n)):
-            at[kind, s] = start[s] + position     # every row as one away from the ends,
-        for i in (0, n - 1):                      # then the two end rows
-            for position, kind in enumerate(_row_kinds(s, i, n, m == n)):
-                at[kind, s, i] = start[s, i] + position
-    if m < n:                                     # the couplings an end row lacks
-        at[DOWN, :, 0], at[UP, :, -1] = at[DIAG, :, 0], at[DIAG, :, -1]
     own = np.arange(2 * n, dtype=np.int32).reshape(2, n)     # column of (species, node)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    indices[at[DIAG]], indices[at[MUTATION]] = own, own[::-1]
-    indices[at[UP, :, :m]] = np.roll(own, -1, axis=1)[:, :m]
-    indices[at[DOWN, :, n - m:]] = np.roll(own, 1, axis=1)[:, n - m:]
-    # A ring's skeleton serves the operators of a whole k chain, so its slots
-    # keep numpy's index width, which indexes fastest; one on (-R, R) serves a
-    # single solve on the largest grids, and int32, as in the CSR indices,
-    # halves the memory of its slots and band pattern.
-    slots = at if m == n else at.astype(np.int32)
+    if half_width is None:
+        start = np.arange(0, 8 * n, 4).reshape(2, n)
+        slots = np.empty((4, 2, n), dtype=np.intp)
+        for s in (0, 1):
+            for position, kind in enumerate(_row_kinds(s, 1, n)):
+                slots[kind, s] = start[s] + position   # every row as one away from the ends,
+            for i in (0, n - 1):                      # then the two end rows
+                for position, kind in enumerate(_row_kinds(s, i, n)):
+                    slots[kind, s, i] = start[s, i] + position
+        indices = np.empty(8 * n, dtype=np.int32)
+        indices[slots[DIAG]], indices[slots[MUTATION]] = own, own[::-1]
+        indices[slots[UP]] = np.roll(own, -1, axis=1)
+        indices[slots[DOWN]] = np.roll(own, 1, axis=1)
+    else:
+        slots = None
+        for row in (0, n - 1, n, 2 * n - 1):      # each 3-entry row shifts the rows after it
+            indptr[row + 1:] -= 1
+        indices = _interleave(np.empty(8 * n - 4, dtype=np.int32),
+                              own, own[:, 1:], own[:, :-1], own[::-1])
     mu, mv = cs.mu_u(nodes), cs.mu_v(nodes)
     return OperatorSkeleton(n, h, boundary, nodes, indices, indptr, slots,
                             np.stack([diag + (cs.r_u(nodes) - mu), diag + (cs.r_v(nodes) - mv)]),
@@ -374,13 +403,17 @@ def first_level(cs: CoefficientSet, grid: Optional[GridSpec], lam: float = 0.0,
 
 def _operator(skeleton: OperatorSkeleton, lam: float) -> DiscreteOperator:
     """The skeleton's operator at lambda, on its CSR pattern: each kind of entry
-    written to its slots, the couplings tilted by exp(-+lambda h).  The
-    entries are bitwise those of a COO -> CSR build of the stencil's
-    triplets."""
+    written to its slots on the ring, by strides on (-R, R), the couplings
+    tilted by exp(-+lambda h).  The entries are bitwise those of a COO -> CSR
+    build of the stencil's triplets."""
+    up, down = tilted_couplings(skeleton.up_sigma, skeleton.down_sigma, skeleton.h, lam)
     data = np.empty(len(skeleton.indices))
-    data[skeleton.diag_slots], data[skeleton.mutation_slots] = skeleton.diag, skeleton.mutation
-    data[skeleton.up_slots], data[skeleton.down_slots] = tilted_couplings(
-        skeleton.up_sigma, skeleton.down_sigma, skeleton.h, lam)
+    if skeleton.periodic:
+        slots = skeleton.slots
+        data[slots[DIAG]], data[slots[MUTATION]] = skeleton.diag, skeleton.mutation
+        data[slots[UP]], data[slots[DOWN]] = up, down
+    else:
+        _interleave(data, skeleton.diag, (up, up), (down, down), skeleton.mutation)
     return DiscreteOperator(skeleton.csr(data), lam, skeleton)
 
 
@@ -442,17 +475,66 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
     return a is b or np.array_equal(a, b)
 
 
+def _ring_band(data: np.ndarray, grid: OperatorSkeleton) -> Tuple[np.ndarray, ...]:
+    """The ring's CSR data in band storage, through the slots of the entries
+    and of their band places; with the diagonal and the off-diagonal row sums
+    by species and node.  The sums go in each row's CSR order (_row_kinds):
+    (down + up) + mutation in a u row, (mutation + down) + up in a v row, but
+    (mutation + up) + down in the v rows at the two ends."""
+    values = data[grid.slots]                     # by kind, species and node
+    down, up, mutation = values[DOWN], values[UP], values[MUTATION]
+    off = np.add(down, up)
+    off[0] += mutation[0]
+    np.add(mutation[1], down[1], out=off[1])
+    off[1] += up[1]
+    for i in (0, -1):
+        off[1, i] = mutation[1, i] + up[1, i] + down[1, i]
+    band = grid.band
+    stored = np.zeros((2 * grid.n, band.kl + band.ku + 1))
+    stored.reshape(-1)[band.slots] = values
+    return stored, values[DIAG], off
+
+
+def _interleaved_band(data: np.ndarray, grid: OperatorSkeleton) -> Tuple[np.ndarray, ...]:
+    """CSR data on (-R, R) in band storage, copied by strides from the columns
+    of _interleave_blocks: row 2 node + species of the (2n, 5) transposed band
+    is that unknown's band column, and each kind goes to one band row of its
+    own node's column or of a neighbour's (see _Interleave).  With the
+    diagonal and the off-diagonal row sums by species and node, read back
+    from the band in each row's CSR order: (down + up) + mutation in a u row,
+    (mutation + down) + up in a v row, a missing coupling read as the zero
+    of the node past the end."""
+    n = grid.n
+    u, v, ends = _interleave_blocks(data, n)
+    padded = np.zeros((n + 2, 10))                # the band rows of u's column, then v's,
+    by_node = padded[1:-1]                        # with a zero node past either end
+    # one column at a time: numpy copies a 2-column block row by row
+    by_node[1:, 0], by_node[1:, 2] = u[:, 0], u[:, 3]     # up ui, diag ui+1: column ui+1
+    by_node[:-1, 6], by_node[:-1, 4] = u[:, 1], u[:, 2]   # mutation ui: vi; down ui+1: ui
+    by_node[1:, 5], by_node[1:, 7] = v[:, 0], v[:, 3]     # up vi, diag vi+1: column vi+1
+    by_node[1:, 3], by_node[:-1, 9] = v[:, 1], v[:, 2]    # mutation vi+1: ui+1; down vi+1: vi
+    by_node[0, 2], by_node[-1, 6], by_node[0, 3], by_node[0, 7] = data[ends]
+    off = np.empty((2, n))
+    np.add(padded[:-2, 4], padded[2:, 0], out=off[0])      # down + up
+    off[0] += by_node[:, 6]                                # + mutation
+    np.add(by_node[:, 3], padded[:-2, 9], out=off[1])      # mutation + down
+    off[1] += padded[2:, 5]                                # + up
+    return by_node.reshape(2 * n, 5), by_node[:, 2::5].T, off
+
+
 class _ShiftedBand:
     """(sI - M)^-1 of a cooperative operator by a banded LU, one shift at a time.
 
-    The matrix must be on its skeleton's CSR pattern, whose band pattern
-    places the entries, with nonnegative off-diagonals (ValidationError
-    otherwise).  far_shift is max row sum + 1 and norm max_i sum_j |M_ij|,
-    read from the entries of each kind at the skeleton's slots.  M goes into
-    LAPACK band storage once; factor(s) copies that band below the kl rows of
-    fill-in, subtracts s from its diagonal row (the only row that depends on
-    s), factors M - sI by dgbtrf (NumericalError on a zero pivot) and keeps s
-    as shift.  dgbtrf zeroes the fill-in it uses, so the fill-in rows need no
+    The matrix must be on its skeleton's CSR pattern, with nonnegative
+    off-diagonals (ValidationError otherwise).  M goes into LAPACK band
+    storage once, in its skeleton's band order: on the ring through the
+    slots of its entries and of their band places (_ring_band), on (-R, R)
+    by strided copies (_interleaved_band).  far_shift is max row sum + 1 and
+    norm max_i sum_j |M_ij|, with the off-diagonals of each row added in its
+    CSR order.  factor(s) copies the band below the kl rows of fill-in,
+    subtracts s from its diagonal row (the only row that depends on s),
+    factors M - sI by dgbtrf (NumericalError on a zero pivot) and keeps s as
+    shift.  dgbtrf zeroes the fill-in it uses, so the fill-in rows need no
     reset between shifts.  factor also records whether dgbtrf swapped rows
     (unpivoted, False until a factorization succeeds).
 
@@ -460,13 +542,15 @@ class _ShiftedBand:
     solution with sI - M, or with its transpose given trans=1.  The band
     order P needs no change for the transpose, as (P A P^T)^T = P A^T P^T.
     On unpivoted factors a trans=0 solve is dtbsv on the unit-lower L, read
-    through a view of the band from its diagonal row, then dtbsv on U: the
-    same updates as dgbtrs' per-column DGER and its U solve, so the same
-    bits.  Pivoted factors, whose row swaps fall between L's columns, and
-    trans=1 solves, whose transposed L sweep dtbsv would sum in another
-    order, take dgbtrs.  On the ring the band order gathers through perm and
-    order; on (-R, R) it is the species interleave 2 node + species, so the
-    solve copies by strides.
+    through a view of the band from its diagonal row, then dtbsv on U, read
+    from the row below the fill-in with its ku superdiagonals: without row
+    interchanges dgbtrf leaves the fill-in zero, and dgbtrs' U solve over
+    kl + ku superdiagonals only adds those zeros, so the bits are the same.
+    Pivoted factors, whose row swaps fall between L's columns, and trans=1
+    solves, whose transposed L sweep dtbsv would sum in another order, take
+    dgbtrs.  On the ring the band order gathers through perm and order; on
+    (-R, R) it is the species interleave 2 node + species, so the solve
+    copies by strides.
     """
 
     def __init__(self, op: DiscreteOperator):
@@ -475,39 +559,29 @@ class _ShiftedBand:
         if not (matrix.format == "csr" and _same(matrix.indptr, on_grid.indptr)
                 and _same(matrix.indices, on_grid.indices)):
             raise ValidationError("operator matrix is not on its grid's CSR pattern")
-        values = matrix.data[grid.slots]          # by kind, species and node
-        if not grid.periodic:                     # no couplings past the ends of (-R, R)
-            values[DOWN, :, 0] = values[UP, :, -1] = 0.0
-        if (values[DOWN:] < 0).any():             # the kinds after DIAG are off-diagonal
-            raise ValidationError("operator is not cooperative: negative off-diagonal entry")
-        # The off-diagonal sum of each row, added in its CSR order (_row_kinds):
-        # (down + up) + mutation in a u row, (mutation + down) + up in a v row,
-        # but (mutation + up) + down in the v rows at the two ends of the ring.
-        down, up, mutation = values[DOWN], values[UP], values[MUTATION]
-        off = np.add(down, up)
-        off[0] += mutation[0]
-        np.add(mutation[1], down[1], out=off[1])
-        off[1] += up[1]
-        if grid.periodic:
-            for i in (0, -1):
-                off[1, i] = mutation[1, i] + up[1, i] + down[1, i]
-        self.far_shift = max(float(np.max(off + values[DIAG])), 0.0) + 1.0
-        self.norm = float(np.max(np.abs(values[DIAG]) + off))
-        del down, up, mutation, off
         band = self.band = grid.band
-        self._stored = np.zeros((op.dimension, band.kl + band.ku + 1))
-        self._stored.reshape(-1)[band.slots] = values
-        del values                                # before the work array is allocated
+        lay_out = _ring_band if band.zigzag else _interleaved_band
+        self._stored, diag, off = lay_out(matrix.data, grid)
+        negative = self._stored < 0
+        negative[:, band.ku] = False              # the diagonal
+        if negative.any():
+            raise ValidationError("operator is not cooperative: negative off-diagonal entry")
+        self.far_shift = max(float(np.max(off + diag)), 0.0) + 1.0
+        self.norm = float(np.max(np.abs(diag) + off))
+        del diag, off                             # before the work array is allocated
         # The (depth, 2n) column-major array dgbtrf factors in place; it sets
         # the fill-in of the top kl rows before using it.  _lower reads the
-        # same buffer from the diagonal row on, with the same leading
-        # dimension, so each of its columns holds the unit-lower factor's
-        # multipliers below its first entry; the buffer has kl + ku entries
-        # more, so that its last column stays inside.
+        # same buffer from the diagonal row on, and _upper from the row below
+        # the fill-in, both with the same leading dimension: each column of
+        # _lower holds the unit-lower factor's multipliers below its first
+        # entry, and each of _upper the ku superdiagonals of U above its last.
+        # The buffer has kl + ku entries more, so that their last columns
+        # stay inside.
         size = op.dimension * band.depth
         buffer = np.zeros(size + band.kl + band.ku)
         self._work = buffer[:size].reshape(op.dimension, band.depth).T
         self._lower = buffer[band.kl + band.ku:].reshape(op.dimension, band.depth).T
+        self._upper = buffer[band.kl:size + band.kl].reshape(op.dimension, band.depth).T
         self._pivots = self.shift = None
         self.unpivoted = False
 
@@ -538,7 +612,7 @@ class _ShiftedBand:
             b[0::2], b[1::2] = w[:n], w[n:]
         if self.unpivoted and not trans:          # L y = b, then U x = y
             b = dtbsv(band.kl, self._lower, b, lower=1, diag=1, overwrite_x=1)
-            x = dtbsv(band.kl + band.ku, self._work, b, overwrite_x=1)
+            x = dtbsv(band.ku, self._upper, b, overwrite_x=1)
         else:
             x, _ = dgbtrs(self._work, band.kl, band.ku, b, self._pivots,
                           trans=trans, overwrite_b=1)

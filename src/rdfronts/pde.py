@@ -493,43 +493,3 @@ def stationary_profile(cs: CoefficientSet, n_cells: int = 512, tol: float = 1e-9
                 counts.update(stepper.counts())
             return nodes, u, v
     raise NumericalError(f"stationary profile did not settle below {tol} by t={t_max}")
-
-
-# -- profile morphology -------------------------------------------------------
-
-PLATEAU_MARGIN = 1.05        # a hump peaks this factor above the rear plateau
-MONOTONE_SLACK = 0.01        # rise allowed per node, relative to the profile's maximum
-
-
-def detect_hump(profile: np.ndarray, nodes: np.ndarray, x_front: float) -> bool:
-    """True if the profile has an interior local maximum above its rear plateau.
-
-    The rear plateau level is taken far behind the front (first fifth of the
-    region behind it); a hump must be a strict interior local max exceeding
-    that level by PLATEAU_MARGIN and lying ahead of the plateau zone.
-    """
-    behind = nodes <= x_front
-    if behind.sum() < 16:
-        return False
-    idx = np.nonzero(behind)[0]
-    rear = idx[: max(4, len(idx) // 5)]
-    plateau = float(np.median(profile[rear]))
-    peak_idx = idx[np.argmax(profile[idx])]
-    peak = float(profile[peak_idx])
-    interior = rear[-1] < peak_idx < len(nodes) - 1
-    local_max = (interior and profile[peak_idx] >= profile[peak_idx - 1]
-                 and profile[peak_idx] >= profile[peak_idx + 1])
-    return bool(local_max and peak > PLATEAU_MARGIN * plateau)
-
-
-def profile_is_monotone(profile: np.ndarray, nodes: np.ndarray, x_front: float) -> bool:
-    """True if the profile is nonincreasing in x up to the front (small slack).
-
-    slack is relative to the profile amplitude, absorbing grid-level wiggles.
-    """
-    region = nodes <= x_front
-    p = profile[region]
-    if len(p) < 2:
-        return True
-    slack = MONOTONE_SLACK * float(np.max(p))
-    return bool(np.all(np.diff(p) <= slack))

@@ -15,20 +15,19 @@ from rdfronts.coefficients import (
     homogenize,
     rescale_epsilon,
 )
-from rdfronts.eigen import dirichlet_eigenvalue, k_curve, k_of_lambda
+from rdfronts.eigen import dirichlet_eigenvalue, dirichlet_sweep, k_curve, k_of_lambda
 from rdfronts.ode import HomParams, equilibrium, integrate, jacobian, lambda_A, lyapunov_K
 from rdfronts.pde import (
     DomainSpec,
     InitialData,
     build_initial,
-    detect_hump,
     front_positions,
     measure_speed,
-    profile_is_monotone,
     simulate,
     stationary_profile,
 )
 from rdfronts.speeds import homogenized_speed, spreading_speeds
+from helpers import detect_hump, profile_is_monotone
 
 # Criterion 9's fronts do reach the outer margin; that warning is expected there.
 pytestmark = pytest.mark.filterwarnings("ignore:.*front entered the outer")
@@ -107,11 +106,15 @@ def test_criterion_3_quadratic_bounds_and_convexity():
           f"to upper bound {worst_high:.2e}, min second difference {worst_second:.2e}")
 
 
+def criterion_4_set():
+    return build_set(sigma=cosine(1.0, 0.3, 0.4), r_u=cosine(1.0, 0.4, 0.7),
+                     r_v=cosine(0.9, 0.3, 1.9),
+                     mu_u=CoefficientSpec.constant(0.4),
+                     mu_v=CoefficientSpec.constant(0.7))
+
+
 def test_criterion_4_dirichlet_limit():
-    cs = build_set(sigma=cosine(1.0, 0.3, 0.4), r_u=cosine(1.0, 0.4, 0.7),
-                   r_v=cosine(0.9, 0.3, 1.9),
-                   mu_u=CoefficientSpec.constant(0.4),
-                   mu_v=CoefficientSpec.constant(0.7))
+    cs = criterion_4_set()
     radii = [cs.period * 2 ** j for j in range(7)]   # L .. 64 L
     values = []
     warm = None
@@ -125,6 +128,34 @@ def test_criterion_4_dirichlet_limit():
     check("4", increasing and gap <= 1e-2,
           f"lambda_1^R strictly increasing over 7 doublings: {increasing}; "
           f"|lambda_1^(64L) - min k| = {gap:.2e} vs tol 1e-2")
+
+
+def test_dirichlet_limit_closes_at_the_effective_mass_rate():
+    # Near its minimum k(lambda* + i theta) = k_min - k'' theta^2 / 2
+    # + k'''' theta^4 / 24 - ..., and the ground state on (-R, R) has
+    # theta = pi / (2R), so
+    #   g(R) = R^2 (k_min - lambda_1(R)) = C + a / R^2 + O(R^-4),
+    #   C = pi^2 k''(lambda*) / 8,  a = -pi^4 k''''(lambda*) / 384
+    # (exact, a = 0, for sigma u'' + r u).  The derivatives come from five
+    # k(lambda) solves 0.1 apart, not from the Dirichlet values.  Each g(R)
+    # must lie within twice the next term, 2 |a| / R^2 (the terms after it
+    # are smaller by a further R^-2), plus R^2 times the grid tolerances of
+    # lambda_1(R) and k_min.
+    cs = criterion_4_set()
+    tol_dirichlet, tol_k, step = 1e-9, 1e-10, 0.1
+    lam_star = min(spreading_speeds(cs).solves["k_min"], key=lambda res: res.value).lam
+    k = [k_of_lambda(cs, lam_star + j * step, tol=tol_k).value for j in (-2, -1, 0, 1, 2)]
+    k2 = (-k[0] + 16.0 * k[1] - 30.0 * k[2] + 16.0 * k[3] - k[4]) / (12.0 * step ** 2)
+    k4 = (k[0] - 4.0 * k[1] + 6.0 * k[2] - 4.0 * k[3] + k[4]) / step ** 4
+    C, a, k_min = np.pi ** 2 * k2 / 8.0, -np.pi ** 4 * k4 / 384.0, k[2]
+    radii = np.array([cs.period * 2.0 ** j for j in range(7)])      # L .. 64 L
+    values = np.array([res.value for res in dirichlet_sweep(cs, radii, None, tol_dirichlet)])
+    g = radii ** 2 * (k_min - values)
+    bound = 2.0 * abs(a) / radii ** 2 + radii ** 2 * (tol_dirichlet + tol_k)
+    check("4-rate", bool(np.all(np.abs(g - C) <= bound)),
+          f"R^2 (k_min - lambda_1) - pi^2 k''/8 = {np.array2string(g - C, precision=2)} "
+          f"for R = L .. 64 L, bounds {np.array2string(bound, precision=2)}; "
+          f"pi^2 k''/8 = {C:.6f}, a = {a:.3e}")
 
 
 def test_criterion_5_symmetry():

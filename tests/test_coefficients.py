@@ -10,15 +10,13 @@ from rdfronts.coefficients import (
     CoefficientSet,
     CoefficientSpec,
     homogenize,
-    mirror,
-    mirror_set,
     periodic_mean,
     rescale_epsilon,
     set_from_dict,
     spec_from_dict,
-    spec_to_dict,
 )
 from rdfronts.errors import ValidationError
+from helpers import mirror, mirror_set, spec_to_dict
 
 
 def set_dict(cs):

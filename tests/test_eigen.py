@@ -188,6 +188,17 @@ def test_tilt_derivative_matches_flux_stencil(name, lam):
                               (np.concatenate([rows, rows + n]),
                                np.concatenate([cols, cols + n]))), shape=(2 * n, 2 * n))
     assert np.array_equal(tilt_derivative(op).toarray(), expected.toarray())
+    # the same weights on (-R, R), where node 0 has no down and node n-1 no up
+    # coupling
+    op = _operator(_skeleton(cs, n, 2.0), lam)
+    _, up, down = flux_parts(cs, op.nodes, op.h, "dirichlet_zero")
+    rows, cols = (index[n:] for index in coo_pattern(n, "dirichlet_zero"))
+    rate = op.h * np.concatenate(tilted_couplings(up, down, op.h, lam))
+    rate[:n - 1] *= -1.0
+    expected = sp.coo_matrix((np.concatenate([rate, rate]),
+                              (np.concatenate([rows, rows + n]),
+                               np.concatenate([cols, cols + n]))), shape=(2 * n, 2 * n))
+    assert np.array_equal(tilt_derivative(op).toarray(), expected.toarray())
 
 
 @pytest.fixture
@@ -236,15 +247,24 @@ def test_speed_searches_and_curve_share_one_skeleton_store(built):
 
 # -- banded shift-invert solves ----------------------------------------------------
 
+def band_order(band):
+    """(perm, order) of a _ShiftedBand's band order: the ring's index arrays,
+    or on (-R, R) the plain species interleave, 2 node + species."""
+    if band.band.zigzag:
+        return band.band.perm, band.band.order
+    n = len(band._stored) // 2
+    return np.arange(2 * n).reshape(n, 2).T.ravel(), np.arange(2 * n).reshape(2, n).T.ravel()
+
+
 def dgbtrs_solve(band, w, trans=0):
     """-(sI - M)^-1 w, or with the transpose, by dgbtrs on the band's factors,
     gathered through its order and perm: what _ShiftedBand.solve must give
     to the bit."""
-    pattern = band.band
-    x, info = dgbtrs(band._work, pattern.kl, pattern.ku, w[pattern.order], band._pivots,
+    perm, order = band_order(band)
+    x, info = dgbtrs(band._work, band.band.kl, band.band.ku, w[order], band._pivots,
                      trans=trans)
     assert info == 0
-    return -x[pattern.perm]
+    return -x[perm]
 
 
 @pytest.fixture
@@ -292,18 +312,17 @@ def test_banded_solve_matches_dense(n, half_width, transpose, triangle_solves):
 
 
 @pytest.mark.parametrize("half_width", [None, 2.0])
-@pytest.mark.parametrize("n", [16, 17, 33, 64, 100])
+@pytest.mark.parametrize("n", [16, 17, 33, 64, 100, 4096])
 @pytest.mark.parametrize("name", sorted(SKELETON_SETS))
 def test_unpivoted_solve_is_bitwise_dgbtrs(name, n, half_width, triangle_solves):
     # the triangle solves, on the ring's zig-zag gathers or the strided
-    # interleave of (-R, R), at the far shift and midway down to the root
+    # interleave of (-R, R), at the far shift and midway down to the root;
+    # dgbtrs_solve gathers through the plain interleave on (-R, R)
     op = build_operator(SKELETON_SETS[name], 0.0 if half_width else 1.5, GridSpec(n_cells=n),
                         half_width=half_width, refine=False)
     band = _ShiftedBand(op)
     assert (band.band.kl, band.band.ku) == ((2, 2) if half_width else (4, 4))
-    if half_width:                 # the band order is the plain species interleave
-        assert not band.band.zigzag
-        assert np.array_equal(band.band.order, np.arange(2 * n).reshape(2, n).T.ravel())
+    assert band.band.zigzag == (half_width is None)
     root = principal_eigenpair(op).value
     w = np.random.default_rng(n).random(2 * n)
     for shift in (band.far_shift, 0.5 * (band.far_shift + root)):
@@ -311,7 +330,27 @@ def test_unpivoted_solve_is_bitwise_dgbtrs(name, n, half_width, triangle_solves)
         assert band.unpivoted and np.array_equal(band._pivots, np.arange(2 * n))
         triangle_solves.clear()
         assert np.array_equal(band.solve(w), dgbtrs_solve(band, w))
-        assert triangle_solves == [band.band.kl, band.band.kl + band.band.ku]
+        assert triangle_solves == [band.band.kl, band.band.ku]
+
+
+@pytest.mark.parametrize("half_width", [None, 2.0])
+def test_unpivoted_u_solve_reads_no_fill_in(half_width, triangle_solves):
+    # without row interchanges dgbtrf leaves the kl fill-in rows zero, and the
+    # U solve reads only the ku superdiagonals below them: NaN in the fill-in
+    # rows leaves the solve's bits, which are dgbtrs', alone
+    n = 4096
+    op = build_operator(SKELETON_SETS["piecewise_sigma"], 0.0 if half_width else 1.5,
+                        GridSpec(n_cells=n), half_width=half_width, refine=False)
+    band = _ShiftedBand(op)
+    kl = band.band.kl
+    w = np.random.default_rng(n).random(2 * n)
+    band.factor(band.far_shift)
+    assert band.unpivoted and not band._work[:kl].any()
+    solved = band.solve(w)
+    assert np.array_equal(solved, dgbtrs_solve(band, w))
+    band._work[:kl] = np.nan
+    assert np.array_equal(band.solve(w), solved)
+    assert triangle_solves == [kl, band.band.ku] * 2
 
 
 @pytest.mark.parametrize("half_width", [None, 2.0])
@@ -373,8 +412,8 @@ def test_band_is_bitwise_the_entry_by_entry_scatter(name, n, half_width):
                         half_width=half_width, refine=False)
     full, perm, kl, ku, far_shift, norm = scattered_band(op)
     band = _ShiftedBand(op)
-    assert (band.band.kl, band.band.ku) == (kl, ku) and np.array_equal(band.band.perm, perm)
-    assert np.array_equal(band.band.order, np.argsort(perm))
+    assert (band.band.kl, band.band.ku) == (kl, ku) and np.array_equal(band_order(band)[0], perm)
+    assert np.array_equal(band_order(band)[1], np.argsort(perm))
     assert (band.far_shift, band.norm) == (far_shift, norm)
     assert np.array_equal(band._stored.T, full[kl:]) and not full[:kl].any()
     for shift in (band.far_shift, 0.5 * band.far_shift + 0.25):
@@ -384,6 +423,36 @@ def test_band_is_bitwise_the_entry_by_entry_scatter(name, n, half_width):
         factored, pivots, info = dgbtrf(shifted, kl, ku)
         assert info == 0
         assert np.array_equal(band._work, factored) and np.array_equal(band._pivots, pivots)
+
+
+@pytest.mark.parametrize("n", [16, 17, 33, 100, 4096])
+@pytest.mark.parametrize("name", sorted(SKELETON_SETS))
+def test_dirichlet_strided_layout_is_bitwise_the_fresh_assembly(name, n):
+    # On (-R, R) the CSR arrays, the band and the row sums are written by
+    # strides, with no slot arrays: against the COO -> CSR build, its band
+    # scattered entry by entry and its row sums in CSR order; then the same
+    # on random entries, which tell every kind of entry apart, and with the
+    # entries of one end or middle row of each species 1000x larger, so that
+    # the far shift and the norm are that row's
+    cs = SKELETON_SETS[name]
+    op = build_operator(cs, 0.0, GridSpec(n_cells=n), half_width=2.0)
+    assert op.skeleton.slots is None and not op.skeleton.band.zigzag
+    fresh = fresh_assembly(cs, 0.0, n, half_width=2.0)
+    assert_same_csr(op.matrix, fresh)
+    random = np.random.default_rng(n).random(len(fresh.data))
+    matrices = [fresh]
+    for row in (None, 0, n // 2, n - 1, n, n + n // 2, 2 * n - 1):
+        matrix = fresh.copy()
+        matrix.data = random.copy()
+        if row is not None:
+            matrix.data[fresh.indptr[row]:fresh.indptr[row + 1]] *= 1e3
+        matrices.append(matrix)
+    for matrix in matrices:
+        on_pattern = replace(op, matrix=matrix)
+        full, _, kl, _, far_shift, norm = scattered_band(on_pattern)
+        band = _ShiftedBand(on_pattern)
+        assert np.array_equal(band._stored.T, full[kl:])
+        assert (band.far_shift, band.norm) == (far_shift, norm)
 
 
 @pytest.mark.parametrize("half_width", [None, 2.0])
@@ -674,10 +743,17 @@ def test_operator_off_its_pattern_rejected():
 
 
 def test_non_cooperative_operator_rejected():
-    op = build_operator(HOMOG, 0.0, GridSpec(n_cells=32))
-    op.matrix[0, 1] = -1.0
-    with pytest.raises(ValidationError):
-        principal_eigenpair(op)
+    # one negative off-diagonal entry, of any kind, in an end or a middle row
+    # of either species, on the ring and on (-R, R)
+    for half_width in (None, 2.0):
+        op = build_operator(HOMOG, 0.0, GridSpec(n_cells=32), half_width=half_width)
+        rows = np.repeat(np.arange(64), np.diff(op.matrix.indptr))
+        for row in (0, 15, 31, 32, 47, 63):
+            for entry in np.flatnonzero((rows == row) & (rows != op.matrix.indices)):
+                matrix = op.matrix.copy()
+                matrix.data[entry] = -1.0
+                with pytest.raises(ValidationError, match="not cooperative"):
+                    principal_eigenpair(replace(op, matrix=matrix))
 
 
 # -- k(lambda) curve ----------------------------------------------------------------

@@ -13,7 +13,6 @@ from rdfronts.coefficients import (
     CoefficientSpec,
     CoefficientSet,
     constant_set,
-    mirror_set,
     rescale_epsilon,
 )
 from rdfronts.errors import InvariantBreachError, ValidationError
@@ -24,14 +23,13 @@ from rdfronts.pde import (
     InitialData,
     Stepper,
     build_initial,
-    detect_hump,
     front_positions,
     measure_speed,
-    profile_is_monotone,
     simulate,
     stationary_profile,
 )
 from rdfronts.stencil import coo_pattern, flux_parts, tilted_couplings
+from helpers import detect_hump, mirror_set, profile_is_monotone
 
 HOMOG = constant_set(sigma=1.0, r_u=1.0, r_v=1.0, mu_u=0.5, mu_v=0.5)
 

@@ -13,12 +13,12 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rdfronts.coefficients import (CoefficientSet, CoefficientSpec, mirror_set, spec_from_dict,
-                                   spec_to_dict)
+from rdfronts.coefficients import CoefficientSet, CoefficientSpec, spec_from_dict
 from rdfronts.eigen import (K_GRID_TOL, GridSpec, build_operator, k_curve, k_of_lambda,
                             principal_eigenpair)
 from rdfronts.pde import BOUND_SLACK, DomainSpec, InitialData, Stepper, build_initial
 from rdfronts.speeds import spreading_speeds
+from helpers import mirror_set, spec_to_dict
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 

@@ -9,7 +9,6 @@ from rdfronts.coefficients import (
     CoefficientSet,
     constant_set,
     homogenize,
-    mirror_set,
     periodic_mean,
 )
 from rdfronts.eigen import principal_eigenpair, tilt_slope
@@ -22,6 +21,7 @@ from rdfronts.speeds import (
     spreading_speeds,
     tangency_search,
 )
+from helpers import mirror_set
 
 
 def cosine_set(**overrides):
