@@ -369,6 +369,7 @@ class EigenResult:
     levels: int = 1                          # grid levels solved (1 for a single operator)
     factorizations: int = 0                  # banded LU factorizations, summed like iterations
     pivoted: int = 0                         # those that swapped rows, summed alike
+    restarts: int = 0                        # solves restarted off their first shift, alike
     slope: Optional[float] = None            # d value / d lambda, from k_of_lambda(slope=True)
 
     def eigenvector(self) -> np.ndarray:
@@ -622,7 +623,8 @@ class _ShiftedBand:
         return np.negative(x.reshape(n, 2).T, order="C").ravel()
 
 
-def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> EigenResult:
+def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False,
+                        first_shift: Optional[float] = None) -> EigenResult:
     """Perron eigenpair of a cooperative discrete operator by shift-invert iteration.
 
     Each step solves (sI - M) y = w and normalizes y.  For every shift s above
@@ -632,15 +634,28 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> 
     a new shift copies it, shifts its diagonal row and refactors, and one
     factorization is held at a time.  A factorization that swapped no rows is
     solved by two triangular band solves, one that did by dgbtrs, with the
-    same bits; the result counts the second kind as pivoted.  Two shifts are
-    used:
+    same bits; the result counts the second kind as pivoted.  Three shifts
+    are used:
 
       * the far shift s_far = max row sum + 1, whose rate (s_far-k)/(s_far-k2)
         is enough for warm-started solves and damps rounding noise in the
         high-frequency modes;
       * the Collatz-Wielandt upper bound s = max(Mw/w) >= k (Noda's iteration,
         superlinear), taken whenever a step shrinks the residual by less than
-        4x while it is still 100x above its tolerance.
+        4x while it is still 100x above its tolerance;
+      * first_shift, for the first step only, when given and below s_far: a
+        refinement level passes the Perron root of the level below it
+        (_refine_to_tolerance).  A shift just above k damps every other mode
+        of the start vector by (s-k)/(s-k_j) in one step.
+
+    A first shift is not known to lie above k.  The first iterate y proves it
+    when y > 0 and max(My/y) < s: then My < sy, and the Collatz-Wielandt
+    bound puts k below s.  In exact arithmetic y > 0 alone would prove it,
+    but with s within rounding of k rounding picks the sign of y, so the
+    bound is checked too.  Without that proof the iteration restarts on s_far
+    from the start vector, as if no first shift had been given, so a
+    restarted solve gives the bits of one without; the result counts the
+    restart, and the failed step and its factorization.
 
     A step that stalls on a Collatz-Wielandt shift within 100x of the
     tolerance takes one step on s_far, since a near-singular shift leaves
@@ -659,8 +674,8 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> 
     With left=True the pair is that of M^T, the left Perron pair of M: the
     steps solve with the transposed factors of the operator's band (always
     by dgbtrs trans=1), and the first one uses the shift a previous solve on
-    the operator left factored, if any.  A solve without a held shift starts
-    on s_far.
+    the operator left factored, if any, in place of first_shift.  A solve
+    with neither starts on s_far.
     """
     matrix = op.matrix.T if left else op.matrix
     band = op.shifted
@@ -670,8 +685,9 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> 
     w = _start_vector(op, warm)
     value, residual, _ = _rayleigh_and_residual(matrix, w)
     shift = band.shift if left else None
-    next_shift = band.far_shift if shift is None else shift
-    factorizations = pivoted = 0
+    hinted = shift is None and first_shift is not None and first_shift < band.far_shift
+    next_shift = first_shift if hinted else band.far_shift if shift is None else shift
+    factorizations = pivoted = restarts = 0
     for it in range(1, MAX_ITERATIONS + 1):
         if next_shift != shift:
             shift = next_shift
@@ -679,11 +695,16 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> 
             factorizations += 1
             pivoted += not band.unpivoted
         w = band.solve(w, trans=int(left))
-        if not (w > 0).all():
+        positive = bool((w > 0).all())
+        if positive:
+            w /= w.max()
+            new_value, new_residual, mw = _rayleigh_and_residual(matrix, w)
+        if hinted and it == 1 and not (positive and float((mw / w).max()) < shift):
+            w, next_shift, restarts = _start_vector(op, warm), band.far_shift, 1
+            continue                              # s is not shown to lie above the root
+        if not positive:
             raise NumericalError(f"shift-invert step at s={shift:.17g} produced a "
                                  f"non-positive iterate (min {np.min(w):.3e})")
-        w /= w.max()
-        new_value, new_residual, mw = _rayleigh_and_residual(matrix, w)
         ray_tol = max(RAYLEIGH_TOL * max(1.0, abs(new_value)), 0.01 * residual_tol)
         if abs(new_value - value) < ray_tol and new_residual < residual_tol:
             if np.min(w) <= 0:                    # an entry underflowed in w / w.max()
@@ -697,7 +718,8 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False) -> 
             return EigenResult(value=new_value, phi=w[:op.n].copy(), psi=w[op.n:].copy(),
                                lam=op.lam, iterations=it, residual=new_residual,
                                n_cells=op.n, h=op.h, rounding=rounding, bracket=(low, high),
-                               factorizations=factorizations, pivoted=pivoted)
+                               factorizations=factorizations, pivoted=pivoted,
+                               restarts=restarts)
         if new_residual > 0.25 * residual:
             if new_residual < 100.0 * residual_tol and shift != band.far_shift:
                 next_shift = band.far_shift
@@ -743,6 +765,13 @@ def tilt_slope(op: DiscreteOperator, right: EigenResult) -> Tuple[float, EigenRe
 
 SOFT_CELL_CAP = 2 ** 18       # past this the rounding floor always dominates
 NOISE_MULTIPLE = 100.0        # a gap this close to the rounding level is noise
+SUMMED_COUNTS = ("iterations", "factorizations", "pivoted", "restarts")   # over solves
+
+
+def _add_counts(total: EigenResult, part: EigenResult, keys=SUMMED_COUNTS) -> None:
+    """Add part's counts to total's, for a result that sums several solves."""
+    for key in keys:
+        setattr(total, key, getattr(total, key) + getattr(part, key))
 
 
 def _refine_to_tolerance(make_op, n: int, tol: float, warm,
@@ -760,21 +789,29 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm,
     leaves nothing for further refinement to resolve.  A gap that stops
     shrinking is not taken for noise: on a discontinuous sigma the gaps can
     swing between levels far above the rounding level.  Returns the finest
-    level's eigenpair (with the Perron iterations, factorizations and levels
-    of the whole loop), its operator and R_2n.
+    level's eigenpair (with the Perron iterations, factorizations, restarts
+    and levels of the whole loop), its operator and R_2n.
+
+    Each level above the first starts from the level below: its vector,
+    interpolated, and its raw root as principal_eigenpair's first_shift.
+    The first level keeps warm's vector and the far shift.  The root of the
+    level below is meant to lie just above the finer root, where one step
+    leaves little but the Perron mode.  On a constant medium it does: the
+    three-point stencil's eigenvalues of d^2/dx^2, -4 sin^2(theta h/2)/h^2
+    for wave number theta, lie above -theta^2 and fall towards it as h
+    halves, and the tilted couplings give 4 sinh^2(lambda h/2)/h^2 >=
+    lambda^2.  With varying coefficients that is measured, not proven: it
+    held on every level of the benchmark's jobs but those whose roots agree
+    to rounding, and on all but under 1% of the test suite's levels.  On a
+    level where it does not, the solve restarts on the far shift.
     """
     coarse = principal_eigenpair(make_op(n), warm=warm)
-    total_iter, total_lu, levels = coarse.iterations, coarse.factorizations, 1
-    total_pivoted = coarse.pivoted
     prev_extrapolated = None
     while True:
         n *= 2
         op = make_op(n)
-        finer = principal_eigenpair(op, warm=(coarse.phi, coarse.psi))
-        total_iter += finer.iterations
-        total_lu += finer.factorizations
-        total_pivoted += finer.pivoted
-        levels += 1
+        finer = principal_eigenpair(op, warm=(coarse.phi, coarse.psi), first_shift=coarse.value)
+        _add_counts(finer, coarse, SUMMED_COUNTS + ("levels",))   # every level so far
         gap = abs(finer.value - coarse.value)
         extrapolated = finer.value + (finer.value - coarse.value) / 3.0
         settled = prev_extrapolated is not None and abs(extrapolated - prev_extrapolated) < tol
@@ -784,8 +821,6 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm,
             raise NumericalError(f"eigenvalue gap {gap:.2e} still large at the "
                                  f"{SOFT_CELL_CAP}-cell level for {label}")
         if gap < tol or settled or at_noise_floor or past_soft_cap:
-            finer.iterations, finer.factorizations, finer.levels = total_iter, total_lu, levels
-            finer.pivoted = total_pivoted
             return finer, op, extrapolated
         coarse, prev_extrapolated = finer, extrapolated
         del op                                    # before the finer level is built
@@ -824,9 +859,7 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
     res, op, value = _refine_to_tolerance(make_op, n, tol, warm, f"lambda={lam}")
     if slope:
         res.slope, left = tilt_slope(op, res)
-        res.iterations += left.iterations
-        res.factorizations += left.factorizations
-        res.pivoted += left.pivoted
+        _add_counts(res, left)
     res.value = value
     return res
 

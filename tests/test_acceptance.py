@@ -15,7 +15,8 @@ from rdfronts.coefficients import (
     homogenize,
     rescale_epsilon,
 )
-from rdfronts.eigen import dirichlet_eigenvalue, dirichlet_sweep, k_curve, k_of_lambda
+from rdfronts.eigen import (K_GRID_TOL, dirichlet_eigenvalue, dirichlet_sweep, k_curve,
+                            k_of_lambda)
 from rdfronts.ode import HomParams, equilibrium, integrate, jacobian, lambda_A, lyapunov_K
 from rdfronts.pde import (
     DomainSpec,
@@ -223,8 +224,12 @@ def test_criterion_7_hair_trigger():
           f"decaying-medium sup norm {sup:.2e} vs 1e-6")
 
 
+def criterion_8_set():
+    return build_set(r_u=cosine(1.0, 0.4, 0.3), r_v=cosine(1.0, 0.4, 1.1))
+
+
 def test_criterion_8_homogenization_sweep():
-    base = build_set(r_u=cosine(1.0, 0.4, 0.3), r_v=cosine(1.0, 0.4, 1.1))
+    base = criterion_8_set()
     target = homogenized_speed(homogenize(base))
     hom = homogenize(base)
     p_hom = HomParams(hom.sigma_H, hom.mean_r_u, hom.mean_r_v, hom.mean_kappa_u,
@@ -245,6 +250,44 @@ def test_criterion_8_homogenization_sweep():
           f"speed gaps {['%.2e' % g for g in gaps]} strictly decreasing: {gaps_dec}, "
           f"final relative gap {final_rel:.2%} vs 3%; stationary-profile distances "
           f"{['%.2e' % d for d in dists]} decreasing: {dists_dec}")
+
+
+def test_homogenization_gap_closes_at_the_two_scale_rate():
+    # Criterion 8's set: sigma = 1, mu_u = mu_v = 1/2 and
+    # r_i = 1 + a cos(2 pi x / eps + phi_i), so lambda_A = 1 and c_H = 2.  In
+    # Fourier modes of the eps-cell the +-1 harmonics of the Perron vector are
+    # O(eps^2) and the +-2 ones O(eps^4); eliminating them gives
+    #   k_eps(lambda) = (1 - b eps^4) lambda^2 + 1 + A eps^2 + d eps^4 + O(eps^6),
+    #   A = a^2 / (8 pi^2),  b = a^2 / (8 pi^4),
+    #   d = a^2 (cos(phi_v - phi_u) - 1) / (64 pi^4);
+    # the first-order corrector averages out, so no eps^3 term.  As
+    # min k / lambda = 2 sqrt(S T) for k = S lambda^2 + T,
+    #   g(eps) = c*(eps) - c_H = A eps^2 (1 + beta eps^2 + O(eps^4)),
+    #   beta = (d - b - A^2 / 4) / A,
+    # and the ratio of successive gaps is g(eps) / g(eps/2)
+    # = 4 (1 + 3 beta eps^2 / 4 + O(eps^4)).  |ratio / 4 - 1| and
+    # |g / (A eps^2) - 1| must stay within twice their next terms,
+    # 3 |beta| eps^2 / 4 and |beta| eps^2 (the terms after carry a further
+    # eps^2), plus what an error of K_GRID_TOL in each speed moves them by
+    # (c* = k / lambda at lambda* = 1).  eps = 1 .. 1/16 keeps the smallest
+    # gap, 8e-6, 80x above K_GRID_TOL.
+    cs = criterion_8_set()
+    a, dphi = cs.r_u.amplitude, cs.r_v.phase - cs.r_u.phase
+    A, b = a ** 2 / (8 * np.pi ** 2), a ** 2 / (8 * np.pi ** 4)
+    d = a ** 2 * (np.cos(dphi) - 1.0) / (64 * np.pi ** 4)
+    beta = (d - b - A ** 2 / 4) / A
+    eps = 2.0 ** -np.arange(5)
+    gaps = np.array([spreading_speeds(rescale_epsilon(cs, e)).c_right
+                     for e in eps]) - homogenized_speed(homogenize(cs))
+    ratios = gaps[:-1] / gaps[1:]
+    ratio_bound = 1.5 * abs(beta) * eps[:-1] ** 2 + K_GRID_TOL * (1 / gaps[:-1] + 1 / gaps[1:])
+    gap_bound = 2.0 * abs(beta) * eps ** 2 + K_GRID_TOL / gaps
+    check("8-rate", bool(np.all(np.abs(ratios / 4 - 1) <= ratio_bound)
+                         and np.all(np.abs(gaps / (A * eps ** 2) - 1) <= gap_bound)),
+          f"gap ratios {np.array2string(ratios, precision=4)} for eps = 1 .. 1/8, "
+          f"|ratio / 4 - 1| bounds {np.array2string(ratio_bound, precision=2)}; "
+          f"gap / (A eps^2) - 1 = {np.array2string(gaps / (A * eps ** 2) - 1, precision=2)}, "
+          f"bounds {np.array2string(gap_bound, precision=2)}; A = {A:.4e}, beta = {beta:.4f}")
 
 
 def test_criterion_9_boundedness_invariant():

@@ -454,9 +454,11 @@ def test_speed_verbose_reports_k_evals_on_stderr(tmp_path, capsys, monkeypatch):
     assert record["k_evals"]["curve"] == 3
     assert all(n > 0 for n in record["k_evals"].values())
     searches = sorted(record["k_evals"])
+    assert list(record)[-1] == "restarts"
     assert (sorted(record["iterations"]) == sorted(record["levels"])
             == sorted(record["factorizations"]) == sorted(record["finest_cells"])
-            == sorted(record["pivoted"]) == sorted(solves) == searches)
+            == sorted(record["pivoted"]) == sorted(record["restarts"]) == sorted(solves)
+            == searches)
     for search in searches:
         # the Perron solves of each search, tilt_slope's left ones included
         assert record["iterations"][search] == sum(r.iterations for r in solves[search])
@@ -465,6 +467,7 @@ def test_speed_verbose_reports_k_evals_on_stderr(tmp_path, capsys, monkeypatch):
         assert record["levels"][search] >= 2 * record["k_evals"][search]
         assert record["factorizations"][search] >= record["levels"][search]
         assert record["pivoted"][search] == sum(r.pivoted for r in solves[search])
+        assert record["restarts"][search] == sum(r.restarts for r in solves[search])
         assert record["finest_cells"][search] >= 128
     for suffix in ("speed.json", "kcurve.csv"):
         assert ((tmp_path / f"loud_{suffix}").read_bytes()
@@ -481,12 +484,15 @@ def test_verbose_reports_eigen_solver_counts_on_stderr(tmp_path, capsys, command
     record = json.loads(line)
     assert record.pop("command") == command
     assert sorted(record) == ["factorizations", "finest_cells", "iterations", "levels",
-                              "pivoted"]
+                              "pivoted", "restarts"]
+    assert list(record)[-1] == "restarts"
     solves = 5 + 1 if command == "eigen" else 2       # curve and profile, or radii
     # every solve takes at least two grid levels, each at least one factorization
     assert record["levels"] >= 2 * solves
     assert record["iterations"] >= record["factorizations"] >= record["levels"]
     assert record["factorizations"] >= record["pivoted"] >= 0
+    # at most one restart per level above a solve's first
+    assert record["levels"] - solves >= record["restarts"] >= 0
     assert record["finest_cells"] >= 128
     for quiet in tmp_path.glob("quiet_*"):
         loud = tmp_path / quiet.name.replace("quiet_", "loud_")

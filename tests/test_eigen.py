@@ -27,6 +27,7 @@ from rdfronts.eigen import (
 from rdfronts.errors import NumericalError, ValidationError
 from rdfronts.speeds import spreading_speeds
 from rdfronts.stencil import coo_pattern, flux_parts, tilted_couplings
+from test_acceptance import criterion_4_set
 from test_properties import assert_perron_pair
 
 
@@ -820,6 +821,121 @@ def test_left_solves_reuse_the_right_factors(name, monkeypatch):
     monkeypatch.setattr(eigen, "principal_eigenpair", kept)
     spreading_speeds(SLOPE_SETS[name])
     assert lefts and sum(res.factorizations for res in lefts) < len(lefts)
+
+
+# -- the first shift of a refined level ---------------------------------------------
+
+@pytest.mark.parametrize("offset", [5.0, 1e-6, 0.0])
+@pytest.mark.parametrize("half_width", [None, 4.0])
+def test_first_shift_at_or_below_the_root_restarts_bitwise(half_width, offset):
+    # a level warm-started from the one below, as the refinement loop solves
+    # it, with a first shift at or below its root: one restart on the far
+    # shift, and then the bits of the solve without a first shift
+    cs, lam = ((criterion_4_set(), 0.0) if half_width
+               else (SKELETON_SETS["piecewise_sigma"], 1.5))
+
+    def level(n):
+        return build_operator(cs, lam, GridSpec(n_cells=n), half_width=half_width, refine=False)
+    coarse = principal_eigenpair(level(64))
+    warm = (coarse.phi, coarse.psi)
+    plain = principal_eigenpair(level(128), warm=warm)
+    hinted = principal_eigenpair(level(128), warm=warm, first_shift=plain.value - offset)
+    assert (plain.restarts, hinted.restarts) == (0, 1)
+    assert (hinted.value, hinted.residual, hinted.bracket) == (plain.value, plain.residual,
+                                                               plain.bracket)
+    assert np.array_equal(hinted.phi, plain.phi) and np.array_equal(hinted.psi, plain.psi)
+    assert ((hinted.iterations, hinted.factorizations)
+            == (plain.iterations + 1, plain.factorizations + 1))
+    # a first shift at or past the far shift is not taken
+    far = principal_eigenpair(level(128), warm=warm, first_shift=np.inf)
+    assert far.restarts == 0 and far.iterations == plain.iterations
+    assert np.array_equal(far.phi, plain.phi) and np.array_equal(far.psi, plain.psi)
+
+
+@pytest.fixture
+def first_steps(monkeypatch):
+    """The Perron solves of each grid refinement, a left solve after its
+    right ones: whether left, the far shift, the shift held on entry, the
+    factorizations and solve steps in order, each as (kind, shift), and the
+    raw value returned."""
+    refinements, current = [], []
+    refine, perron = eigen._refine_to_tolerance, eigen.principal_eigenpair
+    factor, solve = _ShiftedBand.factor, _ShiftedBand.solve
+
+    def refining(*args, **kwargs):
+        refinements.append([])
+        return refine(*args, **kwargs)
+
+    def perron_solve(op, *args, **kwargs):
+        record = dict(left=kwargs.get("left", False), far=op.shifted.far_shift,
+                      held=op.shifted.shift, events=[])
+        refinements[-1].append(record)
+        current.append(record)
+        res = perron(op, *args, **kwargs)
+        current.pop()
+        record["value"] = res.value
+        return res
+
+    def factoring(band, shift):
+        current[-1]["events"].append(("factor", shift))
+        factor(band, shift)
+
+    def stepping(band, w, trans=0):
+        current[-1]["events"].append(("step", band.shift))
+        return solve(band, w, trans)
+    monkeypatch.setattr(eigen, "_refine_to_tolerance", refining)
+    monkeypatch.setattr(eigen, "principal_eigenpair", perron_solve)
+    monkeypatch.setattr(_ShiftedBand, "factor", factoring)
+    monkeypatch.setattr(_ShiftedBand, "solve", stepping)
+    return refinements
+
+
+SHIFT_RUNS = {
+    "dirichlet_sweep": lambda: eigen.dirichlet_sweep(criterion_4_set(), [1.0, 2.0, 4.0, 8.0],
+                                                     None, eigen.K_GRID_TOL),
+    "k_curve": lambda: k_curve(SKELETON_SETS["piecewise_sigma"], [-1.5, -0.5, 0.0, 0.5, 1.5]),
+    "slope": lambda: list(map(eigen.k_chain(SLOPE_SETS["cosine"], None, eigen.K_GRID_TOL,
+                                            slope=True), [0.5, 1.0])),
+}
+
+
+@pytest.mark.parametrize("run", sorted(SHIFT_RUNS))
+def test_refined_levels_start_on_the_coarser_root(first_steps, run):
+    # the first level of every refinement, warm or cold, factors and steps on
+    # the far shift first; each finer level on the raw root of the level
+    # below it; a left solve steps on the shift its right solve left held
+    SHIFT_RUNS[run]()
+    assert first_steps
+    for solves in first_steps:
+        levels = [s for s in solves if not s["left"]]
+        assert len(levels) >= 2
+        for coarse, finer in zip([None, *levels], levels):
+            start = finer["far"] if coarse is None else coarse["value"]
+            assert start <= finer["far"]
+            assert finer["events"][:2] == [("factor", start), ("step", start)]
+        for left in solves[len(levels):]:
+            assert left["left"] and left["held"] is not None
+            assert left["events"][0] == ("step", left["held"])
+    assert any(s["left"] for solves in first_steps for s in solves) == (run == "slope")
+
+
+def test_restarts_are_summed_over_levels_and_the_left_solve(monkeypatch):
+    # k(0) of a constant medium is the same on every grid, so each finer
+    # level's first shift is its own root, and it restarts
+    perron, restarts = eigen.principal_eigenpair, []
+
+    def kept(*args, **kwargs):
+        res = perron(*args, **kwargs)
+        restarts.append(res.restarts)
+        return res
+    monkeypatch.setattr(eigen, "principal_eigenpair", kept)
+    summed = []
+    for solve in (lambda: k_of_lambda(HOMOG, 0.0, slope=True),
+                  lambda: dirichlet_eigenvalue(HOMOG, 4.0)):
+        restarts.clear()
+        summed.append(solve().restarts)
+        assert summed[-1] == sum(restarts)
+    assert summed[0] > 0
 
 
 def test_k_zero_is_periodic_eigenvalue():
