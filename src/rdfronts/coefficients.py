@@ -116,10 +116,22 @@ class CoefficientSpec:
         if self.kind == "constant":
             out = np.full_like(x, self.value, dtype=float)
         elif self.kind == "cosine":
+            # mean + amplitude * cos(w x + phase) + sum a cos(w n x + p), each
+            # step in place (a 0-d x gets a 0-d array, not a scalar, from
+            # out=); IEEE sums and products commute, so the bits are the same
             w = 2.0 * np.pi / L
-            out = self.mean + self.amplitude * np.cos(w * x + self.phase)
+            out = np.multiply(w, x, out=np.empty_like(x))
+            out += self.phase
+            np.cos(out, out=out)
+            out *= self.amplitude
+            out += self.mean
+            term = np.empty_like(x) if self.harmonics else None
             for a, n, p in self.harmonics:
-                out = out + a * np.cos(w * n * x + p)
+                np.multiply(w * n, x, out=term)
+                term += p
+                np.cos(term, out=term)
+                term *= a
+                out += term
         elif self.kind == "piecewise_constant":
             y = np.mod(x, L)
             idx = np.searchsorted(np.asarray(self.breakpoints), y, side="right") - 1

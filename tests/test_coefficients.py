@@ -76,6 +76,27 @@ def test_vectorized_matches_scalar():
     assert spec(xs) == pytest.approx([spec(float(x)) for x in xs])
 
 
+@pytest.mark.parametrize("harmonics", [(), ((0.07, 2, 1.3),), ((0.1, 3, -0.4), (0.05, 5, 2.2))])
+def test_cosine_is_bitwise_the_reference_expression(harmonics):
+    # evaluation in place gives the bits of the plain expression, on arrays and
+    # on scalars, and a scalar input still gives a Python float
+    spec = CoefficientSpec.cosine(1.1, 0.37, 0.9, period=0.8, harmonics=harmonics)
+    w = 2.0 * np.pi / spec.period
+
+    def reference(x):
+        out = spec.mean + spec.amplitude * np.cos(w * x + spec.phase)
+        for a, n, p in spec.harmonics:
+            out = out + a * np.cos(w * n * x + p)
+        return out
+    xs = np.random.default_rng(5).uniform(-40.0, 40.0, 16384)
+    kept = xs.copy()
+    assert np.array_equal(spec(xs), reference(xs)) and np.array_equal(xs, kept)
+    assert np.array_equal(spec(xs[::3]), reference(xs[::3]))
+    for x in (0.0, -0.3, 17.25, 3, np.float64(2.5), np.array(1.75)):
+        value = spec(x)
+        assert type(value) is float and value == float(reference(float(x)))
+
+
 # -- validation -----------------------------------------------------------------
 
 def test_empty_table_rejected():

@@ -175,6 +175,26 @@ def test_skeleton_operators_are_bitwise_fresh_builds(name, n):
     assert_same_csr(dirichlet.matrix, fresh_assembly(cs, 0.0, n, half_width=2.0))
 
 
+def test_interval_patterns_are_kept_read_only_and_bounded():
+    # the CSR pattern on (-R, R) depends on the node count alone: skeletons of
+    # one count share its read-only arrays, whatever R, and the last
+    # PATTERN_CACHE counts are kept
+    cs = SKELETON_SETS["piecewise_sigma"]
+    eigen._interval_pattern.cache_clear()
+    for n in (16, 17, 64, 100, 512, 33, 64):
+        skeleton, other = _skeleton(cs, n, 2.0), _skeleton(cs, n, 3.5)
+        assert other.indices is skeleton.indices and other.indptr is skeleton.indptr
+        for array in (skeleton.indices, skeleton.indptr):
+            assert array.dtype == np.int32 and not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        for half_width, grid in ((2.0, skeleton), (3.5, other)):
+            assert_same_csr(_operator(grid, 0.0).matrix,
+                            fresh_assembly(cs, 0.0, n, half_width=half_width))
+        assert eigen._interval_pattern.cache_info().currsize <= eigen.PATTERN_CACHE
+    assert eigen._interval_pattern.cache_info().currsize == eigen.PATTERN_CACHE == 4
+
+
 @pytest.mark.parametrize("lam", [-1.5, 1.5])
 @pytest.mark.parametrize("name", sorted(SKELETON_SETS))
 def test_tilt_derivative_matches_flux_stencil(name, lam):
@@ -526,9 +546,17 @@ def test_left_pair_is_the_perron_pair_of_the_transpose(n, half_width):
 @pytest.mark.parametrize("m, n", [(64, 128), (256, 512), (100, 200),      # refining
                                   (256, 64), (1024, 256), (400, 100),     # coarsening
                                   (100, 64), (64, 100), (33, 47)])        # non-dyadic
-def test_warm_start_is_bitwise_numpy_interp(m, n, half_width):
-    # The warm start decides every later iterate, so the skeleton's plan must
-    # reproduce np.interp(period=1) to the bit, or artifacts would move.
+def test_warm_start_is_bitwise_numpy_interp(m, n, half_width, monkeypatch):
+    # The warm start decides every later iterate, so the strided path and the
+    # skeleton's plan must reproduce np.interp(period=1) to the bit, or
+    # artifacts would move.
+    plans = []
+
+    def planned(*args):
+        plans.append(args)
+        return interp_plan(*args)
+    interp_plan = eigen._interp_plan
+    monkeypatch.setattr(eigen, "_interp_plan", planned)
     skeleton = _skeleton(README_SET, n, half_width)
     op = _operator(skeleton, 0.0)
     warm = np.random.default_rng(m + n).random((2, m)) + 1e-3
@@ -536,7 +564,12 @@ def test_warm_start_is_bitwise_numpy_interp(m, n, half_width):
     w = np.concatenate([np.interp(x_new, x_old, f, period=1.0) for f in warm])
     for _ in range(2):             # periodic plans are kept and reused, Dirichlet ones not
         assert np.array_equal(eigen._start_vector(op, tuple(warm)), w / np.max(w))
-    assert list(skeleton._interp_plans) == ([m] if half_width is None else [])
+    # n = 2m and m = 2^k n (here 4n) go by strides and build no plan; the
+    # others do
+    dyadic = n == 2 * m or m == 4 * n
+    assert eigen._dyadic(m, n) == dyadic
+    assert len(plans) == (0 if dyadic else 1 if half_width is None else 2)
+    assert list(skeleton._interp_plans) == ([m] if half_width is None and not dyadic else [])
 
 
 # (m, n): every m from 16 to 299 and dyadic and other m up to 16384, each
@@ -547,6 +580,23 @@ INTERP_PAIRS = sorted(
     | {(2 ** a, 2 ** b) for a in range(4, 15) for b in range(a - 2, a + 3)}
     | {(m, n) for m in (1000, 5000, 12345, 16384)
        for n in (m // 4, m // 3, m - 1, m + 1, 2 * m + 1, 4 * m)})
+
+
+def test_strided_warm_starts_are_bitwise_numpy_interp():
+    # every dyadic pair, refining by 2 or coarsening by 2^k, from 16 to 65536
+    # points, through the strided path
+    rng = np.random.default_rng(4)
+    dyadic = [(m, n) for m, n in INTERP_PAIRS if eigen._dyadic(m, n)]
+    assert len(dyadic) > 300 and {m // n for m, n in dyadic if m > n} == {2, 4}
+    for m, n in dyadic:
+        f = rng.random((2, m))
+        x_old, x_new = (np.linspace(0.0, 1.0, k, endpoint=False) for k in (m, n))
+        expected = np.stack([np.interp(x_new, x_old, g, period=1.0) for g in f])
+        assert np.array_equal(eigen._strided_interp(f, n), expected), (m, n)
+    # the midpoint weights are kept read-only for the last 8 grids
+    dx, t = eigen._midpoint_weights(16)
+    assert not dx.flags.writeable and not t.flags.writeable
+    assert eigen._midpoint_weights.cache_info().currsize == 8
 
 
 def test_interp_plans_are_bitwise_numpy_interp():
@@ -731,16 +781,19 @@ def test_value_outside_its_collatz_wielandt_bracket_raises(monkeypatch):
 
 def test_operator_off_its_pattern_rejected():
     # the band pattern is the skeleton's, so a matrix laid out otherwise (the
-    # CSC transpose, one stored diagonal entry eliminated) is refused
-    op = build_operator(HOMOG, 0.5, GridSpec(n_cells=32), refine=False)
-    matrix = op.matrix.tolil()
-    matrix[5, 5] = 0.0
-    matrix = matrix.tocsr()
-    matrix.eliminate_zeros()
-    assert matrix[5, 5] == 0.0 and matrix.nnz == op.matrix.nnz - 1
-    for other in (op.matrix.T, matrix):
-        with pytest.raises(ValidationError, match="pattern"):
-            principal_eigenpair(replace(op, matrix=other))
+    # CSC transpose, one stored diagonal entry eliminated) is refused, on the
+    # ring and on (-R, R)
+    for lam, half_width in ((0.5, None), (0.0, 2.0)):
+        op = build_operator(HOMOG, lam, GridSpec(n_cells=32), half_width=half_width,
+                            refine=False)
+        matrix = op.matrix.tolil()
+        matrix[5, 5] = 0.0
+        matrix = matrix.tocsr()
+        matrix.eliminate_zeros()
+        assert matrix[5, 5] == 0.0 and matrix.nnz == op.matrix.nnz - 1
+        for other in (op.matrix.T, matrix):
+            with pytest.raises(ValidationError, match="pattern"):
+                principal_eigenpair(replace(op, matrix=other))
 
 
 def test_non_cooperative_operator_rejected():
@@ -890,8 +943,9 @@ def first_steps(monkeypatch):
     return refinements
 
 
+SWEEP_RADII = [1.0, 2.0, 4.0, 8.0]           # L .. 8L of criterion_4_set
 SHIFT_RUNS = {
-    "dirichlet_sweep": lambda: eigen.dirichlet_sweep(criterion_4_set(), [1.0, 2.0, 4.0, 8.0],
+    "dirichlet_sweep": lambda: eigen.dirichlet_sweep(criterion_4_set(), SWEEP_RADII,
                                                      None, eigen.K_GRID_TOL),
     "k_curve": lambda: k_curve(SKELETON_SETS["piecewise_sigma"], [-1.5, -0.5, 0.0, 0.5, 1.5]),
     "slope": lambda: list(map(eigen.k_chain(SLOPE_SETS["cosine"], None, eigen.K_GRID_TOL,
@@ -902,21 +956,73 @@ SHIFT_RUNS = {
 @pytest.mark.parametrize("run", sorted(SHIFT_RUNS))
 def test_refined_levels_start_on_the_coarser_root(first_steps, run):
     # the first level of every refinement, warm or cold, factors and steps on
-    # the far shift first; each finer level on the raw root of the level
-    # below it; a left solve steps on the shift its right solve left held
+    # the far shift first, but in a Dirichlet sweep past two smaller radii
+    # (4L and 8L here) on the first-level root that r(R) = a - b/R^2 through
+    # the last two radii's first-level roots predicts, plus 1% of the
+    # predicted rise, a shift that lies above the root; each finer level on
+    # the raw root of the level below it; a left solve steps on the shift its
+    # right solve left held
     SHIFT_RUNS[run]()
     assert first_steps
+    roots = []                     # (R, first-level root) of the sweep's radii
     for solves in first_steps:
         levels = [s for s in solves if not s["left"]]
         assert len(levels) >= 2
+        first = levels[0]["far"]
+        if run == "dirichlet_sweep":
+            R = SWEEP_RADII[len(roots)]
+            if R >= 4.0:
+                (R1, r1), (R2, r2) = roots[-2:]
+                b = (r2 - r1) / (R1 ** -2 - R2 ** -2)
+                p = r2 + b * (R2 ** -2 - R ** -2)
+                first = p + (p - r2) / 100.0
+                assert r2 < p < levels[0]["value"] < first < levels[0]["far"]
+            roots.append((R, levels[0]["value"]))
         for coarse, finer in zip([None, *levels], levels):
-            start = finer["far"] if coarse is None else coarse["value"]
+            start = first if coarse is None else coarse["value"]
             assert start <= finer["far"]
             assert finer["events"][:2] == [("factor", start), ("step", start)]
         for left in solves[len(levels):]:
             assert left["left"] and left["held"] is not None
             assert left["events"][0] == ("step", left["held"])
     assert any(s["left"] for solves in first_steps for s in solves) == (run == "slope")
+    assert len(roots) == (len(SWEEP_RADII) if run == "dirichlet_sweep" else 0)
+
+
+@pytest.mark.parametrize("offset", [0.5, 1e-6])
+def test_dirichlet_first_shift_below_the_root_gives_the_unhinted_bits(offset):
+    # a radius warm-started from the one before it, as a sweep solves it,
+    # with its first level's first shift below that level's root: one
+    # restart, and then the bits of the call without a first shift
+    cs = criterion_4_set()
+    before = dirichlet_eigenvalue(cs, 2.0)
+    warm = (before.phi, before.psi)
+    plain = dirichlet_eigenvalue(cs, 4.0, warm=warm)
+    hinted = dirichlet_eigenvalue(cs, 4.0, warm=warm, first_shift=plain.first_root - offset)
+    assert (plain.restarts, hinted.restarts) == (0, 1)
+    for key in ("value", "residual", "bracket", "first_root", "levels", "n_cells"):
+        assert getattr(hinted, key) == getattr(plain, key), key
+    assert np.array_equal(hinted.phi, plain.phi) and np.array_equal(hinted.psi, plain.psi)
+    assert ((hinted.iterations, hinted.factorizations)
+            == (plain.iterations + 1, plain.factorizations + 1))
+
+
+@pytest.mark.parametrize("radii", [[1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0],
+                                   [0.5, 1.0, 2.0, 4.0, 8.0], [8.0, 4.0, 2.0, 1.0]])
+def test_predicted_first_shifts_keep_the_sweep_values(radii):
+    # a sweep with predicted first shifts against the same warm-started chain
+    # with every first level on the far shift: the values agree to 1e-10
+    # (relative), and a sweep that never grows past two smaller radii takes
+    # no prediction and gives the same bits
+    cs = criterion_4_set()
+    chain = eigen._warm_chain(lambda R, warm: dirichlet_eigenvalue(cs, R, warm=warm))
+    expected = [chain(R) for R in radii]
+    swept = eigen.dirichlet_sweep(cs, radii, None, eigen.K_GRID_TOL)
+    for res, ref in zip(swept, expected):
+        assert res.value == pytest.approx(ref.value, rel=1e-10, abs=0.0)
+    if radii[0] > radii[-1]:
+        assert [res.value for res in swept] == [ref.value for ref in expected]
+        assert [res.iterations for res in swept] == [ref.iterations for ref in expected]
 
 
 def test_restarts_are_summed_over_levels_and_the_left_solve(monkeypatch):
