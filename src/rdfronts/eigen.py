@@ -19,26 +19,12 @@ exist on the discrete level exactly as in the continuous theory.  The slope
 k'(lambda) follows from the right and left Perron vectors (``tilt_slope``).
 
 Only those flux couplings depend on lambda.  An ``OperatorSkeleton`` holds
-the grid's CSR pattern, written in closed form with no sort, and the rest
-of the operator, and ``_operator`` tilts it into an operator on that
-pattern.  The Perron iteration solves shifted systems with a banded LU
-(LAPACK dgbtrf) in an order that interleaves the species, 2 sub- and
-superdiagonals wide on (-R, R) and 4 on the periodic ring, visited
-zig-zag.  On (-R, R) each kind of entry sits at a fixed stride of the CSR
-arrays and of the band (``_interleave_blocks``, ``_Interleave``), so a
-Dirichlet level is laid out by strided copies, with no index array.  The
-ring's wrap-around coupling sorts to the other side of its end rows, and
-its zig-zag puts the entries of one kind in other band rows on the two
-halves of the ring, so it keeps slot arrays (``_row_kinds``,
-``_BandPattern``), which a k chain reuses over many operators.  An
-operator puts its matrix into band storage once; each new shift factors a
-copy with the shift on its diagonal row.  A factorization that swapped no
-rows is solved by two triangular band solves (dtbsv), bitwise dgbtrs without
-its BLAS call per column.  Pivoted factors keep dgbtrs, and so does the left
-Perron vector, solved with the transposed factors (dgbtrs trans=1) of the
-right solve's last shift; _ShiftedBand says why.  Every grid refinement
-starts on the level that ``first_level`` picks and checks before anything
-is built.
+the grid's CSR pattern and the rest of the operator, and ``_operator``
+tilts it into an operator on that pattern.  The Perron iteration
+(``principal_eigenpair``) solves shifted systems with the banded LU of
+``_ShiftedBand``, in the band order of ``_BandPattern`` on the ring and of
+``_Interleave`` on (-R, R).  Every grid refinement starts on the level that
+``first_level`` picks and checks before anything is built.
 """
 
 from __future__ import annotations
@@ -130,8 +116,7 @@ class _BandPattern:
     slots[kind, species, node] holds that position for each kind of entry,
     laid out like the skeleton's CSR slots, as a flat index into the
     transposed (C-ordered) band; it follows from the band positions of each
-    row's node and of its column's.  (-R, R) needs none of these arrays:
-    its plain interleave is _Interleave.
+    row's node and of its column's.
     """
 
     zigzag = True
@@ -168,28 +153,6 @@ class _Interleave:
     zigzag = False
     kl = ku = 2
     depth = 2 * kl + ku + 1
-
-
-def _interp_plan(m: int, n: int) -> Tuple[np.ndarray, ...]:
-    """np.interp(x_new, x_old, f, period=1.0) from the m points x_old of
-    linspace(0, 1, m, endpoint=False) onto the n points x_new of the same
-    kind, as the plan (lo, hi, dx, t): x_new[i] lies t[i] past x_old[lo[i]],
-    in an interval of width dx[i] that ends at x_old[hi[i]], the indices
-    wrapped around the period.  np.interp pads x_old with its last point
-    minus the period and its first plus the period, finds the interval
-    padded[j] <= x_new < padded[j + 1] by binary search and returns
-    (f[hi] - f[lo]) / dx * t + f[lo]; the plan keeps the same operands, so
-    applying it gives np.interp's bits.  Here j is i m // n + 1, the exact
-    interval of i / n, moved one step where rounding puts x_new[i] past
-    either end; padded[j] is x_old[j - 1], and only j = m wraps."""
-    x_old = np.linspace(0.0, 1.0, m, endpoint=False)
-    x_new = np.linspace(0.0, 1.0, n, endpoint=False)
-    padded = np.concatenate([x_old[-1:] - 1.0, x_old, x_old[:1] + 1.0])
-    j = np.arange(n) * m // n + 1
-    j += padded[j + 1] <= x_new
-    j -= padded[j] > x_new
-    return ((j - 1).astype(np.int32), np.where(j == m, 0, j).astype(np.int32),
-            padded[j + 1] - padded[j], x_new - padded[j])
 
 
 def _dyadic(m: int, n: int) -> bool:
@@ -248,17 +211,14 @@ class OperatorSkeleton:
     the other side of the two end rows.  On (-R, R) every kind sits at a
     fixed stride (_interleave_blocks), and slots is None; the index arrays
     there depend on n alone, and skeletons of one n share them read-only
-    (_interval_pattern).  diag and mutation
-    hold the coefficient samples of their entries by species and node (the
-    diffusion diagonal plus reaction minus mutation; mu_v in the u rows, mu_u
-    in the v rows), and up_sigma and down_sigma the face sigma of the
-    couplings to node i+1 and to node i-1 (n of each on the ring, n-1 on
-    (-R, R)).  Only the couplings depend on lambda, through exp(-+lambda h),
-    so _operator tilts a skeleton into any operator on its grid.  The band
-    order of the Perron solves and the M' weights are built on first use,
-    and so are the plans that interpolate a warm start of a non-dyadic
-    length onto a periodic grid (_start_vector takes dyadic ones by
-    strides, with no plan).
+    (_interval_pattern).  diag and mutation hold the coefficient samples of
+    their entries by species and node (the diffusion diagonal plus reaction
+    minus mutation; mu_v in the u rows, mu_u in the v rows), and up_sigma
+    and down_sigma the face sigma of the couplings to node i+1 and to node
+    i-1 (n of each on the ring, n-1 on (-R, R)).  Only the couplings depend
+    on lambda, through exp(-+lambda h), so _operator tilts a skeleton into
+    any operator on its grid.  The band order of the Perron solves and the
+    M' weights are built on first use.
     """
 
     n: int
@@ -294,23 +254,6 @@ class OperatorSkeleton:
     def _pattern(self) -> list:
         """The first matrix csr built, once there is one."""
         return []
-
-    @cached_property
-    def _interp_plans(self) -> dict:
-        return {}
-
-    def interp_plan(self, m: int) -> Tuple[np.ndarray, ...]:
-        """_interp_plan(m, n) onto the skeleton's n cells, for a pair of cell
-        counts that is not _dyadic.  A periodic skeleton keeps its plans per
-        m, since a k chain reuses the skeleton over many solves.  A Dirichlet
-        grid depends on R and serves one solve, so its plan is not kept past
-        it."""
-        plan = self._interp_plans.get(m)
-        if plan is None:
-            plan = _interp_plan(m, self.n)
-            if self.boundary == "periodic":
-                self._interp_plans[m] = plan
-        return plan
 
     @cached_property
     def band(self):
@@ -355,9 +298,9 @@ def _skeleton(cs: CoefficientSet, n: int,
     reaction minus mutation), up and down couplings.
 
     The CSR arrays are written in closed form, in the layout a COO -> CSR
-    build gives, with no sort: on the ring each row holds its 4 entries in
-    the column order of _row_kinds, and the slots of each kind follow from
-    the row starts; on (-R, R) the indices go in by _interleave's strides."""
+    build gives: on the ring each row holds its 4 entries in the column
+    order of _row_kinds, and the slots of each kind follow from the row
+    starts; on (-R, R) they are _interval_pattern's."""
     if half_width is None:
         h = cs.period / n
         nodes = h * np.arange(n)
@@ -474,8 +417,7 @@ def first_level(cs: CoefficientSet, grid: Optional[GridSpec], lam: float = 0.0,
 
 
 def _operator(skeleton: OperatorSkeleton, lam: float) -> DiscreteOperator:
-    """The skeleton's operator at lambda, on its CSR pattern: each kind of entry
-    written to its slots on the ring, by strides on (-R, R), the couplings
+    """The skeleton's operator at lambda, on its CSR pattern, the couplings
     tilted by exp(-+lambda h).  The entries are bitwise those of a COO -> CSR
     build of the stencil's triplets."""
     up, down = tilted_couplings(skeleton.up_sigma, skeleton.down_sigma, skeleton.h, lam)
@@ -515,22 +457,18 @@ def build_operator(cs: CoefficientSet, lam: float, grid: GridSpec,
 def _start_vector(op: DiscreteOperator, warm) -> np.ndarray:
     """The warm pair, interpolated onto the operator's grid when its length
     differs, scaled to max 1; ones when there is no warm pair or it is not
-    positive.  The interpolation is np.interp(period=1) to the bit: by
-    strides for a _dyadic pair of lengths (each refined level, and a first
-    level that starts on a quarter or a half of the warm pair's grid), by
-    the skeleton's plan otherwise."""
+    positive.  The interpolation gives the bits of np.interp(period=1) from
+    linspace(0, 1, m, endpoint=False) onto the n points of the same kind: it
+    copies by strides where the nodes coincide (_dyadic: n = 2m, m = 2^k n)
+    and calls np.interp itself for any other pair."""
     if warm is not None:
         old = np.stack(warm)                      # (2, m): phi, then psi
-        if _dyadic(old.shape[1], op.n):
-            old = _strided_interp(old, op.n)
-        elif old.shape[1] != op.n:
-            lo, hi, dx, t = op.skeleton.interp_plan(old.shape[1])
-            start = old.take(lo, axis=1)
-            old = old.take(hi, axis=1)
-            old -= start                          # (f[hi] - f[lo]) / dx * t + f[lo]
-            old /= dx
-            old *= t
-            old += start
+        m, n = old.shape[1], op.n
+        if _dyadic(m, n):
+            old = _strided_interp(old, n)
+        elif m != n:
+            x_old, x_new = (np.linspace(0.0, 1.0, k, endpoint=False) for k in (m, n))
+            old = np.stack([np.interp(x_new, x_old, f, period=1.0) for f in old])
         w = old.ravel()
         if np.all(w > 0):
             return w / np.max(w)
@@ -604,12 +542,10 @@ class _ShiftedBand:
 
     The matrix must be on its skeleton's CSR pattern, its indptr and indices
     those of the skeleton or equal to them, with nonnegative off-diagonals
-    (ValidationError otherwise).  M goes into LAPACK band
-    storage once, in its skeleton's band order: on the ring through the
-    slots of its entries and of their band places (_ring_band), on (-R, R)
-    by strided copies (_interleaved_band).  far_shift is max row sum + 1 and
-    norm max_i sum_j |M_ij|, with the off-diagonals of each row added in its
-    CSR order.  factor(s) copies the band below the kl rows of fill-in,
+    (ValidationError otherwise).  M goes into LAPACK band storage once, in
+    its skeleton's band order.  far_shift is max row sum + 1 and norm
+    max_i sum_j |M_ij|, with the off-diagonals of each row added in its CSR
+    order.  factor(s) copies the band below the kl rows of fill-in,
     subtracts s from its diagonal row (the only row that depends on s),
     factors M - sI by dgbtrf (NumericalError on a zero pivot) and keeps s as
     shift.  dgbtrf zeroes the fill-in it uses, so the fill-in rows need no
@@ -623,12 +559,10 @@ class _ShiftedBand:
     through a view of the band from its diagonal row, then dtbsv on U, read
     from the row below the fill-in with its ku superdiagonals: without row
     interchanges dgbtrf leaves the fill-in zero, and dgbtrs' U solve over
-    kl + ku superdiagonals only adds those zeros, so the bits are the same.
-    Pivoted factors, whose row swaps fall between L's columns, and trans=1
-    solves, whose transposed L sweep dtbsv would sum in another order, take
-    dgbtrs.  On the ring the band order gathers through perm and order; on
-    (-R, R) it is the species interleave 2 node + species, so the solve
-    copies by strides.
+    kl + ku superdiagonals only adds those zeros, so the bits are the same,
+    without dgbtrs' BLAS call per column.  Pivoted factors, whose row swaps
+    fall between L's columns, and trans=1 solves, whose transposed L sweep
+    dtbsv would sum in another order, take dgbtrs.
     """
 
     def __init__(self, op: DiscreteOperator):
@@ -706,12 +640,9 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False,
     Each step solves (sI - M) y = w and normalizes y.  For every shift s above
     the Perron root k, sI - M is an irreducible nonsingular M-matrix, so its
     inverse is entrywise positive and keeps the iterate positive.  The
-    solves use the banded LU of _ShiftedBand, which holds the operator's band:
-    a new shift copies it, shifts its diagonal row and refactors, and one
-    factorization is held at a time.  A factorization that swapped no rows is
-    solved by two triangular band solves, one that did by dgbtrs, with the
-    same bits; the result counts the second kind as pivoted.  Three shifts
-    are used:
+    solves use the banded LU of _ShiftedBand, one factorization held at a
+    time; the result counts the factorizations that swapped rows as pivoted.
+    Three shifts are used:
 
       * the far shift s_far = max row sum + 1, whose rate (s_far-k)/(s_far-k2)
         is enough for warm-started solves and damps rounding noise in the

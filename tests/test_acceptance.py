@@ -19,8 +19,10 @@ from rdfronts.eigen import (K_GRID_TOL, dirichlet_eigenvalue, dirichlet_sweep, k
                             k_of_lambda)
 from rdfronts.ode import HomParams, equilibrium, integrate, jacobian, lambda_A, lyapunov_K
 from rdfronts.pde import (
+    STATIONARY_DT,
     DomainSpec,
     InitialData,
+    Stepper,
     build_initial,
     front_positions,
     measure_speed,
@@ -288,6 +290,48 @@ def test_homogenization_gap_closes_at_the_two_scale_rate():
           f"|ratio / 4 - 1| bounds {np.array2string(ratio_bound, precision=2)}; "
           f"gap / (A eps^2) - 1 = {np.array2string(gaps / (A * eps ** 2) - 1, precision=2)}, "
           f"bounds {np.array2string(gap_bound, precision=2)}; A = {A:.4e}, beta = {beta:.4f}")
+
+
+def test_stationary_profile_is_reached_from_other_starts():
+    # Uniqueness of the positive periodic stationary pair: on criterion 8's
+    # cell at eps = 1 and 1/8, Stepper.run from three other starts (the sine
+    # with the cell's period) settles onto stationary_profile's result.  Each
+    # run steps as stationary_profile does (dt = STATIONARY_DT, 512 cells)
+    # and stops by its rule: the step
+    # d_n = max(|u_n - u_n-1|, |v_n - v_n-1|) below tol dt.  Near a stable
+    # fixed point the steps shrink by the contraction q of the IMEX map, so
+    # the rest of the run moves the state by at most
+    # d_n (q + q^2 + ...) = d_n q / (1 - q) < tol dt q / (1 - q).  That holds
+    # for the reference and for each run, and both settle at the same fixed
+    # point, whose linearization gives both the same q, so their distance is
+    # at most 2 tol dt q / (1 - q).  q is the run's own measure: the largest
+    # ratio d_k / d_k-1 over its last 10 steps.  Settling onto another fixed
+    # point would leave an O(1) distance.
+    tol, n_cells = 1e-9, 512
+    for eps in (1.0, 0.125):
+        cs = rescale_epsilon(criterion_8_set(), eps)
+        nodes, u_ref, v_ref = stationary_profile(cs, n_cells=n_cells, tol=tol)
+        ones = np.ones(n_cells)
+        starts = {"u = v = 1e-3": (1e-3 * ones, 1e-3 * ones),
+                  "(3 K_bar, 0.1)": (3.0 * cs.k_bar * ones, 0.1 * ones),
+                  "u = 0.5 + 0.4 sin, v = 1e-6":
+                      (0.5 + 0.4 * np.sin(2.0 * np.pi * nodes / cs.period), 1e-6 * ones)}
+        for name, (u, v) in starts.items():
+            stepper = Stepper(cs, nodes, cs.period / n_cells, "periodic", STATIONARY_DT,
+                              max(cs.k_bar, float(np.max(u + v))))
+            steps = []
+            for _, un, vn, _ in stepper.run(u, v, np.ceil(4000.0 / STATIONARY_DT)):
+                steps.append(max(float(np.max(np.abs(un - u))), float(np.max(np.abs(vn - v)))))
+                u, v = un, vn
+                if steps[-1] / STATIONARY_DT < tol:
+                    break
+            assert steps[-1] / STATIONARY_DT < tol, f"eps={eps}, {name}: did not settle"
+            q = max(b / a for a, b in zip(steps[-11:-1], steps[-10:]))
+            bound = 2.0 * tol * STATIONARY_DT * q / (1.0 - q)
+            distance = max(float(np.max(np.abs(u - u_ref))), float(np.max(np.abs(v - v_ref))))
+            check("8-unique", q < 1.0 and distance <= bound,
+                  f"eps={eps}, start {name}: {len(steps)} steps, contraction {q:.5f}, "
+                  f"distance {distance:.3e} to stationary_profile vs bound {bound:.3e}")
 
 
 def test_criterion_9_boundedness_invariant():

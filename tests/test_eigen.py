@@ -545,31 +545,23 @@ def test_left_pair_is_the_perron_pair_of_the_transpose(n, half_width):
 @pytest.mark.parametrize("half_width", [None, 2.0])
 @pytest.mark.parametrize("m, n", [(64, 128), (256, 512), (100, 200),      # refining
                                   (256, 64), (1024, 256), (400, 100),     # coarsening
-                                  (100, 64), (64, 100), (33, 47)])        # non-dyadic
-def test_warm_start_is_bitwise_numpy_interp(m, n, half_width, monkeypatch):
-    # The warm start decides every later iterate, so the strided path and the
-    # skeleton's plan must reproduce np.interp(period=1) to the bit, or
+                                  (100, 64), (64, 100), (33, 47),         # non-dyadic
+                                  # non-dyadic pairs that public calls reach: a
+                                  # k_curve(constant_set(), [0, 100], GridSpec(16))
+                                  # first level, and the first levels after R = 1 of
+                                  # dirichlet_sweep(README_SET, [1, 1.5, 2.5, 3])
+                                  (32, 128), (1024, 192), (768, 320), (1280, 384)])
+def test_warm_start_is_bitwise_numpy_interp(m, n, half_width):
+    # The warm start decides every later iterate, so the strided path and
+    # np.interp itself must both give np.interp(period=1)'s bits, or
     # artifacts would move.
-    plans = []
-
-    def planned(*args):
-        plans.append(args)
-        return interp_plan(*args)
-    interp_plan = eigen._interp_plan
-    monkeypatch.setattr(eigen, "_interp_plan", planned)
-    skeleton = _skeleton(README_SET, n, half_width)
-    op = _operator(skeleton, 0.0)
+    op = _operator(_skeleton(README_SET, n, half_width), 0.0)
     warm = np.random.default_rng(m + n).random((2, m)) + 1e-3
     x_old, x_new = (np.linspace(0.0, 1.0, k, endpoint=False) for k in (m, n))
     w = np.concatenate([np.interp(x_new, x_old, f, period=1.0) for f in warm])
-    for _ in range(2):             # periodic plans are kept and reused, Dirichlet ones not
-        assert np.array_equal(eigen._start_vector(op, tuple(warm)), w / np.max(w))
-    # n = 2m and m = 2^k n (here 4n) go by strides and build no plan; the
-    # others do
-    dyadic = n == 2 * m or m == 4 * n
-    assert eigen._dyadic(m, n) == dyadic
-    assert len(plans) == (0 if dyadic else 1 if half_width is None else 2)
-    assert list(skeleton._interp_plans) == ([m] if half_width is None and not dyadic else [])
+    assert np.array_equal(eigen._start_vector(op, tuple(warm)), w / np.max(w))
+    # n = 2m and m = 2^k n (here 4n) go by strides
+    assert eigen._dyadic(m, n) == (n == 2 * m or m == 4 * n)
 
 
 # (m, n): every m from 16 to 299 and dyadic and other m up to 16384, each
@@ -597,18 +589,6 @@ def test_strided_warm_starts_are_bitwise_numpy_interp():
     dx, t = eigen._midpoint_weights(16)
     assert not dx.flags.writeable and not t.flags.writeable
     assert eigen._midpoint_weights.cache_info().currsize == 8
-
-
-def test_interp_plans_are_bitwise_numpy_interp():
-    # the closed-form interval index, over grids refining, coarsening and
-    # non-dyadic, from 4 to 65536 points
-    rng = np.random.default_rng(3)
-    for m, n in INTERP_PAIRS:
-        f = rng.random(m)
-        lo, hi, dx, t = eigen._interp_plan(m, n)
-        x_old, x_new = (np.linspace(0.0, 1.0, k, endpoint=False) for k in (m, n))
-        expected = np.interp(x_new, x_old, f, period=1.0)
-        assert np.array_equal((f[hi] - f[lo]) / dx * t + f[lo], expected), (m, n)
 
 
 def test_factorizations_are_counted(monkeypatch):
