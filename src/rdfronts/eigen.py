@@ -19,12 +19,14 @@ exist on the discrete level exactly as in the continuous theory.  The slope
 k'(lambda) follows from the right and left Perron vectors (``tilt_slope``).
 
 Only those flux couplings depend on lambda.  An ``OperatorSkeleton`` holds
-the grid's CSR pattern and the rest of the operator, and ``_operator``
-tilts it into an operator on that pattern.  The Perron iteration
-(``principal_eigenpair``) solves shifted systems with the banded LU of
-``_ShiftedBand``, in the band order of ``_BandPattern`` on the ring and of
-``_Interleave`` on (-R, R).  Every grid refinement starts on the level that
-``first_level`` picks and checks before anything is built.
+the grid's CSR pattern, written by one strided writer per grid, and the
+rest of the operator, and ``_operator`` tilts it into an operator on that
+pattern, gathered through one source index on the ring.  The Perron
+iteration (``principal_eigenpair``) solves shifted systems with the banded
+LU of ``_ShiftedBand``, in the band order of ``_BandPattern`` on the ring,
+the one order kept in index arrays, and of ``_Interleave`` on (-R, R).
+Every grid refinement starts on the level that ``first_level`` picks and
+checks before anything is built.
 """
 
 from __future__ import annotations
@@ -63,21 +65,6 @@ class GridSpec:
             raise ValidationError("n_cells must be at least 16")
 
 
-DIAG, DOWN, UP, MUTATION = range(4)     # the kinds of entry in a row of the coupled operator
-
-
-def _row_kinds(species: int, node: int, n: int) -> list:
-    """The kinds of the entries of row (species, node) of the coupled operator
-    on the ring of n nodes, in CSR column order.  Within the species they are
-    the couplings to node-1 and node+1 and the diagonal, sorted by column:
-    [down, diag, up] away from the ends, [diag, up, down] at node 0 and [up,
-    down, diag] at node n-1.  The mutation entry lies in the other species'
-    block: last in a u row, first in a v row."""
-    cols = {DOWN: (node - 1) % n, DIAG: node, UP: (node + 1) % n}
-    within = sorted(cols, key=cols.get)
-    return within + [MUTATION] if species == 0 else [MUTATION] + within
-
-
 def _interleave_blocks(flat: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray, list]:
     """A CSR array (data or indices) on (-R, R) with n nodes as two (n-1, 4)
     blocks, u rows and v rows, that hold each kind of entry in one column,
@@ -102,6 +89,21 @@ def _interleave(out: np.ndarray, diag, up, down, mutation) -> np.ndarray:
     return out
 
 
+def _ring_rows(out: np.ndarray, diag, up, down, mutation) -> np.ndarray:
+    """out, a CSR array of the ring, with its rows of 4 entries written in
+    column order: [down, diag, up, mutation] in a u row and [mutation, down,
+    diag, up] in a v row, the wrap-around coupling sorting to the other side
+    in the end rows, [diag, up, down] at node 0 and [up, down, diag] at n-1.
+    diag and mutation are by species and node, up and down (u, v) pairs."""
+    rows = out.reshape(2, -1, 4)
+    rows[0, :, 3], rows[1, :, 0] = mutation
+    for s, within in enumerate((rows[0, :, :3], rows[1, :, 1:])):
+        within[:, 0], within[:, 1], within[:, 2] = down[s], diag[s], up[s]
+        within[0] = diag[s][0], up[s][0], down[s][0]
+        within[-1] = up[s][-1], down[s][-1], diag[s][-1]
+    return out
+
+
 class _BandPattern:
     """Where the entries of a ring skeleton's 2n x 2n matrix go in LAPACK band
     storage.
@@ -110,13 +112,11 @@ class _BandPattern:
     node, with the ring visited zig-zag (0, n-1, 1, n-2, ...), so that ring
     neighbours, the wrap-around included, are at most two nodes apart.
     perm[j] is the band position of unknown j and order its inverse.  An
-    entry (r, c) of a matrix with kl sub- and ku superdiagonals in this order
-    goes to row ku + perm[r] - perm[c], column perm[c] of the
+    entry (r, c) goes to row ku + perm[r] - perm[c], column perm[c] of the
     (kl + ku + 1) x 2n band that dgbtrf factors below kl rows of fill-in.
-    slots[kind, species, node] holds that position for each kind of entry,
-    laid out like the skeleton's CSR slots, as a flat index into the
-    transposed (C-ordered) band; it follows from the band positions of each
-    row's node and of its column's.
+    places, that position of each CSR entry as a flat index into the
+    transposed (C-ordered) band, kl, ku and the CSR positions of the
+    diagonal are read off the skeleton's pattern, 4 entries a row.
     """
 
     zigzag = True
@@ -130,16 +130,12 @@ class _BandPattern:
         self.perm = np.concatenate([2 * node_pos, 2 * node_pos + 1])
         self.order = np.empty_like(self.perm)
         self.order[self.perm] = np.arange(2 * n)
-        rows = self.perm.reshape(2, n)            # band position of (species, node)
-        cols = {DIAG: rows, DOWN: np.roll(rows, 1, axis=1), UP: np.roll(rows, -1, axis=1),
-                MUTATION: rows[::-1]}             # that of the column of each kind
-        self.slots = np.empty((4, 2, n), dtype=np.intp)
-        for kind, col in cols.items():
-            np.subtract(rows, col, out=self.slots[kind])
-        self.kl, self.ku = int(self.slots.max()), int(-self.slots.min())
+        col = self.perm[skeleton.indices]         # band position of each entry's column
+        below = self.perm.repeat(4) - col         # and its row's, less the column's
+        self.kl, self.ku = int(below.max()), int(-below.min())
         self.depth = 2 * self.kl + self.ku + 1
-        for kind, col in cols.items():
-            self.slots[kind] += col * (self.kl + self.ku + 1) + self.ku
+        self.places = col * (self.kl + self.ku + 1) + self.ku + below
+        self.diagonal = np.flatnonzero(below == 0)
 
 
 class _Interleave:
@@ -206,19 +202,18 @@ class OperatorSkeleton:
     """The grid, CSR pattern and lambda-independent values of the coupled
     operator on one grid.
 
-    On the ring, slots[kind, species, node] is the CSR slot of each kind of
-    entry (DIAG, DOWN, UP, MUTATION), since the wrap-around coupling sorts to
-    the other side of the two end rows.  On (-R, R) every kind sits at a
-    fixed stride (_interleave_blocks), and slots is None; the index arrays
-    there depend on n alone, and skeletons of one n share them read-only
-    (_interval_pattern).  diag and mutation hold the coefficient samples of
-    their entries by species and node (the diffusion diagonal plus reaction
-    minus mutation; mu_v in the u rows, mu_u in the v rows), and up_sigma
-    and down_sigma the face sigma of the couplings to node i+1 and to node
-    i-1 (n of each on the ring, n-1 on (-R, R)).  Only the couplings depend
-    on lambda, through exp(-+lambda h), so _operator tilts a skeleton into
-    any operator on its grid.  The band order of the Perron solves and the
-    M' weights are built on first use.
+    On the ring, _ring_rows writes the CSR pattern and the read-only source
+    index, through which entries gathers each operator's data.  On (-R, R)
+    source is None: _interleave writes the data, and the index arrays
+    depend on n alone, so skeletons of one n share them read-only
+    (_interval_pattern).  diag and mutation hold the
+    coefficient samples of their entries by species and node (the diffusion
+    diagonal plus reaction minus mutation; mu_v in the u rows, mu_u in the v
+    rows), and up_sigma and down_sigma the face sigma of the couplings to
+    node i+1 and to node i-1 (n of each on the ring, n-1 on (-R, R)).  Only
+    the couplings depend on lambda, through exp(-+lambda h), so _operator
+    tilts a skeleton into any operator on its grid.  The band order of the
+    Perron solves and the M' weights are built on first use.
     """
 
     n: int
@@ -227,7 +222,7 @@ class OperatorSkeleton:
     nodes: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
-    slots: Optional[np.ndarray]   # (4, 2, n) on the ring
+    source: Optional[np.ndarray]  # (8n,) on the ring
     diag: np.ndarray              # (2, n)
     mutation: np.ndarray          # (2, n)
     up_sigma: np.ndarray          # face sigma of the i -> i+1 couplings
@@ -259,17 +254,19 @@ class OperatorSkeleton:
     def band(self):
         return _BandPattern(self) if self.periodic else _Interleave()
 
+    def entries(self, diag, up, down, mutation) -> np.ndarray:
+        """CSR data of diag and mutation by species and node and of up and
+        down, the couplings to node i+1 and to node i-1, in both species."""
+        if self.periodic:    # indexing, as take would copy the read-only source
+            return np.concatenate([diag.ravel(), mutation.ravel(), up, down])[self.source]
+        return _interleave(np.empty(len(self.indices)), diag, (up, up), (down, down), mutation)
+
     @cached_property
     def slope_weights(self) -> np.ndarray:
         """M'.data / M.data: -h on the couplings to node i+1, +h on those to
         node i-1, 0 elsewhere."""
-        weights = np.zeros(len(self.indices))
-        if self.periodic:
-            weights[self.slots[UP]], weights[self.slots[DOWN]] = -self.h, self.h
-        else:
-            zero, h = np.zeros((2, self.n)), np.full((2, self.n - 1), self.h)
-            _interleave(weights, zero, -h, h, zero)
-        return weights
+        zero, h = np.zeros((2, self.n)), np.full(len(self.up_sigma), self.h)
+        return self.entries(zero, -h, h, zero)
 
 
 PATTERN_CACHE = 4             # cell counts whose (-R, R) CSR pattern is kept
@@ -298,9 +295,9 @@ def _skeleton(cs: CoefficientSet, n: int,
     reaction minus mutation), up and down couplings.
 
     The CSR arrays are written in closed form, in the layout a COO -> CSR
-    build gives: on the ring each row holds its 4 entries in the column
-    order of _row_kinds, and the slots of each kind follow from the row
-    starts; on (-R, R) they are _interval_pattern's."""
+    build gives: on the ring by _ring_rows, on column numbers for the
+    indices and on positions in [diag, mutation, up, down] for the source
+    index; on (-R, R) they are _interval_pattern's."""
     if half_width is None:
         h = cs.period / n
         nodes = h * np.arange(n)
@@ -313,23 +310,17 @@ def _skeleton(cs: CoefficientSet, n: int,
     if half_width is None:
         indptr = np.arange(0, 8 * n + 1, 4, dtype=np.int32)
         own = np.arange(2 * n, dtype=np.int32).reshape(2, n)     # column of (species, node)
-        start = np.arange(0, 8 * n, 4).reshape(2, n)
-        slots = np.empty((4, 2, n), dtype=np.intp)
-        for s in (0, 1):
-            for position, kind in enumerate(_row_kinds(s, 1, n)):
-                slots[kind, s] = start[s] + position   # every row as one away from the ends,
-            for i in (0, n - 1):                      # then the two end rows
-                for position, kind in enumerate(_row_kinds(s, i, n)):
-                    slots[kind, s, i] = start[s, i] + position
-        indices = np.empty(8 * n, dtype=np.int32)
-        indices[slots[DIAG]], indices[slots[MUTATION]] = own, own[::-1]
-        indices[slots[UP]] = np.roll(own, -1, axis=1)
-        indices[slots[DOWN]] = np.roll(own, 1, axis=1)
+        indices = _ring_rows(np.empty(8 * n, dtype=np.int32), own, np.roll(own, -1, axis=1),
+                             np.roll(own, 1, axis=1), own[::-1])
+        place = np.arange(6 * n, dtype=np.int32).reshape(6, n)   # in [diag, mutation, up, down]
+        source = _ring_rows(np.empty(8 * n, dtype=np.intp), place[:2], (place[4], place[4]),
+                            (place[5], place[5]), place[2:4])
+        source.flags.writeable = False
     else:
-        slots = None
+        source = None
         indices, indptr = _interval_pattern(n)
     mu, mv = cs.mu_u(nodes), cs.mu_v(nodes)
-    return OperatorSkeleton(n, h, boundary, nodes, indices, indptr, slots,
+    return OperatorSkeleton(n, h, boundary, nodes, indices, indptr, source,
                             np.stack([diag + (cs.r_u(nodes) - mu), diag + (cs.r_v(nodes) - mv)]),
                             np.stack([mv, mu]), up, down)
 
@@ -421,13 +412,7 @@ def _operator(skeleton: OperatorSkeleton, lam: float) -> DiscreteOperator:
     tilted by exp(-+lambda h).  The entries are bitwise those of a COO -> CSR
     build of the stencil's triplets."""
     up, down = tilted_couplings(skeleton.up_sigma, skeleton.down_sigma, skeleton.h, lam)
-    data = np.empty(len(skeleton.indices))
-    if skeleton.periodic:
-        slots = skeleton.slots
-        data[slots[DIAG]], data[slots[MUTATION]] = skeleton.diag, skeleton.mutation
-        data[slots[UP]], data[slots[DOWN]] = up, down
-    else:
-        _interleave(data, skeleton.diag, (up, up), (down, down), skeleton.mutation)
+    data = skeleton.entries(skeleton.diag, up, down, skeleton.mutation)
     return DiscreteOperator(skeleton.csr(data), lam, skeleton)
 
 
@@ -491,23 +476,19 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _ring_band(data: np.ndarray, grid: OperatorSkeleton) -> Tuple[np.ndarray, ...]:
-    """The ring's CSR data in band storage, through the slots of the entries
-    and of their band places; with the diagonal and the off-diagonal row sums
-    by species and node.  The sums go in each row's CSR order (_row_kinds):
-    (down + up) + mutation in a u row, (mutation + down) + up in a v row, but
-    (mutation + up) + down in the v rows at the two ends."""
-    values = data[grid.slots]                     # by kind, species and node
-    down, up, mutation = values[DOWN], values[UP], values[MUTATION]
-    off = np.add(down, up)
-    off[0] += mutation[0]
-    np.add(mutation[1], down[1], out=off[1])
-    off[1] += up[1]
-    for i in (0, -1):
-        off[1, i] = mutation[1, i] + up[1, i] + down[1, i]
+    """The ring's CSR data scattered to the band places of its entries; with
+    the diagonal and the off-diagonal row sums by unknown.  Each sum adds
+    its row's 4 entries left to right with the diagonal read as 0, which for
+    nonnegative off-diagonals is bitwise their sum in CSR order."""
     band = grid.band
     stored = np.zeros((2 * grid.n, band.kl + band.ku + 1))
-    stored.reshape(-1)[band.slots] = values
-    return stored, values[DIAG], off
+    stored.reshape(-1)[band.places] = data
+    rows = data.reshape(-1, 4).copy()
+    rows.reshape(-1)[band.diagonal] = 0.0
+    off = rows[:, 0] + rows[:, 1]
+    off += rows[:, 2]
+    off += rows[:, 3]
+    return stored, data[band.diagonal], off
 
 
 def _interleaved_band(data: np.ndarray, grid: OperatorSkeleton) -> Tuple[np.ndarray, ...]:

@@ -52,7 +52,10 @@ def lambda_A(p: HomParams) -> float:
     """
     a = p.r_u - p.mu_u
     d = p.r_v - p.mu_v
-    return 0.5 * (a + d + np.sqrt((a - d) ** 2 + 4.0 * p.mu_u * p.mu_v))
+    try:
+        return 0.5 * (a + d + np.sqrt((a - d) ** 2 + 4.0 * p.mu_u * p.mu_v))
+    except OverflowError:
+        raise ValidationError("lambda_A overflows: (a - d)^2 is past the float range") from None
 
 
 def rhs(p: HomParams, u: float, v: float) -> Tuple[float, float]:
@@ -68,18 +71,25 @@ def equilibrium(p: HomParams) -> Tuple[float, float]:
 
     Q solves a quadratic with exactly one positive root; S follows linearly.
     Requires lambda_A > 0 (otherwise every nonnegative orbit dies out and no
-    positive equilibrium exists).
+    positive equilibrium exists).  A disc^2 past the float range is a
+    ValidationError, and a u* or v* that is not positive, as when disc < 0
+    cancels the root to Q = 0 in rounding, a NumericalError.
     """
     if lambda_A(p) <= 0:
         raise PreconditionError("no positive equilibrium: lambda_A <= 0 "
                                 "(the origin is stable and attracts all orbits)")
     ratio = p.kappa_u / p.kappa_v
     disc = p.r_u - p.mu_u - ratio * (p.r_v - p.mu_v)
-    Q = (p.kappa_v / (2.0 * p.mu_u * p.kappa_u)) * (
-        disc + np.sqrt(disc ** 2 + 4.0 * ratio * p.mu_u * p.mu_v))
+    try:
+        Q = (p.kappa_v / (2.0 * p.mu_u * p.kappa_u)) * (
+            disc + np.sqrt(disc ** 2 + 4.0 * ratio * p.mu_u * p.mu_v))
+    except OverflowError:
+        raise ValidationError("the equilibrium overflows: disc^2 is past the float range") from None
     S = (p.r_v + p.mu_u * Q - p.mu_v) / p.kappa_v
     u_star = S * Q / (1.0 + Q)
     v_star = S / (1.0 + Q)
+    if not (u_star > 0 and v_star > 0):
+        raise NumericalError(f"equilibrium ({u_star:.3g}, {v_star:.3g}) is not positive")
     du, dv = rhs(p, u_star, v_star)
     if max(abs(du), abs(dv)) >= EQUILIBRIUM_RESIDUAL_TOL * max(1.0, u_star + v_star):
         raise NumericalError(f"equilibrium residual too large: ({du:.2e}, {dv:.2e})")

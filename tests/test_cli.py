@@ -781,6 +781,13 @@ HUGE_PERIOD = {key: dict(spec, period=1e300) if isinstance(spec, dict) else 1e30
                for key, spec in HOMOG_COEFFS.items()}
 HUGE_SIGMA = dict(HOMOG_COEFFS, sigma=constant(1e305))
 
+
+def ode_with(**params):
+    """DETERMINISM_PAYLOADS' ode config with these parameters changed."""
+    payload = DETERMINISM_PAYLOADS["ode"]
+    return dict(payload, params=dict(payload["params"], **params))
+
+
 # case -> (command, payload, word the validation message names)
 HUGE = {
     "stationary-n_cells": ("stationary", {"coefficients": HOMOG_COEFFS, "n_cells": 10 ** 9},
@@ -805,6 +812,11 @@ HUGE = {
     "dirichlet-sigma": ("dirichlet", {"coefficients": HUGE_SIGMA, "radii": [1.0]},
                         "not finite"),
     "stationary-sigma": ("stationary", {"coefficients": HUGE_SIGMA}, "not finite"),
+    # a square in the closed forms of lambda_A and of the equilibrium overflows
+    "ode-r_u": ("ode", ode_with(r_u=1e160), "overflows"),
+    "ode-kappa_u": ("ode", ode_with(kappa_u=1e300), "overflows"),
+    "sweep-r_u": ("sweep", {"coefficients": dict(HOMOG_COEFFS, r_u=constant(1e300)),
+                            "epsilons": [1.0]}, "overflows"),
 }
 
 # Reaction substeps past util.STEP_CAP in all: a step of dt takes
@@ -1106,6 +1118,22 @@ def test_stationary_numerical_error_exits_3(tmp_path, capsys):
     assert run(tmp_path, "stationary", payload) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "numerical"
+
+
+def test_ode_equilibrium_cancelled_to_zero_exits_3(tmp_path, capsys):
+    # mu_v = 1e-300: disc < 0, and disc + sqrt(disc^2 + ...) cancels to Q = 0,
+    # so u* = 0, which the Lyapunov weight would divide by
+    assert run(tmp_path, "ode", ode_with(mu_v=1e-300)) == 3
+    line, = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "numerical"
+    assert not list(tmp_path.glob("out_*"))
+
+
+def test_homogenize_with_an_overflowing_lambda_A_has_no_speed(tmp_path):
+    coeffs = dict(HOMOG_COEFFS, r_u=constant(1e300))
+    assert run(tmp_path, "homogenize", {"coefficients": coeffs}) == 0
+    report = json.loads((tmp_path / "out_homogenized.json").read_text())
+    assert report["homogenized_speed"] is None
 
 
 def test_homogenize_command(tmp_path):

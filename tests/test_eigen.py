@@ -446,19 +446,22 @@ def test_band_is_bitwise_the_entry_by_entry_scatter(name, n, half_width):
         assert np.array_equal(band._work, factored) and np.array_equal(band._pivots, pivots)
 
 
-@pytest.mark.parametrize("n", [16, 17, 33, 100, 4096])
-@pytest.mark.parametrize("name", sorted(SKELETON_SETS))
-def test_dirichlet_strided_layout_is_bitwise_the_fresh_assembly(name, n):
-    # On (-R, R) the CSR arrays, the band and the row sums are written by
-    # strides, with no slot arrays: against the COO -> CSR build, its band
-    # scattered entry by entry and its row sums in CSR order; then the same
-    # on random entries, which tell every kind of entry apart, and with the
-    # entries of one end or middle row of each species 1000x larger, so that
-    # the far shift and the norm are that row's
-    cs = SKELETON_SETS[name]
-    op = build_operator(cs, 0.0, GridSpec(n_cells=n), half_width=2.0)
-    assert op.skeleton.slots is None and not op.skeleton.band.zigzag
-    fresh = fresh_assembly(cs, 0.0, n, half_width=2.0)
+@pytest.mark.parametrize("name, n, half_width", [
+    pytest.param(name, n, half_width, id=f"{name}-{n}" + ("" if half_width else "-ring"))
+    for half_width in (2.0, None) for name in sorted(SKELETON_SETS)
+    for n in (16, 17, 33, 100, 4096)])
+def test_dirichlet_strided_layout_is_bitwise_the_fresh_assembly(name, n, half_width):
+    # The CSR arrays, the band and the row sums, written by strides on
+    # (-R, R) and through the band places of the CSR pattern on the ring
+    # (at lambda 1.5), with no slot arrays: against the COO -> CSR build, its
+    # band scattered entry by entry and its row sums in CSR order; then the
+    # same on random entries, which tell every kind of entry apart, and with
+    # the entries of one end or middle row of each species 1000x larger, so
+    # that the far shift and the norm are that row's
+    cs, lam = SKELETON_SETS[name], 0.0 if half_width else 1.5
+    op = build_operator(cs, lam, GridSpec(n_cells=n), half_width=half_width, refine=False)
+    assert op.skeleton.band.zigzag == (half_width is None) == (op.skeleton.source is not None)
+    fresh = fresh_assembly(cs, lam, n, half_width=half_width)
     assert_same_csr(op.matrix, fresh)
     random = np.random.default_rng(n).random(len(fresh.data))
     matrices = [fresh]
