@@ -89,9 +89,14 @@ class Artifacts:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """The payload as strict JSON: a NaN or infinity, which JSON has no
+    literal for, is a NumericalError, raised before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: {exc}") from None
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _print_counts(command: str, counts: dict) -> None:
@@ -154,7 +159,7 @@ def run_speed(cfg: dict, artifacts: Artifacts) -> dict:
     lams = _lambda_grid(cfg, "speed config")
     cs, grid, k_tol = cfg["coefficients"], cfg["n_cells"], cfg["k_tolerance"]
     eigen.first_level(cs, grid, max(lams, key=abs))
-    skeletons = {}                                # one store for the searches and the curve
+    skeletons = {}        # skeletons and first-level roots for the searches and the curve
     report = speeds.spreading_speeds(cs, grid, cfg["lambda_tolerance"], k_tol, skeletons)
     curve = eigen.k_curve(cs, lams, grid, k_tol, skeletons)
     k = [res.value for res in curve]

@@ -40,6 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .coefficients import CoefficientSet
 from .errors import NumericalError, PreconditionError, ValidationError
@@ -213,7 +214,8 @@ class OperatorSkeleton:
     node i+1 and to node i-1 (n of each on the ring, n-1 on (-R, R)).  Only
     the couplings depend on lambda, through exp(-+lambda h), so _operator
     tilts a skeleton into any operator on its grid.  The band order of the
-    Perron solves and the M' weights are built on first use.
+    Perron solves and the M' weights are built on first use, and roots holds
+    the first-level roots of the k solves that started on the grid.
     """
 
     n: int
@@ -248,6 +250,12 @@ class OperatorSkeleton:
     @cached_property
     def _pattern(self) -> list:
         """The first matrix csr built, once there is one."""
+        return []
+
+    @cached_property
+    def roots(self) -> list:
+        """(lambda, raw Perron root) of each k solve whose first level was
+        this grid, in the order solved (k_of_lambda)."""
         return []
 
     @cached_property
@@ -460,10 +468,27 @@ def _start_vector(op: DiscreteOperator, warm) -> np.ndarray:
     return np.ones(op.dimension)
 
 
-def _rayleigh_and_residual(matrix, w) -> Tuple[float, float, np.ndarray]:
-    """Rayleigh quotient, sup-norm residual and M w of an iterate w whose
-    largest entry is 1, so the residual needs no scaling."""
-    mw = matrix @ w
+def _matvec(matrix: sp.csr_matrix, w: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """matrix @ w, or matrix.T @ w, by the compiled kernel that scipy's own
+    product runs (_compressed._matmul_vector): csr_matvec on the matrix's
+    CSR arrays, or csc_matvec on them, which are the CSC arrays of the
+    transpose, adding into zeros.  The bits are those of the product,
+    without scipy's operator dispatch, which costs about as much as the
+    kernel on the grids of a k chain.  The kernel reads len(w) from the
+    matrix's shape, so a vector of another length is a ValueError."""
+    if w.shape != (matrix.shape[1],):
+        raise ValueError(f"cannot multiply a {matrix.shape} matrix by a {w.shape} vector")
+    mw = np.zeros(matrix.shape[0])
+    (csc_matvec if transpose else csr_matvec)(*matrix.shape, matrix.indptr, matrix.indices,
+                                              matrix.data, w, mw)
+    return mw
+
+
+def _rayleigh_and_residual(product: Callable[[np.ndarray], np.ndarray],
+                           w) -> Tuple[float, float, np.ndarray]:
+    """Rayleigh quotient, sup-norm residual and M w = product(w) of an
+    iterate w whose largest entry is 1, so the residual needs no scaling."""
+    mw = product(w)
     value = float(w @ mw) / float(w @ w)
     r = value * w
     residual = float(np.abs(np.subtract(mw, r, out=r), out=r).max())
@@ -633,12 +658,15 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False,
         4x while it is still 100x above its tolerance;
       * first_shift, for the first step only, when given and below s_far: a
         refinement level passes the Perron root of the level below it
-        (_refine_to_tolerance), and a Dirichlet sweep's first level a root
-        predicted from the radii before it (dirichlet_sweep).  A shift just
-        above k damps every other mode of the start vector by (s-k)/(s-k_j)
-        in one step.
+        (_refine_to_tolerance), the first level of a k solve whose lambda
+        lies between two earlier roots on its grid their chord plus a margin
+        (k_of_lambda), and a Dirichlet sweep's first level a root predicted
+        from the radii before it (dirichlet_sweep).  A shift just above k
+        damps every other mode of the start vector by (s-k)/(s-k_j) in one
+        step.
 
-    A first shift is not known to lie above k.  The first iterate y proves it
+    Only the chord is proven to lie above k, and only up to the rounding of
+    the roots it passes through.  The first iterate y proves it of any shift
     when y > 0 and max(My/y) < s: then My < sy, and the Collatz-Wielandt
     bound puts k below s.  In exact arithmetic y > 0 alone would prove it,
     but with s within rounding of k rounding picks the sign of y, so the
@@ -667,13 +695,14 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False,
     the operator left factored, if any, in place of first_shift.  A solve
     with neither starts on s_far.
     """
-    matrix = op.matrix.T if left else op.matrix
+    def product(w: np.ndarray) -> np.ndarray:
+        return _matvec(op.matrix, w, transpose=left)
     band = op.shifted
     rounding = 8.0 * EPS * band.norm
     residual_tol = max(RESIDUAL_TOL, rounding)
 
     w = _start_vector(op, warm)
-    value, residual, _ = _rayleigh_and_residual(matrix, w)
+    value, residual, _ = _rayleigh_and_residual(product, w)
     shift = band.shift if left else None
     hinted = shift is None and first_shift is not None and first_shift < band.far_shift
     next_shift = first_shift if hinted else band.far_shift if shift is None else shift
@@ -688,7 +717,7 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False,
         positive = bool((w > 0).all())
         if positive:
             w /= w.max()
-            new_value, new_residual, mw = _rayleigh_and_residual(matrix, w)
+            new_value, new_residual, mw = _rayleigh_and_residual(product, w)
         if hinted and it == 1 and not (positive and float((mw / w).max()) < shift):
             w, next_shift, restarts = _start_vector(op, warm), band.far_shift, 1
             continue                              # s is not shown to lie above the root
@@ -748,7 +777,7 @@ def tilt_slope(op: DiscreteOperator, right: EigenResult) -> Tuple[float, EigenRe
         raise NumericalError(f"left and right Perron roots differ by {gap:.2e} on the "
                              f"{op.n}-cell grid at lambda={op.lam}")
     x, y = right.eigenvector(), left.eigenvector()
-    return float(y @ (tilt_derivative(op) @ x) / (y @ x)), left
+    return float(y @ _matvec(tilt_derivative(op), x) / (y @ x)), left
 
 
 # -- eigenvalue curves with grid refinement ----------------------------------
@@ -786,9 +815,9 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm, label: str,
     Each level above the first starts from the level below: its vector,
     interpolated, and its raw root as principal_eigenpair's first_shift.
     The first level starts from warm's vector and from first_shift when
-    given (dirichlet_sweep's prediction), the far shift otherwise; its raw
-    root is returned as the result's first_root.  The root of the
-    level below is meant to lie just above the finer root, where one step
+    given (k_of_lambda's chord, dirichlet_sweep's prediction), the far shift
+    otherwise; its raw root is returned as the result's first_root.  The root
+    of the level below is meant to lie just above the finer root, where one step
     leaves little but the Perron mode.  On a constant medium it does: the
     three-point stencil's eigenvalues of d^2/dx^2, -4 sin^2(theta h/2)/h^2
     for wave number theta, lie above -theta^2 and fall towards it as h
@@ -820,6 +849,32 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm, label: str,
         del op                                    # before the finer level is built
 
 
+CHORD_MARGIN = 1e-10          # relative pad of a chord first shift: about its level's rounding
+
+
+def _chord_shift(roots: list, lam: float) -> Optional[float]:
+    """A first shift for lambda from the (lambda, root) pairs solved before
+    on one periodic grid, or None when none lie on one side of lambda: the
+    chord through the nearest below and the nearest above, plus CHORD_MARGIN
+    times the larger of its size and 1.
+
+    On a fixed grid only the couplings depend on lambda, through
+    exp(-+lambda h), so for c large M + cI is nonnegative with log-convex
+    entries, and its Perron root is log-convex in lambda (J. F. C. Kingman,
+    "A convexity property of positive matrices", Quart. J. Math. 12, 1961).
+    The root r(lambda) is therefore convex and lies at or below the chord.
+    Each root is exact only to about the rounding level 8 eps ||M||, and in
+    the narrow brackets of a root search chord and root agree to rounding,
+    so the margin keeps the shift above the root there."""
+    below = max((pair for pair in roots if pair[0] < lam), default=None)
+    above = min((pair for pair in roots if pair[0] > lam), default=None)
+    if below is None or above is None:
+        return None
+    (a, ra), (b, rb) = below, above
+    chord = ra + (rb - ra) * (lam - a) / (b - a)
+    return chord + CHORD_MARGIN * max(1.0, abs(chord))
+
+
 def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
                 tol: float = K_GRID_TOL, warm=None, slope: bool = False,
                 skeletons: Optional[dict] = None) -> EigenResult:
@@ -841,16 +896,23 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
 
     skeletons maps cell counts to operator skeletons of cs.  A chain passes
     one dict to all its solves: each solve takes the skeletons of its levels
-    from it and adds the ones it builds.
+    from it and adds the ones it builds.  The first level's skeleton keeps
+    the solve's raw first-level root in its roots, and a solve whose lambda
+    lies between two roots kept there starts its first level on their chord
+    (_chord_shift), which lies above the root, and on the far shift
+    otherwise.
     """
     n = first_level(cs, grid, lam, warm=warm)
     held = {} if skeletons is None else skeletons
 
-    def make_op(m: int) -> DiscreteOperator:
+    def skeleton(m: int) -> OperatorSkeleton:
         if m not in held:
             held[m] = _skeleton(cs, m)
-        return _operator(held[m], lam)
-    res, op, value = _refine_to_tolerance(make_op, n, tol, warm, f"lambda={lam}")
+        return held[m]
+    roots = skeleton(n).roots
+    res, op, value = _refine_to_tolerance(lambda m: _operator(skeleton(m), lam), n, tol,
+                                          warm, f"lambda={lam}", _chord_shift(roots, lam))
+    roots.append((lam, res.first_root))
     if slope:
         res.slope, left = tilt_slope(op, res)
         _add_counts(res, left)
@@ -887,9 +949,11 @@ def _warm_chain(solve: Callable[..., EigenResult],
     """solve(param, warm) as a one-argument function that starts each solve
     from the eigenvector of the previous solve, the first one from `start`
     when given.  This is the only place that carries an eigenvector from one
-    k(lambda) or Dirichlet solve to the next; a left Perron solve starts from
-    its own right vector.  The chain carries no root: dirichlet_sweep's
-    solve keeps the first-level roots it predicts first shifts from."""
+    k(lambda) or Dirichlet solve to the next (k_curve starts a chain at each
+    point); a left Perron solve starts from its own right vector.  The chain
+    carries no root: k solves keep their first-level roots on their
+    skeletons, and dirichlet_sweep's solve keeps the ones it predicts first
+    shifts from."""
     warm = None if start is None else (start.phi, start.psi)
 
     def step(param: float) -> EigenResult:
@@ -905,9 +969,10 @@ def k_chain(cs: CoefficientSet, grid: Optional[GridSpec], tol: float,
             skeletons: Optional[dict] = None) -> Callable[[float], EigenResult]:
     """lambda -> k_of_lambda(cs, lambda, grid, tol, slope=slope), warm-started
     along the calls, the first one from `start` when given.  The chain keeps
-    every operator skeleton its solves built, in `skeletons` when given (a
-    dict that other chains on cs may share), and the next solve, near the
-    last in lambda, mostly reuses them."""
+    every operator skeleton its solves built, with their first-level roots,
+    in `skeletons` when given (a dict that other chains on cs may share).
+    The next solve, near the last in lambda, mostly reuses them, and starts
+    on a chord of those roots when they lie on both sides of its lambda."""
     held = {} if skeletons is None else skeletons
     return _warm_chain(lambda lam, warm: k_of_lambda(cs, lam, grid, tol, warm=warm,
                                                      slope=slope, skeletons=held), start)
@@ -916,9 +981,34 @@ def k_chain(cs: CoefficientSet, grid: Optional[GridSpec], tol: float,
 def k_curve(cs: CoefficientSet, lambdas: Sequence[float],
             grid: Optional[GridSpec] = None, tol: float = K_GRID_TOL,
             skeletons: Optional[dict] = None) -> list:
-    """k(lambda) over a lambda grid, one warm-started chain in grid order,
-    keeping its skeletons in `skeletons` when given (see k_chain)."""
-    return list(map(k_chain(cs, grid, tol, skeletons=skeletons), lambdas))
+    """k(lambda) over a lambda grid, returned in grid order and solved in
+    bisection order: both ends, then the middle point between each two solved
+    ones, recursively.  Every interior point is then solved between two
+    solved points, whose roots give its first level a chord first shift when
+    they are on its grid (k_chain).  Each point is a one-call k_chain started
+    from its nearest solved neighbour: the first end from nothing, the last
+    end from the first, and a middle point from the lower end of its pair,
+    which is never the farther one.  All of them keep their skeletons and
+    roots in `skeletons` when given."""
+    held = {} if skeletons is None else skeletons
+    results = [None] * len(lambdas)
+
+    def solve(i: int, start: Optional[EigenResult]) -> None:
+        results[i] = k_chain(cs, grid, tol, start=start, skeletons=held)(lambdas[i])
+
+    def between(lo: int, hi: int) -> None:
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            solve(mid, results[lo])
+            between(lo, mid)
+            between(mid, hi)
+    last = len(lambdas) - 1
+    if last >= 0:
+        solve(0, None)
+    if last > 0:
+        solve(last, results[0])
+        between(0, last)
+    return results
 
 
 def _predicted_shift(roots: list, R: float) -> Optional[float]:

@@ -211,8 +211,9 @@ def integrate(p: HomParams, u0: float, v0: float, T: float, dt: float = 1e-3) ->
     """Classical fixed-step fourth-order integration of the kinetic system.
 
     Negative undershoots below the 1e-14 rounding floor are clipped to zero
-    and flagged; amplitudes beyond 1e6 abort (theory bounds every orbit, so
-    reaching that is a solver failure).
+    and flagged; amplitudes beyond 1e6, and a state that is not a number
+    (an overflow of the first steps from huge data), abort: theory bounds
+    every orbit, so reaching either is a solver failure.
 
     The loop stops at the first step that returns the state it started from,
     bit for bit (-0.0 and 0.0 differ, and no tolerance applies).  The map is
@@ -265,9 +266,9 @@ def integrate(p: HomParams, u0: float, v0: float, T: float, dt: float = 1e-3) ->
             if cv < -CLIP_FLOOR:
                 clipped = True
             cv = 0.0
-        if abs(cu) + abs(cv) > BLOWUP_LIMIT:
+        if not abs(cu) + abs(cv) <= BLOWUP_LIMIT:     # a NaN state fails it too
             raise NumericalError(f"kinetic orbit blew up at t={i * dt} "
-                                 f"(|u|+|v| > {BLOWUP_LIMIT:g})")
+                                 f"(|u|+|v| > {BLOWUP_LIMIT:g} or not a number)")
         u[i], v[i] = cu, cv
         # == first, so the bit comparison runs only where the values agree
         if cu == pu and cv == pv and _state_bits(cu, cv) == _state_bits(pu, pv):

@@ -819,6 +819,15 @@ HUGE = {
                             "epsilons": [1.0]}, "overflows"),
 }
 
+# Kinetic data whose first RK4 steps overflow to inf - inf = NaN, which the
+# blow-up guard must catch as it catches a large finite state.
+ODE_NAN = {
+    "u0-1e100": dict(DETERMINISM_PAYLOADS["ode"], u0=1e100),
+    "u0-1e300": dict(DETERMINISM_PAYLOADS["ode"], u0=1e300),
+    "v0-1e100": dict(DETERMINISM_PAYLOADS["ode"], v0=1e100),
+    "kappa_v-1e200": ode_with(kappa_v=1e200),
+}
+
 # Reaction substeps past util.STEP_CAP in all: a step of dt takes
 # dt * Lipschitz / 0.25 of them, and stationary takes up to 80 000 steps.
 # The step count of stationary-t_max-overflow and the Lipschitz bound of
@@ -976,6 +985,7 @@ KEY_CASES = {what: {command: {".".join(c.path) or "config": c for c in SCHEMA_CA
 CHILD_CONFIGS = {
     **{f"huge/{case}": (command, payload, ()) for case, (command, payload, _) in HUGE.items()},
     **{f"substeps/{case}": (command, payload, ()) for case, (command, payload) in SUBSTEPS.items()},
+    **{f"ode-nan/{case}": ("ode", payload, ()) for case, payload in ODE_NAN.items()},
     # epsilon = 1e-300 squeezes the period until h**2 underflows
     "sweep/vanishing": ("sweep", {"coefficients": HOMOG_COEFFS, "epsilons": [1e-300]},
                         ("--verbose",)),
@@ -1032,6 +1042,16 @@ def test_huge_size_exits_2_before_allocating(child, case):
 def test_substeps_past_the_step_cap_exit_2_before_stepping(child, case):
     message = validation_message(child["runs"][f"substeps/{case}"])
     assert "substeps" in message and len(message) < 200
+
+
+@pytest.mark.parametrize("case", ODE_NAN)
+def test_ode_orbit_that_turns_nan_exits_3_without_files(child, case):
+    run = child["runs"][f"ode-nan/{case}"]
+    assert run["status"] == 3, run
+    line, = run["stderr"]
+    err = json.loads(line)
+    assert err["error"] == "numerical" and "blew up" in err["message"]
+    assert run["files"] == []
 
 
 def test_sweep_row_with_a_vanishing_grid_spacing_carries_the_error(child):

@@ -266,6 +266,50 @@ def test_speed_searches_and_curve_share_one_skeleton_store(built):
     assert len(built) == count
 
 
+@pytest.mark.parametrize("half_width", [None, 2.0])
+@pytest.mark.parametrize("name", sorted(SKELETON_SETS))
+def test_direct_kernel_products_are_bitwise_the_sparse_products(name, half_width):
+    # the Perron steps and the slope call scipy's compiled CSR kernel on the
+    # operator's own arrays, which must give the bits of matrix @ w and of
+    # matrix.T @ w, on the ring and on (-R, R)
+    op = build_operator(SKELETON_SETS[name], 0.0 if half_width else 1.5, GridSpec(n_cells=100),
+                        half_width=half_width, refine=False)
+    w = np.random.default_rng(5).random(op.dimension)
+    for matrix in (op.matrix, tilt_derivative(op)):
+        assert np.array_equal(eigen._matvec(matrix, w), matrix @ w)
+        assert np.array_equal(eigen._matvec(matrix, w, transpose=True), matrix.T @ w)
+    with pytest.raises(ValueError):          # the kernel itself would read past its end
+        eigen._matvec(op.matrix, w[:-1])
+
+
+def test_interior_curve_points_start_on_a_chord(monkeypatch):
+    # a curve solves both ends, then middle points, each from the lower end of
+    # its pair; on README_SET every point starts refining at 64 cells, so each
+    # interior point's first level starts on the chord, plus its margin, of
+    # the nearest roots kept below and above it, and no chord lies below
+    refine, shifts = eigen._refine_to_tolerance, []
+
+    def recorded(make_op, n, tol, warm, label, first_shift=None):
+        shifts.append((n, first_shift))
+        return refine(make_op, n, tol, warm, label, first_shift)
+    monkeypatch.setattr(eigen, "_refine_to_tolerance", recorded)
+    lams = np.linspace(-1.0, 1.0, 9)
+    store = {}
+    curve = k_curve(README_SET, lams, skeletons=store)
+    assert [res.lam for res in curve] == list(lams)
+    roots = store[64].roots
+    assert [lam for lam, _ in roots] == list(lams[[0, 8, 4, 2, 1, 3, 6, 5, 7]])
+    assert [n for n, _ in shifts] == [64] * 9 and shifts[0][1] is shifts[1][1] is None
+    for i in range(2, 9):
+        chord = eigen._chord_shift(roots[:i], roots[i][0])
+        assert chord is not None and shifts[i][1] == chord and chord > roots[i][1]
+    assert sum(res.restarts for res in curve) == 0
+    # the values are those of one chain in grid order, to well below tolerance
+    chain = eigen.k_chain(README_SET, None, eigen.K_GRID_TOL)
+    for lam, res in zip(lams, curve):
+        assert res.value == pytest.approx(chain(lam).value, rel=1e-10, abs=0.0)
+
+
 # -- banded shift-invert solves ----------------------------------------------------
 
 def band_order(band):
@@ -886,6 +930,17 @@ def test_first_shift_at_or_below_the_root_restarts_bitwise(half_width, offset):
     far = principal_eigenpair(level(128), warm=warm, first_shift=np.inf)
     assert far.restarts == 0 and far.iterations == plain.iterations
     assert np.array_equal(far.phi, plain.phi) and np.array_equal(far.psi, plain.psi)
+
+
+@pytest.mark.parametrize("name", ["readme", "piecewise_sigma"])
+def test_chord_margin_keeps_root_searches_from_restarting(name):
+    # the speed searches narrow their brackets until chord and root agree to
+    # rounding; the chord's margin, about the rounding level, keeps every
+    # chord first shift above its root there (without it, one solve of each
+    # of these runs restarts)
+    cs = README_SET if name == "readme" else SLOPE_SETS[name]
+    report = spreading_speeds(cs)
+    assert sum(res.restarts for solves in report.solves.values() for res in solves) == 0
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 """Property tests on seeded random inputs: the comparison bound of the IMEX
 stepper, the exact JSON round trip of coefficient specs, the positive
-Perron vector inside its Collatz-Wielandt bracket, the convex k(lambda)
-inside its quadratic envelopes, and the speeds that mirroring swaps.
+Perron vector inside its Collatz-Wielandt bracket, the convex Perron root
+of one grid below its chords, the convex k(lambda) inside its quadratic
+envelopes, and the speeds that mirroring swaps.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -14,8 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rdfronts.coefficients import CoefficientSet, CoefficientSpec, spec_from_dict
-from rdfronts.eigen import (K_GRID_TOL, GridSpec, build_operator, k_curve, k_of_lambda,
-                            principal_eigenpair)
+from rdfronts.eigen import (K_GRID_TOL, GridSpec, _operator, _skeleton, build_operator,
+                            k_curve, k_of_lambda, principal_eigenpair)
 from rdfronts.pde import BOUND_SLACK, DomainSpec, InitialData, Stepper, build_initial
 from rdfronts.speeds import spreading_speeds
 from helpers import mirror_set, spec_to_dict
@@ -147,6 +148,27 @@ def k_sets(draw):
 
 
 LAMBDAS = np.arange(-3.0, 3.01, 0.5)
+
+
+@SETTINGS
+@given(cs=k_sets(), n=st.integers(16, 64), a=st.floats(-3.0, 3.0),
+       width=st.floats(1e-6, 3.0), t=st.floats(0.0, 1.0))
+def test_root_of_one_grid_is_convex_below_its_chords(cs, n, a, width, t):
+    # on one skeleton only the couplings depend on lambda, through
+    # exp(-+lambda h), so M + cI has log-convex entries and the Perron root
+    # r(lambda) is convex (Kingman): the chord through (a, r(a)) and
+    # (b, r(b)) lies at or above r between them, to within the rounding level
+    # 8 eps ||M|| of the solves.  k chains start first levels on that chord.
+    b, lam = a + width, a + t * width
+    assume(a < lam < b)
+    skeleton = _skeleton(cs, n)
+    ra, r, rb = (principal_eigenpair(_operator(skeleton, x)) for x in (a, lam, b))
+    rounding = max(res.rounding for res in (ra, r, rb))
+    assert r.value <= ra.value + (rb.value - ra.value) * (lam - a) / width + rounding
+    # and its second differences on a uniform grid are nonnegative
+    roots = np.array([principal_eigenpair(_operator(skeleton, x)).value
+                      for x in np.linspace(a, b, 5)])
+    assert np.all(roots[2:] - 2.0 * roots[1:-1] + roots[:-2] >= -4.0 * rounding)
 
 
 @SETTINGS
