@@ -20,8 +20,9 @@ k'(lambda) follows from the right and left Perron vectors (``tilt_slope``).
 
 Only those flux couplings depend on lambda.  An ``OperatorSkeleton`` holds
 the grid's CSR pattern, written by one strided writer per grid, and the
-rest of the operator, and ``_operator`` tilts it into an operator on that
-pattern, gathered through one source index on the ring.  The Perron
+rest of the operator, and ``_operator`` tilts it into an operator: its CSR
+data on that pattern, gathered through one source index on the ring.  A
+scipy matrix is built only when a caller asks for one.  The Perron
 iteration (``principal_eigenpair``) solves shifted systems with the banded
 LU of ``_ShiftedBand``, in the band order of ``_BandPattern`` on the ring,
 the one order kept in index arrays, and of ``_Interleave`` on (-R, R).
@@ -31,7 +32,6 @@ checks before anything is built.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Tuple
@@ -201,9 +201,9 @@ def _strided_interp(old: np.ndarray, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class OperatorSkeleton:
     """The grid, CSR pattern and lambda-independent values of the coupled
-    operator on one grid.
+    operator on one grid; an operator is CSR data on this pattern.
 
-    On the ring, _ring_rows writes the CSR pattern and the read-only source
+    On the ring, _ring_rows writes the read-only CSR pattern and source
     index, through which entries gathers each operator's data.  On (-R, R)
     source is None: _interleave writes the data, and the index arrays
     depend on n alone, so skeletons of one n share them read-only
@@ -231,26 +231,6 @@ class OperatorSkeleton:
     down_sigma: np.ndarray        # face sigma of the i -> i-1 couplings
 
     periodic = property(lambda self: self.boundary == "periodic")
-
-    def csr(self, values: np.ndarray) -> sp.csr_matrix:
-        """The 2n x 2n matrix with these values in the pattern's slots.  The
-        first one goes through the CSR constructor and is kept as the
-        pattern's matrix, on the skeleton's own index arrays; each one is a
-        shallow copy of it, which shares them, with the data replaced, so the
-        later ones skip the constructor's checks, and _ShiftedBand finds its
-        matrix on the pattern by identity."""
-        if not self._pattern:
-            pattern = sp.csr_matrix((values, self.indices, self.indptr), shape=(2 * self.n,) * 2)
-            pattern.indices, pattern.indptr = self.indices, self.indptr   # not views of them
-            self._pattern.append(pattern)
-        matrix = copy.copy(self._pattern[0])
-        matrix.data = values
-        return matrix
-
-    @cached_property
-    def _pattern(self) -> list:
-        """The first matrix csr built, once there is one."""
-        return []
 
     @cached_property
     def roots(self) -> list:
@@ -323,7 +303,7 @@ def _skeleton(cs: CoefficientSet, n: int,
         place = np.arange(6 * n, dtype=np.int32).reshape(6, n)   # in [diag, mutation, up, down]
         source = _ring_rows(np.empty(8 * n, dtype=np.intp), place[:2], (place[4], place[4]),
                             (place[5], place[5]), place[2:4])
-        source.flags.writeable = False
+        indices.flags.writeable = indptr.flags.writeable = source.flags.writeable = False
     else:
         source = None
         indices, indptr = _interval_pattern(n)
@@ -335,12 +315,17 @@ def _skeleton(cs: CoefficientSet, n: int,
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Assembled 2n x 2n coupled operator (u unknowns first, then v), whose
-    matrix is on its skeleton's CSR pattern."""
+    """Assembled 2n x 2n coupled operator (u unknowns first, then v): its CSR
+    data on its skeleton's pattern.  The kernels read data through the
+    pattern's indptr, so data of another shape is a ValidationError."""
 
-    matrix: sp.csr_matrix
+    data: np.ndarray
     lam: float
     skeleton: OperatorSkeleton
+
+    def __post_init__(self):
+        if np.shape(self.data) != self.skeleton.indices.shape:
+            raise ValidationError("operator data does not fill its grid's CSR pattern")
 
     n = property(lambda self: self.skeleton.n)
     h = property(lambda self: self.skeleton.h)
@@ -350,6 +335,12 @@ class DiscreteOperator:
     @property
     def dimension(self) -> int:
         return 2 * self.n
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The scipy CSR matrix, built on request; the solvers never ask."""
+        return sp.csr_matrix((self.data, self.skeleton.indices, self.skeleton.indptr),
+                             shape=(self.dimension,) * 2)
 
     @cached_property
     def shifted(self) -> _ShiftedBand:
@@ -416,12 +407,12 @@ def first_level(cs: CoefficientSet, grid: Optional[GridSpec], lam: float = 0.0,
 
 
 def _operator(skeleton: OperatorSkeleton, lam: float) -> DiscreteOperator:
-    """The skeleton's operator at lambda, on its CSR pattern, the couplings
-    tilted by exp(-+lambda h).  The entries are bitwise those of a COO -> CSR
-    build of the stencil's triplets."""
+    """The skeleton's operator at lambda, the couplings tilted by
+    exp(-+lambda h).  The entries are bitwise those of a COO -> CSR build of
+    the stencil's triplets."""
     up, down = tilted_couplings(skeleton.up_sigma, skeleton.down_sigma, skeleton.h, lam)
     data = skeleton.entries(skeleton.diag, up, down, skeleton.mutation)
-    return DiscreteOperator(skeleton.csr(data), lam, skeleton)
+    return DiscreteOperator(data, lam, skeleton)
 
 
 def build_operator(cs: CoefficientSet, lam: float, grid: GridSpec,
@@ -468,19 +459,19 @@ def _start_vector(op: DiscreteOperator, warm) -> np.ndarray:
     return np.ones(op.dimension)
 
 
-def _matvec(matrix: sp.csr_matrix, w: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """matrix @ w, or matrix.T @ w, by the compiled kernel that scipy's own
-    product runs (_compressed._matmul_vector): csr_matvec on the matrix's
-    CSR arrays, or csc_matvec on them, which are the CSC arrays of the
-    transpose, adding into zeros.  The bits are those of the product,
-    without scipy's operator dispatch, which costs about as much as the
-    kernel on the grids of a k chain.  The kernel reads len(w) from the
-    matrix's shape, so a vector of another length is a ValueError."""
-    if w.shape != (matrix.shape[1],):
-        raise ValueError(f"cannot multiply a {matrix.shape} matrix by a {w.shape} vector")
-    mw = np.zeros(matrix.shape[0])
-    (csc_matvec if transpose else csr_matvec)(*matrix.shape, matrix.indptr, matrix.indices,
-                                              matrix.data, w, mw)
+def _matvec(op: DiscreteOperator, w: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """M w, or M^T w, by the compiled kernel of scipy's own product
+    (_compressed._matmul_vector): csr_matvec on the skeleton's pattern and
+    the data, or csc_matvec on them, the CSC arrays of the transpose, adding
+    into zeros.  The bits are those of op.matrix @ w, without the matrix or
+    its operator dispatch, which costs about as much as the kernel on the
+    grids of a k chain.  A w of another length is a ValueError."""
+    size = op.dimension
+    if w.shape != (size,):
+        raise ValueError(f"cannot multiply a {size} x {size} operator by a {w.shape} vector")
+    mw = np.zeros(size)
+    (csc_matvec if transpose else csr_matvec)(size, size, op.skeleton.indptr, op.skeleton.indices,
+                                              op.data, w, mw)
     return mw
 
 
@@ -493,11 +484,6 @@ def _rayleigh_and_residual(product: Callable[[np.ndarray], np.ndarray],
     r = value * w
     residual = float(np.abs(np.subtract(mw, r, out=r), out=r).max())
     return value, residual, mw
-
-
-def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    """a and b are one array, as on the skeleton's own matrices, or equal."""
-    return a is b or np.array_equal(a, b)
 
 
 def _ring_band(data: np.ndarray, grid: OperatorSkeleton) -> Tuple[np.ndarray, ...]:
@@ -546,10 +532,9 @@ def _interleaved_band(data: np.ndarray, grid: OperatorSkeleton) -> Tuple[np.ndar
 class _ShiftedBand:
     """(sI - M)^-1 of a cooperative operator by a banded LU, one shift at a time.
 
-    The matrix must be on its skeleton's CSR pattern, its indptr and indices
-    those of the skeleton or equal to them, with nonnegative off-diagonals
-    (ValidationError otherwise).  M goes into LAPACK band storage once, in
-    its skeleton's band order.  far_shift is max row sum + 1 and norm
+    The operator's data, on its skeleton's CSR pattern, must have
+    nonnegative off-diagonals (ValidationError otherwise).  It goes into
+    LAPACK band storage once, in the skeleton's band order.  far_shift is max row sum + 1 and norm
     max_i sum_j |M_ij|, with the off-diagonals of each row added in its CSR
     order.  factor(s) copies the band below the kl rows of fill-in,
     subtracts s from its diagonal row (the only row that depends on s),
@@ -572,13 +557,9 @@ class _ShiftedBand:
     """
 
     def __init__(self, op: DiscreteOperator):
-        matrix, grid = op.matrix, op.skeleton
-        if not (matrix.format == "csr" and _same(matrix.indptr, grid.indptr)
-                and _same(matrix.indices, grid.indices)):
-            raise ValidationError("operator matrix is not on its grid's CSR pattern")
-        band = self.band = grid.band
+        band = self.band = op.skeleton.band
         lay_out = _ring_band if band.zigzag else _interleaved_band
-        self._stored, diag, off = lay_out(matrix.data, grid)
+        self._stored, diag, off = lay_out(op.data, op.skeleton)
         negative = self._stored < 0
         negative[:, band.ku] = False              # the diagonal
         if negative.any():
@@ -696,7 +677,7 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False,
     with neither starts on s_far.
     """
     def product(w: np.ndarray) -> np.ndarray:
-        return _matvec(op.matrix, w, transpose=left)
+        return _matvec(op, w, transpose=left)
     band = op.shifted
     rounding = 8.0 * EPS * band.norm
     residual_tol = max(RESIDUAL_TOL, rounding)
@@ -750,14 +731,14 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False,
                          f"iterations (last residual {residual:.3e})")
 
 
-def tilt_derivative(op: DiscreteOperator) -> sp.csr_matrix:
-    """M'(lambda) = dM/dlambda of an operator on its grid's CSR pattern.
+def tilt_derivative(op: DiscreteOperator) -> DiscreteOperator:
+    """M'(lambda) = dM/dlambda, an operator on op's pattern for products.
 
     Only the flux couplings depend on lambda, so M' is M rescaled by the
     skeleton's weights: -h on the couplings towards node i+1, +h on those
     towards node i-1, in both species blocks, and 0 elsewhere.
     """
-    return op.skeleton.csr(op.skeleton.slope_weights * op.matrix.data)
+    return DiscreteOperator(op.skeleton.slope_weights * op.data, op.lam, op.skeleton)
 
 
 def tilt_slope(op: DiscreteOperator, right: EigenResult) -> Tuple[float, EigenResult]:

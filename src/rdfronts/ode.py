@@ -10,6 +10,7 @@ and a logarithmic Lyapunov weight.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -43,19 +44,28 @@ class HomParams:
                 raise ValidationError(f"{name} must be strictly positive")
 
 
+def _finite(what: str, *values: float) -> None:
+    """A ValidationError when an intermediate of a closed form is not finite."""
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"{what} overflows: an intermediate is past the float range")
+
+
 def lambda_A(p: HomParams) -> float:
     """Largest eigenvalue of [[r_u-mu_u, mu_v], [mu_u, r_v-mu_v]].
 
     Equals ((a+d) + sqrt((a-d)^2 + 4 mu_u mu_v))/2 with a = r_u - mu_u,
     d = r_v - mu_v; both eigenvalues are real because the off-diagonal
-    product is positive.
+    product is positive.  a + d and the radicand are checked finite before
+    numpy sees them, so an overflow raises no numpy warning.
     """
     a = p.r_u - p.mu_u
     d = p.r_v - p.mu_v
     try:
-        return 0.5 * (a + d + np.sqrt((a - d) ** 2 + 4.0 * p.mu_u * p.mu_v))
+        trace, radicand = a + d, (a - d) ** 2 + 4.0 * p.mu_u * p.mu_v
     except OverflowError:
-        raise ValidationError("lambda_A overflows: (a - d)^2 is past the float range") from None
+        trace = radicand = math.inf
+    _finite("lambda_A", trace, radicand)
+    return 0.5 * (trace + np.sqrt(radicand))
 
 
 def rhs(p: HomParams, u: float, v: float) -> Tuple[float, float]:
@@ -71,7 +81,8 @@ def equilibrium(p: HomParams) -> Tuple[float, float]:
 
     Q solves a quadratic with exactly one positive root; S follows linearly.
     Requires lambda_A > 0 (otherwise every nonnegative orbit dies out and no
-    positive equilibrium exists).  A disc^2 past the float range is a
+    positive equilibrium exists).  The arithmetic is on Python floats, with
+    no numpy warning: an intermediate past the float range is a
     ValidationError, and a u* or v* that is not positive, as when disc < 0
     cancels the root to Q = 0 in rounding, a NumericalError.
     """
@@ -80,12 +91,13 @@ def equilibrium(p: HomParams) -> Tuple[float, float]:
                                 "(the origin is stable and attracts all orbits)")
     ratio = p.kappa_u / p.kappa_v
     disc = p.r_u - p.mu_u - ratio * (p.r_v - p.mu_v)
-    try:
+    try:                                      # 2 mu_u kappa_u may underflow to 0
         Q = (p.kappa_v / (2.0 * p.mu_u * p.kappa_u)) * (
-            disc + np.sqrt(disc ** 2 + 4.0 * ratio * p.mu_u * p.mu_v))
-    except OverflowError:
-        raise ValidationError("the equilibrium overflows: disc^2 is past the float range") from None
+            disc + math.sqrt(disc ** 2 + 4.0 * ratio * p.mu_u * p.mu_v))
+    except (OverflowError, ZeroDivisionError):
+        Q = math.inf
     S = (p.r_v + p.mu_u * Q - p.mu_v) / p.kappa_v
+    _finite("the equilibrium", Q, S, S * Q)
     u_star = S * Q / (1.0 + Q)
     v_star = S / (1.0 + Q)
     if not (u_star > 0 and v_star > 0):
@@ -118,7 +130,7 @@ def lyapunov_K(p: HomParams) -> float:
     but in the mixed-sign corner (one species mutation-dominated while
     0 < r - mu < the other mutation rate) BC >= AD does occur and no
     quadratic-certificate weight exists; an internal-contradiction error is
-    raised there.
+    raised there.  A square past the float range is a ValidationError.
     """
     if lambda_A(p) <= 0 or max(p.r_u - p.mu_u, p.r_v - p.mu_v) <= 0:
         raise PreconditionError("Lyapunov weight requires lambda_A > 0 and "
@@ -132,11 +144,15 @@ def lyapunov_K(p: HomParams) -> float:
             f"no quadratic-form Lyapunov weight exists: BC = {B * C:.6g} >= "
             f"AD = {A * D:.6g} for these parameters")
     slope = 4.0 * A * D - 2.0 * B * C
-    if C == 0.0:
-        K = (B ** 2 + 1.0) / slope
-    else:
-        K = slope / (2.0 * C ** 2)
-    P = -C ** 2 * K ** 2 + slope * K - B ** 2
+    try:
+        if C == 0.0:
+            K = (B ** 2 + 1.0) / slope
+        else:
+            K = slope / (2.0 * C ** 2)
+        P = -C ** 2 * K ** 2 + slope * K - B ** 2
+    except (OverflowError, ZeroDivisionError):     # C^2 may also underflow to 0
+        raise ValidationError("the Lyapunov weight overflows: a square is past the float "
+                              "range") from None
     if not (K > 0 and P > 0):
         raise NumericalError(f"dissipation quadratic not positive at K={K} (P={P})")
     return float(K)

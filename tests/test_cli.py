@@ -815,6 +815,12 @@ HUGE = {
     # a square in the closed forms of lambda_A and of the equilibrium overflows
     "ode-r_u": ("ode", ode_with(r_u=1e160), "overflows"),
     "ode-kappa_u": ("ode", ode_with(kappa_u=1e300), "overflows"),
+    # ... and of the Lyapunov weight; a product in the equilibrium, a
+    # radicand of lambda_A, and a divisor 2 mu_u kappa_u that underflows to 0
+    "ode-kappa_v": ("ode", ode_with(kappa_v=1e300), "overflows"),
+    "ode-kappa_u-tiny": ("ode", ode_with(kappa_u=1e-300), "overflows"),
+    "ode-mu": ("ode", ode_with(mu_u=1e200, mu_v=1e200), "overflows"),
+    "ode-mu_u-kappa_u-tiny": ("ode", ode_with(mu_u=1e-200, kappa_u=1e-200), "overflows"),
     "sweep-r_u": ("sweep", {"coefficients": dict(HOMOG_COEFFS, r_u=constant(1e300)),
                             "epsilons": [1.0]}, "overflows"),
 }

@@ -208,7 +208,7 @@ def test_tilt_derivative_matches_flux_stencil(name, lam):
     expected = sp.coo_matrix((np.concatenate([rate, rate]),
                               (np.concatenate([rows, rows + n]),
                                np.concatenate([cols, cols + n]))), shape=(2 * n, 2 * n))
-    assert np.array_equal(tilt_derivative(op).toarray(), expected.toarray())
+    assert np.array_equal(tilt_derivative(op).matrix.toarray(), expected.toarray())
     # the same weights on (-R, R), where node 0 has no down and node n-1 no up
     # coupling
     op = _operator(_skeleton(cs, n, 2.0), lam)
@@ -219,7 +219,7 @@ def test_tilt_derivative_matches_flux_stencil(name, lam):
     expected = sp.coo_matrix((np.concatenate([rate, rate]),
                               (np.concatenate([rows, rows + n]),
                                np.concatenate([cols, cols + n]))), shape=(2 * n, 2 * n))
-    assert np.array_equal(tilt_derivative(op).toarray(), expected.toarray())
+    assert np.array_equal(tilt_derivative(op).matrix.toarray(), expected.toarray())
 
 
 @pytest.fixture
@@ -270,16 +270,17 @@ def test_speed_searches_and_curve_share_one_skeleton_store(built):
 @pytest.mark.parametrize("name", sorted(SKELETON_SETS))
 def test_direct_kernel_products_are_bitwise_the_sparse_products(name, half_width):
     # the Perron steps and the slope call scipy's compiled CSR kernel on the
-    # operator's own arrays, which must give the bits of matrix @ w and of
-    # matrix.T @ w, on the ring and on (-R, R)
+    # skeleton's pattern and the operator's data, which must give the bits of
+    # matrix @ w and of matrix.T @ w, on the ring and on (-R, R)
     op = build_operator(SKELETON_SETS[name], 0.0 if half_width else 1.5, GridSpec(n_cells=100),
                         half_width=half_width, refine=False)
     w = np.random.default_rng(5).random(op.dimension)
-    for matrix in (op.matrix, tilt_derivative(op)):
-        assert np.array_equal(eigen._matvec(matrix, w), matrix @ w)
-        assert np.array_equal(eigen._matvec(matrix, w, transpose=True), matrix.T @ w)
+    for operator in (op, tilt_derivative(op)):
+        matrix = operator.matrix
+        assert np.array_equal(eigen._matvec(operator, w), matrix @ w)
+        assert np.array_equal(eigen._matvec(operator, w, transpose=True), matrix.T @ w)
     with pytest.raises(ValueError):          # the kernel itself would read past its end
-        eigen._matvec(op.matrix, w[:-1])
+        eigen._matvec(op, w[:-1])
 
 
 def test_interior_curve_points_start_on_a_chord(monkeypatch):
@@ -428,9 +429,7 @@ def test_pivot_sum_detects_row_interchanges(n, half_width):
     rng = np.random.default_rng(5)
     seen = set()
     for _ in range(4):
-        matrix = op.matrix.copy()
-        matrix.data = rng.random(len(matrix.data))
-        band = _ShiftedBand(replace(op, matrix=matrix))
+        band = _ShiftedBand(replace(op, data=rng.random(len(op.data))))
         for shift in (band.far_shift, rng.uniform(0.0, 1.0)):
             band.factor(shift)
             assert band.unpivoted == np.array_equal(band._pivots, np.arange(2 * n))
@@ -508,15 +507,14 @@ def test_dirichlet_strided_layout_is_bitwise_the_fresh_assembly(name, n, half_wi
     fresh = fresh_assembly(cs, lam, n, half_width=half_width)
     assert_same_csr(op.matrix, fresh)
     random = np.random.default_rng(n).random(len(fresh.data))
-    matrices = [fresh]
+    datas = [fresh.data]
     for row in (None, 0, n // 2, n - 1, n, n + n // 2, 2 * n - 1):
-        matrix = fresh.copy()
-        matrix.data = random.copy()
+        data = random.copy()
         if row is not None:
-            matrix.data[fresh.indptr[row]:fresh.indptr[row + 1]] *= 1e3
-        matrices.append(matrix)
-    for matrix in matrices:
-        on_pattern = replace(op, matrix=matrix)
+            data[fresh.indptr[row]:fresh.indptr[row + 1]] *= 1e3
+        datas.append(data)
+    for data in datas:
+        on_pattern = replace(op, data=data)
         full, _, kl, _, far_shift, norm = scattered_band(on_pattern)
         band = _ShiftedBand(on_pattern)
         assert np.array_equal(band._stored.T, full[kl:])
@@ -529,13 +527,13 @@ def test_row_sums_are_added_in_csr_order(half_width):
     # order (1 + 2^53) + 1 rounds to 2^53 twice, where (1 + 1) + 2^53 keeps
     # the 2, so the far shift and the norm see the order of every end row
     op = build_operator(HOMOG, 0.0, GridSpec(n_cells=32), half_width=half_width, refine=False)
-    matrix = op.matrix.copy()
+    matrix = op.matrix
     rows = np.repeat(np.arange(64), np.diff(matrix.indptr))
-    matrix.data = np.where(rows == matrix.indices, 0.0, 1.0)
+    data = np.where(rows == matrix.indices, 0.0, 1.0)
     for row in (0, 31, 32, 63):
         off = np.flatnonzero((rows == row) & (rows != matrix.indices))
-        matrix.data[off[len(off) // 2]] = 2.0 ** 53
-    op = replace(op, matrix=matrix)
+        data[off[len(off) // 2]] = 2.0 ** 53
+    op = replace(op, data=data)
     _, _, _, _, far_shift, norm = scattered_band(op)
     band = _ShiftedBand(op)
     assert (band.far_shift, band.norm) == (far_shift, norm)
@@ -563,10 +561,9 @@ def test_singular_band_factor_raises():
     # zero couplings and diagonal entries 0, 1, ..., 31 on the operator's
     # pattern: 5I - M has a zero pivot in row 5
     op = build_operator(HOMOG, 0.0, GridSpec(n_cells=16))
-    matrix = op.matrix.copy()
+    matrix = op.matrix
     rows = np.repeat(np.arange(32), np.diff(matrix.indptr))
-    matrix.data = np.where(rows == matrix.indices, rows, 0.0)
-    band = _ShiftedBand(replace(op, matrix=matrix))
+    band = _ShiftedBand(replace(op, data=np.where(rows == matrix.indices, rows, 0.0)))
     band.factor(40.0)
     assert band.unpivoted
     with pytest.raises(NumericalError, match="singular"):
@@ -806,21 +803,21 @@ def test_value_outside_its_collatz_wielandt_bracket_raises(monkeypatch):
         principal_eigenpair(op)
 
 
-def test_operator_off_its_pattern_rejected():
-    # the band pattern is the skeleton's, so a matrix laid out otherwise (the
-    # CSC transpose, one stored diagonal entry eliminated) is refused, on the
-    # ring and on (-R, R)
+def test_data_that_does_not_fill_the_pattern_is_rejected_before_any_kernel_runs(monkeypatch):
+    # the kernels read an operator's data through its skeleton's indptr, so
+    # data one entry short or over, or not one value per entry, is refused
+    # when the operator is made, on the ring and on (-R, R), and neither the
+    # products nor the band factorization ever see it
+    calls = []
+    for kernel in ("csr_matvec", "csc_matvec", "dgbtrf"):
+        monkeypatch.setattr(eigen, kernel, lambda *args, kernel=kernel: calls.append(kernel))
     for lam, half_width in ((0.5, None), (0.0, 2.0)):
         op = build_operator(HOMOG, lam, GridSpec(n_cells=32), half_width=half_width,
                             refine=False)
-        matrix = op.matrix.tolil()
-        matrix[5, 5] = 0.0
-        matrix = matrix.tocsr()
-        matrix.eliminate_zeros()
-        assert matrix[5, 5] == 0.0 and matrix.nnz == op.matrix.nnz - 1
-        for other in (op.matrix.T, matrix):
+        for data in (op.data[:-1], np.append(op.data, 1.0), op.data.reshape(-1, 2), op.data[0]):
             with pytest.raises(ValidationError, match="pattern"):
-                principal_eigenpair(replace(op, matrix=other))
+                principal_eigenpair(replace(op, data=data))
+    assert calls == []
 
 
 def test_non_cooperative_operator_rejected():
@@ -831,10 +828,10 @@ def test_non_cooperative_operator_rejected():
         rows = np.repeat(np.arange(64), np.diff(op.matrix.indptr))
         for row in (0, 15, 31, 32, 47, 63):
             for entry in np.flatnonzero((rows == row) & (rows != op.matrix.indices)):
-                matrix = op.matrix.copy()
-                matrix.data[entry] = -1.0
+                data = op.data.copy()
+                data[entry] = -1.0
                 with pytest.raises(ValidationError, match="not cooperative"):
-                    principal_eigenpair(replace(op, matrix=matrix))
+                    principal_eigenpair(replace(op, data=data))
 
 
 # -- k(lambda) curve ----------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Closed-form kinetic analysis and the fixed-step integrator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,37 @@ def test_equilibrium_matches_long_time_integration():
 def test_equilibrium_requires_instability():
     with pytest.raises(PreconditionError):
         equilibrium(HomParams(1, -0.5, -0.5, 1, 1, 0.5, 0.5))
+
+
+def numpy_closed_forms(p):
+    """lambda_A and (u*, v*) by the same formulas, with np.sqrt's numpy
+    scalars carried through the arithmetic after it."""
+    a, d = p.r_u - p.mu_u, p.r_v - p.mu_v
+    lam = 0.5 * (a + d + np.sqrt((a - d) ** 2 + 4.0 * p.mu_u * p.mu_v))
+    ratio = p.kappa_u / p.kappa_v
+    disc = p.r_u - p.mu_u - ratio * (p.r_v - p.mu_v)
+    Q = (p.kappa_v / (2.0 * p.mu_u * p.kappa_u)) * (
+        disc + np.sqrt(disc ** 2 + 4.0 * ratio * p.mu_u * p.mu_v))
+    S = (p.r_v + p.mu_u * Q - p.mu_v) / p.kappa_v
+    return lam, (float(S * Q / (1.0 + Q)), float(S / (1.0 + Q)))
+
+
+def test_closed_forms_keep_the_bits_of_numpy_scalars():
+    # the overflow checks take Python floats through the arithmetic; every
+    # finite result keeps the bits of the formulas on numpy scalars, over
+    # mutation rates and kappas spread across four decades
+    rng = np.random.default_rng(11)
+    solved = 0
+    for _ in range(400):
+        p = random_params(rng)
+        p = replace(p, **{name: getattr(p, name) * 10.0 ** rng.uniform(-2, 2)
+                          for name in ("kappa_u", "kappa_v", "mu_u", "mu_v")})
+        lam, eq = numpy_closed_forms(p)
+        assert lambda_A(p) == lam
+        if lam > 0:
+            assert equilibrium(p) == eq
+            solved += 1
+    assert solved > 200
 
 
 def test_equilibrium_unique_under_multistart_newton():
