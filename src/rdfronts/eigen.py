@@ -19,15 +19,14 @@ exist on the discrete level exactly as in the continuous theory.  The slope
 k'(lambda) follows from the right and left Perron vectors (``tilt_slope``).
 
 Only those flux couplings depend on lambda.  An ``OperatorSkeleton`` holds
-the grid's CSR pattern, written by one strided writer per grid, and the
-rest of the operator, and ``_operator`` tilts it into an operator: its CSR
-data on that pattern, gathered through one source index on the ring.  A
-scipy matrix is built only when a caller asks for one.  The Perron
-iteration (``principal_eigenpair``) solves shifted systems with the banded
-LU of ``_ShiftedBand``, in the band order of ``_BandPattern`` on the ring,
-the one order kept in index arrays, and of ``_Interleave`` on (-R, R).
-Every grid refinement starts on the level that ``first_level`` picks and
-checks before anything is built.
+the rest of the operator and its grid's layout, a ``_Ring`` or an
+``_Interval`` shared by every skeleton of that kind and cell count, which
+writes the CSR pattern, an operator's data on it and its LAPACK band.
+``_operator`` tilts a skeleton into an operator, its CSR data on that
+pattern; a scipy matrix is built only when a caller asks for one.  The
+Perron iteration (``principal_eigenpair``) solves shifted systems with the
+banded LU of ``_ShiftedBand``.  Every grid refinement starts on the level
+that ``first_level`` picks and checks before anything is built.
 """
 
 from __future__ import annotations
@@ -105,51 +104,155 @@ def _ring_rows(out: np.ndarray, diag, up, down, mutation) -> np.ndarray:
     return out
 
 
-class _BandPattern:
-    """Where the entries of a ring skeleton's 2n x 2n matrix go in LAPACK band
-    storage.
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
-    The unknowns are put in band order: the two species interleaved, node by
-    node, with the ring visited zig-zag (0, n-1, 1, n-2, ...), so that ring
-    neighbours, the wrap-around included, are at most two nodes apart.
-    perm[j] is the band position of unknown j and order its inverse.  An
-    entry (r, c) goes to row ku + perm[r] - perm[c], column perm[c] of the
-    (kl + ku + 1) x 2n band that dgbtrf factors below kl rows of fill-in.
-    places, that position of each CSR entry as a flat index into the
-    transposed (C-ordered) band, kl, ku and the CSR positions of the
-    diagonal are read off the skeleton's pattern, 4 entries a row.
+
+class _Ring:
+    """The layout on a ring of n >= 3 nodes (_layout).  _ring_rows writes
+    the read-only int32 indices, on column numbers, and the source index, on
+    places in [diag, mutation, up, down], through which entries gathers an
+    operator's data.  The band order interleaves the species node by node
+    on a zig-zag visit of the ring (0, n-1, 1, n-2, ...), which keeps ring
+    neighbours, the wrap-around included, at most two nodes apart, so
+    kl = ku = 4.  perm[j] is the band position of unknown j and order its
+    inverse.  Entry (r, c) goes to row ku + perm[r] - perm[c] of band
+    column perm[c]; places is that position of each CSR entry as a flat
+    index into the transposed band, and diagonal the CSR positions of the
+    diagonal.  These index arrays are built on the first Perron solve.
     """
 
-    zigzag = True
+    boundary = "periodic"
+    kl = ku = 4
+    depth = 2 * kl + ku + 1
 
-    def __init__(self, skeleton: OperatorSkeleton):
-        n = skeleton.n
-        visit = np.empty(n, dtype=np.intp)
-        visit[0::2], visit[1::2] = np.arange((n + 1) // 2), n - 1 - np.arange(n // 2)
-        node_pos = np.empty(n, dtype=np.intp)
-        node_pos[visit] = np.arange(n)
-        self.perm = np.concatenate([2 * node_pos, 2 * node_pos + 1])
-        self.order = np.empty_like(self.perm)
-        self.order[self.perm] = np.arange(2 * n)
-        col = self.perm[skeleton.indices]         # band position of each entry's column
-        below = self.perm.repeat(4) - col         # and its row's, less the column's
-        self.kl, self.ku = int(below.max()), int(-below.min())
-        self.depth = 2 * self.kl + self.ku + 1
-        self.places = col * (self.kl + self.ku + 1) + self.ku + below
-        self.diagonal = np.flatnonzero(below == 0)
+    def __init__(self, n: int):
+        self.n = n
+        self.indptr = np.arange(0, 8 * n + 1, 4, dtype=np.int32)
+        own = np.arange(2 * n, dtype=np.int32).reshape(2, n)     # column of (species, node)
+        self.indices = _ring_rows(np.empty(8 * n, dtype=np.int32), own, np.roll(own, -1, axis=1),
+                                  np.roll(own, 1, axis=1), own[::-1])
+        place = np.arange(6 * n, dtype=np.int32).reshape(6, n)   # in [diag, mutation, up, down]
+        self.source = _ring_rows(np.empty(8 * n, dtype=np.intp), place[:2], (place[4], place[4]),
+                                 (place[5], place[5]), place[2:4])
+        _read_only(self.indices, self.indptr, self.source)
+
+    def entries(self, diag, up, down, mutation) -> np.ndarray:
+        # indexing, as take would copy the read-only source
+        return np.concatenate([diag.ravel(), mutation.ravel(), up, down])[self.source]
+
+    @cached_property
+    def _band_index(self) -> Tuple[np.ndarray, ...]:
+        """(perm, order, places, diagonal).  The zig-zag visit reaches node
+        i at step 2i from the front or 2(n-1-i) + 1 from the back, whichever
+        comes first; places and diagonal are read off the pattern."""
+        i = np.arange(self.n)
+        node_pos = np.minimum(2 * i, 2 * (self.n - 1 - i) + 1)
+        perm = np.concatenate([2 * node_pos, 2 * node_pos + 1])
+        col = perm[self.indices]                  # band position of each entry's column
+        below = perm.repeat(4) - col              # and its row's, less the column's
+        return _read_only(perm, np.argsort(perm), col * (self.kl + self.ku + 1) + self.ku + below,
+                          np.flatnonzero(below == 0))
+
+    def band(self, data: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """The data scattered to its band places.  Each row sum adds the
+        row's 4 entries left to right with the diagonal read as 0, which for
+        nonnegative off-diagonals is bitwise their sum in CSR order."""
+        _, _, places, diagonal = self._band_index
+        stored = np.zeros((2 * self.n, self.kl + self.ku + 1))
+        stored.reshape(-1)[places] = data
+        rows = data.reshape(-1, 4).copy()
+        rows.reshape(-1)[diagonal] = 0.0
+        off = rows[:, 0] + rows[:, 1]
+        off += rows[:, 2]
+        off += rows[:, 3]
+        return stored, data[diagonal], off
+
+    def to_band(self, w: np.ndarray) -> np.ndarray:
+        return w[self._band_index[1]]
+
+    def from_band(self, x: np.ndarray) -> np.ndarray:
+        return x[self._band_index[0]]
 
 
-class _Interleave:
-    """The band order on (-R, R): unknown (species, node) at position
-    2 node + species, with kl = ku = 2.  Each kind of entry has one band row
-    and lies in its own node's band column or a neighbour's (diag in row 2,
-    the coupling to node i+1 in row 0, to node i-1 in row 4, mutation in row
-    1 of v's column or row 3 of u's), so _ShiftedBand lays the band out and
-    reorders vectors by strides, with no index array."""
+class _Interval:
+    """The layout on n interior nodes of (-R, R) (_layout), all by strides.
+    _interleave writes the read-only int32 indices and each operator's data.
+    The band order is the plain interleave, unknown (species, node) at
+    2 node + species, with kl = ku = 2, and each kind of entry has one band
+    row in its own node's column or a neighbour's: diag in row 2, the
+    coupling to node i+1 in row 0, to node i-1 in row 4, mutation in row 1
+    of v's column or row 3 of u's.  So the band and the vector orders need
+    no index array.
+    """
 
-    zigzag = False
+    boundary = "dirichlet_zero"
     kl = ku = 2
     depth = 2 * kl + ku + 1
+
+    def __init__(self, n: int):
+        self.n = n
+        self.indptr = np.arange(0, 8 * n + 1, 4, dtype=np.int32)
+        for row in (0, n - 1, n, 2 * n - 1):      # each 3-entry row shifts the rows after it
+            self.indptr[row + 1:] -= 1
+        own = np.arange(2 * n, dtype=np.int32).reshape(2, n)     # column of (species, node)
+        self.indices = _interleave(np.empty(8 * n - 4, dtype=np.int32),
+                                   own, own[:, 1:], own[:, :-1], own[::-1])
+        _read_only(self.indices, self.indptr)
+
+    def entries(self, diag, up, down, mutation) -> np.ndarray:
+        return _interleave(np.empty(len(self.indices)), diag, (up, up), (down, down), mutation)
+
+    def band(self, data: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """The band copied by strides from the columns of _interleave_blocks,
+        row 2 node + species of the (2n, 5) transposed band being that
+        unknown's column; the row sums by species and node are read back
+        from it in CSR order, (down + up) + mutation in a u row and
+        (mutation + down) + up in a v row, a missing coupling read as the
+        zero of the node past the end."""
+        n = self.n
+        u, v, ends = _interleave_blocks(data, n)
+        padded = np.zeros((n + 2, 10))            # the band rows of u's column, then v's,
+        by_node = padded[1:-1]                    # with a zero node past either end
+        # one column at a time: numpy copies a 2-column block row by row
+        by_node[1:, 0], by_node[1:, 2] = u[:, 0], u[:, 3]     # up ui, diag ui+1: column ui+1
+        by_node[:-1, 6], by_node[:-1, 4] = u[:, 1], u[:, 2]   # mutation ui: vi; down ui+1: ui
+        by_node[1:, 5], by_node[1:, 7] = v[:, 0], v[:, 3]     # up vi, diag vi+1: column vi+1
+        by_node[1:, 3], by_node[:-1, 9] = v[:, 1], v[:, 2]    # mutation vi+1: ui+1; down vi+1: vi
+        by_node[0, 2], by_node[-1, 6], by_node[0, 3], by_node[0, 7] = data[ends]
+        off = np.empty((2, n))
+        np.add(padded[:-2, 4], padded[2:, 0], out=off[0])      # down + up
+        off[0] += by_node[:, 6]                                # + mutation
+        np.add(by_node[:, 3], padded[:-2, 9], out=off[1])      # mutation + down
+        off[1] += padded[2:, 5]                                # + up
+        return by_node.reshape(2 * n, 5), by_node[:, 2::5].T, off
+
+    def to_band(self, w: np.ndarray) -> np.ndarray:
+        b = np.empty_like(w)
+        b[0::2], b[1::2] = w[:self.n], w[self.n:]
+        return b
+
+    def from_band(self, x: np.ndarray) -> np.ndarray:
+        return x.reshape(self.n, 2).T
+
+
+PATTERN_CACHE = 4             # grid layouts kept, by kind and cell count
+
+
+@lru_cache(maxsize=PATTERN_CACHE)
+def _layout(kind: type, n: int) -> _Ring | _Interval:
+    """The _Ring or _Interval of n nodes, which every skeleton of that kind
+    and count shares read-only; the last PATTERN_CACHE are kept, as the
+    levels of a solve are mostly those of the solve before it.  Both have
+    the CSR indices and indptr; entries(diag, up, down, mutation), an
+    operator's CSR data from diag and mutation by species and node and the
+    couplings to node i+1 and to node i-1; band(data), the transposed band
+    below the fill-in with the diagonal and the off-diagonal row sums; kl,
+    ku and depth; and to_band and from_band, the vector orders of a solve
+    (from_band may give a view whose C-ordered ravel is the vector)."""
+    return kind(n)
 
 
 def _dyadic(m: int, n: int) -> bool:
@@ -200,37 +303,28 @@ def _strided_interp(old: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorSkeleton:
-    """The grid, CSR pattern and lambda-independent values of the coupled
-    operator on one grid; an operator is CSR data on this pattern.
-
-    On the ring, _ring_rows writes the read-only CSR pattern and source
-    index, through which entries gathers each operator's data.  On (-R, R)
-    source is None: _interleave writes the data, and the index arrays
-    depend on n alone, so skeletons of one n share them read-only
-    (_interval_pattern).  diag and mutation hold the
-    coefficient samples of their entries by species and node (the diffusion
-    diagonal plus reaction minus mutation; mu_v in the u rows, mu_u in the v
-    rows), and up_sigma and down_sigma the face sigma of the couplings to
-    node i+1 and to node i-1 (n of each on the ring, n-1 on (-R, R)).  Only
-    the couplings depend on lambda, through exp(-+lambda h), so _operator
-    tilts a skeleton into any operator on its grid.  The band order of the
-    Perron solves and the M' weights are built on first use, and roots holds
-    the first-level roots of the k solves that started on the grid.
+    """The grid, layout (_layout) and lambda-independent values of the
+    coupled operator on one grid; an operator is CSR data on the layout's
+    pattern.  diag and mutation hold the coefficient samples of their entries by
+    species and node (the diffusion diagonal plus reaction minus mutation;
+    mu_v in the u rows, mu_u in the v rows), and up_sigma and down_sigma the
+    face sigma of the couplings to node i+1 and to node i-1 (n of each on
+    the ring, n-1 on (-R, R)).  Only the couplings depend on lambda, through
+    exp(-+lambda h), so _operator tilts a skeleton into any operator on its
+    grid.  The M' weights are built on first use, and roots holds the
+    first-level roots of the k solves that started on the grid.
     """
 
     n: int
     h: float
-    boundary: str
     nodes: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    source: Optional[np.ndarray]  # (8n,) on the ring
+    layout: _Ring | _Interval
     diag: np.ndarray              # (2, n)
     mutation: np.ndarray          # (2, n)
     up_sigma: np.ndarray          # face sigma of the i -> i+1 couplings
     down_sigma: np.ndarray        # face sigma of the i -> i-1 couplings
 
-    periodic = property(lambda self: self.boundary == "periodic")
+    boundary = property(lambda self: self.layout.boundary)
 
     @cached_property
     def roots(self) -> list:
@@ -239,76 +333,28 @@ class OperatorSkeleton:
         return []
 
     @cached_property
-    def band(self):
-        return _BandPattern(self) if self.periodic else _Interleave()
-
-    def entries(self, diag, up, down, mutation) -> np.ndarray:
-        """CSR data of diag and mutation by species and node and of up and
-        down, the couplings to node i+1 and to node i-1, in both species."""
-        if self.periodic:    # indexing, as take would copy the read-only source
-            return np.concatenate([diag.ravel(), mutation.ravel(), up, down])[self.source]
-        return _interleave(np.empty(len(self.indices)), diag, (up, up), (down, down), mutation)
-
-    @cached_property
     def slope_weights(self) -> np.ndarray:
         """M'.data / M.data: -h on the couplings to node i+1, +h on those to
         node i-1, 0 elsewhere."""
         zero, h = np.zeros((2, self.n)), np.full(len(self.up_sigma), self.h)
-        return self.entries(zero, -h, h, zero)
-
-
-PATTERN_CACHE = 4             # cell counts whose (-R, R) CSR pattern is kept
-
-
-@lru_cache(maxsize=PATTERN_CACHE)
-def _interval_pattern(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The read-only int32 CSR indices and indptr of the coupled operator on
-    n nodes of (-R, R), which depend on n alone.  The last PATTERN_CACHE
-    counts are kept: the levels of one radius are mostly those of the radius
-    before it in a sweep."""
-    indptr = np.arange(0, 8 * n + 1, 4, dtype=np.int32)
-    for row in (0, n - 1, n, 2 * n - 1):          # each 3-entry row shifts the rows after it
-        indptr[row + 1:] -= 1
-    own = np.arange(2 * n, dtype=np.int32).reshape(2, n)     # column of (species, node)
-    indices = _interleave(np.empty(8 * n - 4, dtype=np.int32),
-                          own, own[:, 1:], own[:, :-1], own[::-1])
-    indices.flags.writeable = indptr.flags.writeable = False
-    return indices, indptr
+        return self.layout.entries(zero, -h, h, zero)
 
 
 def _skeleton(cs: CoefficientSet, n: int,
               half_width: Optional[float] = None) -> OperatorSkeleton:
     """Skeleton on n cells of one period, or on n interior nodes of (-R, R)
     given half_width=R, each species block being flux_parts' diagonal (plus
-    reaction minus mutation), up and down couplings.
-
-    The CSR arrays are written in closed form, in the layout a COO -> CSR
-    build gives: on the ring by _ring_rows, on column numbers for the
-    indices and on positions in [diag, mutation, up, down] for the source
-    index; on (-R, R) they are _interval_pattern's."""
+    reaction minus mutation), up and down couplings, on the layout of its
+    kind and count."""
     if half_width is None:
-        h = cs.period / n
+        h, kind = cs.period / n, _Ring
         nodes = h * np.arange(n)
-        boundary = "periodic"
     else:
-        h = 2.0 * half_width / (n + 1)
+        h, kind = 2.0 * half_width / (n + 1), _Interval
         nodes = -half_width + h * np.arange(1, n + 1)
-        boundary = "dirichlet_zero"
-    diag, up, down = flux_parts(cs, nodes, h, boundary)
-    if half_width is None:
-        indptr = np.arange(0, 8 * n + 1, 4, dtype=np.int32)
-        own = np.arange(2 * n, dtype=np.int32).reshape(2, n)     # column of (species, node)
-        indices = _ring_rows(np.empty(8 * n, dtype=np.int32), own, np.roll(own, -1, axis=1),
-                             np.roll(own, 1, axis=1), own[::-1])
-        place = np.arange(6 * n, dtype=np.int32).reshape(6, n)   # in [diag, mutation, up, down]
-        source = _ring_rows(np.empty(8 * n, dtype=np.intp), place[:2], (place[4], place[4]),
-                            (place[5], place[5]), place[2:4])
-        indices.flags.writeable = indptr.flags.writeable = source.flags.writeable = False
-    else:
-        source = None
-        indices, indptr = _interval_pattern(n)
+    diag, up, down = flux_parts(cs, nodes, h, kind.boundary)
     mu, mv = cs.mu_u(nodes), cs.mu_v(nodes)
-    return OperatorSkeleton(n, h, boundary, nodes, indices, indptr, source,
+    return OperatorSkeleton(n, h, nodes, _layout(kind, n),
                             np.stack([diag + (cs.r_u(nodes) - mu), diag + (cs.r_v(nodes) - mv)]),
                             np.stack([mv, mu]), up, down)
 
@@ -324,7 +370,7 @@ class DiscreteOperator:
     skeleton: OperatorSkeleton
 
     def __post_init__(self):
-        if np.shape(self.data) != self.skeleton.indices.shape:
+        if np.shape(self.data) != self.skeleton.layout.indices.shape:
             raise ValidationError("operator data does not fill its grid's CSR pattern")
 
     n = property(lambda self: self.skeleton.n)
@@ -339,7 +385,8 @@ class DiscreteOperator:
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         """The scipy CSR matrix, built on request; the solvers never ask."""
-        return sp.csr_matrix((self.data, self.skeleton.indices, self.skeleton.indptr),
+        layout = self.skeleton.layout
+        return sp.csr_matrix((self.data, layout.indices, layout.indptr),
                              shape=(self.dimension,) * 2)
 
     @cached_property
@@ -411,7 +458,7 @@ def _operator(skeleton: OperatorSkeleton, lam: float) -> DiscreteOperator:
     exp(-+lambda h).  The entries are bitwise those of a COO -> CSR build of
     the stencil's triplets."""
     up, down = tilted_couplings(skeleton.up_sigma, skeleton.down_sigma, skeleton.h, lam)
-    data = skeleton.entries(skeleton.diag, up, down, skeleton.mutation)
+    data = skeleton.layout.entries(skeleton.diag, up, down, skeleton.mutation)
     return DiscreteOperator(data, lam, skeleton)
 
 
@@ -469,8 +516,8 @@ def _matvec(op: DiscreteOperator, w: np.ndarray, transpose: bool = False) -> np.
     size = op.dimension
     if w.shape != (size,):
         raise ValueError(f"cannot multiply a {size} x {size} operator by a {w.shape} vector")
-    mw = np.zeros(size)
-    (csc_matvec if transpose else csr_matvec)(size, size, op.skeleton.indptr, op.skeleton.indices,
+    mw, layout = np.zeros(size), op.skeleton.layout
+    (csc_matvec if transpose else csr_matvec)(size, size, layout.indptr, layout.indices,
                                               op.data, w, mw)
     return mw
 
@@ -486,57 +533,14 @@ def _rayleigh_and_residual(product: Callable[[np.ndarray], np.ndarray],
     return value, residual, mw
 
 
-def _ring_band(data: np.ndarray, grid: OperatorSkeleton) -> Tuple[np.ndarray, ...]:
-    """The ring's CSR data scattered to the band places of its entries; with
-    the diagonal and the off-diagonal row sums by unknown.  Each sum adds
-    its row's 4 entries left to right with the diagonal read as 0, which for
-    nonnegative off-diagonals is bitwise their sum in CSR order."""
-    band = grid.band
-    stored = np.zeros((2 * grid.n, band.kl + band.ku + 1))
-    stored.reshape(-1)[band.places] = data
-    rows = data.reshape(-1, 4).copy()
-    rows.reshape(-1)[band.diagonal] = 0.0
-    off = rows[:, 0] + rows[:, 1]
-    off += rows[:, 2]
-    off += rows[:, 3]
-    return stored, data[band.diagonal], off
-
-
-def _interleaved_band(data: np.ndarray, grid: OperatorSkeleton) -> Tuple[np.ndarray, ...]:
-    """CSR data on (-R, R) in band storage, copied by strides from the columns
-    of _interleave_blocks: row 2 node + species of the (2n, 5) transposed band
-    is that unknown's band column, and each kind goes to one band row of its
-    own node's column or of a neighbour's (see _Interleave).  With the
-    diagonal and the off-diagonal row sums by species and node, read back
-    from the band in each row's CSR order: (down + up) + mutation in a u row,
-    (mutation + down) + up in a v row, a missing coupling read as the zero
-    of the node past the end."""
-    n = grid.n
-    u, v, ends = _interleave_blocks(data, n)
-    padded = np.zeros((n + 2, 10))                # the band rows of u's column, then v's,
-    by_node = padded[1:-1]                        # with a zero node past either end
-    # one column at a time: numpy copies a 2-column block row by row
-    by_node[1:, 0], by_node[1:, 2] = u[:, 0], u[:, 3]     # up ui, diag ui+1: column ui+1
-    by_node[:-1, 6], by_node[:-1, 4] = u[:, 1], u[:, 2]   # mutation ui: vi; down ui+1: ui
-    by_node[1:, 5], by_node[1:, 7] = v[:, 0], v[:, 3]     # up vi, diag vi+1: column vi+1
-    by_node[1:, 3], by_node[:-1, 9] = v[:, 1], v[:, 2]    # mutation vi+1: ui+1; down vi+1: vi
-    by_node[0, 2], by_node[-1, 6], by_node[0, 3], by_node[0, 7] = data[ends]
-    off = np.empty((2, n))
-    np.add(padded[:-2, 4], padded[2:, 0], out=off[0])      # down + up
-    off[0] += by_node[:, 6]                                # + mutation
-    np.add(by_node[:, 3], padded[:-2, 9], out=off[1])      # mutation + down
-    off[1] += padded[2:, 5]                                # + up
-    return by_node.reshape(2 * n, 5), by_node[:, 2::5].T, off
-
-
 class _ShiftedBand:
     """(sI - M)^-1 of a cooperative operator by a banded LU, one shift at a time.
 
-    The operator's data, on its skeleton's CSR pattern, must have
-    nonnegative off-diagonals (ValidationError otherwise).  It goes into
-    LAPACK band storage once, in the skeleton's band order.  far_shift is max row sum + 1 and norm
-    max_i sum_j |M_ij|, with the off-diagonals of each row added in its CSR
-    order.  factor(s) copies the band below the kl rows of fill-in,
+    The operator's data must have nonnegative off-diagonals (ValidationError
+    otherwise).  Its layout lays it into LAPACK band storage once and puts
+    each solve's vectors into and out of the band order.  far_shift is max
+    row sum + 1 and norm max_i sum_j |M_ij|, with the off-diagonals of each
+    row added in its CSR order.  factor(s) copies the band below the kl rows of fill-in,
     subtracts s from its diagonal row (the only row that depends on s),
     factors M - sI by dgbtrf (NumericalError on a zero pivot) and keeps s as
     shift.  dgbtrf zeroes the fill-in it uses, so the fill-in rows need no
@@ -557,11 +561,10 @@ class _ShiftedBand:
     """
 
     def __init__(self, op: DiscreteOperator):
-        band = self.band = op.skeleton.band
-        lay_out = _ring_band if band.zigzag else _interleaved_band
-        self._stored, diag, off = lay_out(op.data, op.skeleton)
+        layout = self.layout = op.skeleton.layout
+        self._stored, diag, off = layout.band(op.data)
         negative = self._stored < 0
-        negative[:, band.ku] = False              # the diagonal
+        negative[:, layout.ku] = False            # the diagonal
         if negative.any():
             raise ValidationError("operator is not cooperative: negative off-diagonal entry")
         self.far_shift = max(float(np.max(off + diag)), 0.0) + 1.0
@@ -575,20 +578,20 @@ class _ShiftedBand:
         # entry, and each of _upper the ku superdiagonals of U above its last.
         # The buffer has kl + ku entries more, so that their last columns
         # stay inside.
-        size = op.dimension * band.depth
-        buffer = np.zeros(size + band.kl + band.ku)
-        self._work = buffer[:size].reshape(op.dimension, band.depth).T
-        self._lower = buffer[band.kl + band.ku:].reshape(op.dimension, band.depth).T
-        self._upper = buffer[band.kl:size + band.kl].reshape(op.dimension, band.depth).T
+        size = op.dimension * layout.depth
+        buffer = np.zeros(size + layout.kl + layout.ku)
+        self._work = buffer[:size].reshape(op.dimension, layout.depth).T
+        self._lower = buffer[layout.kl + layout.ku:].reshape(op.dimension, layout.depth).T
+        self._upper = buffer[layout.kl:size + layout.kl].reshape(op.dimension, layout.depth).T
         self._pivots = self.shift = None
         self.unpivoted = False
 
     def factor(self, shift: float) -> None:
-        band = self.band
+        kl, ku = self.layout.kl, self.layout.ku
         self.shift, self.unpivoted = None, False  # until the new factors are in place
-        self._work[band.kl:] = self._stored.T
-        self._work[band.kl + band.ku] -= shift
-        _, self._pivots, info = dgbtrf(self._work, band.kl, band.ku, overwrite_ab=1)
+        self._work[kl:] = self._stored.T
+        self._work[kl + ku] -= shift
+        _, self._pivots, info = dgbtrf(self._work, kl, ku, overwrite_ab=1)
         if info != 0:
             raise NumericalError(f"shifted operator is singular at s={shift:.17g}: "
                                  f"dgbtrf info {info}")
@@ -602,22 +605,15 @@ class _ShiftedBand:
         self.shift = shift
 
     def solve(self, w: np.ndarray, trans: int = 0) -> np.ndarray:
-        band, n = self.band, len(w) // 2
-        if band.zigzag:
-            b = w[band.order]
-        else:                                     # the plain interleave: 2 node + species
-            b = np.empty_like(w)
-            b[0::2], b[1::2] = w[:n], w[n:]
+        layout = self.layout
+        b = layout.to_band(w)
         if self.unpivoted and not trans:          # L y = b, then U x = y
-            b = dtbsv(band.kl, self._lower, b, lower=1, diag=1, overwrite_x=1)
-            x = dtbsv(band.ku, self._upper, b, overwrite_x=1)
+            b = dtbsv(layout.kl, self._lower, b, lower=1, diag=1, overwrite_x=1)
+            x = dtbsv(layout.ku, self._upper, b, overwrite_x=1)
         else:
-            x, _ = dgbtrs(self._work, band.kl, band.ku, b, self._pivots,
+            x, _ = dgbtrs(self._work, layout.kl, layout.ku, b, self._pivots,
                           trans=trans, overwrite_b=1)
-        if band.zigzag:
-            x = x[band.perm]
-            return np.negative(x, out=x)
-        return np.negative(x.reshape(n, 2).T, order="C").ravel()
+        return np.negative(layout.from_band(x), order="C").ravel()
 
 
 def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False,

@@ -79,21 +79,24 @@ def rhs(p: HomParams, u: float, v: float) -> Tuple[float, float]:
 def equilibrium(p: HomParams) -> Tuple[float, float]:
     """The unique positive equilibrium, via the (S, Q) = (u+v, u/v) variables.
 
-    Q solves a quadratic with exactly one positive root; S follows linearly.
-    Requires lambda_A > 0 (otherwise every nonnegative orbit dies out and no
-    positive equilibrium exists).  The arithmetic is on Python floats, with
-    no numpy warning: an intermediate past the float range is a
-    ValidationError, and a u* or v* that is not positive, as when disc < 0
-    cancels the root to Q = 0 in rounding, a NumericalError.
+    Q solves a quadratic with exactly one positive root, in its conjugate
+    form for disc < 0, where the other form cancels; S follows linearly.
+    Requires lambda_A > 0 (else every nonnegative orbit dies out).  The
+    arithmetic is on Python floats, with no numpy warning: an intermediate
+    past the float range is a ValidationError, and a u* or v* that is not
+    positive (underflowed to 0) a NumericalError.
     """
     if lambda_A(p) <= 0:
         raise PreconditionError("no positive equilibrium: lambda_A <= 0 "
                                 "(the origin is stable and attracts all orbits)")
     ratio = p.kappa_u / p.kappa_v
     disc = p.r_u - p.mu_u - ratio * (p.r_v - p.mu_v)
-    try:                                      # 2 mu_u kappa_u may underflow to 0
-        Q = (p.kappa_v / (2.0 * p.mu_u * p.kappa_u)) * (
-            disc + math.sqrt(disc ** 2 + 4.0 * ratio * p.mu_u * p.mu_v))
+    try:
+        root = math.sqrt(disc ** 2 + 4.0 * ratio * p.mu_u * p.mu_v)
+        if disc < 0:                          # disc + root would cancel
+            Q = 2.0 * p.mu_v / (root - disc)
+        else:                                 # 2 mu_u kappa_u may underflow to 0
+            Q = (p.kappa_v / (2.0 * p.mu_u * p.kappa_u)) * (disc + root)
     except (OverflowError, ZeroDivisionError):
         Q = math.inf
     S = (p.r_v + p.mu_u * Q - p.mu_v) / p.kappa_v

@@ -144,6 +144,13 @@ def test_dirichlet_limit_closes_at_the_effective_mass_rate():
     # must lie within twice the next term, 2 |a| / R^2 (the terms after it
     # are smaller by a further R^-2), plus R^2 times the grid tolerances of
     # lambda_1(R) and k_min.
+    #   The same expansion gives k_min from the Dirichlet values alone, which
+    # the speed search never sees: lambda_1(R) = k_min - C / R^2 - a / R^4
+    # + O(R^-6), so the Richardson value over R/2 and R,
+    #   lambda_1(R) + (lambda_1(R) - lambda_1(R/2)) / 3 = k_min + 4 a / R^4
+    # + O(R^-6), must lie within twice that term, 8 |a| / R^4, of k_min, plus
+    # the tolerances through their weights: 4/3 + 1/3 on the two Dirichlet
+    # values and 1 on k_min.
     cs = criterion_4_set()
     tol_dirichlet, tol_k, step = 1e-9, 1e-10, 0.1
     lam_star = min(spreading_speeds(cs).solves["k_min"], key=lambda res: res.value).lam
@@ -159,6 +166,12 @@ def test_dirichlet_limit_closes_at_the_effective_mass_rate():
           f"R^2 (k_min - lambda_1) - pi^2 k''/8 = {np.array2string(g - C, precision=2)} "
           f"for R = L .. 64 L, bounds {np.array2string(bound, precision=2)}; "
           f"pi^2 k''/8 = {C:.6f}, a = {a:.3e}")
+    limit = values[1:] + (values[1:] - values[:-1]) / 3.0
+    bound = 8.0 * abs(a) / radii[1:] ** 4 + 5.0 / 3.0 * tol_dirichlet + tol_k
+    check("4-limit", bool(np.all(np.abs(limit - k_min) <= bound)),
+          f"lambda_1(R) + (lambda_1(R) - lambda_1(R/2))/3 - k_min = "
+          f"{np.array2string(limit - k_min, precision=2)} for R = 2L .. 64 L, "
+          f"bounds {np.array2string(bound, precision=2)}")
 
 
 def test_criterion_5_symmetry():

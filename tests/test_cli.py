@@ -1146,13 +1146,28 @@ def test_stationary_numerical_error_exits_3(tmp_path, capsys):
     assert err["error"] == "numerical"
 
 
-def test_ode_equilibrium_cancelled_to_zero_exits_3(tmp_path, capsys):
-    # mu_v = 1e-300: disc < 0, and disc + sqrt(disc^2 + ...) cancels to Q = 0,
-    # so u* = 0, which the Lyapunov weight would divide by
-    assert run(tmp_path, "ode", ode_with(mu_v=1e-300)) == 3
+def test_ode_equilibrium_underflowing_to_zero_exits_3(tmp_path, capsys):
+    # mu_v = 1e-200 and kappa_u = 1e150: Q = u*/v* is about 1e-350, which
+    # underflows to 0, so u* = 0, which the Lyapunov weight would divide by
+    assert run(tmp_path, "ode", ode_with(mu_v=1e-200, kappa_u=1e150)) == 3
     line, = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "numerical"
     assert not list(tmp_path.glob("out_*"))
+
+
+# disc about -6.9e6: disc + sqrt(disc^2 + 4 ratio mu_u mu_v) cancels, and u*
+# is about 1.6e-8
+NEGATIVE_DISC = {"sigma": 0.629, "r_u": 0.685, "r_v": 1.89, "kappa_u": 292.0,
+                 "kappa_v": 7.95e-5, "mu_u": 0.0557, "mu_v": 4.76e-6}
+
+
+@pytest.mark.parametrize("params", [NEGATIVE_DISC, {"mu_v": 1e-300}])
+def test_ode_equilibrium_with_a_negative_disc_is_written(tmp_path, params):
+    # the conjugate root keeps u* > 0 where disc < 0, down to mu_v = 1e-300
+    assert run(tmp_path, "ode", ode_with(**params)) == 0
+    report = json.loads((tmp_path / "out_ode.json").read_text())
+    u_star, v_star = report["equilibrium"]
+    assert 0 < u_star < 1e-7 and v_star > 0
 
 
 def test_homogenize_with_an_overflowing_lambda_A_has_no_speed(tmp_path):

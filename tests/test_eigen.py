@@ -175,24 +175,33 @@ def test_skeleton_operators_are_bitwise_fresh_builds(name, n):
     assert_same_csr(dirichlet.matrix, fresh_assembly(cs, 0.0, n, half_width=2.0))
 
 
-def test_interval_patterns_are_kept_read_only_and_bounded():
-    # the CSR pattern on (-R, R) depends on the node count alone: skeletons of
-    # one count share its read-only arrays, whatever R, and the last
-    # PATTERN_CACHE counts are kept
-    cs = SKELETON_SETS["piecewise_sigma"]
-    eigen._interval_pattern.cache_clear()
+def test_grid_layouts_are_shared_read_only_and_bounded():
+    # a grid's layout depends on its kind and node count alone: skeletons of
+    # one count share it, whatever the coefficient set or R, its index arrays
+    # are read-only, and the last PATTERN_CACHE layouts are kept
+    eigen._layout.cache_clear()
     for n in (16, 17, 64, 100, 512, 33, 64):
-        skeleton, other = _skeleton(cs, n, 2.0), _skeleton(cs, n, 3.5)
-        assert other.indices is skeleton.indices and other.indptr is skeleton.indptr
-        for array in (skeleton.indices, skeleton.indptr):
-            assert array.dtype == np.int32 and not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
-        for half_width, grid in ((2.0, skeleton), (3.5, other)):
-            assert_same_csr(_operator(grid, 0.0).matrix,
-                            fresh_assembly(cs, 0.0, n, half_width=half_width))
-        assert eigen._interval_pattern.cache_info().currsize <= eigen.PATTERN_CACHE
-    assert eigen._interval_pattern.cache_info().currsize == eigen.PATTERN_CACHE == 4
+        for half_widths, kind in (((None,), eigen._Ring), ((2.0, 3.5), eigen._Interval)):
+            grids = [(name, half_width, _skeleton(SKELETON_SETS[name], n, half_width))
+                     for name in sorted(SKELETON_SETS) for half_width in half_widths]
+            layout = grids[0][2].layout
+            assert type(layout) is kind and layout.n == n
+            assert all(skeleton.layout is layout for _, _, skeleton in grids)
+            # the ring's band order is built on its first band, and kept read-only
+            _ShiftedBand(_operator(grids[0][2], 0.0))
+            arrays = [layout.indices, layout.indptr]
+            if kind is eigen._Ring:
+                arrays += [layout.source, *layout._band_index]
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+            assert layout.indices.dtype == layout.indptr.dtype == np.int32
+            for name, half_width, skeleton in grids:
+                assert_same_csr(_operator(skeleton, 0.0).matrix,
+                                fresh_assembly(SKELETON_SETS[name], 0.0, n, half_width))
+            assert eigen._layout.cache_info().currsize <= eigen.PATTERN_CACHE
+    assert eigen._layout.cache_info().currsize == eigen.PATTERN_CACHE == 4
 
 
 @pytest.mark.parametrize("lam", [-1.5, 1.5])
@@ -314,12 +323,11 @@ def test_interior_curve_points_start_on_a_chord(monkeypatch):
 # -- banded shift-invert solves ----------------------------------------------------
 
 def band_order(band):
-    """(perm, order) of a _ShiftedBand's band order: the ring's index arrays,
-    or on (-R, R) the plain species interleave, 2 node + species."""
-    if band.band.zigzag:
-        return band.band.perm, band.band.order
-    n = len(band._stored) // 2
-    return np.arange(2 * n).reshape(n, 2).T.ravel(), np.arange(2 * n).reshape(2, n).T.ravel()
+    """(perm, order) of a _ShiftedBand's band order, read off its layout's
+    vector orders: from_band(x), raveled, is x[perm] and to_band(w) is
+    w[order]."""
+    index = np.arange(len(band._stored))
+    return np.ravel(band.layout.from_band(index)), band.layout.to_band(index)
 
 
 def dgbtrs_solve(band, w, trans=0):
@@ -327,7 +335,7 @@ def dgbtrs_solve(band, w, trans=0):
     gathered through its order and perm: what _ShiftedBand.solve must give
     to the bit."""
     perm, order = band_order(band)
-    x, info = dgbtrs(band._work, band.band.kl, band.band.ku, w[order], band._pivots,
+    x, info = dgbtrs(band._work, band.layout.kl, band.layout.ku, w[order], band._pivots,
                      trans=trans)
     assert info == 0
     return -x[perm]
@@ -357,7 +365,7 @@ def test_banded_solve_matches_dense(n, half_width, transpose, triangle_solves):
                         half_width=half_width, refine=False)
     dense = op.matrix.toarray()
     band = _ShiftedBand(op)
-    assert (band.band.kl, band.band.ku) == ((2, 2) if half_width else (4, 4))
+    assert (band.layout.kl, band.layout.ku) == ((2, 2) if half_width else (4, 4))
     k = float(np.max(np.linalg.eigvals(dense).real))
     rhs = np.random.default_rng(n).random(2 * n)
     # 0.1 above k, partial pivoting swaps rows of the Dirichlet operators; the
@@ -387,8 +395,8 @@ def test_unpivoted_solve_is_bitwise_dgbtrs(name, n, half_width, triangle_solves)
     op = build_operator(SKELETON_SETS[name], 0.0 if half_width else 1.5, GridSpec(n_cells=n),
                         half_width=half_width, refine=False)
     band = _ShiftedBand(op)
-    assert (band.band.kl, band.band.ku) == ((2, 2) if half_width else (4, 4))
-    assert band.band.zigzag == (half_width is None)
+    assert (band.layout.kl, band.layout.ku) == ((2, 2) if half_width else (4, 4))
+    assert type(band.layout) is (eigen._Interval if half_width else eigen._Ring)
     root = principal_eigenpair(op).value
     w = np.random.default_rng(n).random(2 * n)
     for shift in (band.far_shift, 0.5 * (band.far_shift + root)):
@@ -396,7 +404,7 @@ def test_unpivoted_solve_is_bitwise_dgbtrs(name, n, half_width, triangle_solves)
         assert band.unpivoted and np.array_equal(band._pivots, np.arange(2 * n))
         triangle_solves.clear()
         assert np.array_equal(band.solve(w), dgbtrs_solve(band, w))
-        assert triangle_solves == [band.band.kl, band.band.ku]
+        assert triangle_solves == [band.layout.kl, band.layout.ku]
 
 
 @pytest.mark.parametrize("half_width", [None, 2.0])
@@ -408,7 +416,7 @@ def test_unpivoted_u_solve_reads_no_fill_in(half_width, triangle_solves):
     op = build_operator(SKELETON_SETS["piecewise_sigma"], 0.0 if half_width else 1.5,
                         GridSpec(n_cells=n), half_width=half_width, refine=False)
     band = _ShiftedBand(op)
-    kl = band.band.kl
+    kl = band.layout.kl
     w = np.random.default_rng(n).random(2 * n)
     band.factor(band.far_shift)
     assert band.unpivoted and not band._work[:kl].any()
@@ -416,7 +424,7 @@ def test_unpivoted_u_solve_reads_no_fill_in(half_width, triangle_solves):
     assert np.array_equal(solved, dgbtrs_solve(band, w))
     band._work[:kl] = np.nan
     assert np.array_equal(band.solve(w), solved)
-    assert triangle_solves == [kl, band.band.ku] * 2
+    assert triangle_solves == [kl, band.layout.ku] * 2
 
 
 @pytest.mark.parametrize("half_width", [None, 2.0])
@@ -476,7 +484,8 @@ def test_band_is_bitwise_the_entry_by_entry_scatter(name, n, half_width):
                         half_width=half_width, refine=False)
     full, perm, kl, ku, far_shift, norm = scattered_band(op)
     band = _ShiftedBand(op)
-    assert (band.band.kl, band.band.ku) == (kl, ku) and np.array_equal(band_order(band)[0], perm)
+    assert (band.layout.kl, band.layout.ku) == (kl, ku)
+    assert np.array_equal(band_order(band)[0], perm)
     assert np.array_equal(band_order(band)[1], np.argsort(perm))
     assert (band.far_shift, band.norm) == (far_shift, norm)
     assert np.array_equal(band._stored.T, full[kl:]) and not full[:kl].any()
@@ -503,7 +512,7 @@ def test_dirichlet_strided_layout_is_bitwise_the_fresh_assembly(name, n, half_wi
     # that the far shift and the norm are that row's
     cs, lam = SKELETON_SETS[name], 0.0 if half_width else 1.5
     op = build_operator(cs, lam, GridSpec(n_cells=n), half_width=half_width, refine=False)
-    assert op.skeleton.band.zigzag == (half_width is None) == (op.skeleton.source is not None)
+    assert type(op.skeleton.layout) is (eigen._Interval if half_width else eigen._Ring)
     fresh = fresh_assembly(cs, lam, n, half_width=half_width)
     assert_same_csr(op.matrix, fresh)
     random = np.random.default_rng(n).random(len(fresh.data))

@@ -1,6 +1,7 @@
 """Closed-form kinetic analysis and the fixed-step integrator."""
 
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rdfronts.ode import (
     rhs,
 )
 
+EPS = float(np.finfo(float).eps)
 SYMMETRIC = HomParams(sigma=1, r_u=1, r_v=1, kappa_u=1, kappa_v=1, mu_u=0.25, mu_v=0.25)
 
 
@@ -138,8 +140,11 @@ def numpy_closed_forms(p):
     lam = 0.5 * (a + d + np.sqrt((a - d) ** 2 + 4.0 * p.mu_u * p.mu_v))
     ratio = p.kappa_u / p.kappa_v
     disc = p.r_u - p.mu_u - ratio * (p.r_v - p.mu_v)
-    Q = (p.kappa_v / (2.0 * p.mu_u * p.kappa_u)) * (
-        disc + np.sqrt(disc ** 2 + 4.0 * ratio * p.mu_u * p.mu_v))
+    root = np.sqrt(disc ** 2 + 4.0 * ratio * p.mu_u * p.mu_v)
+    if disc < 0:
+        Q = 2.0 * p.mu_v / (root - disc)
+    else:
+        Q = (p.kappa_v / (2.0 * p.mu_u * p.kappa_u)) * (disc + root)
     S = (p.r_v + p.mu_u * Q - p.mu_v) / p.kappa_v
     return lam, (float(S * Q / (1.0 + Q)), float(S / (1.0 + Q)))
 
@@ -160,6 +165,39 @@ def test_closed_forms_keep_the_bits_of_numpy_scalars():
             assert equilibrium(p) == eq
             solved += 1
     assert solved > 200
+
+
+def test_equilibrium_keeps_its_root_where_disc_is_negative():
+    # disc < 0, with mutation rates and kappas spread over twelve decades,
+    # where disc + sqrt(disc^2 + 4 ratio mu_u mu_v) would cancel.  The
+    # conjugate form adds two positive terms, so Q = u*/v* moves with disc's
+    # own rounding alone: d log Q / d disc = -1/sqrt(...) is at most 1/|disc|,
+    # and disc carries about eps (|r_u - mu_u| + |ratio (r_v - mu_v)|).  Q
+    # must match the 60-digit root of the same floats to 8 eps times that
+    # over |disc|.
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(400):
+        p = random_params(rng)
+        p = replace(p, **{name: getattr(p, name) * 10.0 ** rng.uniform(-6, 6)
+                          for name in ("kappa_u", "kappa_v", "mu_u", "mu_v")})
+        ratio = p.kappa_u / p.kappa_v
+        disc = p.r_u - p.mu_u - ratio * (p.r_v - p.mu_v)
+        if not (lambda_A(p) > 0 and disc < 0):
+            continue
+        u, v = equilibrium(p)
+        condition = (abs(p.r_u - p.mu_u) + abs(ratio * (p.r_v - p.mu_v))) / abs(disc)
+        with localcontext() as digits:
+            digits.prec = 60
+            x = {name: Decimal(getattr(p, name)) for name in ("r_u", "r_v", "kappa_u",
+                                                              "kappa_v", "mu_u", "mu_v")}
+            x_ratio = x["kappa_u"] / x["kappa_v"]
+            x_disc = x["r_u"] - x["mu_u"] - x_ratio * (x["r_v"] - x["mu_v"])
+            q = 2 * x["mu_v"] / ((x_disc ** 2 + 4 * x_ratio * x["mu_u"] * x["mu_v"]).sqrt()
+                                 - x_disc)
+            assert abs(float(Decimal(u) / Decimal(v) / q - 1)) <= 8 * EPS * condition
+        checked += 1
+    assert checked > 100
 
 
 def test_equilibrium_unique_under_multistart_newton():
