@@ -143,7 +143,7 @@ def run_eigen(cfg: dict, artifacts: Artifacts) -> dict:
                    [str(r.n_cells) for r in results]))
     for i, (lam, res) in enumerate(zip(profile_lams, profiles)):
         artifacts.csv(f"profile_{i}.csv", ("x", "phi", "psi"),
-                      (res.h * np.arange(res.n_cells), res.phi, res.psi),
+                      (res.h * np.arange(res.n_cells), *res.vector.reshape(2, -1)),
                       f"lambda={lam!r}", f"k={res.value!r}")
     return _eigen_counts(results + profiles)
 

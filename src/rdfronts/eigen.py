@@ -400,15 +400,15 @@ class DiscreteOperator:
 
 @dataclass
 class EigenResult:
-    """Principal eigenvalue with its positive discrete eigenvector pair.  A
-    k_of_lambda(slope=True) result counts the left solve behind its slope in
-    its iterations and factorizations.  bracket is that of the discrete root
-    of the (finest) operator solved, which k_of_lambda and
-    dirichlet_eigenvalue replace by their Richardson value."""
+    """Principal eigenvalue with its positive discrete Perron vector, the
+    solve's last iterate: the only copy of the pair, which later solves start
+    from and never write.  A k_of_lambda(slope=True) result counts the left
+    solve behind its slope in its iterations and factorizations.  bracket is
+    that of the discrete root of the (finest) operator solved, which
+    k_of_lambda and dirichlet_eigenvalue replace by their Richardson value."""
 
     value: float
-    phi: np.ndarray
-    psi: np.ndarray
+    vector: np.ndarray                       # u block, then v block; largest entry 1
     lam: float
     iterations: int
     residual: float
@@ -423,15 +423,12 @@ class EigenResult:
     slope: Optional[float] = None            # d value / d lambda, from k_of_lambda(slope=True)
     first_root: Optional[float] = None       # raw Perron root of a refinement's first level
 
-    def eigenvector(self) -> np.ndarray:
-        return np.concatenate([self.phi, self.psi])
-
 
 def first_level(cs: CoefficientSet, grid: Optional[GridSpec], lam: float = 0.0,
                 R: Optional[float] = None, warm=None) -> int:
     """Cell count of the first level of every grid refinement: n_cells doubled
     until h*|lam|*sigma_max <= sigma_min on a period, n_cells per period (at
-    least n_cells) on (-R, R), and at least n // 4 for a warm pair of n cells.
+    least n_cells) on (-R, R), and at least n // 4 for a warm vector of 2n.
     ValidationError when REFINE_CAP cannot double it or its spacing (a period's
     n_cells spacing first) has no finite nonzero square."""
     n = (grid or GridSpec()).n_cells
@@ -443,7 +440,7 @@ def first_level(cs: CoefficientSet, grid: Optional[GridSpec], lam: float = 0.0,
         raise PreconditionError("Dirichlet half-width R must be positive")
     else:
         n = max(n, n * 2.0 * R / cs.period)
-    n = max(n, len(warm[0]) // 4 if warm is not None else 0)
+    n = max(n, 0 if warm is None else np.size(warm) // 8)
     if not 2 * n <= REFINE_CAP:
         where = f"lambda={lam:.6g}" if R is None else f"R={R:.6g}"
         raise ValidationError(f"{where} needs {n:.3g} cells on its first level; the refinement "
@@ -486,14 +483,15 @@ def build_operator(cs: CoefficientSet, lam: float, grid: GridSpec,
 # -- Perron iteration --------------------------------------------------------
 
 def _start_vector(op: DiscreteOperator, warm) -> np.ndarray:
-    """The warm pair, interpolated onto the operator's grid when its length
-    differs, scaled to max 1; ones when there is no warm pair or it is not
-    positive.  The interpolation gives the bits of np.interp(period=1) from
-    linspace(0, 1, m, endpoint=False) onto the n points of the same kind: it
-    copies by strides where the nodes coincide (_dyadic: n = 2m, m = 2^k n)
-    and calls np.interp itself for any other pair."""
+    """The warm vector, read through a (2, m) view, interpolated onto the
+    operator's grid when m differs, as a new vector scaled to max 1; ones when
+    there is no warm vector or it is not positive.  The interpolation gives
+    the bits of np.interp(period=1) from linspace(0, 1, m, endpoint=False)
+    onto the n points of the same kind: it copies by strides where the nodes
+    coincide (_dyadic: n = 2m, m = 2^k n) and calls np.interp itself for any
+    other pair."""
     if warm is not None:
-        old = np.stack(warm)                      # (2, m): phi, then psi
+        old = np.reshape(warm, (2, -1))           # (2, m): u block, then v block
         m, n = old.shape[1], op.n
         if _dyadic(m, n):
             old = _strided_interp(old, n)
@@ -648,9 +646,9 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False,
     bound puts k below s.  In exact arithmetic y > 0 alone would prove it,
     but with s within rounding of k rounding picks the sign of y, so the
     bound is checked too.  Without that proof the iteration restarts on s_far
-    from the start vector, as if no first shift had been given, so a
-    restarted solve gives the bits of one without; the result counts the
-    restart, and the failed step and its factorization.
+    from the same start vector, built once, as if no first shift had been
+    given, so a restarted solve gives the bits of one without; the result
+    counts the restart, and the failed step and its factorization.
 
     A step that stalls on a Collatz-Wielandt shift within 100x of the
     tolerance takes one step on s_far, since a near-singular shift leaves
@@ -678,7 +676,7 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False,
     rounding = 8.0 * EPS * band.norm
     residual_tol = max(RESIDUAL_TOL, rounding)
 
-    w = _start_vector(op, warm)
+    w = start = _start_vector(op, warm)
     value, residual, _ = _rayleigh_and_residual(product, w)
     shift = band.shift if left else None
     hinted = shift is None and first_shift is not None and first_shift < band.far_shift
@@ -696,7 +694,7 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False,
             w /= w.max()
             new_value, new_residual, mw = _rayleigh_and_residual(product, w)
         if hinted and it == 1 and not (positive and float((mw / w).max()) < shift):
-            w, next_shift, restarts = _start_vector(op, warm), band.far_shift, 1
+            w, next_shift, restarts = start, band.far_shift, 1
             continue                              # s is not shown to lie above the root
         if not positive:
             raise NumericalError(f"shift-invert step at s={shift:.17g} produced a "
@@ -711,11 +709,10 @@ def principal_eigenpair(op: DiscreteOperator, warm=None, left: bool = False,
             if not low - rounding <= new_value <= high + rounding:
                 raise NumericalError(f"Perron value {new_value:.17g} lies outside its "
                                      f"Collatz-Wielandt bracket [{low:.17g}, {high:.17g}]")
-            return EigenResult(value=new_value, phi=w[:op.n].copy(), psi=w[op.n:].copy(),
-                               lam=op.lam, iterations=it, residual=new_residual,
-                               n_cells=op.n, h=op.h, rounding=rounding, bracket=(low, high),
-                               factorizations=factorizations, pivoted=pivoted,
-                               restarts=restarts)
+            return EigenResult(value=new_value, vector=w, lam=op.lam, iterations=it,
+                               residual=new_residual, n_cells=op.n, h=op.h, rounding=rounding,
+                               bracket=(low, high), factorizations=factorizations,
+                               pivoted=pivoted, restarts=restarts)
         if new_residual > 0.25 * residual:
             if new_residual < 100.0 * residual_tol and shift != band.far_shift:
                 next_shift = band.far_shift
@@ -748,12 +745,12 @@ def tilt_slope(op: DiscreteOperator, right: EigenResult) -> Tuple[float, EigenRe
     two roots must agree to within the sum of the residuals plus
     LEFT_RIGHT_TOL (relative); otherwise NumericalError.
     """
-    left = principal_eigenpair(op, warm=(right.phi, right.psi), left=True)
+    left = principal_eigenpair(op, warm=right.vector, left=True)
     gap = abs(left.value - right.value)
     if gap > LEFT_RIGHT_TOL * max(1.0, abs(right.value)) + right.residual + left.residual:
         raise NumericalError(f"left and right Perron roots differ by {gap:.2e} on the "
                              f"{op.n}-cell grid at lambda={op.lam}")
-    x, y = right.eigenvector(), left.eigenvector()
+    x, y = right.vector, left.vector
     return float(y @ _matvec(tilt_derivative(op), x) / (y @ x)), left
 
 
@@ -809,7 +806,7 @@ def _refine_to_tolerance(make_op, n: int, tol: float, warm, label: str,
     while True:
         n *= 2
         op = make_op(n)
-        finer = principal_eigenpair(op, warm=(coarse.phi, coarse.psi), first_shift=coarse.value)
+        finer = principal_eigenpair(op, warm=coarse.vector, first_shift=coarse.value)
         _add_counts(finer, coarse, SUMMED_COUNTS + ("levels",))   # every level so far
         gap = abs(finer.value - coarse.value)
         extrapolated = finer.value + (finer.value - coarse.value) / 3.0
@@ -862,8 +859,8 @@ def k_of_lambda(cs: CoefficientSet, lam: float, grid: Optional[GridSpec] = None,
     term).  The grid is doubled until two successive Richardson values, or
     two successive eigenvalues, differ by less than tol, or until the gap
     reaches the rounding floor; see _refine_to_tolerance.  k(0) is the
-    periodic principal eigenvalue.  The first level is first_level's, which a
-    warm start (phi, psi) from a previous solve raises to a quarter of its cell
+    periodic principal eigenvalue.  The first level is first_level's, which
+    warm, the vector of a previous result, raises to a quarter of its cell
     count n: n/4, n/2 and n are the three levels the Richardson test needs to
     stop where the previous solve did, and the grid can still coarsen by one.
 
@@ -917,42 +914,29 @@ def dirichlet_eigenvalue(cs: CoefficientSet, R: float,
 
 # -- warm-started chains ------------------------------------------------------
 
-# The solvers are looked up by their module-global names at every call, so
-# wrappers installed on eigen.k_of_lambda / eigen.dirichlet_eigenvalue see
-# each solve.
-
-def _warm_chain(solve: Callable[..., EigenResult],
-                start: Optional[EigenResult] = None) -> Callable[[float], EigenResult]:
-    """solve(param, warm) as a one-argument function that starts each solve
-    from the eigenvector of the previous solve, the first one from `start`
-    when given.  This is the only place that carries an eigenvector from one
-    k(lambda) or Dirichlet solve to the next (k_curve starts a chain at each
-    point); a left Perron solve starts from its own right vector.  The chain
-    carries no root: k solves keep their first-level roots on their
-    skeletons, and dirichlet_sweep's solve keeps the ones it predicts first
-    shifts from."""
-    warm = None if start is None else (start.phi, start.psi)
-
-    def step(param: float) -> EigenResult:
-        nonlocal warm
-        res = solve(float(param), warm)
-        warm = (res.phi, res.psi)
-        return res
-    return step
-
+# Each solve starts from the vector of a result before it.  The solvers are
+# looked up by their module-global names at every call, so wrappers installed
+# on eigen.k_of_lambda / eigen.dirichlet_eigenvalue see each solve.
 
 def k_chain(cs: CoefficientSet, grid: Optional[GridSpec], tol: float,
             slope: bool = False, start: Optional[EigenResult] = None,
             skeletons: Optional[dict] = None) -> Callable[[float], EigenResult]:
-    """lambda -> k_of_lambda(cs, lambda, grid, tol, slope=slope), warm-started
-    along the calls, the first one from `start` when given.  The chain keeps
-    every operator skeleton its solves built, with their first-level roots,
-    in `skeletons` when given (a dict that other chains on cs may share).
-    The next solve, near the last in lambda, mostly reuses them, and starts
-    on a chord of those roots when they lie on both sides of its lambda."""
+    """lambda -> k_of_lambda(cs, lambda, grid, tol, slope=slope), each call
+    warm-started from the vector of the last result, the first one from
+    `start`'s when given.  The chain keeps every operator skeleton its
+    solves built, with their first-level roots, in `skeletons` when given (a
+    dict that other chains on cs may share).  The next solve, near the last
+    in lambda, mostly reuses them, and starts on a chord of those roots when
+    they lie on both sides of its lambda."""
     held = {} if skeletons is None else skeletons
-    return _warm_chain(lambda lam, warm: k_of_lambda(cs, lam, grid, tol, warm=warm,
-                                                     slope=slope, skeletons=held), start)
+    last = start
+
+    def step(lam: float) -> EigenResult:
+        nonlocal last
+        last = k_of_lambda(cs, float(lam), grid, tol, warm=None if last is None else last.vector,
+                           slope=slope, skeletons=held)
+        return last
+    return step
 
 
 def k_curve(cs: CoefficientSet, lambdas: Sequence[float],
@@ -962,28 +946,28 @@ def k_curve(cs: CoefficientSet, lambdas: Sequence[float],
     bisection order: both ends, then the middle point between each two solved
     ones, recursively.  Every interior point is then solved between two
     solved points, whose roots give its first level a chord first shift when
-    they are on its grid (k_chain).  Each point is a one-call k_chain started
-    from its nearest solved neighbour: the first end from nothing, the last
-    end from the first, and a middle point from the lower end of its pair,
-    which is never the farther one.  All of them keep their skeletons and
-    roots in `skeletons` when given."""
+    they are on its grid (k_of_lambda).  Each point is warm-started from the
+    vector of its nearest solved neighbour: the first end from nothing, the
+    last end from the first, and a middle point from the lower end of its
+    pair, which is never the farther one.  All of them keep their skeletons
+    and roots in `skeletons` when given."""
     held = {} if skeletons is None else skeletons
     results = [None] * len(lambdas)
 
-    def solve(i: int, start: Optional[EigenResult]) -> None:
-        results[i] = k_chain(cs, grid, tol, start=start, skeletons=held)(lambdas[i])
+    def solve(i: int, warm: Optional[np.ndarray]) -> None:
+        results[i] = k_of_lambda(cs, float(lambdas[i]), grid, tol, warm=warm, skeletons=held)
 
     def between(lo: int, hi: int) -> None:
         if hi - lo > 1:
             mid = (lo + hi) // 2
-            solve(mid, results[lo])
+            solve(mid, results[lo].vector)
             between(lo, mid)
             between(mid, hi)
     last = len(lambdas) - 1
     if last >= 0:
         solve(0, None)
     if last > 0:
-        solve(last, results[0])
+        solve(last, results[0].vector)
         between(0, last)
     return results
 
@@ -1005,8 +989,9 @@ def _predicted_shift(roots: list, R: float) -> Optional[float]:
 
 def dirichlet_sweep(cs: CoefficientSet, radii: Sequence[float],
                     grid: Optional[GridSpec], tol: float) -> list:
-    """Dirichlet principal eigenvalues over the radii, one warm-started chain;
-    every radius's first_level is checked before any solve.
+    """Dirichlet principal eigenvalues over the radii, in order, each radius
+    warm-started from the vector of the result before it; every radius's
+    first_level is checked before any solve.
 
     The first level of a radius past two increasing radii before it starts
     on the shift _predicted_shift gives, from their first-level roots.
@@ -1018,13 +1003,13 @@ def dirichlet_sweep(cs: CoefficientSet, radii: Sequence[float],
     shift not shown to lie above the root restarts on the far shift, with
     the bits of the solve without it (principal_eigenpair).  Every other
     first level starts on the far shift."""
+    radii = [float(R) for R in radii]
     for R in radii:
         first_level(cs, grid, R=R)
-    roots = []
-
-    def solve(R: float, warm) -> EigenResult:
-        res = dirichlet_eigenvalue(cs, R, grid, tol, warm=warm,
-                                   first_shift=_predicted_shift(roots, R))
-        roots.append((R, res.first_root))
-        return res
-    return list(map(_warm_chain(solve), radii))
+    results = []
+    for R in radii:
+        roots = [(radius, res.first_root) for radius, res in zip(radii, results)]
+        results.append(dirichlet_eigenvalue(cs, R, grid, tol,
+                                            warm=results[-1].vector if results else None,
+                                            first_shift=_predicted_shift(roots, R)))
+    return results

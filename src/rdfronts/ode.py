@@ -21,6 +21,12 @@ from .errors import NumericalError, PreconditionError, ValidationError
 from .util import step_count
 
 EQUILIBRIUM_RESIDUAL_TOL = 1e-10
+# The largest condition number (|r_v - mu_v| + mu_u Q) / |r_v - mu_v + mu_u Q|
+# of the v equation's sum for S.  A sum of condition c keeps about 16 -
+# log10(c) of a double's 16 digits, and a relative error e of S leaves du at
+# about u* kappa_u S e, so the residual check's 1e-10 asks for 10 digits where
+# kappa_u S is of order 1.  The cap keeps 12, two to spare: c <= 10^(16 - 12).
+SUM_CONDITION_CAP = 1e4
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,9 @@ def equilibrium(p: HomParams) -> Tuple[float, float]:
     """The unique positive equilibrium, via the (S, Q) = (u+v, u/v) variables.
 
     Q solves a quadratic with exactly one positive root, in its conjugate
-    form for disc < 0, where the other form cancels; S follows linearly.
+    form for disc < 0, where the other form cancels; S follows linearly from
+    the v equation, or from the u equation where the v equation's sum cancels
+    past SUM_CONDITION_CAP and the u equation's is better conditioned.
     Requires lambda_A > 0 (else every nonnegative orbit dies out).  The
     arithmetic is on Python floats, with no numpy warning: an intermediate
     past the float range is a ValidationError, and a u* or v* that is not
@@ -97,9 +105,14 @@ def equilibrium(p: HomParams) -> Tuple[float, float]:
             Q = 2.0 * p.mu_v / (root - disc)
         else:                                 # 2 mu_u kappa_u may underflow to 0
             Q = (p.kappa_v / (2.0 * p.mu_u * p.kappa_u)) * (disc + root)
+        v_terms, v_sum = abs(p.r_v - p.mu_v) + p.mu_u * Q, p.r_v + p.mu_u * Q - p.mu_v
+        S = v_sum / p.kappa_v
+        if v_terms > SUM_CONDITION_CAP * abs(v_sum):       # then Q > 0: Q = 0 gives 1
+            u_terms, u_sum = abs(p.r_u - p.mu_u) + p.mu_v / Q, p.r_u - p.mu_u + p.mu_v / Q
+            if u_terms * abs(v_sum) < v_terms * abs(u_sum):   # conditions, cross-multiplied
+                S = u_sum / p.kappa_u
     except (OverflowError, ZeroDivisionError):
-        Q = math.inf
-    S = (p.r_v + p.mu_u * Q - p.mu_v) / p.kappa_v
+        Q = S = math.inf
     _finite("the equilibrium", Q, S, S * Q)
     u_star = S * Q / (1.0 + Q)
     v_star = S / (1.0 + Q)

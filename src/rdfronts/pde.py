@@ -386,11 +386,11 @@ def simulate(cs: CoefficientSet, domain: DomainSpec, init: InitialData,
         if i % record_stride == 0:
             record(t, u, v)
         if snap_stride is not None and i % snap_stride == 0:
-            snapshots.append(FieldState(t=t, u=u.copy(), v=v.copy(), mass_max=mass_max))
+            snapshots.append(FieldState(t=t, u=u, v=v, mass_max=mass_max))
 
     state = FieldState(t=n_steps * dt, u=u, v=v, mass_max=mass_max)
     if not snapshots or snapshots[-1].t != state.t:
-        snapshots.append(FieldState(t=state.t, u=u.copy(), v=v.copy(), mass_max=mass_max))
+        snapshots.append(state)
     trace = FrontTrace(t=np.asarray(times), x_right=np.asarray(fronts[0]),
                        x_left=np.asarray(fronts[1]), theta=theta)
     return SimulationResult(state=state, trace=trace, snapshots=snapshots,

@@ -5,9 +5,9 @@ The right spreading speed is the minimum over lambda > 0 of k(lambda)/lambda
 point where g(lambda) = lambda k'(lambda) - k(lambda), an increasing
 function, changes sign, and min k is the root of the increasing k'.  Both
 roots are found by a safeguarded secant search on the exact slope k' that
-``eigen.k_of_lambda(slope=True)`` returns.  Every k(lambda) comes from
-``eigen.k_chain``, the warm-started chain that also produces the curve
-dumps: one chain for k(0), the right search and min k, and a second one,
+``eigen.k_of_lambda(slope=True)`` returns.  Every k(lambda) of the searches
+comes from ``eigen.k_chain``, which warm-starts each solve from the last
+result: one chain for k(0), the right search and min k, and a second one,
 started from k(0) as well, for the left search, both on one store of
 operator skeletons.  The module also evaluates the analytic speed bounds and
 the speed of the homogenized medium.  The sign of min k is the report's

@@ -123,7 +123,7 @@ def test_criterion_4_dirichlet_limit():
     warm = None
     for R in radii:
         res = dirichlet_eigenvalue(cs, R, warm=warm)
-        warm = (res.phi, res.psi)
+        warm = res.vector
         values.append(res.value)
     increasing = all(b > a for a, b in zip(values, values[1:]))
     k_min = spreading_speeds(cs).k_min
@@ -345,6 +345,74 @@ def test_stationary_profile_is_reached_from_other_starts():
             check("8-unique", q < 1.0 and distance <= bound,
                   f"eps={eps}, start {name}: {len(steps)} steps, contraction {q:.5f}, "
                   f"distance {distance:.3e} to stationary_profile vs bound {bound:.3e}")
+
+
+def test_stationary_distance_closes_at_the_two_scale_rate():
+    # Criterion 8's set (sigma = kappa = 1, mu = 1/2, r_i = 1 + a e_i with
+    # e_i = cos(2 pi y + phi_i), y = x / eps), whose homogenized equilibrium
+    # is u* = v* = 1/2.  In y the discrete stationary system on the fixed
+    # 512-cell y-grid reads D_y U + eps^2 F(U, y) = 0, so its fixed point is
+    # a power series in eps^2 about (u*, v*).  Eliminating the Fourier modes
+    # order by order, each order's mean fixing the constant of the one
+    # before, with k = 2 pi:
+    #   u = u* + eps^2 (alpha e_u + c) + eps^4 (a alpha cos(4 pi y + 2 phi_u) / (8 k^2)
+    #       + (a c - alpha) e_u / k^2 + c2) + O(eps^6),
+    #   alpha = a / (2 k^2),  c = a alpha / 2,
+    #   c2 = a (a c - alpha) / (2 k^2) - alpha^2 (1 + cos(phi_v - phi_u)) / 2 - 2 c^2,
+    # and v alike with e_v.  Both peak where their e_i = 1, so
+    #   d(eps) = sup |(u, v) - (u*, v*)| = D eps^2 (1 + gamma eps^2 + O(eps^4)),
+    #   D = alpha + c,  gamma = (a alpha / (8 k^2) + (a c - alpha) / k^2 + c2) / D,
+    # and d(eps) / d(eps/2) = 4 (1 + 3 gamma eps^2 / 4 + O(eps^4)).  The
+    # 512-cell stencil moves k^2 by a relative 1e-5, far inside the bounds.
+    # |ratio / 4 - 1| and |d / (D eps^2) - 1| must stay within twice their
+    # next terms, 3 |gamma| eps^2 / 4 and |gamma| eps^2, plus each run's
+    # stopping floor tol dt q / (1 - q) relative to its d
+    # (test_stationary_profile_is_reached_from_other_starts).  Past
+    # eps = 1/16 the floor reaches the eps^4 term.
+    tol, n_cells = 1e-9, 512
+    cs = criterion_8_set()
+    a, dphi, k2 = cs.r_u.amplitude, cs.r_v.phase - cs.r_u.phase, 4 * np.pi ** 2
+    alpha = a / (2 * k2)
+    c = a * alpha / 2
+    c2 = a * (a * c - alpha) / (2 * k2) - alpha ** 2 * (1 + np.cos(dphi)) / 2 - 2 * c ** 2
+    D = alpha + c
+    gamma = (a * alpha / (8 * k2) + (a * c - alpha) / k2 + c2) / D
+    hom = homogenize(cs)
+    u_star, v_star = equilibrium(HomParams(hom.sigma_H, hom.mean_r_u, hom.mean_r_v,
+                                           hom.mean_kappa_u, hom.mean_kappa_v,
+                                           hom.mean_mu_u, hom.mean_mu_v))
+    eps = 2.0 ** -np.arange(5)
+    dists, floors = [], []
+    for e in eps:
+        cse = rescale_epsilon(cs, e)
+        nodes, u_ref, v_ref = stationary_profile(cse, n_cells=n_cells, tol=tol)
+        # stationary_profile's own run, for its steps
+        u = v = np.full(n_cells, 0.5 * cse.k_bar)
+        stepper = Stepper(cse, nodes, cse.period / n_cells, "periodic", STATIONARY_DT, cse.k_bar)
+        steps = []
+        for _, un, vn, _ in stepper.run(u, v, np.ceil(4000.0 / STATIONARY_DT)):
+            steps.append(max(float(np.max(np.abs(un - u))), float(np.max(np.abs(vn - v)))))
+            u, v = un, vn
+            if steps[-1] / STATIONARY_DT < tol:
+                break
+        assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
+        q = max(later / earlier for earlier, later in zip(steps[-11:-1], steps[-10:]))
+        assert q < 1.0
+        floors.append(tol * STATIONARY_DT * q / (1.0 - q))
+        dists.append(max(float(np.max(np.abs(u - u_star))), float(np.max(np.abs(v - v_star)))))
+    dists, relative_floors = np.array(dists), np.array(floors) / np.array(dists)
+    ratios = dists[:-1] / dists[1:]
+    ratio_bound = 1.5 * abs(gamma) * eps[:-1] ** 2 + relative_floors[:-1] + relative_floors[1:]
+    scaled = dists / (D * eps ** 2) - 1
+    scaled_bound = 2.0 * abs(gamma) * eps ** 2 + relative_floors
+
+    def sci(x):
+        return np.array2string(x, formatter={"float_kind": "{:.2e}".format})
+    check("8-stationary-rate", bool(np.all(np.abs(ratios / 4 - 1) <= ratio_bound)
+                                    and np.all(np.abs(scaled) <= scaled_bound)),
+          f"distance ratios {np.array2string(ratios, precision=4)} for eps = 1 .. 1/8, "
+          f"|ratio / 4 - 1| bounds {sci(ratio_bound)}; d / (D eps^2) - 1 = {sci(scaled)}, "
+          f"bounds {sci(scaled_bound)}; D = {D:.4e}, gamma = {gamma:.4f}")
 
 
 def test_criterion_9_boundedness_invariant():

@@ -834,6 +834,12 @@ ODE_NAN = {
     "kappa_v-1e200": ode_with(kappa_v=1e200),
 }
 
+# disc about 2.7e10, where the v equation's sum for S, r_v - mu_v + mu_u Q,
+# cancels (condition number 1.8e11), so S comes from the u equation; dt
+# keeps RK4 stable against mu_v = 4.76e5
+CANCELLING_V_SUM = dict(ode_with(sigma=1.28, r_u=0.292, r_v=0.76, kappa_u=352.0,
+                                 kappa_v=0.00627, mu_u=4.82e-7, mu_v=4.76e5), T=0.01, dt=2e-6)
+
 # Reaction substeps past util.STEP_CAP in all: a step of dt takes
 # dt * Lipschitz / 0.25 of them, and stationary takes up to 80 000 steps.
 # The step count of stationary-t_max-overflow and the Lipschitz bound of
@@ -992,6 +998,7 @@ CHILD_CONFIGS = {
     **{f"huge/{case}": (command, payload, ()) for case, (command, payload, _) in HUGE.items()},
     **{f"substeps/{case}": (command, payload, ()) for case, (command, payload) in SUBSTEPS.items()},
     **{f"ode-nan/{case}": ("ode", payload, ()) for case, payload in ODE_NAN.items()},
+    "ode/cancelling-v-sum": ("ode", CANCELLING_V_SUM, ()),
     # epsilon = 1e-300 squeezes the period until h**2 underflows
     "sweep/vanishing": ("sweep", {"coefficients": HOMOG_COEFFS, "epsilons": [1e-300]},
                         ("--verbose",)),
@@ -1137,6 +1144,18 @@ def test_the_walk_reaches_every_reader():
         for key in schema:
             assert any(c.path == (*SIGMA, key) and c.payload[SIGMA[0]][SIGMA[1]]["kind"] == kind
                        for c in ILL_TYPED_WALK)
+
+
+def test_ode_equilibrium_from_a_cancelling_v_sum_is_written(child):
+    run = child["runs"]["ode/cancelling-v-sum"]
+    assert run["status"] == 0 and run["stderr"] == [], run
+    path, = (path for path in run["files"] if path.endswith("_ode.json"))
+
+    def reject(token):
+        raise ValueError(token)
+    report = json.loads(Path(path).read_text(), parse_constant=reject)
+    u_star, v_star = report["equilibrium"]
+    assert u_star > 0 and v_star > 0
 
 
 def test_stationary_numerical_error_exits_3(tmp_path, capsys):

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from rdfronts import eigen, util
+from rdfronts import eigen, pde, util
 from rdfronts.coefficients import CoefficientSpec, CoefficientSet, constant_set
 from rdfronts.eigen import (
     GridSpec,
@@ -256,7 +256,7 @@ def test_skeleton_store_keeps_every_level_built(built):
     # levels; a later cold solve still finds them in the store
     store = {}
     cold = k_of_lambda(README_SET, 0.5, skeletons=store)
-    warm = k_of_lambda(README_SET, 0.5, warm=(np.ones(1024), np.ones(1024)), skeletons=store)
+    warm = k_of_lambda(README_SET, 0.5, warm=np.ones(2 * 1024), skeletons=store)
     assert warm.n_cells >> (warm.levels - 1) == 256
     count = len(built)
     again = k_of_lambda(README_SET, 0.5, skeletons=store)
@@ -587,9 +587,9 @@ def test_left_pair_is_the_perron_pair_of_the_transpose(n, half_width):
     op = build_operator(SKELETON_SETS["piecewise_sigma"], 0.0 if half_width else 1.5,
                         GridSpec(n_cells=n), half_width=half_width, refine=False)
     right = principal_eigenpair(op)
-    left = principal_eigenpair(op, warm=(right.phi, right.psi), left=True)
+    left = principal_eigenpair(op, warm=right.vector, left=True)
     dense = op.matrix.toarray().T
-    y = left.eigenvector()
+    y = left.vector
     assert np.all(y > 0)
     assert np.max(np.abs(dense @ y - left.value * y)) <= 1e-9
     assert_perron_pair(dense, left)
@@ -674,7 +674,8 @@ def test_homogeneous_tilted_eigenvalue():
     op = build_operator(HOMOG, 1.0, GridSpec(n_cells=2048), refine=False)
     res = principal_eigenpair(op)
     assert res.value == pytest.approx(2.0, abs=1e-6)
-    assert np.ptp(res.phi) < 1e-9 and np.ptp(res.psi) < 1e-9
+    phi, psi = res.vector.reshape(2, -1)
+    assert np.ptp(phi) < 1e-9 and np.ptp(psi) < 1e-9
 
 
 def test_two_by_two_characteristic_polynomial_case():
@@ -715,7 +716,7 @@ def test_large_dirichlet_operator_converges_in_few_iterations():
     ref = spla.eigs(op.matrix.tocsc(), k=1, sigma=sigma, which="LM",
                     return_eigenvectors=False)
     assert res.value == pytest.approx(float(ref[0].real), abs=1e-9)
-    w = res.eigenvector()
+    w = res.vector
     ratios = (op.matrix @ w) / w
     assert np.min(ratios) <= res.value <= np.max(ratios)
 
@@ -751,7 +752,7 @@ def test_perron_solves_converge_in_few_steps(name, kind, param, n, start):
     warm = None
     if start == "warm":
         coarse = principal_eigenpair(shift_rule_operator(name, kind, param, n // 2))
-        warm = (coarse.phi, coarse.psi)
+        warm = coarse.vector
     res = principal_eigenpair(shift_rule_operator(name, kind, param, n), warm=warm)
     assert res.iterations <= SHIFT_RULE_CAP
     assert res.residual < max(eigen.RESIDUAL_TOL, res.rounding)
@@ -763,7 +764,7 @@ def test_warm_piecewise_sigma_step_to_2048_cells(lam):
     # stayed on the far shift, and takes 5 now
     coarse = principal_eigenpair(shift_rule_operator("piecewise_sigma", "periodic", lam, 1024))
     res = principal_eigenpair(shift_rule_operator("piecewise_sigma", "periodic", lam, 2048),
-                              warm=(coarse.phi, coarse.psi))
+                              warm=coarse.vector)
     assert res.iterations <= SHIFT_RULE_CAP
 
 
@@ -771,8 +772,9 @@ def test_eigenresult_invariants():
     cs = cosine_set(r_u=CoefficientSpec.cosine(1.0, 0.4, 0.9))
     op = build_operator(cs, 0.7, GridSpec(n_cells=256), refine=False)
     res = principal_eigenpair(op)
-    w = res.eigenvector()
-    assert np.min(res.phi) > 0 and np.min(res.psi) > 0
+    w = res.vector
+    phi, psi = w.reshape(2, -1)
+    assert np.min(phi) > 0 and np.min(psi) > 0
     assert np.max(np.abs(w)) == pytest.approx(1.0)
     assert res.residual <= 1e-9
     check = np.max(np.abs(op.matrix @ w - res.value * w)) / np.max(np.abs(w))
@@ -790,11 +792,11 @@ def test_collatz_wielandt_bracket_holds_the_dense_perron_root(name, kind, param)
     dense = op.matrix.toarray()
     root = float(np.max(np.linalg.eigvals(dense).real))
     right = principal_eigenpair(op)
-    left = principal_eigenpair(op, warm=(right.phi, right.psi), left=True)
+    left = principal_eigenpair(op, warm=right.vector, left=True)
     for res, matrix in ((right, dense), (left, dense.T)):
         low, high = res.bracket
         assert low - res.rounding <= root <= high + res.rounding
-        ratios = (matrix @ res.eigenvector()) / res.eigenvector()
+        ratios = (matrix @ res.vector) / res.vector
         assert (low, high) == pytest.approx((ratios.min(), ratios.max()), abs=res.rounding)
 
 
@@ -869,7 +871,7 @@ def test_tilt_slope_matches_centred_difference(name, lam):
     right = principal_eigenpair(op)
     slope, left = tilt_slope(op, right)
     assert left.value == pytest.approx(right.value, abs=1e-9)
-    assert np.max(np.abs(left.eigenvector() - right.eigenvector())) > 1e-3
+    assert np.max(np.abs(left.vector - right.vector)) > 1e-3
     assert slope == pytest.approx((k(lam + d) - k(lam - d)) / (2 * d), abs=1e-6)
 
 
@@ -890,7 +892,8 @@ def test_k_of_lambda_slope_matches_centred_difference(monkeypatch):
     assert res.slope == pytest.approx(centred, abs=1e-5)
     (slope, left), = pairs                        # the left pair behind the slope
     assert slope == res.slope
-    assert np.all(left.phi > 0) and np.all(left.psi > 0)
+    phi, psi = left.vector.reshape(2, -1)
+    assert np.all(phi > 0) and np.all(psi > 0)
 
 
 @pytest.mark.parametrize("name", sorted(SLOPE_SETS))
@@ -923,19 +926,19 @@ def test_first_shift_at_or_below_the_root_restarts_bitwise(half_width, offset):
     def level(n):
         return build_operator(cs, lam, GridSpec(n_cells=n), half_width=half_width, refine=False)
     coarse = principal_eigenpair(level(64))
-    warm = (coarse.phi, coarse.psi)
+    warm = coarse.vector
     plain = principal_eigenpair(level(128), warm=warm)
     hinted = principal_eigenpair(level(128), warm=warm, first_shift=plain.value - offset)
     assert (plain.restarts, hinted.restarts) == (0, 1)
     assert (hinted.value, hinted.residual, hinted.bracket) == (plain.value, plain.residual,
                                                                plain.bracket)
-    assert np.array_equal(hinted.phi, plain.phi) and np.array_equal(hinted.psi, plain.psi)
+    assert np.array_equal(hinted.vector, plain.vector)
     assert ((hinted.iterations, hinted.factorizations)
             == (plain.iterations + 1, plain.factorizations + 1))
     # a first shift at or past the far shift is not taken
     far = principal_eigenpair(level(128), warm=warm, first_shift=np.inf)
     assert far.restarts == 0 and far.iterations == plain.iterations
-    assert np.array_equal(far.phi, plain.phi) and np.array_equal(far.psi, plain.psi)
+    assert np.array_equal(far.vector, plain.vector)
 
 
 @pytest.mark.parametrize("name", ["readme", "piecewise_sigma"])
@@ -1040,13 +1043,13 @@ def test_dirichlet_first_shift_below_the_root_gives_the_unhinted_bits(offset):
     # restart, and then the bits of the call without a first shift
     cs = criterion_4_set()
     before = dirichlet_eigenvalue(cs, 2.0)
-    warm = (before.phi, before.psi)
+    warm = before.vector
     plain = dirichlet_eigenvalue(cs, 4.0, warm=warm)
     hinted = dirichlet_eigenvalue(cs, 4.0, warm=warm, first_shift=plain.first_root - offset)
     assert (plain.restarts, hinted.restarts) == (0, 1)
     for key in ("value", "residual", "bracket", "first_root", "levels", "n_cells"):
         assert getattr(hinted, key) == getattr(plain, key), key
-    assert np.array_equal(hinted.phi, plain.phi) and np.array_equal(hinted.psi, plain.psi)
+    assert np.array_equal(hinted.vector, plain.vector)
     assert ((hinted.iterations, hinted.factorizations)
             == (plain.iterations + 1, plain.factorizations + 1))
 
@@ -1059,14 +1062,47 @@ def test_predicted_first_shifts_keep_the_sweep_values(radii):
     # (relative), and a sweep that never grows past two smaller radii takes
     # no prediction and gives the same bits
     cs = criterion_4_set()
-    chain = eigen._warm_chain(lambda R, warm: dirichlet_eigenvalue(cs, R, warm=warm))
-    expected = [chain(R) for R in radii]
+    expected = []
+    for R in radii:
+        warm = expected[-1].vector if expected else None
+        expected.append(dirichlet_eigenvalue(cs, float(R), warm=warm))
     swept = eigen.dirichlet_sweep(cs, radii, None, eigen.K_GRID_TOL)
     for res, ref in zip(swept, expected):
         assert res.value == pytest.approx(ref.value, rel=1e-10, abs=0.0)
     if radii[0] > radii[-1]:
         assert [res.value for res in swept] == [ref.value for ref in expected]
         assert [res.iterations for res in swept] == [ref.iterations for ref in expected]
+
+
+def test_no_solve_writes_to_a_vector_it_handed_on(monkeypatch):
+    # a result's vector is the only copy of its Perron pair, and the solves
+    # after it start from it (the left solve behind a slope from its right
+    # one): copied as each solve returns, every vector keeps its bits through
+    # a 3-point chain, a 5-point curve and a 3-radius sweep
+    returned = []
+
+    def spy(solve):
+        def kept(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            returned.append((res, res.vector.copy()))
+            return res
+        return kept
+    monkeypatch.setattr(eigen, "k_of_lambda", spy(eigen.k_of_lambda))
+    monkeypatch.setattr(eigen, "dirichlet_eigenvalue", spy(eigen.dirichlet_eigenvalue))
+    k = eigen.k_chain(README_SET, None, eigen.K_GRID_TOL, slope=True)
+    results = [k(lam) for lam in (0.5, 0.6, 0.7)]
+    results += k_curve(README_SET, np.linspace(-1.0, 1.0, 5))
+    results += eigen.dirichlet_sweep(README_SET, [1.0, 2.0, 4.0], None, eigen.K_GRID_TOL)
+    assert sorted(id(res) for res, _ in returned) == sorted(map(id, results))
+    for res, copy in returned:
+        assert np.array_equal(res.vector, copy)
+    # and the snapshots of one simulate run keep arrays of their own
+    run = pde.simulate(README_SET, pde.DomainSpec(-10.0, 20.0, 256),
+                       pde.InitialData(kind="compact_bump", amplitude=0.5, center=5.0, width=2.0),
+                       T=1.0, dt=0.01, record_every=0.1, snapshot_every=0.25)
+    arrays = [array for snap in run.snapshots for array in (snap.u, snap.v)]
+    assert len(run.snapshots) == 4
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
 def test_restarts_are_summed_over_levels_and_the_left_solve(monkeypatch):
@@ -1157,7 +1193,7 @@ def fixed_grid_richardson(cs, lam, n=2048):
     """k_2n + (k_2n - k_n)/3 on fixed n- and 2n-cell grids, no refinement."""
     coarse = principal_eigenpair(build_operator(cs, lam, GridSpec(n_cells=n), refine=False))
     fine = principal_eigenpair(build_operator(cs, lam, GridSpec(n_cells=2 * n), refine=False),
-                               warm=(coarse.phi, coarse.psi))
+                               warm=coarse.vector)
     return fine.value + (fine.value - coarse.value) / 3.0
 
 
@@ -1217,7 +1253,8 @@ def test_dirichlet_below_periodic():
 
 def test_dirichlet_eigenvector_positive_interior():
     res = dirichlet_eigenvalue(HOMOG, 1.0)
-    assert np.min(res.phi) > 0 and np.min(res.psi) > 0
+    phi, psi = res.vector.reshape(2, -1)
+    assert np.min(phi) > 0 and np.min(psi) > 0
 
 
 def test_dirichlet_starting_level_past_the_cap_raises_before_building(monkeypatch):
@@ -1244,4 +1281,4 @@ def test_k_starting_level_past_the_cap_raises_before_building(monkeypatch):
     monkeypatch.setattr(eigen, "REFINE_CAP", 256)
     monkeypatch.setattr(eigen, "_skeleton", no_skeleton)
     with pytest.raises(ValidationError, match="starting level of 512 cells"):
-        k_of_lambda(HOMOG, 0.0, warm=(np.ones(2048), np.ones(2048)))
+        k_of_lambda(HOMOG, 0.0, warm=np.ones(2 * 2048))

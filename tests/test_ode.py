@@ -8,6 +8,8 @@ import pytest
 
 from rdfronts.errors import NumericalError, PreconditionError, ValidationError
 from rdfronts.ode import (
+    EQUILIBRIUM_RESIDUAL_TOL,
+    SUM_CONDITION_CAP,
     HomParams,
     analyze,
     equilibrium,
@@ -138,15 +140,29 @@ def numpy_closed_forms(p):
     scalars carried through the arithmetic after it."""
     a, d = p.r_u - p.mu_u, p.r_v - p.mu_v
     lam = 0.5 * (a + d + np.sqrt((a - d) ** 2 + 4.0 * p.mu_u * p.mu_v))
+    Q = numpy_quotient(p)
+    (v_terms, v_sum), (u_terms, u_sum) = species_sums(p, Q)
+    S = v_sum / p.kappa_v
+    if v_terms > SUM_CONDITION_CAP * abs(v_sum) and u_terms * abs(v_sum) < v_terms * abs(u_sum):
+        S = u_sum / p.kappa_u
+    return lam, (float(S * Q / (1.0 + Q)), float(S / (1.0 + Q)))
+
+
+def numpy_quotient(p):
+    """Q = u*/v*, the quadratic's positive root, on numpy scalars."""
     ratio = p.kappa_u / p.kappa_v
     disc = p.r_u - p.mu_u - ratio * (p.r_v - p.mu_v)
     root = np.sqrt(disc ** 2 + 4.0 * ratio * p.mu_u * p.mu_v)
     if disc < 0:
-        Q = 2.0 * p.mu_v / (root - disc)
-    else:
-        Q = (p.kappa_v / (2.0 * p.mu_u * p.kappa_u)) * (disc + root)
-    S = (p.r_v + p.mu_u * Q - p.mu_v) / p.kappa_v
-    return lam, (float(S * Q / (1.0 + Q)), float(S / (1.0 + Q)))
+        return 2.0 * p.mu_v / (root - disc)
+    return (p.kappa_v / (2.0 * p.mu_u * p.kappa_u)) * (disc + root)
+
+
+def species_sums(p, Q):
+    """(sum of |terms|, sum) of S kappa_v = r_v - mu_v + mu_u Q, from the v
+    equation, and of S kappa_u = r_u - mu_u + mu_v / Q, from the u equation."""
+    return ((abs(p.r_v - p.mu_v) + p.mu_u * Q, p.r_v + p.mu_u * Q - p.mu_v),
+            (abs(p.r_u - p.mu_u) + p.mu_v / Q, p.r_u - p.mu_u + p.mu_v / Q))
 
 
 def test_closed_forms_keep_the_bits_of_numpy_scalars():
@@ -198,6 +214,33 @@ def test_equilibrium_keeps_its_root_where_disc_is_negative():
             assert abs(float(Decimal(u) / Decimal(v) / q - 1)) <= 8 * EPS * condition
         checked += 1
     assert checked > 100
+
+
+def test_equilibrium_takes_S_from_the_better_conditioned_sum():
+    # sets with lambda_A > 0 and kappas and mutation rates over twelve
+    # decades whose S from the v equation alone fails the residual check:
+    # there the v equation's sum cancels past SUM_CONDITION_CAP, and wherever
+    # the u equation's sum is conditioned within the cap, the equilibrium
+    # passes its own check.  Where both sums cancel past it, neither form is
+    # claimed to pass.
+    rng = np.random.default_rng(7)
+    solved = []
+    for _ in range(3000):
+        r_u, r_v = rng.uniform(-1.0, 2.0, 2)
+        kappa_u, kappa_v, mu_u, mu_v = 10.0 ** rng.uniform(-6.0, 6.0, 4)
+        p = HomParams(1.0, r_u, r_v, kappa_u, kappa_v, mu_u, mu_v)
+        if not lambda_A(p) > 0:
+            continue
+        Q = numpy_quotient(p)
+        (v_terms, v_sum), (u_terms, u_sum) = species_sums(p, Q)
+        S = v_sum / p.kappa_v                         # the v equation's form alone
+        du, dv = rhs(p, S * Q / (1.0 + Q), S / (1.0 + Q))
+        if max(abs(du), abs(dv)) < EQUILIBRIUM_RESIDUAL_TOL * max(1.0, S):
+            continue
+        assert v_terms > SUM_CONDITION_CAP * abs(v_sum)
+        if u_terms <= SUM_CONDITION_CAP * abs(u_sum):
+            solved.append(equilibrium(p))
+    assert len(solved) > 100
 
 
 def test_equilibrium_unique_under_multistart_newton():

@@ -104,7 +104,7 @@ def assert_perron_pair(matrix, res):
     bracket as well.  A positive vector that is not an eigenvector, w
     perturbed by up to 5%, still has max(Mx/x) >= k: the Collatz-Wielandt
     upper bound."""
-    w = res.eigenvector()
+    w = res.vector
     assert np.min(w) > 0
     slack = (res.residual + res.rounding) / np.min(w)
     ratios = (matrix @ w) / w

@@ -126,7 +126,7 @@ def test_tangency_search_matches_dense_scan():
         def k_fixed(lam, slope=False):
             op = eigen._operator(skeleton, lam)
             res = principal_eigenpair(op, warm=warm["vec"])
-            warm["vec"] = (res.phi, res.psi)
+            warm["vec"] = res.vector
             if slope:
                 res.slope, _ = tilt_slope(op, res)
             return res
