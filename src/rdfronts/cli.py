@@ -109,13 +109,16 @@ def _print_counts(command: str, counts: dict) -> None:
 def _eigen_counts(results) -> dict:
     """Perron iterations, LU factorizations and grid levels summed over the
     eigenvalue solves, the finest cell count among them, the factorizations
-    that swapped rows, whose solves take dgbtrs, and the solves that restarted
+    that swapped rows, whose solves take dgbtrs, the largest residual and
+    Collatz-Wielandt bracket width among them, and the solves that restarted
     on the far shift because their first shift was not above the root."""
     return {"iterations": sum(r.iterations for r in results),
             "factorizations": sum(r.factorizations for r in results),
             "levels": sum(r.levels for r in results),
             "finest_cells": max(r.n_cells for r in results),
             "pivoted": sum(r.pivoted for r in results),
+            "residual": max(r.residual for r in results),
+            "bracket_width": max(r.bracket[1] - r.bracket[0] for r in results),
             "restarts": sum(r.restarts for r in results)}
 
 
@@ -125,7 +128,7 @@ def _search_counts(searches: dict) -> dict:
            for name, results in searches.items()}
     return {key: {name: c[key] for name, c in per.items()}
             for key in ("k_evals", "iterations", "levels", "factorizations", "finest_cells",
-                        "pivoted", "restarts")}
+                        "pivoted", "residual", "bracket_width", "restarts")}
 
 
 # -- subcommand handlers: (values, artifacts) -> solver counts ---------------------

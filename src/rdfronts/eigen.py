@@ -918,27 +918,6 @@ def dirichlet_eigenvalue(cs: CoefficientSet, R: float,
 # looked up by their module-global names at every call, so wrappers installed
 # on eigen.k_of_lambda / eigen.dirichlet_eigenvalue see each solve.
 
-def k_chain(cs: CoefficientSet, grid: Optional[GridSpec], tol: float,
-            slope: bool = False, start: Optional[EigenResult] = None,
-            skeletons: Optional[dict] = None) -> Callable[[float], EigenResult]:
-    """lambda -> k_of_lambda(cs, lambda, grid, tol, slope=slope), each call
-    warm-started from the vector of the last result, the first one from
-    `start`'s when given.  The chain keeps every operator skeleton its
-    solves built, with their first-level roots, in `skeletons` when given (a
-    dict that other chains on cs may share).  The next solve, near the last
-    in lambda, mostly reuses them, and starts on a chord of those roots when
-    they lie on both sides of its lambda."""
-    held = {} if skeletons is None else skeletons
-    last = start
-
-    def step(lam: float) -> EigenResult:
-        nonlocal last
-        last = k_of_lambda(cs, float(lam), grid, tol, warm=None if last is None else last.vector,
-                           slope=slope, skeletons=held)
-        return last
-    return step
-
-
 def k_curve(cs: CoefficientSet, lambdas: Sequence[float],
             grid: Optional[GridSpec] = None, tol: float = K_GRID_TOL,
             skeletons: Optional[dict] = None) -> list:

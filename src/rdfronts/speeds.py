@@ -5,10 +5,10 @@ The right spreading speed is the minimum over lambda > 0 of k(lambda)/lambda
 point where g(lambda) = lambda k'(lambda) - k(lambda), an increasing
 function, changes sign, and min k is the root of the increasing k'.  Both
 roots are found by a safeguarded secant search on the exact slope k' that
-``eigen.k_of_lambda(slope=True)`` returns.  Every k(lambda) of the searches
-comes from ``eigen.k_chain``, which warm-starts each solve from the last
-result: one chain for k(0), the right search and min k, and a second one,
-started from k(0) as well, for the left search, both on one store of
+``eigen.k_of_lambda(slope=True)`` returns.  Each search logs its k(lambda)
+solves in ``SpeedReport.solves`` and starts each solve from the Perron
+vector of the last one in its own log: the right and left searches from
+k(0) first, min k from the right search's last solve, all on one store of
 operator skeletons.  The module also evaluates the analytic speed bounds and
 the speed of the homogenized medium.  The sign of min k is the report's
 hair-trigger indicator; the CLI's dirichlet, eigen and speed artifacts carry
@@ -21,8 +21,9 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
+from . import eigen
 from .coefficients import CoefficientSet, HomogenizedSet, periodic_mean
-from .eigen import K_GRID_TOL, EigenResult, GridSpec, k_chain
+from .eigen import K_GRID_TOL, EigenResult, GridSpec
 from .errors import NumericalError, PreconditionError
 from .ode import HomParams, lambda_A
 
@@ -67,7 +68,8 @@ class SpeedReport:
     bound_high: float
     hair_trigger: Optional[bool]
     # Not an artifact field: the k(lambda) solves of each search ("right",
-    # k(0) first, "left", "k_min") in the order they were made.
+    # k(0) first, "left", "k_min") in the order they were made; each solve
+    # started from the vector of the one before it in its list.
     solves: Dict[str, List[EigenResult]] = field(default_factory=dict, repr=False,
                                                  compare=False)
 
@@ -144,7 +146,7 @@ def tangency_search(k: Callable[[float], EigenResult], lam0: float, tol: float,
 def _k_min_search(k: Callable[[float], EigenResult], k0: EigenResult,
                   tol: float) -> EigenResult:
     """min k as the root of the increasing slope k', searched from lambda = 0
-    (k0, already on the chain k) and 0.1; returns k there."""
+    (k0, already solved) and 0.1; returns k there."""
     def slope(lam: float) -> Tuple[float, EigenResult]:
         res = k(lam)
         return res.slope, res
@@ -158,18 +160,22 @@ def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
 
     Requires the periodic principal eigenvalue k(0) to be positive (otherwise
     front-like data does not spread and the quotient formula degenerates).
-    The right search and min k run on the chain that solved k(0), the left
-    search on a second chain.  Both searches start from k(0)'s eigenvectors,
-    so mirroring the set swaps the speeds to rounding, and at
-    sqrt(k(0) / mean sigma), the tangency point of a constant medium, where
-    k = k(0) + sigma lambda^2.  Each stops when a step moves lambda by less
-    than lam_tol.  hair_trigger is the sign of min k, None within SIGN_BAND.
-    Both chains keep their operator skeletons in one dict, `skeletons` when
-    given, so a caller can share them with its own chains on cs.
+    Each search logs its solves in the report's `solves` and starts each
+    from the vector of the last one logged.  The right and left searches
+    start from k(0)'s, so mirroring the set swaps the speeds to rounding, and
+    at sqrt(k(0) / mean sigma), the tangency point of a constant medium,
+    where k = k(0) + sigma lambda^2; min k goes on from the right search's
+    last solve.  Each stops when a step moves lambda by less than lam_tol.
+    hair_trigger is the sign of min k, None within SIGN_BAND.  All solves
+    keep their operator skeletons in one dict, `skeletons` when given, so a
+    caller can share them with its own solves on cs.
     """
     skeletons = {} if skeletons is None else skeletons
-    k = k_chain(cs, grid, k_tol, slope=True, skeletons=skeletons)
-    k0 = k(0.0)
+
+    def solve(lam: float, warm) -> EigenResult:
+        return eigen.k_of_lambda(cs, float(lam), grid, k_tol, warm=warm, slope=True,
+                                 skeletons=skeletons)
+    k0 = solve(0.0, None)
     if k0.value <= 0:
         raise PreconditionError(
             f"spreading-speed formula needs a positive periodic principal "
@@ -177,18 +183,17 @@ def spreading_speeds(cs: CoefficientSet, grid: Optional[GridSpec] = None,
     lam0 = math.sqrt(k0.value / periodic_mean(cs.sigma))
     solves = {"right": [k0], "left": [], "k_min": []}
 
-    def logged(k: Callable[[float], EigenResult], search: str):
-        def solve(lam: float) -> EigenResult:
-            res = k(lam)
-            solves[search].append(res)
-            return res
-        return solve
+    def chain(search: str, before: EigenResult) -> Callable[[float], EigenResult]:
+        log = solves[search]
 
-    lam_right, res_right = tangency_search(logged(k, "right"), lam0, lam_tol)
-    lam_left, res_left = tangency_search(
-        logged(k_chain(cs, grid, k_tol, slope=True, start=k0, skeletons=skeletons), "left"),
-        lam0, lam_tol, side=-1.0)
-    res_min = _k_min_search(logged(k, "k_min"), k0, lam_tol)
+        def step(lam: float) -> EigenResult:
+            log.append(solve(lam, (log[-1] if log else before).vector))
+            return log[-1]
+        return step
+
+    lam_right, res_right = tangency_search(chain("right", k0), lam0, lam_tol)
+    lam_left, res_left = tangency_search(chain("left", k0), lam0, lam_tol, side=-1.0)
+    res_min = _k_min_search(chain("k_min", solves["right"][-1]), k0, lam_tol)
     low, high = speed_bounds(cs)
     k_min = res_min.value
     return SpeedReport(c_right=res_right.value / lam_right, c_left=res_left.value / lam_left,

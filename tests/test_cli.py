@@ -90,7 +90,7 @@ DETERMINISM_PAYLOADS = {
 def test_deterministic_outputs(tmp_path, capsys, command):
     # eigen and dirichlet build on the shared flux stencil through the
     # eigen module, simulate through the pde Stepper; speed runs the speed
-    # search and the curve dump on eigen's warm-started chains, sweep one
+    # search and the curve dump on warm-started chains, sweep one
     # speed search per epsilon.  The second run is verbose: it prints one
     # JSON line of counts on stderr, and the counts never reach the files.
     payload = DETERMINISM_PAYLOADS[command]
@@ -455,9 +455,13 @@ def test_speed_verbose_reports_k_evals_on_stderr(tmp_path, capsys, monkeypatch):
     assert all(n > 0 for n in record["k_evals"].values())
     searches = sorted(record["k_evals"])
     assert list(record)[-1] == "restarts"
+    assert sorted(record) == ["bracket_width", "command", "factorizations", "finest_cells",
+                              "iterations", "k_evals", "levels", "pivoted", "residual",
+                              "restarts"]
     assert (sorted(record["iterations"]) == sorted(record["levels"])
             == sorted(record["factorizations"]) == sorted(record["finest_cells"])
-            == sorted(record["pivoted"]) == sorted(record["restarts"]) == sorted(solves)
+            == sorted(record["pivoted"]) == sorted(record["residual"])
+            == sorted(record["bracket_width"]) == sorted(record["restarts"]) == sorted(solves)
             == searches)
     for search in searches:
         # the Perron solves of each search, tilt_slope's left ones included
@@ -469,22 +473,36 @@ def test_speed_verbose_reports_k_evals_on_stderr(tmp_path, capsys, monkeypatch):
         assert record["pivoted"][search] == sum(r.pivoted for r in solves[search])
         assert record["restarts"][search] == sum(r.restarts for r in solves[search])
         assert record["finest_cells"][search] >= 128
+        # the largest residual and Collatz-Wielandt bracket width of the search
+        assert record["residual"][search] == max(r.residual for r in solves[search]) > 0
+        assert record["bracket_width"][search] == max(r.bracket[1] - r.bracket[0]
+                                                      for r in solves[search]) >= 0
     for suffix in ("speed.json", "kcurve.csv"):
         assert ((tmp_path / f"loud_{suffix}").read_bytes()
                 == (tmp_path / f"quiet_{suffix}").read_bytes())
 
 
 @pytest.mark.parametrize("command", ["eigen", "dirichlet"])
-def test_verbose_reports_eigen_solver_counts_on_stderr(tmp_path, capsys, command):
+def test_verbose_reports_eigen_solver_counts_on_stderr(tmp_path, capsys, monkeypatch,
+                                                       command):
     payload = DETERMINISM_PAYLOADS[command]
     assert run(tmp_path, command, payload, out="quiet") == 0
     assert capsys.readouterr().err == ""
+    results = []
+
+    def kept(solve):
+        def spy(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+        return spy
+    for name in ("k_of_lambda", "dirichlet_eigenvalue"):
+        monkeypatch.setattr(eigen, name, kept(getattr(eigen, name)))
     assert run(tmp_path, command, payload, out="loud", verbose=True) == 0
     line, = capsys.readouterr().err.splitlines()
     record = json.loads(line)
     assert record.pop("command") == command
-    assert sorted(record) == ["factorizations", "finest_cells", "iterations", "levels",
-                              "pivoted", "restarts"]
+    assert sorted(record) == ["bracket_width", "factorizations", "finest_cells", "iterations",
+                              "levels", "pivoted", "residual", "restarts"]
     assert list(record)[-1] == "restarts"
     solves = 5 + 1 if command == "eigen" else 2       # curve and profile, or radii
     # every solve takes at least two grid levels, each at least one factorization
@@ -494,6 +512,10 @@ def test_verbose_reports_eigen_solver_counts_on_stderr(tmp_path, capsys, command
     # at most one restart per level above a solve's first
     assert record["levels"] - solves >= record["restarts"] >= 0
     assert record["finest_cells"] >= 128
+    # the largest residual and Collatz-Wielandt bracket width of the solves
+    assert len(results) == solves
+    assert record["residual"] == max(r.residual for r in results) > 0
+    assert record["bracket_width"] == max(r.bracket[1] - r.bracket[0] for r in results) >= 0
     for quiet in tmp_path.glob("quiet_*"):
         loud = tmp_path / quiet.name.replace("quiet_", "loud_")
         assert loud.read_bytes() == quiet.read_bytes()

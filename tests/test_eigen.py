@@ -244,10 +244,10 @@ def built(monkeypatch):
 
 
 def test_chain_reuses_skeletons_of_a_nearby_solve(built):
-    k = eigen.k_chain(README_SET, None, eigen.K_GRID_TOL)
-    first = k(0.5)
+    store = {}
+    first = k_of_lambda(README_SET, 0.5, skeletons=store)
     count = len(built)
-    second = k(0.6)
+    second = k_of_lambda(README_SET, 0.6, warm=first.vector, skeletons=store)
     assert first.n_cells == second.n_cells and len(built) == count
 
 
@@ -314,10 +314,13 @@ def test_interior_curve_points_start_on_a_chord(monkeypatch):
         chord = eigen._chord_shift(roots[:i], roots[i][0])
         assert chord is not None and shifts[i][1] == chord and chord > roots[i][1]
     assert sum(res.restarts for res in curve) == 0
-    # the values are those of one chain in grid order, to well below tolerance
-    chain = eigen.k_chain(README_SET, None, eigen.K_GRID_TOL)
+    # the values are those of one chain in grid order, each solve warm-started
+    # from the one before it on one store, to well below tolerance
+    chain_store, previous = {}, None
     for lam, res in zip(lams, curve):
-        assert res.value == pytest.approx(chain(lam).value, rel=1e-10, abs=0.0)
+        previous = k_of_lambda(README_SET, float(lam), skeletons=chain_store,
+                               warm=None if previous is None else previous.vector)
+        assert res.value == pytest.approx(previous.value, rel=1e-10, abs=0.0)
 
 
 # -- banded shift-invert solves ----------------------------------------------------
@@ -991,12 +994,21 @@ def first_steps(monkeypatch):
 
 
 SWEEP_RADII = [1.0, 2.0, 4.0, 8.0]           # L .. 8L of criterion_4_set
+
+
+def slope_chain():
+    """Slope solves at 0.5 and then 1.0, warm-started from the first, on one store."""
+    store = {}
+    first = k_of_lambda(SLOPE_SETS["cosine"], 0.5, slope=True, skeletons=store)
+    return [first, k_of_lambda(SLOPE_SETS["cosine"], 1.0, warm=first.vector, slope=True,
+                               skeletons=store)]
+
+
 SHIFT_RUNS = {
     "dirichlet_sweep": lambda: eigen.dirichlet_sweep(criterion_4_set(), SWEEP_RADII,
                                                      None, eigen.K_GRID_TOL),
     "k_curve": lambda: k_curve(SKELETON_SETS["piecewise_sigma"], [-1.5, -0.5, 0.0, 0.5, 1.5]),
-    "slope": lambda: list(map(eigen.k_chain(SLOPE_SETS["cosine"], None, eigen.K_GRID_TOL,
-                                            slope=True), [0.5, 1.0])),
+    "slope": slope_chain,
 }
 
 
@@ -1089,8 +1101,10 @@ def test_no_solve_writes_to_a_vector_it_handed_on(monkeypatch):
         return kept
     monkeypatch.setattr(eigen, "k_of_lambda", spy(eigen.k_of_lambda))
     monkeypatch.setattr(eigen, "dirichlet_eigenvalue", spy(eigen.dirichlet_eigenvalue))
-    k = eigen.k_chain(README_SET, None, eigen.K_GRID_TOL, slope=True)
-    results = [k(lam) for lam in (0.5, 0.6, 0.7)]
+    store, results = {}, []
+    for lam in (0.5, 0.6, 0.7):
+        warm = results[-1].vector if results else None
+        results.append(eigen.k_of_lambda(README_SET, lam, warm=warm, slope=True, skeletons=store))
     results += k_curve(README_SET, np.linspace(-1.0, 1.0, 5))
     results += eigen.dirichlet_sweep(README_SET, [1.0, 2.0, 4.0], None, eigen.K_GRID_TOL)
     assert sorted(id(res) for res, _ in returned) == sorted(map(id, results))

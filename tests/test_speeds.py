@@ -208,6 +208,37 @@ def test_speed_search_makes_few_k_solves(monkeypatch):
     assert "solves" not in report.to_dict()
 
 
+# The coefficients of CI's asymmetric speed config: unequal, out-of-phase
+# mutation rates, where the left and right Perron vectors differ.
+CI_ASYMMETRIC = cosine_set(sigma=CoefficientSpec.cosine(1.0, 0.3, 0.4),
+                           r_u=CoefficientSpec.cosine(1.0, 0.4, 0.3),
+                           mu_u=CoefficientSpec.cosine(0.6, 0.4, 2.0),
+                           mu_v=CoefficientSpec.constant(0.3))
+
+
+def test_each_search_starts_from_the_last_solve_of_its_own_log(monkeypatch):
+    # k(0) is cold; the right and left searches start from k(0)'s vector and
+    # min k from the right search's last, and every later solve of a search
+    # from the solve before it in that search
+    solve, calls = eigen.k_of_lambda, []
+
+    def recorded(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        calls.append((kwargs["warm"], res))
+        return res
+
+    monkeypatch.setattr(eigen, "k_of_lambda", recorded)
+    report = spreading_speeds(CI_ASYMMETRIC)
+    assert report.c_right - report.c_left == pytest.approx(-3.8e-4, abs=0.5e-4)
+    right, left, k_min = (report.solves[search] for search in ("right", "left", "k_min"))
+    solved = right + left + k_min
+    before = [None, *right[:-1], right[0], *left[:-1], right[-1], *k_min[:-1]]
+    assert len(calls) == len(solved) == len(before) and len(left) > 1 and len(k_min) > 1
+    for (warm, res), res_logged, previous in zip(calls, solved, before):
+        assert res is res_logged
+        assert warm is (None if previous is None else previous.vector)
+
+
 # -- homogenized speed ---------------------------------------------------------------
 
 def test_homogenized_speed_closed_form():
